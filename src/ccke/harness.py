@@ -300,7 +300,8 @@ class SyntheticEnvironment:
 
     def _p_alt(self, x):
         z = np.asarray(x, dtype=float) / self.selection_temperature
-        return np.where(z >= 0.0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+        e = np.exp(-np.abs(z))  # exp(-z) on the first branch, exp(z) on the second
+        return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def app_probability(self, ctx, app) -> float:
         p = float(self._p_alt(ctx))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -107,6 +108,14 @@ class PhyContext:
     snr_db: float
     paths: int
 
+    def __post_init__(self):
+        # a zero-path or non-finite channel would saturate the KPI silently
+        if not isinstance(self.paths, numbers.Integral) or not 1 <= self.paths <= PATHS_MAX:
+            raise ContractViolationError(
+                f"paths must be an integer in 1..{PATHS_MAX}, got {self.paths!r}")
+        if not math.isfinite(self.snr_db):
+            raise ContractViolationError(f"snr_db must be finite, got {self.snr_db!r}")
+
     def features(self) -> np.ndarray:
         return np.array([self.snr_db, float(self.paths)])
 
@@ -160,9 +169,12 @@ def snr_bin_masses(snr_lo: float, bin_width: float, n_bins: int) -> np.ndarray:
     return masses / masses.sum()
 
 
+_STEER_PHASE = -2j * math.pi * ANTENNA_SEPARATION
+
+
 def _steering(phi: np.ndarray) -> np.ndarray:
     """Two-element array response; unit norm.  phi shape (...,) -> (..., 2)."""
-    second = np.exp(-2j * math.pi * ANTENNA_SEPARATION * np.cos(phi))
+    second = np.exp(_STEER_PHASE * np.cos(phi))
     return np.stack([np.ones_like(second), second], axis=-1) / math.sqrt(2.0)
 
 
@@ -233,6 +245,98 @@ def _send_blocks(app: TransmissionApp, h, sym_idx, rng, noise_std=1.0):
     return _decode_nearest(est, constellation)
 
 
+def _attempt_channel(amp: float, paths: int, rng: np.random.Generator):
+    """One channel as Python complex entries (h00, h01, h10, h11).
+
+    Bit for bit ``_channel_batch(snr_db, paths, 1, rng)[0]`` with
+    ``amp = sqrt(SNR)``, and the same generator stream: the real and
+    imaginary gain draws are one (2, m) normal draw, the receive and
+    transmit angles one (2, m) uniform draw.  The steering vectors run in
+    numpy as there.  The rest runs here in the same order: numpy divides
+    a complex by a real s as z * (1/s), and the einsum's complex
+    multiply-accumulate over paths is plain, without fused operations.
+    """
+    re, im = rng.standard_normal((2, paths)).tolist()
+    phi = rng.uniform(0.0, 2.0 * math.pi, size=(2, paths))
+    inv_root_m = 1.0 / math.sqrt(paths)
+    gains = [complex(x * inv_root_m, y * inv_root_m) for x, y in zip(re, im)]
+    second = (np.exp(_STEER_PHASE * np.cos(phi)) / math.sqrt(2.0)).tolist()
+    first = complex(1.0 / math.sqrt(2.0), 0.0)  # np.ones_like(...) / sqrt(2)
+    first_c = first.conjugate()
+    h00 = h01 = h10 = h11 = 0j
+    for a, er, et in zip(gains, second[0], second[1]):
+        a0, a1, et_c = a * first, a * er, et.conjugate()
+        h00 += a0 * first_c
+        h01 += a0 * et_c
+        h10 += a1 * first_c
+        h11 += a1 * et_c
+    return amp * h00, amp * h01, amp * h10, amp * h11
+
+
+def _symbol_tables(points: np.ndarray):
+    """Constellation points, the first-slot values s/sqrt(2) and Alamouti's
+    second-slot values -conj(s)/sqrt(2), conj(s)/sqrt(2), as Python
+    complex lists computed by the same numpy ops ``_send_blocks`` uses."""
+    root2 = math.sqrt(2.0)
+    return (points.tolist(), (points / root2).tolist(),
+            (-np.conj(points) / root2).tolist(), (np.conj(points) / root2).tolist())
+
+
+_SYMBOL_TABLES = {name: _symbol_tables(points) for name, points in _CONSTELLATIONS.items()}
+
+
+def _decodes(est: complex, sent: int, points) -> bool:
+    """Whether the nearest point to ``est``, the first on ties as in
+    np.argmin, is ``points[sent]``."""
+    best, best_d = 0, abs(est - points[0])
+    for j in range(1, len(points)):
+        d = abs(est - points[j])
+        if d < best_d:
+            best, best_d = j, d
+    return best == sent
+
+
+def _alamouti_packet_ok(h, sym, w, tables) -> bool:
+    """Orthogonal combining over two slots per block; w holds the slots'
+    real and imaginary noise, (4, blocks, 2)."""
+    h00, h01, h10, h11 = h
+    points, tx, tx_neg_conj, tx_conj = tables
+    c00, c01, c10, c11 = (x.conjugate() for x in h)
+    gain = (abs(h00) ** 2 + abs(h01) ** 2) + (abs(h10) ** 2 + abs(h11) ** 2)
+    k = math.sqrt(2.0) / gain if gain > 0.0 else 0.0  # dead channel decodes arbitrarily
+    re1, im1, re2, im2 = w
+    for b, (s0, s1) in enumerate(sym):
+        t0, t1 = tx[s0], tx[s1]
+        u0, u1 = tx_neg_conj[s1], tx_conj[s0]
+        r0 = h00 * t0 + h01 * t1 + complex(re1[b][0], im1[b][0])
+        r1 = h10 * t0 + h11 * t1 + complex(re1[b][1], im1[b][1])
+        q0 = h00 * u0 + h01 * u1 + complex(re2[b][0], im2[b][0])
+        q1 = h10 * u0 + h11 * u1 + complex(re2[b][1], im2[b][1])
+        z0 = c00 * r0 + c10 * r1 + (c01 * q0 + c11 * q1).conjugate()
+        z1 = c01 * r0 + c11 * r1 - (c00 * q0 + c10 * q1).conjugate()
+        if not (_decodes(k * z0, s0, points) and _decodes(k * z1, s1, points)):
+            return False
+    return True
+
+
+def _multiplexing_packet_ok(h, sym, w, tables) -> bool:
+    """One slot per block, zero-forcing through pinv of the 2x2 channel;
+    w holds the real and imaginary noise, (2, blocks, 2)."""
+    h00, h01, h10, h11 = h
+    points, tx = tables[:2]
+    (p00, p01), (p10, p11) = np.linalg.pinv(np.array([[h00, h01], [h10, h11]])).tolist()
+    root2 = math.sqrt(2.0)
+    re, im = w
+    for b, (s0, s1) in enumerate(sym):
+        t0, t1 = tx[s0], tx[s1]
+        r0 = h00 * t0 + h01 * t1 + complex(re[b][0], im[b][0])
+        r1 = h10 * t0 + h11 * t1 + complex(re[b][1], im[b][1])
+        if not (_decodes(root2 * (p00 * r0 + p01 * r1), s0, points)
+                and _decodes(root2 * (p10 * r0 + p11 * r1), s1, points)):
+            return False
+    return True
+
+
 def transmit_arq(app: TransmissionApp, ctx: PhyContext, arq: ArqConfig,
                  rng: np.random.Generator, noise_std: float = 1.0) -> int:
     """ARQ latency KPI: attempts until one packet decodes error free.
@@ -240,15 +344,48 @@ def transmit_arq(app: TransmissionApp, ctx: PhyContext, arq: ArqConfig,
     Every attempt rides a fresh channel realization and carries
     ``symbols_per_packet`` random symbols; the count is capped at
     ``max_retx`` (persistent failure saturates the KPI).
+
+    Byte-stable replay rests on a fixed per-attempt draw order, the one
+    of a per-attempt ``_channel_batch`` plus ``_send_blocks`` over the
+    ``blocks = symbols_per_packet // 2`` copies of the channel:
+
+    1. gains ``standard_normal((2, m))``: real parts, then imaginary;
+    2. angles ``uniform(0, 2*pi, (2, m))``: receive, then transmit;
+    3. symbol indices ``integers(0, M, (blocks, 2))``;
+    4. unless ``noise_std == 0``, noise ``standard_normal((k, blocks, 2))``,
+       real then imaginary parts of each slot: k = 4 for Alamouti's two
+       slots, k = 2 for multiplexing's one.
+
+    Each merged draw yields the same stream as the separate draws it
+    replaces, and the channel is the same bits.  Detection runs on
+    Python complex numbers, one 2-symbol block at a time, and stops at
+    the first symbol error.  Its estimates can differ from numpy's in the
+    last bit (numpy may fuse multiply-adds and vectorise abs), so a
+    decision could differ only for an estimate within rounding of a
+    decision boundary; exact ties go to the first point in both.
+    Multiplexing keeps the pseudo-inverse, taken
+    once per attempt: single-path (m=1) channels are rank-1, with
+    sigma2/sigma1 near 1e-16 and det exactly 0 on some draws, so a
+    closed-form 2x2 inverse would not reproduce pinv's rank cutoff.
     """
-    constellation = _CONSTELLATIONS[app.constellation]
+    tables = _SYMBOL_TABLES[app.constellation]
+    n_points = len(tables[0])
+    if app.code == ALAMOUTI:
+        packet_ok, noise_rows = _alamouti_packet_ok, 4
+    else:
+        packet_ok, noise_rows = _multiplexing_packet_ok, 2
     blocks = arq.symbols_per_packet // 2
+    noise_shape = (noise_rows, blocks, 2)
+    noise_scale = noise_std / math.sqrt(2.0)
+    amp = math.sqrt(10.0 ** (ctx.snr_db / 10.0))
     for attempt in range(1, arq.max_retx + 1):
-        h = _channel_batch(ctx.snr_db, ctx.paths, 1, rng)
-        hb = np.repeat(h, blocks, axis=0)
-        sym = rng.integers(0, constellation.size, size=(blocks, 2))
-        decoded = _send_blocks(app, hb, sym, rng, noise_std)
-        if np.array_equal(decoded, sym):
+        h = _attempt_channel(amp, ctx.paths, rng)
+        sym = rng.integers(0, n_points, size=(blocks, 2)).tolist()
+        if noise_std == 0.0:
+            w = np.zeros(noise_shape).tolist()
+        else:
+            w = (noise_scale * rng.standard_normal(noise_shape)).tolist()
+        if packet_ok(h, sym, w, tables):
             return attempt
     return arq.max_retx
 

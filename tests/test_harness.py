@@ -113,6 +113,18 @@ def test_counterfactual_truth_distribution_matches_direct_rollout():
     assert stats.ks_2samp(a, b).pvalue > 0.01
 
 
+def test_selection_logistic_stable_at_sharp_temperature():
+    env = SyntheticEnvironment(selection_temperature=0.01)
+    x = np.array([-10.0, -1e-3, -0.0, 0.0, 1e-3, 10.0])
+    with np.errstate(over="raise"):
+        p = env._p_alt(x)
+    z = x / 0.01
+    with np.errstate(over="ignore", invalid="ignore"):
+        two_branch = np.where(z >= 0.0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+    assert np.array_equal(p, two_branch)
+    assert p[0] == 0.0 and p[-1] == 1.0
+
+
 def test_conditional_sampler_matches_rejection_frequencies():
     env = SyntheticEnvironment()
     xs = np.array(env.sample_contexts_given_app("alt", 4000, rng_for(11, 1)))

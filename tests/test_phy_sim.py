@@ -1,6 +1,7 @@
 """Link-simulator tests: context sampling, channel statistics, ARQ
 latency, the Monte-Carlo SER grid, and softmax app selection."""
 
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from ccke.phy_sim import (
     ALAMOUTI,
     BPSK,
     MULTIPLEXING,
+    PATHS_MAX,
     PHY_APPS,
     QPSK,
     ArqConfig,
@@ -30,7 +32,13 @@ from ccke.phy_sim import (
     transmit_arq,
     write_phy_dataset,
 )
-from ccke.phy_sim import _steering
+from ccke.phy_sim import (
+    _CONSTELLATIONS,
+    _attempt_channel,
+    _channel_batch,
+    _send_blocks,
+    _steering,
+)
 
 AQ = TransmissionApp(ALAMOUTI, QPSK)
 AB = TransmissionApp(ALAMOUTI, BPSK)
@@ -165,6 +173,73 @@ def test_arq_geometric_attempt_ratio():
 def test_arq_odd_packet_size_rejected():
     with pytest.raises(ContractViolationError):
         ArqConfig(symbols_per_packet=7)
+
+
+@pytest.mark.parametrize("paths", [0, -1, 11, 2.5, "3"])
+def test_context_rejects_invalid_paths(paths):
+    # a zero-path channel is all zeros and would saturate the KPI silently
+    with pytest.raises(ContractViolationError):
+        PhyContext(snr_db=5.0, paths=paths)
+
+
+@pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf])
+def test_context_rejects_non_finite_snr(snr_db):
+    with pytest.raises(ContractViolationError):
+        PhyContext(snr_db=snr_db, paths=3)
+
+
+def test_context_accepts_grid_edges_and_dead_channel():
+    for snr_db, paths in ((-400.0, 1), (-5.0, 10), (15.0, np.int64(4))):
+        assert PhyContext(snr_db=snr_db, paths=paths).paths == paths
+
+
+# ---------------------------------------------------------------------------
+# per-attempt fast path against the batched reference
+
+
+def reference_transmit_arq(app, ctx, arq, rng, noise_std=1.0):
+    """The batched per-attempt loop: one numpy channel draw repeated over
+    the blocks, numpy detection of every block, then a whole-packet check."""
+    constellation = _CONSTELLATIONS[app.constellation]
+    blocks = arq.symbols_per_packet // 2
+    for attempt in range(1, arq.max_retx + 1):
+        h = _channel_batch(ctx.snr_db, ctx.paths, 1, rng)
+        hb = np.repeat(h, blocks, axis=0)
+        sym = rng.integers(0, constellation.size, size=(blocks, 2))
+        decoded = _send_blocks(app, hb, sym, rng, noise_std)
+        if np.array_equal(decoded, sym):
+            return attempt
+    return arq.max_retx
+
+
+def test_attempt_channel_is_the_batched_draw_bit_for_bit():
+    # same bits matter for multiplexing: pinv's rank cutoff sits at the
+    # rounding level of rank-1 (m=1) channels
+    for seed in range(40):
+        for m in range(1, PATHS_MAX + 1):
+            for snr_db in (-400.0, -5.0, 4.3, 15.0):
+                a = np.random.default_rng([seed, m])
+                b = np.random.default_rng([seed, m])
+                h = _channel_batch(snr_db, m, 1, a)[0]
+                fast = _attempt_channel(math.sqrt(10.0 ** (snr_db / 10.0)), m, b)
+                assert np.array_equal(np.array(fast).reshape(2, 2), h)
+                assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("app", PHY_APPS, ids=lambda a: a.key)
+def test_transmit_arq_matches_reference(app):
+    grid = itertools.product(range(1, PATHS_MAX + 1), (-400.0, -5.0, 0.0, 5.0, 10.0, 15.0),
+                             (0.0, 1.0), (2, 8), (1, 10))
+    for case, (m, snr_db, noise_std, spp, max_retx) in enumerate(grid):
+        ctx = PhyContext(snr_db=snr_db, paths=m)
+        arq = ArqConfig(max_retx=max_retx, symbols_per_packet=spp)
+        ref_rng = np.random.default_rng([PHY_APPS.index(app), case])
+        rng = np.random.default_rng([PHY_APPS.index(app), case])
+        for _ in range(2):
+            want = reference_transmit_arq(app, ctx, arq, ref_rng, noise_std)
+            got = transmit_arq(app, ctx, arq, rng, noise_std)
+            assert got == want, (ctx, arq, noise_std)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
