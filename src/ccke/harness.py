@@ -158,9 +158,8 @@ class MacEnvironment:
             c = rng.integers(1, 16, size=(batch, self.n_users))
             resid = np.max(b - table[c - 1] / self.n_users, axis=1)
             z = -resid / temp
-            p_rr = np.where(z >= 0.0, 1.0 / (1.0 + np.exp(-np.minimum(z, 700.0))),
-                            np.exp(np.maximum(z, -700.0))
-                            / (1.0 + np.exp(np.maximum(z, -700.0))))
+            e = np.exp(-np.minimum(np.abs(z), 700.0))  # exp(-z) for z >= 0, exp(z) below
+            p_rr = np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
             p_app = p_rr if app == mac_sim.RR else 1.0 - p_rr
             accept = rng.random(batch) < p_app
             for i in np.flatnonzero(accept):

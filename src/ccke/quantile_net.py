@@ -14,9 +14,9 @@ tolerates it.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,6 +64,9 @@ class FeedforwardArch:
     widths: tuple = (2, 10, 10, 5, 2)
     feature_scale: tuple = (1.0, 1.0)
 
+    def __post_init__(self):
+        _freeze(self, "widths", "feature_scale")
+
     @property
     def kind(self) -> str:
         return "feedforward"
@@ -93,16 +96,16 @@ class AttentionArch:
     token_dim: int = 2
     feature_scale: tuple = (1.0, 1.0)
 
+    def __post_init__(self):
+        _freeze(self, "mlp1", "mlp2", "feature_scale")
+
     @property
     def kind(self) -> str:
         return "attention"
 
     def param_shapes(self):
-        shapes = [
-            ("Wq", (self.d_h, self.token_dim)),
-            ("Wk", (self.d_h, self.token_dim)),
-            ("Wv", (self.d_o, self.token_dim)),
-        ]
+        shapes = [("Wq", (self.d_h, self.token_dim)), ("Wk", (self.d_h, self.token_dim)),
+                  ("Wv", (self.d_o, self.token_dim))]
         w_in = self.d_o
         for i, w_out in enumerate(self.mlp1):
             shapes.append((f"m1W{i}", (w_out, w_in)))
@@ -110,11 +113,8 @@ class AttentionArch:
             w_in = w_out
         if w_in != self.d_e:
             raise ContractViolationError("mlp1 must end at width d_e")
-        shapes += [
-            ("Wq2", (self.d_h, self.d_e)),
-            ("Wk2", (self.d_h, self.d_e)),
-            ("Wv2", (self.d_o, self.d_e)),
-        ]
+        shapes += [("Wq2", (self.d_h, self.d_e)), ("Wk2", (self.d_h, self.d_e)),
+                   ("Wv2", (self.d_o, self.d_e))]
         w_in = self.d_o
         for i, w_out in enumerate(self.mlp2):
             shapes.append((f"m2W{i}", (w_out, w_in)))
@@ -125,14 +125,20 @@ class AttentionArch:
         return shapes
 
 
+def _freeze(arch, *names):
+    """Store sequence fields as tuples, so that archs hash and compare by value."""
+    for name in names:
+        object.__setattr__(arch, name, tuple(getattr(arch, name)))
+
+
+@functools.lru_cache(maxsize=64)
 def _layout(arch):
-    """(name, shape, offset) triples plus total length of the flat vector."""
-    out, off = [], 0
+    """Slice table of (name, shape, start, stop) rows and the flat length, once per arch."""
+    table, stop = [], 0
     for name, shape in arch.param_shapes():
-        size = int(np.prod(shape))
-        out.append((name, shape, off))
-        off += size
-    return out, off
+        start, stop = stop, stop + math.prod(shape)
+        table.append((name, shape, start, stop))
+    return tuple(table), stop
 
 
 @dataclass
@@ -149,18 +155,13 @@ class QuantileModel:
         _, n = _layout(self.arch)
         if self.params.shape != (n,):
             raise ContractViolationError(
-                f"parameter vector of length {self.params.size}, arch wants {n}"
-            )
+                f"parameter vector of length {self.params.size}, arch wants {n}")
 
     def view(self, name: str) -> np.ndarray:
-        for nm, shape, off in _layout(self.arch)[0]:
-            if nm == name:
-                return self.params[off : off + int(np.prod(shape))].reshape(shape)
-        raise KeyError(name)
+        return self.views()[name]
 
     def views(self) -> dict:
-        return {nm: self.params[off : off + int(np.prod(shape))].reshape(shape)
-                for nm, shape, off in _layout(self.arch)[0]}
+        return {nm: self.params[a:b].reshape(shape) for nm, shape, a, b in _layout(self.arch)[0]}
 
     def copy(self) -> "QuantileModel":
         return QuantileModel(self.arch, self.alpha, self.params.copy(),
@@ -179,13 +180,11 @@ class QuantileModel:
 def init_model(arch, alpha: float, seed: int) -> QuantileModel:
     """Seeded uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)] per tensor."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    layout, n = _layout(arch)
+    table, n = _layout(arch)
     flat = np.empty(n)
-    for name, shape, off in layout:
-        fan_in = shape[-1] if len(shape) > 1 else shape[0]
-        bound = 1.0 / math.sqrt(fan_in)
-        size = int(np.prod(shape))
-        flat[off : off + size] = rng.uniform(-bound, bound, size)
+    for _, shape, a, b in table:
+        bound = 1.0 / math.sqrt(shape[-1])  # fan-in: columns of a weight, length of a bias
+        flat[a:b] = rng.uniform(-bound, bound, b - a)
     return QuantileModel(arch=arch, alpha=alpha, params=flat)
 
 
@@ -247,22 +246,18 @@ def _attention_fwd(x, wq, wk, wv, d_h):
     a = k.transpose(0, 2, 1) @ q / math.sqrt(d_h)
     s = _softmax_rows(a)
     out = v @ s
-    return out, (x, q, k, v, s)
+    return out, (x, q, k, v, s, wq, wk, wv)
 
 
-def _attention_bwd(d_out, cache, wq, wk, wv, d_h):
-    x, q, k, v, s = cache
+def _attention_bwd(d_out, cache, d_h):
+    x, q, k, v, s, wq, wk, wv = cache
     dv = d_out @ s.transpose(0, 2, 1)
     ds = v.transpose(0, 2, 1) @ d_out
     da = s * (ds - np.sum(ds * s, axis=-1)[:, :, None])
     da /= math.sqrt(d_h)
     dq = k @ da
     dk = q @ da.transpose(0, 2, 1)
-    grads = {
-        "q": np.tensordot(dq, x, axes=([0, 2], [0, 2])),
-        "k": np.tensordot(dk, x, axes=([0, 2], [0, 2])),
-        "v": np.tensordot(dv, x, axes=([0, 2], [0, 2])),
-    }
+    grads = [np.tensordot(d, x, axes=([0, 2], [0, 2])) for d in (dq, dk, dv)]
     dx = wq.T @ dq + wk.T @ dk + wv.T @ dv
     return dx, grads
 
@@ -279,15 +274,16 @@ def _mlp_fwd(x_tokens, weights, biases):
 
 
 def _mlp_bwd(d_out, acts, weights):
-    grads_w, grads_b = [None] * len(weights), [None] * len(weights)
+    """Input gradient plus the per-layer gradients in layout order (W0, b0, W1, ...)."""
+    grads = [None] * (2 * len(weights))
     d = d_out
     for i in range(len(weights) - 1, -1, -1):
         if i != len(weights) - 1:
             d = d * (acts[i + 1] > 0.0)
-        grads_w[i] = d.T @ acts[i]
-        grads_b[i] = d.sum(axis=0)
+        grads[2 * i] = d.T @ acts[i]
+        grads[2 * i + 1] = d.sum(axis=0)
         d = d @ weights[i]
-    return d, grads_w, grads_b
+    return d, grads
 
 
 def _forward_cached(model: QuantileModel, x: np.ndarray):
@@ -320,49 +316,41 @@ def forward(model: QuantileModel, context) -> IntervalSet:
     return model.interval_set(context)
 
 
-def _accumulate(grad_flat, arch, named_grads):
-    for name, shape, off in _layout(arch)[0]:
-        if name in named_grads:
-            grad_flat[off : off + int(np.prod(shape))] += named_grads[name].ravel()
-
-
-def _loss_and_grad(model: QuantileModel, x, y):
-    """Summed pinball loss over the batch at both quantile heads, plus the
-    gradient with respect to the flat parameter vector."""
-    arch = model.arch
+def _pinball_sum(model: QuantileModel, y, lo, hi):
+    """Summed two-head pinball loss of the heads, plus the targets as (B, K)."""
     y = np.asarray(y, dtype=float)
     if y.ndim == 1:
         y = y[:, None]
-    (lo, hi), cache = _forward_cached(model, x)
     tau_lo, tau_hi = model.alpha / 2.0, 1.0 - model.alpha / 2.0
-    loss = float(np.sum(pinball_loss(y, lo, tau_lo)) + np.sum(pinball_loss(y, hi, tau_hi)))
-    d_lo = pinball_output_grad(y, lo, tau_lo)
-    d_hi = pinball_output_grad(y, hi, tau_hi)
-    grad = np.zeros_like(model.params)
+    return float(np.sum(pinball_loss(y, lo, tau_lo)) + np.sum(pinball_loss(y, hi, tau_hi))), y
+
+
+def _loss_and_grad(model: QuantileModel, x, y, grad=None):
+    """Summed two-head pinball loss over the batch, plus its gradient with respect
+    to the flat parameter vector (written into ``grad`` when a buffer is given)."""
+    arch = model.arch
+    (lo, hi), cache = _forward_cached(model, x)
+    loss, y = _pinball_sum(model, y, lo, hi)
+    d_lo = pinball_output_grad(y, lo, model.alpha / 2.0)
+    d_hi = pinball_output_grad(y, hi, 1.0 - model.alpha / 2.0)
     if cache[0] == "ff":
         _, acts, ws = cache
-        d_out = np.concatenate([d_lo, d_hi], axis=1)
-        _, gw, gb = _mlp_bwd(d_out, acts, ws)
-        _accumulate(grad, arch, {f"W{i}": g for i, g in enumerate(gw)})
-        _accumulate(grad, arch, {f"b{i}": g for i, g in enumerate(gb)})
-        return loss, grad
-    _, (b, kk), c1, acts1, w1, c2, acts2, w2 = cache
-    d_out_tokens = np.stack([d_lo, d_hi], axis=2).reshape(b * kk, 2)
-    d_t2, gw2, gb2 = _mlp_bwd(d_out_tokens, acts2, w2)
-    d_att2 = d_t2.reshape(b, kk, arch.d_o).transpose(0, 2, 1)
-    d_xe, ga2 = _attention_bwd(d_att2, c2, model.view("Wq2"), model.view("Wk2"),
-                               model.view("Wv2"), arch.d_h)
-    d_e_tokens = d_xe.transpose(0, 2, 1).reshape(b * kk, arch.d_e)
-    d_t1, gw1, gb1 = _mlp_bwd(d_e_tokens, acts1, w1)
-    d_att1 = d_t1.reshape(b, kk, arch.d_o).transpose(0, 2, 1)
-    _, ga1 = _attention_bwd(d_att1, c1, model.view("Wq"), model.view("Wk"),
-                            model.view("Wv"), arch.d_h)
-    _accumulate(grad, arch, {"Wq": ga1["q"], "Wk": ga1["k"], "Wv": ga1["v"],
-                             "Wq2": ga2["q"], "Wk2": ga2["k"], "Wv2": ga2["v"]})
-    _accumulate(grad, arch, {f"m1W{i}": g for i, g in enumerate(gw1)})
-    _accumulate(grad, arch, {f"m1b{i}": g for i, g in enumerate(gb1)})
-    _accumulate(grad, arch, {f"m2W{i}": g for i, g in enumerate(gw2)})
-    _accumulate(grad, arch, {f"m2b{i}": g for i, g in enumerate(gb2)})
+        _, grads = _mlp_bwd(np.concatenate([d_lo, d_hi], axis=1), acts, ws)
+    else:
+        _, (b, kk), c1, acts1, w1, c2, acts2, w2 = cache
+        d_out_tokens = np.stack([d_lo, d_hi], axis=2).reshape(b * kk, 2)
+        d_t2, g2 = _mlp_bwd(d_out_tokens, acts2, w2)
+        d_att2 = d_t2.reshape(b, kk, arch.d_o).transpose(0, 2, 1)
+        d_xe, ga2 = _attention_bwd(d_att2, c2, arch.d_h)
+        d_e_tokens = d_xe.transpose(0, 2, 1).reshape(b * kk, arch.d_e)
+        d_t1, g1 = _mlp_bwd(d_e_tokens, acts1, w1)
+        d_att1 = d_t1.reshape(b, kk, arch.d_o).transpose(0, 2, 1)
+        _, ga1 = _attention_bwd(d_att1, c1, arch.d_h)
+        grads = ga1 + g1 + ga2 + g2  # layout order
+    grad = np.zeros_like(model.params) if grad is None else grad
+    grad.fill(0.0)  # add into zeros, not assign: a -0.0 gradient becomes +0.0
+    for (_, _, a, b), g in zip(_layout(arch)[0], grads):
+        grad[a:b] += g.ravel()
     return loss, grad
 
 
@@ -380,9 +368,15 @@ def pinball_gradient(model: QuantileModel, batch) -> np.ndarray:
 
 
 def batch_loss(model: QuantileModel, x, y) -> float:
-    """Mean per-sample two-head pinball loss (summed over KPIs)."""
-    loss, _ = _loss_and_grad(model, x, y)
-    return loss / np.asarray(x).shape[0]
+    """Mean per-sample two-head pinball loss (summed over KPIs); forward only, in
+    cache-sized chunks of about 2048 tokens (rows x KPIs).  A row's heads do not
+    depend on its chunk, and the loss is summed over the whole batch at once."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[0] == 0:
+        raise ContractViolationError("batch must be nonempty")
+    rows = max(1, 2048 // (x.shape[-1] if model.arch.kind == "attention" else 1))
+    heads = [_forward_cached(model, x[i : i + rows])[0] for i in range(0, x.shape[0], rows)]
+    return _pinball_sum(model, y, *(np.concatenate(h) for h in zip(*heads)))[0] / x.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -421,15 +415,20 @@ def train(data, arch, alpha: float, cfg: TrainConfig) -> QuantileModel:
     rng = np.random.Generator(np.random.PCG64(cfg.seed + 1))
     model.loss_history.append(batch_loss(model, x, y))
     velocity = np.zeros_like(model.params)
+    grad = np.zeros_like(model.params)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            loss, grad = _loss_and_grad(model, x[idx], y[idx])
+            loss, _ = _loss_and_grad(model, x[idx], y[idx], grad)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(epoch)
-            velocity = cfg.momentum * velocity - cfg.step_size * (grad / idx.size)
-            model.params = model.params + velocity
+            # velocity = momentum * velocity - step_size * (grad / batch), in place
+            grad /= idx.size
+            grad *= cfg.step_size
+            velocity *= cfg.momentum
+            velocity -= grad
+            model.params += velocity
         epoch_loss = batch_loss(model, x, y)
         if not math.isfinite(epoch_loss):
             raise TrainingDivergedError(epoch)
@@ -462,10 +461,10 @@ def save_checkpoint(model: QuantileModel, path) -> None:
         lines.append("mlp1 " + " ".join(str(w) for w in arch.mlp1))
         lines.append("mlp2 " + " ".join(str(w) for w in arch.mlp2))
     lines.append("feature_scale " + _fmt_floats(arch.feature_scale))
-    layout, _ = _layout(arch)
-    lines.append(f"tensors {len(layout)}")
+    table, _ = _layout(arch)
+    lines.append(f"tensors {len(table)}")
     views = model.views()
-    for name, shape, _ in layout:
+    for name, shape, _, _ in table:
         lines.append(f"tensor {name} " + " ".join(str(d) for d in shape))
         lines.append(_fmt_floats(views[name]))
     lines.append("end")
@@ -506,10 +505,10 @@ def load_checkpoint(path) -> QuantileModel:
         values = _parse_floats(lines[i + 1].split())
         chunks[name] = values.reshape(tuple(int(d) for d in dims))
         i += 2
-    layout, n = _layout(arch)
+    table, n = _layout(arch)
     flat = np.empty(n)
-    for name, shape, off in layout:
+    for name, shape, a, b in table:
         if name not in chunks or chunks[name].shape != shape:
             raise ContractViolationError(f"checkpoint missing tensor {name} of shape {shape}")
-        flat[off : off + int(np.prod(shape))] = chunks[name].ravel()
+        flat[a:b] = chunks[name].ravel()
     return QuantileModel(arch=arch, alpha=alpha, params=flat)

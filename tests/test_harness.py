@@ -4,6 +4,7 @@ report emission, and the command-line interface."""
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +124,44 @@ def test_selection_logistic_stable_at_sharp_temperature():
         two_branch = np.where(z >= 0.0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
     assert np.array_equal(p, two_branch)
     assert p[0] == 0.0 and p[-1] == 1.0
+
+
+def reference_mac_contexts_given_app(env, app, n, rng):
+    """The MAC rejection sampler with its original two-branch logistic,
+    whose discarded branch may overflow."""
+    table, temp = env.policy.payload_table, env.policy.temperature
+    out, batch = [], max(1024, 2 * n)
+    while len(out) < n:
+        b = rng.integers(mac_sim.BACKLOG_MIN, mac_sim.BACKLOG_MAX + 1, size=(batch, env.n_users))
+        c = rng.integers(1, 16, size=(batch, env.n_users))
+        z = -np.max(b - table[c - 1] / env.n_users, axis=1) / temp
+        with np.errstate(over="ignore"):
+            p_rr = np.where(z >= 0.0, 1.0 / (1.0 + np.exp(-np.minimum(z, 700.0))),
+                            np.exp(np.maximum(z, -700.0))
+                            / (1.0 + np.exp(np.maximum(z, -700.0))))
+        p_app = p_rr if app == mac_sim.RR else 1.0 - p_rr
+        accept = rng.random(batch) < p_app
+        out += [(b[i], c[i]) for i in np.flatnonzero(accept)][: n - len(out)]
+    return out
+
+
+@pytest.mark.parametrize("app", mac_sim.MAC_APPS)
+def test_mac_sampler_matches_two_branch_logistic(app):
+    env = MacEnvironment(n_users=8, temperature=1.0)
+    got = env.sample_contexts_given_app(app, 300, rng_for(12, 1))
+    want = reference_mac_contexts_given_app(env, app, 300, rng_for(12, 1))
+    assert len(got) == len(want) == 300
+    for ctx, (b, c) in zip(got, want):
+        assert np.array_equal(ctx.initial_backlogs, b) and np.array_equal(ctx.cqis, c)
+
+
+@pytest.mark.parametrize("app", mac_sim.MAC_APPS)
+def test_mac_sampler_no_overflow_at_sharp_temperature(app):
+    env = MacEnvironment(n_users=8, temperature=0.05)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        contexts = env.sample_contexts_given_app(app, 50, rng_for(12, 2))
+    assert len(contexts) == 50
 
 
 def test_conditional_sampler_matches_rejection_frequencies():

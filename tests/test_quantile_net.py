@@ -243,6 +243,89 @@ def test_loss_improves_in_median_over_seeds():
     assert np.median(final) < np.median(initial)
 
 
+def reference_batch_loss(model, x, y):
+    loss, _ = _loss_and_grad(model, x, y)
+    return loss / np.asarray(x).shape[0]
+
+
+def reference_train(data, arch, alpha, cfg):
+    """The original training loop: a fresh gradient array per step, an
+    out-of-place momentum update and a full forward-backward pass for
+    each epoch's loss."""
+    x, y = (np.asarray(a, dtype=float) for a in data)
+    n = x.shape[0]
+    model = init_model(arch, alpha, cfg.seed)
+    rng = np.random.Generator(np.random.PCG64(cfg.seed + 1))
+    model.loss_history.append(reference_batch_loss(model, x, y))
+    velocity = np.zeros_like(model.params)
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            _, grad = _loss_and_grad(model, x[idx], y[idx])
+            velocity = cfg.momentum * velocity - cfg.step_size * (grad / idx.size)
+            model.params = model.params + velocity
+        model.loss_history.append(reference_batch_loss(model, x, y))
+    return model
+
+
+def _training_data(arch, n, k, seed):
+    rng = np.random.default_rng(seed)
+    if arch.kind == "feedforward":
+        return rng.uniform(-1.0, 1.0, (n, 2)), rng.uniform(-1.0, 1.0, n)
+    return rng.uniform(0.0, 3.0, (n, 2, k)), rng.uniform(0.0, 3.0, (n, k))
+
+
+# n is not a multiple of the batch size 64, and spans several batch_loss chunks
+@pytest.mark.parametrize("arch,k,n", [(FeedforwardArch(), 1, 2100), (AttentionArch(), 1, 2100),
+                                      (AttentionArch(), 8, 600)])
+@pytest.mark.parametrize("epochs", [0, 3])
+@pytest.mark.parametrize("momentum", [0.0, 0.9])
+def test_train_matches_reference_bytes(arch, k, n, epochs, momentum):
+    data = _training_data(arch, n, k, seed=8)
+    cfg = TrainConfig(epochs=epochs, batch_size=64, step_size=0.05, momentum=momentum, seed=4)
+    got = train(data, arch, 0.2, cfg)
+    want = reference_train(data, arch, 0.2, cfg)
+    assert got.params.tobytes() == want.params.tobytes()
+    assert np.array(got.loss_history).tobytes() == np.array(want.loss_history).tobytes()
+    assert len(got.loss_history) == epochs + 1
+
+
+@pytest.mark.parametrize("arch,k,n", [(FeedforwardArch(), 1, 70), (FeedforwardArch(), 1, 4500),
+                                      (AttentionArch(), 8, 600), (AttentionArch(), 32, 150)])
+def test_batch_loss_is_forward_loss_over_n(arch, k, n):
+    x, y = _training_data(arch, n, k, seed=9)
+    model = init_model(arch, 0.2, seed=3)
+    assert batch_loss(model, x, y).hex() == (_loss_and_grad(model, x, y)[0] / n).hex()
+
+
+def test_batch_loss_empty_batch_rejected():
+    model = init_model(AttentionArch(), 0.2, 0)
+    with pytest.raises(ContractViolationError):
+        batch_loss(model, np.zeros((0, 2, 3)), np.zeros((0, 3)))
+
+
+def test_train_never_calls_predict(monkeypatch):
+    def refuse(self, x):
+        raise AssertionError("train must not call QuantileModel.predict")
+
+    monkeypatch.setattr(QuantileModel, "predict", refuse)
+    for arch, k in ((FeedforwardArch(), 1), (AttentionArch(), 4)):
+        train(_training_data(arch, 80, k, seed=10), arch, 0.2, TrainConfig(epochs=2, seed=1))
+
+
+def test_list_valued_archs_match_tuples():
+    ff_list = FeedforwardArch(widths=[2, 10, 2], feature_scale=[2.0, 3.0])
+    ff_tuple = FeedforwardArch(widths=(2, 10, 2), feature_scale=(2.0, 3.0))
+    att_list = AttentionArch(mlp1=[10, 10], mlp2=[10, 2], feature_scale=[4.0, 5.0])
+    att_tuple = AttentionArch(mlp1=(10, 10), mlp2=(10, 2), feature_scale=(4.0, 5.0))
+    for a, b, k in ((ff_list, ff_tuple, 1), (att_list, att_tuple, 3)):
+        assert a == b and hash(a) == hash(b)
+        data = _training_data(a, 40, k, seed=11)
+        cfg = TrainConfig(epochs=2, batch_size=16, seed=2)
+        assert train(data, a, 0.2, cfg).params.tobytes() == train(data, b, 0.2, cfg).params.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
