@@ -20,6 +20,7 @@ from .conformal import (
     compute_score,
     compute_weight_probabilities,
     nccke_prediction_set,
+    weighted_corrections,
     weighted_quantile,
 )
 from .harness import (

@@ -11,6 +11,10 @@ provided:
 * :func:`nccke_prediction_set` - unweighted calibration (shift-blind),
 * :func:`cke_prediction_set` - no calibration at all.
 
+:func:`weighted_corrections` computes the corrections of a whole test
+set at once (one sort and one cumulative sum per calibration set), bit
+for bit equal to the per-point constructors.
+
 All functions are pure; every value object is immutable after
 construction and safe to share across parallel experiment trials.
 """
@@ -35,6 +39,7 @@ __all__ = [
     "compute_score",
     "compute_weight_probabilities",
     "weighted_quantile",
+    "weighted_corrections",
     "ccke_prediction_set",
     "nccke_prediction_set",
     "cke_prediction_set",
@@ -234,6 +239,25 @@ def compute_score(intervals: IntervalSet, y) -> float:
     return float(np.max(np.maximum(intervals.lo - y, y - intervals.hi)))
 
 
+def _weight_masses(w_cal, w_test):
+    """Point and infinity masses for each test weight against one
+    calibration weight vector: rows ``w_cal / (W + w_test[i])`` and
+    ``w_test / (W + w_test)``, with ``W`` summed in calibration order."""
+    w_cal = np.asarray(w_cal, dtype=float)
+    w_test = np.asarray(w_test, dtype=float)
+    if np.any(w_cal < 0.0) or np.any(w_test < 0.0):
+        raise ContractViolationError("weights must be nonnegative")
+    if not (np.all(np.isfinite(w_cal)) and np.all(np.isfinite(w_test))):
+        raise ContractViolationError("weights must be finite")
+    denom = float(w_cal.sum()) + w_test
+    if np.any(denom <= 0.0):
+        raise DegeneratePolicyError(
+            "all density-ratio weights are zero: the actual app is never "
+            "selected under any observed context"
+        )
+    return w_cal / denom[:, None], w_test / denom
+
+
 def compute_weight_probabilities(
     weight_fn: Callable[[object], float],
     cal_contexts: Sequence,
@@ -248,22 +272,34 @@ def compute_weight_probabilities(
     testing the normalization alone).
     """
     w = np.array([weight_fn(c) for c in cal_contexts], dtype=float)
-    w_test = float(weight_fn(test_context))
-    if np.any(w < 0.0) or w_test < 0.0:
-        raise ContractViolationError("weights must be nonnegative")
-    if not (np.all(np.isfinite(w)) and math.isfinite(w_test)):
-        raise ContractViolationError("weights must be finite")
-    denom = float(w.sum()) + w_test
-    if denom <= 0.0:
-        raise DegeneratePolicyError(
-            "all density-ratio weights are zero: the actual app is never "
-            "selected under any observed context"
-        )
+    probs, p_inf = _weight_masses(w, [float(weight_fn(test_context))])
     if scores is None:
         scores = np.zeros_like(w)
     return WeightedScoreDistribution(
-        scores=scores, point_probs=w / denom, infinity_prob=w_test / denom
+        scores=scores, point_probs=probs[0], infinity_prob=float(p_inf[0])
     )
+
+
+def _quantiles(scores: np.ndarray, point_probs: np.ndarray, alpha: float) -> np.ndarray:
+    """The quantile rule of :func:`weighted_quantile` for each row of
+    ``point_probs`` (masses on ``scores``; the rest of a row sits at +inf).
+
+    One stable sort of the scores serves every row; each row's cumulative
+    mass is searched, ``side="left"``, for the threshold.
+    """
+    n = scores.size
+    min_alpha = 1.0 / (n + 1)
+    if not min_alpha <= alpha < 1.0:  # NaN fails too
+        raise PreconditionError(
+            f"alpha={alpha} infeasible for {n} calibration points; "
+            f"smallest feasible alpha is {min_alpha}"
+        )
+    threshold = (1.0 - alpha) * (n + 1) / n
+    order = np.argsort(scores, kind="stable")
+    cum = np.cumsum(point_probs[:, order], axis=1)
+    # cum rows never decrease, so this count is searchsorted(row, threshold, "left")
+    idx = np.count_nonzero(cum < threshold, axis=1)
+    return np.append(scores[order], math.inf)[idx]
 
 
 def weighted_quantile(dist: WeightedScoreDistribution, alpha: float) -> CorrectionQuantile:
@@ -277,20 +313,32 @@ def weighted_quantile(dist: WeightedScoreDistribution, alpha: float) -> Correcti
     with the convention that ``1(inf <= inf) = 1``.  When only the atom
     at infinity reaches the threshold the result is INFINITE.
     """
-    n = dist.n_cal
-    min_alpha = 1.0 / (n + 1)
-    if alpha >= 1.0 or alpha < min_alpha:
-        raise PreconditionError(
-            f"alpha={alpha} infeasible for {n} calibration points; "
-            f"smallest feasible alpha is {min_alpha}"
-        )
-    threshold = (1.0 - alpha) * (n + 1) / n
-    order = np.argsort(dist.scores, kind="stable")
-    cum = np.cumsum(dist.point_probs[order])
-    idx = int(np.searchsorted(cum, threshold, side="left"))
-    if idx >= n:
-        return CorrectionQuantile.infinite()
-    return CorrectionQuantile(float(dist.scores[order][idx]))
+    q = _quantiles(dist.scores, dist.point_probs[None, :], alpha)[0]
+    return CorrectionQuantile(float(q))
+
+
+def weighted_corrections(scores, w_cal, w_test, alpha: float) -> np.ndarray:
+    """CCKE corrections of many test points against one calibration set.
+
+    ``scores`` and ``w_cal`` are the calibration scores and density-ratio
+    weights; ``w_test`` holds one weight per test point.  Entry ``i`` is
+    ``weighted_quantile`` of the distribution that
+    :func:`compute_weight_probabilities` builds for test weight
+    ``w_test[i]``, bit for bit, and ``+inf`` where the set is unbounded.
+    Unit weights give the NCCKE correction.
+    """
+    scores = np.atleast_1d(np.asarray(scores, dtype=float))
+    if scores.ndim != 1 or scores.size < 1:
+        raise ContractViolationError("calibration set must contain at least one score")
+    if not np.all(np.isfinite(scores)):
+        raise ContractViolationError("calibration scores must be finite")
+    w_test = np.atleast_1d(np.asarray(w_test, dtype=float))
+    if np.shape(w_cal) != scores.shape or w_test.ndim != 1:
+        raise ContractViolationError("one weight per score and a vector of test weights required")
+    probs, p_inf = _weight_masses(w_cal, w_test)
+    if np.any(np.abs(probs.sum(axis=1) + p_inf - 1.0) > PROB_TOL):
+        raise ContractViolationError("probabilities do not sum to 1")
+    return _quantiles(scores, probs, alpha)
 
 
 def ccke_prediction_set(

@@ -3,9 +3,9 @@
 The harness wires a simulator, its app-selection policy, a quantile
 model and the conformal calibration layer into repeatable experiments:
 log data under the selection policy, keep the target app's samples,
-train, then per trial draw fresh calibration/test sets, build CCKE /
-NCCKE / CKE prediction sets for every test point, and score coverage
-and normalized inefficiency.
+train, then per trial draw fresh calibration/test sets, compute the
+CCKE / NCCKE / CKE corrections of the whole test set as arrays, and
+score coverage and normalized inefficiency.
 
 A fully synthetic scalar environment with analytically known quantiles
 and exact density ratios backs the coverage-guarantee test suites
@@ -25,16 +25,14 @@ import numpy as np
 
 from . import mac_sim, phy_sim, quantile_net
 from .conformal import (
-    CalibrationScores,
     ContractViolationError,
     DegeneratePolicyError,
-    IntervalSet,
     PredictionSet,
-    ccke_prediction_set,
-    cke_prediction_set,
     compute_score,
-    nccke_prediction_set,
+    weighted_corrections,
 )
+# unused here, but bound: perfbench/tracer.py wraps these names in this module's namespace
+from .conformal import ccke_prediction_set, cke_prediction_set, nccke_prediction_set  # noqa: F401
 
 __all__ = [
     "LoggedSample",
@@ -333,11 +331,12 @@ class SyntheticEnvironment:
             total += batch
         return out
 
-    def exact_interval_set(self, ctx, app, alpha: float) -> IntervalSet:
-        """True (alpha/2, 1-alpha/2) conditional quantiles of the KPI."""
-        mid = self.offsets[app] + float(ctx)
+    def exact_bounds(self, contexts, app, alpha: float):
+        """True (alpha/2, 1-alpha/2) conditional quantiles of the KPI, as
+        (n, 1) lower and upper bounds."""
+        mid = self.offsets[app] + np.asarray(contexts, dtype=float)[:, None]
         spread = (1.0 - alpha) * self.half_width
-        return IntervalSet(lo=[mid - spread], hi=[mid + spread])
+        return mid - spread, mid + spread
 
     def model_features(self, ctx) -> np.ndarray:
         return np.array([float(ctx)])
@@ -400,12 +399,29 @@ def counterfactual_truth(env, context, target_app, rng: np.random.Generator) -> 
 # metrics
 
 
+def _scores(lo: np.ndarray, hi: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``compute_score`` of every row of (n, K) bounds against (n, K) KPIs."""
+    return np.max(np.maximum(lo - y, y - hi), axis=1)
+
+
+def _corrections(sets: Sequence[PredictionSet]) -> np.ndarray:
+    return np.array([s.correction.value for s in sets], dtype=float)
+
+
+def _coverage(scores: np.ndarray, corrections: np.ndarray) -> float:
+    """Fraction of rows covered: unbounded, or score within the correction."""
+    if scores.size == 0:
+        raise ContractViolationError("no test samples to evaluate")
+    covered = np.count_nonzero(np.isinf(corrections) | (scores <= corrections))
+    return int(covered) / scores.size
+
+
 def evaluate_coverage(sets: Sequence[PredictionSet], truths: Sequence) -> float:
     """Fraction of test samples whose every KPI lies in its interval."""
     if len(sets) != len(truths):
         raise ContractViolationError(f"{len(sets)} sets against {len(truths)} truths")
-    covered = sum(1 for s, y in zip(sets, truths) if s.contains(y))
-    return covered / len(sets)
+    scores = [compute_score(s.naive, y) for s, y in zip(sets, truths)]
+    return _coverage(np.array(scores, dtype=float), _corrections(sets))
 
 
 @dataclass(frozen=True)
@@ -418,6 +434,31 @@ class InefficiencyReport:
     n_unbounded: int
 
 
+def _inefficiency(lo: np.ndarray, hi: np.ndarray, corrections: np.ndarray,
+                  normalizers: np.ndarray, domains: Optional[Sequence]) -> InefficiencyReport:
+    """:func:`evaluate_inefficiency` on (n, K) bounds and (n,) corrections."""
+    if corrections.size == 0:
+        raise ContractViolationError("no prediction sets to evaluate")
+    ok = np.isfinite(normalizers) & (normalizers > 0.0)
+    if not ok.all():
+        raise ContractViolationError(f"normalizer {normalizers[~ok][0]} must be finite and positive")
+    unbounded = np.isinf(corrections)
+    q = corrections[:, None]
+    widths = np.maximum((hi + q) - (lo - q), 0.0)
+    if unbounded.any():
+        if domains is None:
+            raise ContractViolationError("unbounded prediction set needs a clipping domain")
+        dom = np.asarray(domains, dtype=float)[unbounded]
+        span = dom[:, 1] - dom[:, 0]
+        if np.any(span < 0.0):
+            raise ContractViolationError("empty clipping domain")
+        widths[unbounded] = span[:, None]
+    terms = np.mean(widths, axis=1) / normalizers
+    raw = float(np.mean(terms[~unbounded])) if not unbounded.all() else math.inf
+    return InefficiencyReport(clipped=float(np.mean(terms)), raw=raw,
+                              n_unbounded=int(np.count_nonzero(unbounded)))
+
+
 def evaluate_inefficiency(sets: Sequence[PredictionSet], normalizers: Sequence[float],
                           domains: Optional[Sequence] = None) -> InefficiencyReport:
     """Mean over samples of (1/K) sum_k |interval_k| / normalizer.
@@ -427,24 +468,12 @@ def evaluate_inefficiency(sets: Sequence[PredictionSet], normalizers: Sequence[f
     """
     if len(sets) != len(normalizers):
         raise ContractViolationError("one normalizer per prediction set required")
-    raw_terms, clipped_terms, n_unbounded = [], [], 0
-    for i, (s, eps) in enumerate(zip(sets, normalizers)):
-        if eps <= 0.0:
-            raise ContractViolationError(f"normalizer {eps} at sample {i} must be positive")
-        if s.unbounded:
-            n_unbounded += 1
-            if domains is None:
-                raise ContractViolationError(
-                    "unbounded prediction set needs a clipping domain")
-            lo, hi = domains[i]
-            clipped_terms.append(float(np.mean(s.clipped_widths(lo, hi))) / eps)
-        else:
-            term = float(np.mean(s.widths())) / eps
-            raw_terms.append(term)
-            clipped_terms.append(term)
-    raw = float(np.mean(raw_terms)) if raw_terms else math.inf
-    return InefficiencyReport(clipped=float(np.mean(clipped_terms)), raw=raw,
-                              n_unbounded=n_unbounded)
+    if not sets:
+        raise ContractViolationError("no prediction sets to evaluate")
+    lo = np.stack([s.naive.lo for s in sets])
+    hi = np.stack([s.naive.hi for s in sets])
+    return _inefficiency(lo, hi, _corrections(sets), np.asarray(normalizers, dtype=float),
+                         domains)
 
 
 # ---------------------------------------------------------------------------
@@ -502,10 +531,6 @@ class TrialResult:
     n_unbounded: int
     seed: int
     corrections: np.ndarray = field(repr=False, default=None)
-
-    @property
-    def frac_correction_nonneg(self) -> float:
-        return float(np.mean(self.corrections >= 0.0))
 
 
 @dataclass(frozen=True)
@@ -626,11 +651,14 @@ def run_experiment(cfg: ExperimentConfig, environment=None,
                                        cfg.kpi_noise, noise_rng)
         model = _train_model(env, cfg, contexts, kpis, seed=cfg.base_seed)
 
-    def intervals_for_batch(contexts) -> list:
+    def bounds_for(contexts):
+        """(n, K) lower and upper quantile bounds of the target app."""
         if exact_model:
-            return [env.exact_interval_set(c, target, cfg.alpha) for c in contexts]
-        lo, hi = model.predict(np.stack([env.model_features(c) for c in contexts]))
-        return [IntervalSet(lo=lo[i], hi=hi[i]) for i in range(len(contexts))]
+            return env.exact_bounds(contexts, target, cfg.alpha)
+        return model.predict(np.stack([env.model_features(c) for c in contexts]))
+
+    def weights(contexts) -> np.ndarray:
+        return np.array([env.weight(c, actual, target) for c in contexts], dtype=float)
 
     trials = []
     weight_errors = []
@@ -646,51 +674,37 @@ def run_experiment(cfg: ExperimentConfig, environment=None,
 
         cal_ctx, cal_kpi = _draw_labeled(env, target, cfg.n_cal, rng_cal,
                                          cfg.kpi_noise, rng_noise)
-        cal_intervals = intervals_for_batch(cal_ctx)
-        cal_scores = CalibrationScores(
-            scores=[compute_score(iv, y) for iv, y in zip(cal_intervals, cal_kpi)],
-            contexts=cal_ctx)
+        cal_scores = _scores(*bounds_for(cal_ctx), np.stack(cal_kpi))
 
         test_ctx = env.sample_contexts_given_app(actual, cfg.n_test, rng_test)
-        truths = [counterfactual_truth(env, c, target, rng_test) for c in test_ctx]
-        test_intervals = intervals_for_batch(test_ctx)
+        truths = np.stack([counterfactual_truth(env, c, target, rng_test) for c in test_ctx])
+        test_lo, test_hi = bounds_for(test_ctx)
+        test_scores = _scores(test_lo, test_hi, truths)
 
         # exact density-ratio weights, optionally perturbed once per point
-        w_exact = {id(c): env.weight(c, actual, target) for c in cal_ctx}
-        for c in test_ctx:
-            w_exact[id(c)] = env.weight(c, actual, target)
+        # (calibration points first, then test points)
+        w_cal, w_test = weights(cal_ctx), weights(test_ctx)
         if cfg.weight_perturbation is not None:
             delta = cfg.weight_perturbation
-            w_used = {k: w * (1.0 + rng_noise.uniform(-delta, delta))
-                      for k, w in w_exact.items()}
-            weight_errors.extend(abs(w_used[id(c)] - w_exact[id(c)]) for c in cal_ctx)
-        else:
-            w_used = w_exact
+            factor = 1.0 + rng_noise.uniform(-delta, delta, size=cfg.n_cal + cfg.n_test)
+            w_cal, w_exact = w_cal * factor[:cfg.n_cal], w_cal
+            w_test = w_test * factor[cfg.n_cal:]
+            weight_errors.append(np.abs(w_cal - w_exact))
 
-        def weight_fn(ctx):
-            return w_used[id(ctx)]
-
-        normalizers = [env.inefficiency_normalizer(c) for c in test_ctx]
+        normalizers = np.array([env.inefficiency_normalizer(c) for c in test_ctx],
+                               dtype=float)
         domains = [env.clip_domain(c) for c in test_ctx]
         for method in cfg.methods:
-            sets = []
-            for i, ctx in enumerate(test_ctx):
-                if method == "CCKE":
-                    ps = ccke_prediction_set(test_intervals[i], cal_scores, weight_fn,
-                                             ctx, cfg.alpha, target_app=target,
-                                             actual_app=actual)
-                elif method == "NCCKE":
-                    ps = nccke_prediction_set(test_intervals[i], cal_scores, cfg.alpha,
-                                              target_app=target, actual_app=actual)
-                else:
-                    ps = cke_prediction_set(test_intervals[i], target_app=target,
-                                            actual_app=actual)
-                sets.append(ps)
-            cov = evaluate_coverage(sets, truths)
-            ineff = evaluate_inefficiency(sets, normalizers, domains)
-            corrections = np.array([s.correction.value for s in sets])
+            if method == "CCKE":
+                corrections = weighted_corrections(cal_scores, w_cal, w_test, cfg.alpha)
+            elif method == "NCCKE":
+                corrections = weighted_corrections(cal_scores, np.ones(cfg.n_cal),
+                                                   np.ones(cfg.n_test), cfg.alpha)
+            else:
+                corrections = np.zeros(cfg.n_test)
+            ineff = _inefficiency(test_lo, test_hi, corrections, normalizers, domains)
             trials.append(TrialResult(
-                method=method, trial=t, coverage=cov,
+                method=method, trial=t, coverage=_coverage(test_scores, corrections),
                 inefficiency_raw=ineff.raw, inefficiency_clipped=ineff.clipped,
                 n_unbounded=ineff.n_unbounded, seed=cfg.base_seed,
                 corrections=corrections))
@@ -698,6 +712,7 @@ def run_experiment(cfg: ExperimentConfig, environment=None,
             done = sum(1 for _ in trials)
             print(f"  trial {t + 1}/{cfg.n_trials} ({done} results)")
 
-    weight_error_mean = float(np.mean(weight_errors)) if weight_errors else None
+    weight_error_mean = (float(np.mean(np.concatenate(weight_errors)))
+                         if weight_errors else None)
     return ExperimentReport(config=cfg, trials=tuple(trials),
                             weight_error_mean=weight_error_mean)

@@ -26,6 +26,7 @@ from ccke.conformal import (
     compute_score,
     compute_weight_probabilities,
     nccke_prediction_set,
+    weighted_corrections,
     weighted_quantile,
 )
 
@@ -151,6 +152,11 @@ def test_quantile_alpha_precondition_message():
     weighted_quantile(dist, 0.25)
 
 
+def test_quantile_nan_alpha_rejected():
+    with pytest.raises(PreconditionError):
+        weighted_quantile(uniform_dist([1.0, 2.0, 3.0]), math.nan)
+
+
 def test_quantile_order_statistic_readings_differ():
     # For 9 uniform scores at alpha=0.2 the indicator formula selects the
     # 9th smallest value while the ceil((1-alpha)(N+1)) reading gives the
@@ -196,6 +202,54 @@ def test_quantile_monotone_in_coverage_level():
         alphas = np.sort(rng.uniform(1.0 / (n + 1), 0.9, size=5))[::-1]
         values = [weighted_quantile(dist, a).value for a in alphas]
         assert all(v2 >= v1 for v1, v2 in zip(values, values[1:]))
+
+
+# ---------------------------------------------------------------------------
+# weighted_corrections (batch)
+
+
+def test_batch_corrections_equal_per_point_sets():
+    rng = np.random.default_rng(6)
+    for _ in range(60):
+        n = int(rng.integers(1, 30))
+        cal = cal_from(rng.normal(size=n))
+        w_cal = rng.lognormal(size=n)
+        w_test = rng.lognormal(size=7)
+        alpha = float(rng.uniform(1.0 / (n + 1), 0.9))
+        iv = IntervalSet(lo=[0.0], hi=[1.0])
+        got = weighted_corrections(cal.scores, w_cal, w_test, alpha)
+        want = [ccke_prediction_set(iv, cal, lambda c: w_cal[c] if c != "t" else w, "t",
+                                    alpha).correction.value for w in w_test]
+        assert got.tobytes() == np.array(want).tobytes()
+        unit = weighted_corrections(cal.scores, np.ones(n), np.ones(3), alpha)
+        assert unit.tobytes() == np.full(3, nccke_prediction_set(iv, cal, alpha)
+                                         .correction.value).tobytes()
+
+
+@pytest.mark.parametrize("w_cal, w_test, error", [
+    ([1.0, -1.0], [1.0], ContractViolationError),
+    ([1.0, 1.0], [-1.0], ContractViolationError),
+    ([1.0, math.nan], [1.0], ContractViolationError),
+    ([1.0, 1.0], [math.inf], ContractViolationError),
+    ([0.0, 0.0], [1.0, 0.0], DegeneratePolicyError),
+    ([1e308, 1e308], [1.0], ContractViolationError),  # the sum overflows: masses do not sum to 1
+    ([1.0], [1.0], ContractViolationError),  # one weight per score
+])
+def test_batch_corrections_reject_bad_weights(w_cal, w_test, error):
+    with np.errstate(over="ignore"), pytest.raises(error):
+        weighted_corrections([0.5, 1.5], w_cal, w_test, 0.5)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, 0.1, 1.0])
+def test_batch_corrections_reject_infeasible_alpha(alpha):
+    with pytest.raises(PreconditionError):
+        weighted_corrections([0.5, 1.5, 2.5], [1.0] * 3, [1.0], alpha)
+
+
+@pytest.mark.parametrize("scores", [[], [0.0, math.nan]])
+def test_batch_corrections_reject_bad_scores(scores):
+    with pytest.raises(ContractViolationError):
+        weighted_corrections(scores, [1.0] * len(scores), [1.0], 0.5)
 
 
 # ---------------------------------------------------------------------------

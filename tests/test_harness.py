@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ccke import mac_sim
+from ccke import harness, mac_sim
 from ccke.conformal import (
     ContractViolationError,
     CorrectionQuantile,
     IntervalSet,
     PredictionSet,
+    compute_score,
+    weighted_corrections,
 )
 from ccke.harness import (
     ExperimentConfig,
@@ -221,6 +223,24 @@ def test_inefficiency_rejects_nonpositive_normalizer():
         evaluate_inefficiency([interval([0.0], [1.0])], [0.0])
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf])
+def test_inefficiency_rejects_nonfinite_normalizer(eps):
+    with pytest.raises(ContractViolationError):
+        evaluate_inefficiency([interval([0.0], [1.0])], [eps])
+
+
+def test_coverage_rejects_empty():
+    with pytest.raises(ContractViolationError):
+        evaluate_coverage([], [])
+
+
+def test_inefficiency_rejects_empty():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractViolationError):
+            evaluate_inefficiency([], [])
+
+
 # ---------------------------------------------------------------------------
 # experiment execution
 
@@ -317,6 +337,189 @@ def test_retrain_per_trial_flag():
                            methods=("CKE",))
     rep = run_experiment(cfg)
     assert len(rep.trials) == 2
+
+
+# ---------------------------------------------------------------------------
+# reference: the per-point trial path
+#
+# run_experiment computes each trial as array operations.  The functions
+# below are the per-point path it replaced, self-contained (they share no
+# quantile, weight-normalization or metric code with the library), and
+# the tests require equal bytes.
+
+
+def reference_quantile(scores, probs, alpha):
+    """weighted_quantile on one point-mass vector: sort, cumsum, searchsorted."""
+    n = scores.size
+    threshold = (1.0 - alpha) * (n + 1) / n
+    order = np.argsort(scores, kind="stable")
+    cum = np.cumsum(probs[order])
+    idx = int(np.searchsorted(cum, threshold, side="left"))
+    return math.inf if idx >= n else float(scores[order][idx])
+
+
+def reference_ccke_correction(scores, w_cal, w_test, alpha):
+    """compute_weight_probabilities + weighted_quantile for one test weight."""
+    denom = float(w_cal.sum()) + w_test
+    return reference_quantile(scores, w_cal / denom, alpha)
+
+
+def reference_coverage(sets, truths):
+    return sum(1 for s, y in zip(sets, truths) if s.contains(y)) / len(sets)
+
+
+def reference_inefficiency(sets, normalizers, domains):
+    raw_terms, clipped_terms, n_unbounded = [], [], 0
+    for i, (s, eps) in enumerate(zip(sets, normalizers)):
+        if s.unbounded:
+            n_unbounded += 1
+            lo, hi = domains[i]
+            clipped_terms.append(float(np.mean(s.clipped_widths(lo, hi))) / eps)
+        else:
+            term = float(np.mean(s.widths())) / eps
+            raw_terms.append(term)
+            clipped_terms.append(term)
+    raw = float(np.mean(raw_terms)) if raw_terms else math.inf
+    return float(np.mean(clipped_terms)), raw, n_unbounded
+
+
+def reference_run(cfg):
+    """run_experiment with the per-point trial body: id()-keyed weights,
+    one prediction set per test point, per-set metrics.  Returns
+    ``(trials, weight_error_mean)`` with trials as
+    ``(method, trial, coverage, raw, clipped, n_unbounded, corrections)``."""
+    env = harness.build_environment(cfg)
+    target, actual = env.parse_app(cfg.target_app), env.parse_app(cfg.actual_app)
+    exact_model = getattr(env, "has_exact_model", False)
+    if not exact_model:
+        contexts, kpis = harness._draw_labeled(
+            env, target, cfg.n_train, rng_for(cfg.base_seed, harness._STREAM_TRAIN_DATA),
+            cfg.kpi_noise, rng_for(cfg.base_seed, harness._STREAM_TRIAL_NOISE))
+        model = harness._train_model(env, cfg, contexts, kpis, seed=cfg.base_seed)
+
+    def intervals_for_batch(contexts):
+        if exact_model:
+            spread = (1.0 - cfg.alpha) * env.half_width
+            mids = [env.offsets[target] + float(c) for c in contexts]
+            return [IntervalSet(lo=[m - spread], hi=[m + spread]) for m in mids]
+        lo, hi = model.predict(np.stack([env.model_features(c) for c in contexts]))
+        return [IntervalSet(lo=lo[i], hi=hi[i]) for i in range(len(contexts))]
+
+    trials, weight_errors = [], []
+    for t in range(cfg.n_trials):
+        rng_cal = rng_for(cfg.base_seed, harness._STREAM_TRIAL_CAL, t)
+        rng_test = rng_for(cfg.base_seed, harness._STREAM_TRIAL_TEST, t)
+        rng_noise = rng_for(cfg.base_seed, harness._STREAM_TRIAL_NOISE, t + 1)
+        cal_ctx, cal_kpi = harness._draw_labeled(env, target, cfg.n_cal, rng_cal,
+                                                 cfg.kpi_noise, rng_noise)
+        scores = np.array([compute_score(iv, y)
+                           for iv, y in zip(intervals_for_batch(cal_ctx), cal_kpi)])
+        test_ctx = env.sample_contexts_given_app(actual, cfg.n_test, rng_test)
+        truths = [counterfactual_truth(env, c, target, rng_test) for c in test_ctx]
+        test_intervals = intervals_for_batch(test_ctx)
+
+        w_exact = {id(c): env.weight(c, actual, target) for c in cal_ctx}
+        for c in test_ctx:
+            w_exact[id(c)] = env.weight(c, actual, target)
+        if cfg.weight_perturbation is not None:
+            delta = cfg.weight_perturbation
+            w_used = {k: w * (1.0 + rng_noise.uniform(-delta, delta))
+                      for k, w in w_exact.items()}
+            weight_errors.extend(abs(w_used[id(c)] - w_exact[id(c)]) for c in cal_ctx)
+        else:
+            w_used = w_exact
+        w_cal = np.array([w_used[id(c)] for c in cal_ctx], dtype=float)
+
+        normalizers = [env.inefficiency_normalizer(c) for c in test_ctx]
+        domains = [env.clip_domain(c) for c in test_ctx]
+        for method in cfg.methods:
+            sets = []
+            for i, ctx in enumerate(test_ctx):
+                if method == "CCKE":
+                    q = reference_ccke_correction(scores, w_cal, float(w_used[id(ctx)]),
+                                                  cfg.alpha)
+                elif method == "NCCKE":
+                    q = reference_quantile(scores, np.full(scores.size, 1.0 / (scores.size + 1)),
+                                           cfg.alpha)
+                else:
+                    q = 0.0
+                sets.append(PredictionSet(naive=test_intervals[i],
+                                          correction=CorrectionQuantile(q)))
+            clipped, raw, n_unbounded = reference_inefficiency(sets, normalizers, domains)
+            trials.append((method, t, reference_coverage(sets, truths), raw, clipped,
+                           n_unbounded, np.array([s.correction.value for s in sets])))
+    return trials, (float(np.mean(weight_errors)) if weight_errors else None)
+
+
+_SYNTHETIC = dict(environment="synthetic", actual_app="base", target_app="alt", n_trials=12)
+REFERENCE_CASES = {
+    "synthetic": _SYNTHETIC,
+    "perturbed-weights": dict(_SYNTHETIC, weight_perturbation=0.3),
+    "kpi-noise": dict(_SYNTHETIC, kpi_noise=NoiseSpec(1.0)),
+    # 1/8 masses hit the level (1 - 15/64) * 8 / 7 = 7/8 exactly: a threshold tie
+    "unbounded": dict(_SYNTHETIC, n_cal=7, alpha=15 / 64, n_test=40),
+    "mac-k3": dict(environment="mac", n_users=3, n_train=60, n_cal=20, n_test=10,
+                   n_trials=4, train_epochs=0),
+    "cke-only": dict(_SYNTHETIC, n_trials=4, methods=("CKE",)),
+    "nccke-ccke": dict(_SYNTHETIC, n_trials=4, methods=("NCCKE", "CCKE")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_run_experiment_matches_per_point_reference(case):
+    cfg = ExperimentConfig(**REFERENCE_CASES[case])
+    rep = run_experiment(cfg)
+    want, want_error = reference_run(cfg)
+    assert len(rep.trials) == len(want) == cfg.n_trials * len(cfg.methods)
+    for got, (method, t, cov, raw, clipped, n_unbounded, corrections) in zip(rep.trials, want):
+        assert (got.method, got.trial) == (method, t)
+        assert repr(got.coverage) == repr(cov)
+        assert repr(got.inefficiency_raw) == repr(raw)
+        assert repr(got.inefficiency_clipped) == repr(clipped)
+        assert got.n_unbounded == n_unbounded
+        assert got.corrections.dtype == corrections.dtype
+        assert got.corrections.tobytes() == corrections.tobytes()
+    assert repr(rep.weight_error_mean) == repr(want_error)
+    if case == "unbounded":
+        ccke = np.concatenate([t.corrections for t in rep.trials_for("CCKE")])
+        assert sum(t.n_unbounded for t in rep.trials) > 0 and np.isfinite(ccke).any()
+        # the tie resolves to the largest score, never to the atom at +inf
+        assert all(t.n_unbounded == 0 for t in rep.trials_for("NCCKE"))
+
+
+def _alpha_for_threshold(target, n):
+    """An alpha whose level (1 - alpha) * (n + 1) / n is exactly ``target``."""
+    alpha = 1.0 - target * n / (n + 1)
+    for _ in range(64):
+        level = (1.0 - alpha) * (n + 1) / n
+        if level == target:
+            return alpha if 1.0 / (n + 1) <= alpha < 1.0 else None
+        alpha = np.nextafter(alpha, 2.0 if level > target else -1.0)
+    return None
+
+
+def test_weighted_corrections_match_reference_at_threshold_ties():
+    # Where a cumulative mass equals the level exactly, the last bit of
+    # every mass decides the correction: this pins the rounding of the
+    # calibration-order weight sum and the searchsorted side.
+    rng = np.random.default_rng(31)
+    ties = 0
+    for _ in range(400):
+        n = int(rng.integers(2, 40))
+        scores = rng.normal(size=n)
+        w_cal = rng.lognormal(sigma=2.0, size=n)
+        w_cal[rng.uniform(size=n) < 0.1] = 0.0
+        w_test = rng.lognormal(sigma=2.0, size=5)
+        order = np.argsort(scores, kind="stable")
+        cum = np.cumsum((w_cal / (float(w_cal.sum()) + w_test[0]))[order])
+        alpha = _alpha_for_threshold(float(cum[rng.integers(0, n)]), n)
+        if alpha is None:
+            continue
+        ties += 1
+        got = weighted_corrections(scores, w_cal, w_test, alpha)
+        want = [reference_ccke_correction(scores, w_cal, float(w), alpha) for w in w_test]
+        assert got.tobytes() == np.array(want).tobytes()
+    assert ties >= 100
 
 
 # ---------------------------------------------------------------------------
