@@ -9,8 +9,8 @@ at the retransmission limit.
 The controller selects apps through a softmax over inverse symbol error
 rates; the SER estimates come from a Monte-Carlo table built once on a
 (1 dB SNR bin) x (m) grid and persisted as delimited text.  Receivers
-assume perfect CSI: orthogonal combining for Alamouti, zero-forcing via
-pseudo-inverse for multiplexing.
+assume perfect CSI: orthogonal combining for Alamouti, zero-forcing for
+multiplexing (the 2x2 inverse, or the pseudo-inverse of a rank-1 channel).
 """
 
 from __future__ import annotations
@@ -33,14 +33,12 @@ __all__ = [
     "PHY_APPS",
     "TransmissionApp",
     "PhyContext",
-    "ChannelRealization",
     "ArqConfig",
     "SerTable",
     "PhyPolicy",
     "ConfigurationError",
     "sample_context",
     "sample_contexts",
-    "build_channel",
     "transmit_arq",
     "estimate_ser",
     "select_app",
@@ -121,11 +119,6 @@ class PhyContext:
 
 
 @dataclass(frozen=True)
-class ChannelRealization:
-    matrix: np.ndarray  # 2x2 complex
-
-
-@dataclass(frozen=True)
 class ArqConfig:
     max_retx: int = 10
     symbols_per_packet: int = 8
@@ -172,29 +165,60 @@ def snr_bin_masses(snr_lo: float, bin_width: float, n_bins: int) -> np.ndarray:
 _STEER_PHASE = -2j * math.pi * ANTENNA_SEPARATION
 
 
-def _steering(phi: np.ndarray) -> np.ndarray:
-    """Two-element array response; unit norm.  phi shape (...,) -> (..., 2)."""
+def _steering_second(phi: np.ndarray) -> np.ndarray:
+    """Second entry of the unit-norm two-element array response at angle
+    phi; the first entry is 1/sqrt(2) at every angle.
+
+    Scaling in place by 1/sqrt(2) gives the bits of z / sqrt(2): numpy
+    divides a complex by a real s as z * (1/s), and the two agree wherever
+    neither part of z is zero, which cos and exp never give here.
+    """
     second = np.exp(_STEER_PHASE * np.cos(phi))
-    return np.stack([np.ones_like(second), second], axis=-1) / math.sqrt(2.0)
+    second *= 1.0 / math.sqrt(2.0)
+    return second
 
 
 def _channel_batch(snr_db: float, paths: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n i.i.d. channel draws, shape (n, 2, 2)."""
-    snr_lin = 10.0 ** (snr_db / 10.0)
-    # per-component variance 1/m, so E|a_i|^2 = 2/m and E||H||_F^2 = 2*SNR
-    gains = (rng.standard_normal((n, paths)) + 1j * rng.standard_normal((n, paths)))
-    gains /= math.sqrt(paths)
-    phi_r = rng.uniform(0.0, 2.0 * math.pi, size=(n, paths))
-    phi_t = rng.uniform(0.0, 2.0 * math.pi, size=(n, paths))
-    e_r = _steering(phi_r)  # (n, m, 2)
-    e_t = _steering(phi_t)
-    h = np.einsum("nm,nmi,nmj->nij", gains, e_r, np.conj(e_t))
-    return math.sqrt(snr_lin) * h
+    """n i.i.d. channel draws sqrt(SNR) * sum_i a_i e_r(phi_r,i) e_t(phi_t,i)^H,
+    shape (n, 2, 2).
 
-
-def build_channel(ctx: PhyContext, rng: np.random.Generator) -> ChannelRealization:
-    """One multipath realization: sqrt(SNR) * sum_i a_i e_r(phi_r) e_t(phi_t)^H."""
-    return ChannelRealization(matrix=_channel_batch(ctx.snr_db, ctx.paths, 1, rng)[0])
+    Per-component gain variance is 1/m, so E|a_i|^2 = 2/m and
+    E||H||_F^2 = 2*SNR.  Generator use is fixed: the gains are one
+    ``standard_normal((2, n, m))`` draw (real parts, then imaginary), the
+    angles one ``uniform(0, 2*pi, (2, n, m))`` draw (receive, then
+    transmit).  The sum over paths is the complex multiply-accumulate
+    ``(a * e_r) * conj(e_t)`` of a plain einsum, written out in real
+    arithmetic with separate multiplies and adds, summed over paths in
+    order from zero, so the bits do not depend on whether numpy fuses
+    multiply-adds in its complex multiply.
+    """
+    # work path-major, (.., m, n), so the sum over paths adds whole rows
+    gains = np.empty((2, paths, n))
+    np.multiply(rng.standard_normal((2, n, paths)).transpose(0, 2, 1),
+                1.0 / math.sqrt(paths), out=gains)  # complex gains / sqrt(m), bit for bit
+    gr, gi = gains
+    phi = rng.uniform(0.0, 2.0 * math.pi, size=(2, n, paths))
+    second = _steering_second(np.ascontiguousarray(phi.transpose(0, 2, 1)))
+    rr, ri = second[0].real, second[0].imag
+    tr, ti = second[1].real, second[1].imag
+    s = 1.0 / math.sqrt(2.0)  # the first steering entry, (s, +0)
+    # a = gain * e_r[i]; each product below is a * conj(e_t[j])
+    a0r, a0i = gr * s, gi * s
+    a1r, a1i = gr * rr - gi * ri, gr * ri + gi * rr
+    prods = np.empty((8, paths, n))
+    np.multiply(a0r, s, out=prods[0])  # h00
+    np.multiply(a0i, s, out=prods[1])
+    np.add(a0r * tr, a0i * ti, out=prods[2])  # h01
+    np.subtract(a0i * tr, a0r * ti, out=prods[3])
+    np.multiply(a1r, s, out=prods[4])  # h10
+    np.multiply(a1i, s, out=prods[5])
+    np.add(a1r * tr, a1i * ti, out=prods[6])  # h11
+    np.subtract(a1i * tr, a1r * ti, out=prods[7])
+    acc = np.zeros((8, n))
+    for k in range(paths):
+        acc += prods[:, k]
+    acc *= math.sqrt(10.0 ** (snr_db / 10.0))
+    return np.ascontiguousarray(acc.T).view(complex).reshape(n, 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +251,39 @@ def _alamouti_block(h, s, rng, noise_std):
     return math.sqrt(2.0) * np.stack([z1, z2], axis=1) / gain[:, None]
 
 
+# Zero-forcing takes adj(H) / det H only where that is clearly the inverse
+# pinv would give: |det H| > ZF_CLEAR_RATIO * ||H||_F^2, i.e. sigma2/sigma1
+# above about ZF_CLEAR_RATIO, far from pinv's rank cutoff (1e-15 * sigma1),
+# and |det H| a normal float, so 1/det cannot overflow.  Every other channel
+# is "in doubt" and keeps pinv: single-path (m=1) channels are rank-1, with
+# sigma2/sigma1 at most ~3e-16 on the default table's draws (multipath ones
+# there have at least ~2e-10), and NaN fails the comparison.
+ZF_CLEAR_RATIO = 1e-6
+_DET_MIN = np.finfo(float).tiny
+
+
+def _zero_forcing(h: np.ndarray) -> np.ndarray:
+    """Zero-forcing receive matrices of (n, 2, 2) channels: adj(H) / det H
+    for clear channels, ``np.linalg.pinv`` for the rows in doubt."""
+    h00, h01, h10, h11 = h[:, 0, 0], h[:, 0, 1], h[:, 1, 0], h[:, 1, 1]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN go to pinv
+        det = h00 * h11 - h01 * h10
+        fro2 = (np.einsum("nij,nij->n", h.real, h.real)
+                + np.einsum("nij,nij->n", h.imag, h.imag))
+        clear = np.abs(det) > np.maximum(ZF_CLEAR_RATIO * fro2, _DET_MIN)
+    out = np.empty_like(h)
+    adj = np.stack([h11[clear], -h01[clear], -h10[clear], h00[clear]], axis=-1)
+    out[clear] = (adj * (1.0 / det[clear])[:, None]).reshape(-1, 2, 2)
+    doubt = ~clear
+    if doubt.any():
+        out[doubt] = np.linalg.pinv(h[doubt])
+    return out
+
+
 def _multiplexing_block(h, s, rng, noise_std):
     """One slot, one independent symbol per antenna, zero-forcing receive."""
     r = np.einsum("nij,nj->ni", h, s / math.sqrt(2.0)) + _draw_noise(s.shape, rng, noise_std)
-    h_inv = np.linalg.pinv(h)
-    return math.sqrt(2.0) * np.einsum("nij,nj->ni", h_inv, r)
+    return math.sqrt(2.0) * np.einsum("nij,nj->ni", _zero_forcing(h), r)
 
 
 def _send_blocks(app: TransmissionApp, h, sym_idx, rng, noise_std=1.0):
@@ -251,17 +303,17 @@ def _attempt_channel(amp: float, paths: int, rng: np.random.Generator):
     Bit for bit ``_channel_batch(snr_db, paths, 1, rng)[0]`` with
     ``amp = sqrt(SNR)``, and the same generator stream: the real and
     imaginary gain draws are one (2, m) normal draw, the receive and
-    transmit angles one (2, m) uniform draw.  The steering vectors run in
-    numpy as there.  The rest runs here in the same order: numpy divides
-    a complex by a real s as z * (1/s), and the einsum's complex
-    multiply-accumulate over paths is plain, without fused operations.
+    transmit angles one (2, m) uniform draw.  The steering entries come
+    from ``_steering_second`` as there.  The rest runs here in the same
+    order: the gains scale by 1/sqrt(m), and the complex multiply-accumulate
+    over paths is the plain one, without fused operations.
     """
     re, im = rng.standard_normal((2, paths)).tolist()
     phi = rng.uniform(0.0, 2.0 * math.pi, size=(2, paths))
     inv_root_m = 1.0 / math.sqrt(paths)
     gains = [complex(x * inv_root_m, y * inv_root_m) for x, y in zip(re, im)]
-    second = (np.exp(_STEER_PHASE * np.cos(phi)) / math.sqrt(2.0)).tolist()
-    first = complex(1.0 / math.sqrt(2.0), 0.0)  # np.ones_like(...) / sqrt(2)
+    second = _steering_second(phi).tolist()
+    first = complex(1.0 / math.sqrt(2.0), 0.0)  # the first steering entry
     first_c = first.conjugate()
     h00 = h01 = h10 = h11 = 0j
     for a, er, et in zip(gains, second[0], second[1]):
@@ -363,10 +415,10 @@ def transmit_arq(app: TransmissionApp, ctx: PhyContext, arq: ArqConfig,
     last bit (numpy may fuse multiply-adds and vectorise abs), so a
     decision could differ only for an estimate within rounding of a
     decision boundary; exact ties go to the first point in both.
-    Multiplexing keeps the pseudo-inverse, taken
-    once per attempt: single-path (m=1) channels are rank-1, with
-    sigma2/sigma1 near 1e-16 and det exactly 0 on some draws, so a
-    closed-form 2x2 inverse would not reproduce pinv's rank cutoff.
+    Multiplexing keeps the pseudo-inverse, taken once per attempt.  The
+    batched SER path's ``_zero_forcing`` replaces it only for clear
+    channels; every rank-1 single-path (m=1) channel keeps pinv and its
+    rank cutoff there too.
     """
     tables = _SYMBOL_TABLES[app.constellation]
     n_points = len(tables[0])
@@ -401,6 +453,9 @@ def estimate_ser(app: TransmissionApp, snr_db: float, paths: int,
     One channel draw per 2-symbol block; the clamp keeps the softmax
     selection's exp(1/(ser*T)) finite on error-free cells.
     """
+    if n_symbols < 2:
+        raise ContractViolationError(
+            f"n_symbols must be >= 2 (one 2-symbol block), got {n_symbols!r}")
     constellation = _CONSTELLATIONS[app.constellation]
     blocks = n_symbols // 2
     h = _channel_batch(snr_db, paths, blocks, rng)
@@ -450,7 +505,16 @@ class SerTable:
     def build(cls, n_mc: int = 10_000, seed: int = 20139,
               snr_lo: float = SNR_DB_MIN, snr_hi: float = SNR_DB_MAX,
               bin_width: float = 1.0) -> "SerTable":
+        if not (math.isfinite(bin_width) and bin_width > 0.0):
+            raise ContractViolationError(
+                f"bin_width must be finite and positive, got {bin_width!r}")
+        if not (math.isfinite(snr_lo) and math.isfinite(snr_hi) and snr_hi > snr_lo):
+            raise ContractViolationError(
+                f"need finite snr_lo < snr_hi, got {snr_lo!r}, {snr_hi!r}")
         n_bins = int(round((snr_hi - snr_lo) / bin_width))
+        if n_bins < 1:
+            raise ContractViolationError(
+                f"[{snr_lo!r}, {snr_hi!r}] holds no bin of width {bin_width!r}")
         values = np.full((len(PHY_APPS), n_bins, PATHS_MAX), np.nan)
         for a, app in enumerate(PHY_APPS):
             for b in range(n_bins):

@@ -18,7 +18,9 @@ Criteria:
      equivariance, normalization, reciprocity, bounds, replay)
 """
 
+import hashlib
 import math
+import platform
 
 import numpy as np
 import pytest
@@ -59,6 +61,32 @@ def binom_3sigma(p, n):
 @pytest.fixture(scope="session")
 def ser_table():
     return phy_sim.SerTable.build(n_mc=10_000, seed=20139)
+
+
+# sha256 of the saved default table; the table build may get faster, but a
+# change that moves any cell changes these bytes.  The pin was taken with
+# numpy 2.4 on x86-64 with AVX-512 (the Skylake-X feature group): another
+# numpy build or CPU may round cos, exp or a complex multiply differently in
+# the last bit, with no fault in the program.  The in-process reference tests
+# in test_phy_sim.py hold on every platform.
+DEFAULT_SER_TABLE_SHA256 = "20e92b76818e7baf613503f473491ffbfd4cf720512db85c25c07d4c274a041f"
+
+
+def _on_pinned_platform():
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        return False
+    return (np.__version__.startswith("2.4.") and platform.machine() == "x86_64"
+            and bool(__cpu_features__.get("AVX512_SKX")))
+
+
+@pytest.mark.skipif(not _on_pinned_platform(),
+                    reason="the table's sha256 was pinned on numpy 2.4, x86-64, AVX512_SKX")
+def test_default_ser_table_bytes(ser_table, tmp_path):
+    path = tmp_path / "ser.csv"
+    ser_table.save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DEFAULT_SER_TABLE_SHA256
 
 
 @pytest.fixture(scope="session")

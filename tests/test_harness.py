@@ -637,6 +637,13 @@ def test_cli_ser_table(tmp_path):
     assert table.values.shape == (4, 20, 10)
 
 
+def test_cli_ser_table_rejects_one_symbol_per_cell(tmp_path):
+    out = run_cli("ser-table", "--out", str(tmp_path / "ser.csv"), "--n-mc", "1")
+    assert out.returncode == 1
+    assert "n_symbols" in out.stderr
+    assert not (tmp_path / "ser.csv").exists()
+
+
 def test_cli_bad_config_fails_cleanly(tmp_path):
     out = run_cli("run", "--set", "environment=marsrover", "--out-dir", str(tmp_path))
     assert out.returncode == 1

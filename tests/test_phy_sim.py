@@ -11,18 +11,19 @@ from scipy import stats
 from ccke.conformal import ContractViolationError
 from ccke.phy_sim import (
     ALAMOUTI,
+    ANTENNA_SEPARATION,
     BPSK,
     MULTIPLEXING,
     PATHS_MAX,
     PHY_APPS,
     QPSK,
+    SER_CLAMP,
     ArqConfig,
     ConfigurationError,
     PhyContext,
     PhyPolicy,
     SerTable,
     TransmissionApp,
-    build_channel,
     estimate_ser,
     read_phy_dataset,
     sample_context,
@@ -34,10 +35,13 @@ from ccke.phy_sim import (
 )
 from ccke.phy_sim import (
     _CONSTELLATIONS,
+    _alamouti_block,
     _attempt_channel,
     _channel_batch,
-    _send_blocks,
-    _steering,
+    _decode_nearest,
+    _draw_noise,
+    _steering_second,
+    _zero_forcing,
 )
 
 AQ = TransmissionApp(ALAMOUTI, QPSK)
@@ -89,23 +93,22 @@ def test_bin_masses_normalized_and_centered():
 
 
 def test_steering_vector_broadside():
-    v = _steering(np.array(math.pi / 2.0))
-    np.testing.assert_allclose(v, np.array([1.0, 1.0]) / math.sqrt(2.0), atol=1e-12)
+    # the first entry is 1/sqrt(2) at every angle
+    v = _steering_second(np.array([math.pi / 2.0]))
+    np.testing.assert_allclose(v, [1.0 / math.sqrt(2.0)], atol=1e-12)
 
 
 def test_steering_vector_unit_norm():
     rng = np.random.default_rng(3)
     phis = rng.uniform(0, 2 * math.pi, 64)
-    v = _steering(phis)
-    np.testing.assert_allclose(np.sum(np.abs(v) ** 2, axis=-1), 1.0, atol=1e-12)
+    v = _steering_second(phis)
+    np.testing.assert_allclose(0.5 + np.abs(v) ** 2, 1.0, atol=1e-12)
 
 
 def test_single_path_channel_rank_one():
     rng = np.random.default_rng(4)
-    for _ in range(50):
-        h = build_channel(PhyContext(snr_db=10.0, paths=1), rng).matrix
-        s = np.linalg.svd(h, compute_uv=False)
-        assert s[1] <= 1e-10 * max(s[0], 1.0)
+    s = np.linalg.svd(_channel_batch(10.0, 1, 50, rng), compute_uv=False)
+    assert np.all(s[:, 1] <= 1e-10 * np.maximum(s[:, 0], 1.0))
 
 
 def test_channel_second_moment():
@@ -113,8 +116,7 @@ def test_channel_second_moment():
     snr_db = 7.0
     snr_lin = 10.0 ** (snr_db / 10.0)
     for m in (1, 4, 10):
-        ctx = PhyContext(snr_db=snr_db, paths=m)
-        sq = [np.sum(np.abs(build_channel(ctx, rng).matrix) ** 2) for _ in range(10_000)]
+        sq = np.sum(np.abs(_channel_batch(snr_db, m, 10_000, rng)) ** 2, axis=(1, 2))
         assert np.mean(sq) == pytest.approx(2.0 * snr_lin, rel=0.05)
 
 
@@ -194,6 +196,54 @@ def test_context_accepts_grid_edges_and_dead_channel():
 
 
 # ---------------------------------------------------------------------------
+# reference oracles: separate draws, stacked steering vectors, one complex
+# einsum over paths, and zero-forcing through pinv of every channel
+
+
+def reference_steering(phi):
+    """Two-element array response; unit norm.  phi shape (...,) -> (..., 2)."""
+    second = np.exp(-2j * math.pi * ANTENNA_SEPARATION * np.cos(phi))
+    return np.stack([np.ones_like(second), second], axis=-1) / math.sqrt(2.0)
+
+
+def reference_channel_batch(snr_db, paths, n, rng):
+    """Separate gain and angle draws, stacked steering vectors and one
+    3-operand complex einsum over paths."""
+    snr_lin = 10.0 ** (snr_db / 10.0)
+    gains = (rng.standard_normal((n, paths)) + 1j * rng.standard_normal((n, paths)))
+    gains /= math.sqrt(paths)
+    phi_r = rng.uniform(0.0, 2.0 * math.pi, size=(n, paths))
+    phi_t = rng.uniform(0.0, 2.0 * math.pi, size=(n, paths))
+    e_r = reference_steering(phi_r)  # (n, m, 2)
+    e_t = reference_steering(phi_t)
+    h = np.einsum("nm,nmi,nmj->nij", gains, e_r, np.conj(e_t))
+    return math.sqrt(snr_lin) * h
+
+
+def reference_send_blocks(app, h, sym, rng, noise_std=1.0):
+    """Batched detection; multiplexing zero-forces through the batched-SVD
+    pseudo-inverse of every channel."""
+    constellation = _CONSTELLATIONS[app.constellation]
+    s = constellation[sym]
+    if app.code == ALAMOUTI:
+        est = _alamouti_block(h, s, rng, noise_std)
+    else:
+        r = np.einsum("nij,nj->ni", h, s / math.sqrt(2.0)) + _draw_noise(s.shape, rng, noise_std)
+        est = math.sqrt(2.0) * np.einsum("nij,nj->ni", np.linalg.pinv(h), r)
+    return _decode_nearest(est, constellation)
+
+
+def reference_estimate_ser(app, snr_db, paths, rng, n_symbols):
+    """SER over reference channels and reference detection."""
+    constellation = _CONSTELLATIONS[app.constellation]
+    blocks = n_symbols // 2
+    h = reference_channel_batch(snr_db, paths, blocks, rng)
+    sym = rng.integers(0, constellation.size, size=(blocks, 2))
+    ser = np.mean(reference_send_blocks(app, h, sym, rng) != sym)
+    return float(np.clip(ser, SER_CLAMP, 1.0 - SER_CLAMP))
+
+
+# ---------------------------------------------------------------------------
 # per-attempt fast path against the batched reference
 
 
@@ -203,10 +253,10 @@ def reference_transmit_arq(app, ctx, arq, rng, noise_std=1.0):
     constellation = _CONSTELLATIONS[app.constellation]
     blocks = arq.symbols_per_packet // 2
     for attempt in range(1, arq.max_retx + 1):
-        h = _channel_batch(ctx.snr_db, ctx.paths, 1, rng)
+        h = reference_channel_batch(ctx.snr_db, ctx.paths, 1, rng)
         hb = np.repeat(h, blocks, axis=0)
         sym = rng.integers(0, constellation.size, size=(blocks, 2))
-        decoded = _send_blocks(app, hb, sym, rng, noise_std)
+        decoded = reference_send_blocks(app, hb, sym, rng, noise_std)
         if np.array_equal(decoded, sym):
             return attempt
     return arq.max_retx
@@ -243,6 +293,75 @@ def test_transmit_arq_matches_reference(app):
 
 
 # ---------------------------------------------------------------------------
+# SER-table fast path against the reference
+
+
+SER_SNRS_DB = (-400.0, -5.0, 5.0, 15.0, 40.0)
+
+
+def test_channel_batch_matches_reference_bytes():
+    for seed, m, snr_db, n in itertools.product(range(3), range(1, PATHS_MAX + 1),
+                                                SER_SNRS_DB, (1, 7, 64)):
+        ref_rng = np.random.default_rng([seed, m, n])
+        rng = np.random.default_rng([seed, m, n])
+        want = reference_channel_batch(snr_db, m, n, ref_rng)
+        got = _channel_batch(snr_db, m, n, rng)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), (seed, m, snr_db, n)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("app", PHY_APPS, ids=lambda a: a.key)
+def test_estimate_ser_matches_pinv_reference(app):
+    for seed, m, snr_db, n_symbols in itertools.product(
+            range(3), range(1, PATHS_MAX + 1), SER_SNRS_DB, (2, 41, 400)):
+        ref_rng = np.random.default_rng([seed, m, n_symbols])
+        rng = np.random.default_rng([seed, m, n_symbols])
+        want = reference_estimate_ser(app, snr_db, m, ref_rng, n_symbols)
+        got = estimate_ser(app, snr_db, m, rng, n_symbols)
+        assert repr(got) == repr(want), (seed, m, snr_db, n_symbols)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_zero_forcing_pinv_where_in_doubt_inverse_where_clear():
+    rng = np.random.default_rng(16)
+    single = _channel_batch(10.0, 1, 300, rng)   # rank-1: all in doubt
+    multi = np.concatenate([_channel_batch(snr_db, m, 200, rng)
+                            for m in range(2, PATHS_MAX + 1) for snr_db in (-400.0, 5.0)])
+    edge = np.array([np.zeros((2, 2)),
+                     [[1.0 + 2.0j, 2.0 - 1.0j], [2.0 + 4.0j, 4.0 - 2.0j]],  # det exactly 0
+                     [[1e-160, 2e-160], [3e-160, 1e-160j]],  # det below the normal range
+                     [[1e150, 2e150], [3e150, 1e150j]],
+                     [[1e200, 2e200], [3e200, 1e200j]]],  # ||H||_F^2 overflows
+                    dtype=complex)
+    h = np.concatenate([single, multi, edge])
+    got = _zero_forcing(h)
+    want = np.linalg.pinv(h)
+    assert np.all(np.isfinite(got))
+    # rows in doubt are pinv's, bit for bit
+    n1 = single.shape[0]
+    assert got[:n1].tobytes() == want[:n1].tobytes()
+    for k in (0, 1, 2, 4):
+        assert got[-5 + k].tobytes() == want[-5 + k].tobytes()
+    # clear rows are the inverse to rounding: error about eps * cond(H)
+    clear = slice(n1, n1 + multi.shape[0])
+    scale = np.max(np.abs(want[clear]), axis=(1, 2))
+    rel = np.max(np.abs(got[clear] - want[clear]), axis=(1, 2)) / scale
+    cond = np.linalg.cond(h[clear])
+    assert np.all(rel <= np.maximum(1e-12, 10.0 * np.finfo(float).eps * cond))
+    np.testing.assert_allclose(got[-2], want[-2], rtol=1e-12)
+
+
+def test_zero_forcing_sends_nan_channels_to_pinv():
+    # a NaN det fails the clear test, so pinv's own error surfaces
+    h = np.array([[[1.0, 2.0], [3.0, 4.0]], [[math.nan, 1.0], [1.0, 1.0]]], dtype=complex)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.pinv(h[1:])
+    with pytest.raises(np.linalg.LinAlgError):
+        _zero_forcing(h)
+
+
+# ---------------------------------------------------------------------------
 # SER estimation and table
 
 
@@ -252,6 +371,32 @@ def test_ser_clamped_into_open_interval():
     lo = estimate_ser(MQ, -60.0, 1, rng, n_symbols=2000)   # hopeless regime
     assert hi == pytest.approx(1e-6)
     assert lo <= 1.0 - 1e-6
+
+
+@pytest.mark.parametrize("n_symbols", [1, 0])
+def test_estimate_ser_rejects_fewer_than_one_block(n_symbols):
+    # one symbol makes no 2-symbol block; the mean over none was NaN
+    with pytest.raises(ContractViolationError):
+        estimate_ser(AB, 5.0, 3, np.random.default_rng(0), n_symbols=n_symbols)
+
+
+def test_table_build_rejects_one_symbol_per_cell():
+    with pytest.raises(ContractViolationError):
+        SerTable.build(n_mc=1)
+
+
+@pytest.mark.parametrize("bin_width", [0.0, -1.0, math.nan, math.inf])
+def test_table_build_rejects_bad_bin_width(bin_width):
+    with pytest.raises(ContractViolationError):
+        SerTable.build(n_mc=2, bin_width=bin_width)
+
+
+@pytest.mark.parametrize("snr_lo, snr_hi", [(5.0, 5.0), (15.0, -5.0), (math.nan, 15.0),
+                                            (-5.0, math.inf), (0.0, 0.4)])
+def test_table_build_rejects_empty_or_non_finite_range(snr_lo, snr_hi):
+    # (0, 0.4) with 1 dB bins rounds to zero bins
+    with pytest.raises(ContractViolationError):
+        SerTable.build(n_mc=2, snr_lo=snr_lo, snr_hi=snr_hi)
 
 
 def test_table_monotone_in_snr(small_table):
