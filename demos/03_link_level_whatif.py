@@ -2,30 +2,17 @@
 
 The transmitter used spatial multiplexing with QPSK; we estimate the
 retransmission latency Alamouti/QPSK would have achieved under the same
-channel context.  The app-selection softmax runs on a Monte-Carlo SER
-grid that is built once and cached next to the demo output.
+channel context.  The app-selection softmax runs on the default
+Monte-Carlo SER grid, which ships with the package (``ccke ser-table``
+rebuilds it, or a grid of another size, on request).
 
 Run:  python demos/03_link_level_whatif.py
 """
 
-import os
-
-import numpy as np
-
 from ccke.harness import ExperimentConfig, PhyEnvironment, run_experiment
 from ccke.phy_sim import SerTable
 
-TABLE_PATH = "demo_output/ser_table.csv"
-
-if os.path.exists(TABLE_PATH):
-    table = SerTable.load(TABLE_PATH)
-    print(f"loaded cached SER grid from {TABLE_PATH}")
-else:
-    print("building the SER grid (4 apps x 20 SNR bins x 10 path counts)...")
-    table = SerTable.build(n_mc=10_000, seed=20139)
-    os.makedirs(os.path.dirname(TABLE_PATH), exist_ok=True)
-    table.save(TABLE_PATH)
-    print(f"cached to {TABLE_PATH}")
+table = SerTable.default()  # 4 apps x 20 SNR bins x 10 path counts
 
 for temperature in (1.0, 10.0):
     env = PhyEnvironment(temperature=temperature, ser_table=table)

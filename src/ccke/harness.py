@@ -18,6 +18,7 @@ any trial is reproducible in isolation and full runs are byte-stable.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -181,7 +182,11 @@ class MacEnvironment:
 
 
 class PhyEnvironment:
-    """Link simulator bundle: SER-softmax policy plus ARQ configuration."""
+    """Link simulator bundle: SER-softmax policy plus ARQ configuration.
+
+    Without a ``ser_table`` the policy uses the shipped default grid
+    (``SerTable.default``).
+    """
 
     name = "phy"
 
@@ -189,7 +194,7 @@ class PhyEnvironment:
                  ser_table: Optional[phy_sim.SerTable] = None,
                  arq: Optional[phy_sim.ArqConfig] = None):
         if ser_table is None:
-            ser_table = phy_sim.SerTable.build()
+            ser_table = phy_sim.SerTable.default()
         self.policy = phy_sim.PhyPolicy(temperature=temperature, ser_table=ser_table)
         self.arq = arq or phy_sim.ArqConfig()
         self.apps = phy_sim.PHY_APPS
@@ -222,8 +227,7 @@ class PhyEnvironment:
         stays usable at sharp temperatures where the selected app is so
         rare that rejection sampling would never terminate.
         """
-        from scipy.special import logsumexp
-        from scipy.stats import norm
+        from scipy.special import logsumexp, ndtr, ndtri
 
         table = self.policy.ser_table
         a = phy_sim.PHY_APPS.index(app)
@@ -239,9 +243,9 @@ class PhyEnvironment:
         bins, m_idx = np.unravel_index(cells, log_post.shape)
         lo_edges = table.snr_lo + bins * table.bin_width
         mu, sd = phy_sim.SNR_DB_MEAN, phy_sim.SNR_DB_SIGMA
-        c_lo = norm.cdf((lo_edges - mu) / sd)
-        c_hi = norm.cdf((lo_edges + table.bin_width - mu) / sd)
-        snrs = mu + sd * norm.ppf(rng.uniform(c_lo, c_hi))
+        c_lo = ndtr((lo_edges - mu) / sd)
+        c_hi = ndtr((lo_edges + table.bin_width - mu) / sd)
+        snrs = mu + sd * ndtri(rng.uniform(c_lo, c_hi))
         snrs = np.clip(snrs, lo_edges, np.nextafter(lo_edges + table.bin_width, -np.inf))
         return [phy_sim.PhyContext(snr_db=float(s), paths=int(m) + 1)
                 for s, m in zip(snrs, m_idx)]
@@ -594,10 +598,7 @@ def build_environment(cfg: ExperimentConfig):
     if cfg.environment == "mac":
         return MacEnvironment(n_users=cfg.n_users, temperature=cfg.temperature)
     if cfg.environment == "phy":
-        if cfg.ser_table_path:
-            table = phy_sim.SerTable.load(cfg.ser_table_path)
-        else:
-            table = phy_sim.SerTable.build()
+        table = phy_sim.SerTable.load(cfg.ser_table_path) if cfg.ser_table_path else None
         arq = phy_sim.ArqConfig(max_retx=cfg.y_max,
                                 symbols_per_packet=cfg.symbols_per_packet)
         return PhyEnvironment(temperature=cfg.temperature, ser_table=table, arq=arq)
@@ -662,6 +663,7 @@ def run_experiment(cfg: ExperimentConfig, environment=None,
 
     trials = []
     weight_errors = []
+    start = time.perf_counter()
     for t in range(cfg.n_trials):
         rng_cal = rng_for(cfg.base_seed, _STREAM_TRIAL_CAL, t)
         rng_test = rng_for(cfg.base_seed, _STREAM_TRIAL_TEST, t)
@@ -709,8 +711,8 @@ def run_experiment(cfg: ExperimentConfig, environment=None,
                 n_unbounded=ineff.n_unbounded, seed=cfg.base_seed,
                 corrections=corrections))
         if progress and (t + 1) % 25 == 0:
-            done = sum(1 for _ in trials)
-            print(f"  trial {t + 1}/{cfg.n_trials} ({done} results)")
+            rate = (t + 1) / (time.perf_counter() - start)
+            print(f"  trial {t + 1}/{cfg.n_trials} ({rate:.1f} trials/s)")
 
     weight_error_mean = (float(np.mean(np.concatenate(weight_errors)))
                          if weight_errors else None)

@@ -7,8 +7,10 @@ latency: transmission attempts until the first error-free packet, capped
 at the retransmission limit.
 
 The controller selects apps through a softmax over inverse symbol error
-rates; the SER estimates come from a Monte-Carlo table built once on a
-(1 dB SNR bin) x (m) grid and persisted as delimited text.  Receivers
+rates; the SER estimates come from a Monte-Carlo table on a (1 dB SNR
+bin) x (m) grid, persisted as delimited text.  The default table ships
+with the package (``SerTable.default``); ``SerTable.build`` makes it, or
+any other grid, afresh.  Receivers
 assume perfect CSI: orthogonal combining for Alamouti, zero-forcing for
 multiplexing (the 2x2 inverse, or the pseudo-inverse of a rank-1 channel).
 """
@@ -19,7 +21,6 @@ import csv
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -41,9 +42,6 @@ __all__ = [
     "sample_contexts",
     "transmit_arq",
     "estimate_ser",
-    "select_app",
-    "write_phy_dataset",
-    "read_phy_dataset",
 ]
 
 
@@ -63,6 +61,7 @@ SNR_DB_SIGMA = 5.0
 PATHS_MAX = 10
 ANTENNA_SEPARATION = 0.5
 SER_CLAMP = 1e-6
+DEFAULT_SER_TABLE = "ser_table_default.csv"  # package data, see SerTable.default
 
 _CONSTELLATIONS = {
     BPSK: np.array([1.0 + 0.0j, -1.0 + 0.0j]),
@@ -154,10 +153,10 @@ def sample_contexts(n: int, rng: np.random.Generator):
 
 def snr_bin_masses(snr_lo: float, bin_width: float, n_bins: int) -> np.ndarray:
     """Context-law probability of each SNR bin under the truncated Gaussian."""
-    from scipy.stats import norm
+    from scipy.special import ndtr  # lazy: scipy.special costs ~0.5 s to import
 
     edges = snr_lo + bin_width * np.arange(n_bins + 1)
-    cdf = norm.cdf((edges - SNR_DB_MEAN) / SNR_DB_SIGMA)
+    cdf = ndtr((edges - SNR_DB_MEAN) / SNR_DB_SIGMA)
     masses = np.diff(cdf)
     return masses / masses.sum()
 
@@ -525,6 +524,16 @@ class SerTable:
                     values[a, b, m - 1] = estimate_ser(app, center, m, rng, n_mc)
         return cls(values=values, snr_lo=snr_lo, bin_width=bin_width, n_mc=n_mc, seed=seed)
 
+    @classmethod
+    def default(cls) -> "SerTable":
+        """The table ``build()`` makes with its default arguments, loaded
+        from the copy shipped as package data (its bytes were pinned on
+        numpy 2.4, x86-64 with AVX-512; see the acceptance tests)."""
+        from importlib import resources
+
+        with resources.as_file(resources.files(__package__) / "data" / DEFAULT_SER_TABLE) as path:
+            return cls.load(path)
+
     def save(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -600,41 +609,3 @@ class PhyPolicy:
         u = self._utilities(ctx)
         z = u[PHY_APPS.index(numer_app)] - u[PHY_APPS.index(denom_app)]
         return math.exp(min(max(z, -700.0), 700.0))
-
-    def batch_probabilities(self, snr_db: np.ndarray, paths: np.ndarray) -> np.ndarray:
-        """(n, 4) selection probabilities for vectorized context batches."""
-        bins = np.clip(np.floor((snr_db - self.ser_table.snr_lo)
-                                / self.ser_table.bin_width).astype(int),
-                       0, self.ser_table.n_bins - 1)
-        sers = self.ser_table.values[:, bins, np.asarray(paths) - 1]  # (4, n)
-        u = 1.0 / (sers * self.temperature)
-        e = np.exp(u - u.max(axis=0, keepdims=True))
-        return (e / e.sum(axis=0, keepdims=True)).T
-
-
-def select_app(ctx: PhyContext, policy: PhyPolicy, rng: np.random.Generator) -> TransmissionApp:
-    p = policy.app_probabilities(ctx)
-    return PHY_APPS[int(rng.choice(len(PHY_APPS), p=p))]
-
-
-# ---------------------------------------------------------------------------
-# logged dataset io
-
-
-def write_phy_dataset(path, samples: Sequence) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["snr_db", "m", "app_code", "app_constellation", "y"])
-        for ctx, app, y in samples:
-            writer.writerow([repr(ctx.snr_db), ctx.paths, app.code, app.constellation, int(y)])
-
-
-def read_phy_dataset(path):
-    samples = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for snr, m, code, constellation, y in reader:
-            samples.append((PhyContext(snr_db=float(snr), paths=int(m)),
-                            TransmissionApp(code, constellation), int(y)))
-    return samples

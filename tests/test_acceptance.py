@@ -21,6 +21,7 @@ Criteria:
 import hashlib
 import math
 import platform
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -63,8 +64,9 @@ def ser_table():
     return phy_sim.SerTable.build(n_mc=10_000, seed=20139)
 
 
-# sha256 of the saved default table; the table build may get faster, but a
-# change that moves any cell changes these bytes.  The pin was taken with
+# sha256 of the saved default table, as shipped in the package data; the
+# table build may get faster, but a change that moves any cell changes these
+# bytes.  The pin was taken with
 # numpy 2.4 on x86-64 with AVX-512 (the Skylake-X feature group): another
 # numpy build or CPU may round cos, exp or a complex multiply differently in
 # the last bit, with no fault in the program.  The in-process reference tests
@@ -81,12 +83,20 @@ def _on_pinned_platform():
             and bool(__cpu_features__.get("AVX512_SKX")))
 
 
+def _shipped_ser_table_bytes():
+    return (resources.files("ccke") / "data" / phy_sim.DEFAULT_SER_TABLE).read_bytes()
+
+
+def test_shipped_ser_table_hash():
+    assert hashlib.sha256(_shipped_ser_table_bytes()).hexdigest() == DEFAULT_SER_TABLE_SHA256
+
+
 @pytest.mark.skipif(not _on_pinned_platform(),
                     reason="the table's sha256 was pinned on numpy 2.4, x86-64, AVX512_SKX")
 def test_default_ser_table_bytes(ser_table, tmp_path):
     path = tmp_path / "ser.csv"
     ser_table.save(path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == DEFAULT_SER_TABLE_SHA256
+    assert path.read_bytes() == _shipped_ser_table_bytes()
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@
 report emission, and the command-line interface."""
 
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ccke import harness, mac_sim
+from ccke import harness, mac_sim, phy_sim
 from ccke.conformal import (
     ContractViolationError,
     CorrectionQuantile,
@@ -177,6 +178,48 @@ def test_conditional_sampler_matches_rejection_frequencies():
     assert abs(xs.mean() - expected_mean) < 0.05
 
 
+def assert_same_table(a, b):
+    assert np.array_equal(a.values, b.values)
+    assert (a.snr_lo, a.bin_width, a.n_mc, a.seed) == (b.snr_lo, b.bin_width, b.n_mc, b.seed)
+
+
+def test_phy_default_table_loads_shipped_copy(monkeypatch, tmp_path):
+    def no_build(*args, **kwargs):
+        raise AssertionError("the default SER table must be loaded, not built")
+
+    monkeypatch.setattr(phy_sim.SerTable, "build", no_build)
+    shipped = phy_sim.SerTable.default()
+    assert shipped.values.shape == (len(phy_sim.PHY_APPS), 20, phy_sim.PATHS_MAX)
+    assert (shipped.snr_lo, shipped.bin_width, shipped.n_mc, shipped.seed) == (-5.0, 1.0,
+                                                                            10_000, 20139)
+    assert np.isfinite(shipped.values).all()
+    assert_same_table(harness.build_environment(ExperimentConfig(environment="phy"))
+                      .policy.ser_table, shipped)
+    assert_same_table(harness.PhyEnvironment().policy.ser_table, shipped)
+    path = tmp_path / "ser.csv"
+    shipped.save(path)
+    env = harness.build_environment(ExperimentConfig(environment="phy", ser_table_path=str(path)))
+    assert_same_table(env.policy.ser_table, shipped)
+
+
+PHY_DRAW = """
+import sys
+import ccke
+from ccke import harness
+env = harness.build_environment(harness.ExperimentConfig(environment="phy"))
+env.sample_contexts_given_app(env.parse_app("multiplexing_qpsk"), 1, harness.rng_for(0, 0))
+print("scipy.stats" in sys.modules)
+"""
+
+
+def test_phy_draw_does_not_import_scipy_stats():
+    # scipy.stats costs most of a second to import; the phy path needs only
+    # scipy.special's normal cdf and its inverse
+    out = subprocess.run([sys.executable, "-c", PHY_DRAW], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False"]
+
+
 # ---------------------------------------------------------------------------
 # metrics
 
@@ -273,6 +316,21 @@ def test_experiment_deterministic_bytes(tmp_path):
            (tmp_path / "b" / "trials.csv").read_bytes()
     assert (tmp_path / "a" / "aggregate.csv").read_bytes() == \
            (tmp_path / "b" / "aggregate.csv").read_bytes()
+
+
+def test_progress_reports_trial_rate(tmp_path, capsys):
+    cfg = ExperimentConfig(environment="synthetic", actual_app="alt", target_app="base",
+                           n_cal=30, n_test=2, n_trials=50, base_seed=21)
+    emit_report(run_experiment(cfg), tmp_path / "quiet")
+    assert capsys.readouterr().out == ""
+    emit_report(run_experiment(cfg, progress=True), tmp_path / "progress")
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("(")[0] for line in lines] == ["  trial 25/50 ", "  trial 50/50 "]
+    for line in lines:
+        assert re.fullmatch(r"  trial \d+/50 \(\d+\.\d trials/s\)", line), line
+    for name in ("trials.csv", "aggregate.csv"):
+        assert (tmp_path / "quiet" / name).read_bytes() == \
+               (tmp_path / "progress" / name).read_bytes()
 
 
 def test_synthetic_exact_weights_cover():

@@ -25,13 +25,10 @@ from ccke.phy_sim import (
     SerTable,
     TransmissionApp,
     estimate_ser,
-    read_phy_dataset,
     sample_context,
     sample_contexts,
-    select_app,
     snr_bin_masses,
     transmit_arq,
-    write_phy_dataset,
 )
 from ccke.phy_sim import (
     _CONSTELLATIONS,
@@ -86,6 +83,20 @@ def test_bin_masses_normalized_and_centered():
     m = snr_bin_masses(-5.0, 1.0, 20)
     assert m.sum() == pytest.approx(1.0)
     assert np.argmax(m) in (9, 10)  # mode at the 5 dB mean
+
+
+def test_ndtr_ndtri_match_norm_bitwise():
+    # the phy path calls scipy.special's ndtr/ndtri in place of
+    # scipy.stats.norm.cdf/ppf; the swap must not move a bit
+    from scipy.special import ndtr, ndtri
+
+    tiny = np.finfo(float).tiny
+    edges = np.array([-np.inf, -40.0, -38.5, -8.0, -1.0, -0.0, 0.0, 1.0, 8.0, 38.5, np.inf])
+    x = np.concatenate([edges, np.random.default_rng(3).normal(0.0, 3.0, 20_000)])
+    np.testing.assert_array_equal(ndtr(x).view(np.int64), stats.norm.cdf(x).view(np.int64))
+    u = np.concatenate([[0.0, 5e-324, tiny, 1e-300, 1e-16, 0.5, 1.0 - 2.0 ** -53, 1.0],
+                        np.random.default_rng(4).uniform(0.0, 1.0, 20_000)])
+    np.testing.assert_array_equal(ndtri(u).view(np.int64), stats.norm.ppf(u).view(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -522,50 +533,3 @@ def test_weight_reciprocity_all_pairs(small_table):
             for b in PHY_APPS:
                 prod = pol.weight(ctx, a, b) * pol.weight(ctx, b, a)
                 assert prod == pytest.approx(1.0, rel=1e-12)
-
-
-def test_selection_sampling_consistent(small_table):
-    pol = PhyPolicy(temperature=10.0, ser_table=small_table)
-    rng = np.random.default_rng(13)
-    ctx = PhyContext(snr_db=-3.0, paths=2)
-    p = pol.app_probabilities(ctx)
-    n = 4000
-    counts = np.zeros(4)
-    for _ in range(n):
-        counts[PHY_APPS.index(select_app(ctx, pol, rng))] += 1
-    se = np.sqrt(p * (1 - p) / n)
-    assert np.all(np.abs(counts / n - p) < 4 * se + 0.01)
-
-
-def test_batch_probabilities_match_single(small_table):
-    pol = PhyPolicy(temperature=3.0, ser_table=small_table)
-    rng = np.random.default_rng(14)
-    snrs, paths = sample_contexts(50, rng)
-    batch = pol.batch_probabilities(snrs, paths)
-    for i in range(50):
-        single = pol.app_probabilities(PhyContext(snr_db=float(snrs[i]),
-                                                  paths=int(paths[i])))
-        np.testing.assert_allclose(batch[i], single, rtol=1e-9, atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# dataset io
-
-
-def test_phy_dataset_roundtrip(tmp_path, small_table):
-    rng = np.random.default_rng(15)
-    pol = PhyPolicy(temperature=5.0, ser_table=small_table)
-    arq = ArqConfig()
-    samples = []
-    for _ in range(15):
-        ctx = sample_context(rng)
-        app = select_app(ctx, pol, rng)
-        samples.append((ctx, app, transmit_arq(app, ctx, arq, rng)))
-    path = tmp_path / "phy.csv"
-    write_phy_dataset(path, samples)
-    back = read_phy_dataset(path)
-    assert len(back) == 15
-    for (c0, a0, y0), (c1, a1, y1) in zip(samples, back):
-        assert c0.snr_db == c1.snr_db and c0.paths == c1.paths
-        assert a0 == a1 and y0 == y1
-    assert path.read_text().splitlines()[0] == "snr_db,m,app_code,app_constellation,y"
