@@ -66,11 +66,11 @@ def ser_table():
 
 # sha256 of the saved default table, as shipped in the package data; the
 # table build may get faster, but a change that moves any cell changes these
-# bytes.  The pin was taken with
-# numpy 2.4 on x86-64 with AVX-512 (the Skylake-X feature group): another
-# numpy build or CPU may round cos, exp or a complex multiply differently in
-# the last bit, with no fault in the program.  The in-process reference tests
-# in test_phy_sim.py hold on every platform.
+# bytes.  The pin was taken with numpy 2.4 on x86-64 with AVX-512 (the
+# Skylake-X feature group): another numpy build or CPU may round cos, exp or
+# a complex multiply differently in the last bit, with no fault in the
+# program.  The in-process reference tests in test_phy_sim.py hold on every
+# platform.
 DEFAULT_SER_TABLE_SHA256 = "20e92b76818e7baf613503f473491ffbfd4cf720512db85c25c07d4c274a041f"
 
 
