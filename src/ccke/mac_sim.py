@@ -13,10 +13,9 @@ has to absorb.  All randomness flows through explicit generator handles.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -33,10 +32,7 @@ __all__ = [
     "default_payload_table",
     "generate_context",
     "estimate_rr_residual",
-    "select_app",
     "run_frame",
-    "write_mac_dataset",
-    "read_mac_dataset",
 ]
 
 RR = "RR"
@@ -139,6 +135,8 @@ class MacPolicy:
         g = np.asarray(self.payload_table, dtype=float)
         if g.shape != (15,):
             raise ContractViolationError("payload_table must have 15 CQI entries")
+        if not (np.isfinite(g).all() and g.min() >= 0.0):
+            raise ContractViolationError("payload must be finite and nonnegative")
         if np.any(np.diff(g) < 0.0):
             raise ContractViolationError("payload must be nondecreasing in CQI")
         object.__setattr__(self, "payload_table", g)
@@ -199,6 +197,10 @@ class FrameConfig:
     def __post_init__(self):
         if self.resource_blocks < 1:
             raise ContractViolationError("resource_blocks must be >= 1")
+        if not (math.isfinite(self.pfca_floor) and self.pfca_floor > 0.0):
+            raise ContractViolationError("pfca_floor must be finite and > 0")
+        if not 0.0 <= self.pfca_smoothing <= 1.0:
+            raise ContractViolationError("pfca_smoothing must lie in [0, 1]")
         if self.per_rb_success_prob is None:
             object.__setattr__(self, "per_rb_success_prob", default_rb_success_prob)
 
@@ -227,10 +229,6 @@ def estimate_rr_residual(ctx: MacContext, policy: MacPolicy) -> float:
     return float(np.max(ctx.initial_backlogs - share))
 
 
-def select_app(ctx: MacContext, policy: MacPolicy, rng: np.random.Generator) -> str:
-    return RR if rng.random() < policy.prob_rr(ctx) else PFCA
-
-
 def run_frame(app: str, ctx: MacContext, policy: MacPolicy,
               frame_cfg: FrameConfig, rng: np.random.Generator) -> np.ndarray:
     """Simulate one scheduling frame; returns the final backlog vector.
@@ -239,7 +237,15 @@ def run_frame(app: str, ctx: MacContext, policy: MacPolicy,
     user with probability ``per_rb_success_prob(c)`` (zero otherwise),
     never below an empty queue.  RR hands RBs out cyclically in user
     order; PFCA gives each RB to the backlogged user with the largest
-    expected-rate / smoothed-throughput ratio.
+    expected-rate / smoothed-throughput ratio (the first such user on a
+    tie).
+
+    Draws: one uniform from ``rng`` per scheduled RB, in RB order.  RR
+    schedules all F RBs; PFCA stops at the first RB where every queue is
+    empty.  PFCA takes its uniforms in blocks sized to the RBs the frame
+    is certain to schedule (no RB drains more than the largest quantum),
+    so it draws nothing it does not use and leaves ``rng`` exactly where
+    one draw per RB would.
     """
     if app not in MAC_APPS:
         raise ContractViolationError(f"unknown app {app!r}")
@@ -250,6 +256,8 @@ def run_frame(app: str, ctx: MacContext, policy: MacPolicy,
     backlog = ctx.initial_backlogs.astype(np.int64).copy()
     quanta = np.rint(policy.payload(ctx.cqis) / f).astype(np.int64)
     success_p = np.array([frame_cfg.per_rb_success_prob(int(c)) for c in ctx.cqis])
+    if not np.all((success_p >= 0.0) & (success_p <= 1.0)):
+        raise ContractViolationError("per_rb_success_prob must lie in [0, 1]")
     if app == RR:
         # drains never depend on other users, so the cyclic allocation
         # collapses to counting each user's successful RBs (one batched
@@ -258,53 +266,41 @@ def run_frame(app: str, ctx: MacContext, policy: MacPolicy,
         hits = rng.random(f) < success_p[users]
         successes = np.bincount(users[hits], minlength=n)
         return np.maximum(backlog - quanta * successes, 0)
-    # PFCA
-    rate = quanta * success_p
-    avg = np.zeros(n)
+    # PFCA on Python scalars, making the array form's float operations in
+    # its order: metric rate / max(avg, floor), numpy's first-max argmax
+    # over backlogged users, avg <- (1 - beta) * avg + beta * served.  A
+    # metric changes only while its user's queue is nonempty and its
+    # average nonzero ("warm"): an empty queue stays empty (the argmax
+    # always picks a backlogged user, since every metric is >= 0) and a
+    # zero average decays to itself.
+    backlog, quanta, success_p = backlog.tolist(), quanta.tolist(), success_p.tolist()
+    rate = [q * p for q, p in zip(quanta, success_p)]
+    floor = frame_cfg.pfca_floor
+    metric = [r / floor if b > 0 else -math.inf for r, b in zip(rate, backlog)]
+    avg = [0.0] * n
+    warm = set()
     beta = frame_cfg.pfca_smoothing
-    for _ in range(f):
-        eligible = backlog > 0
-        if not eligible.any():
-            break
-        metric = np.where(eligible, rate / np.maximum(avg, frame_cfg.pfca_floor), -np.inf)
-        u = int(np.argmax(metric))
-        drained = min(quanta[u], backlog[u]) if rng.random() < success_p[u] else 0
-        backlog[u] -= drained
-        served = np.zeros(n)
-        served[u] = drained
-        avg = (1.0 - beta) * avg + beta * served
-    return backlog
-
-
-# ---------------------------------------------------------------------------
-# logged dataset io
-
-
-def write_mac_dataset(path, samples: Sequence) -> None:
-    """One row per (context, app, final backlogs) sample, fully headered."""
-    if not samples:
-        raise ContractViolationError("nothing to write")
-    k = samples[0][0].n_users
-    header = ([f"b_in_{i+1}" for i in range(k)] + [f"cqi_{i+1}" for i in range(k)]
-              + ["app"] + [f"b_fin_{i+1}" for i in range(k)])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for ctx, app, kpi in samples:
-            writer.writerow([*ctx.initial_backlogs.tolist(), *ctx.cqis.tolist(),
-                             app, *np.asarray(kpi, dtype=np.int64).tolist()])
-
-
-def read_mac_dataset(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        k = sum(1 for h in header if h.startswith("b_in_"))
-        samples = []
-        for row in reader:
-            ctx = MacContext(initial_backlogs=np.array(row[:k], dtype=np.int64),
-                             cqis=np.array(row[k:2 * k], dtype=np.int64))
-            app = row[2 * k]
-            kpi = np.array(row[2 * k + 1:], dtype=np.int64)
-            samples.append((ctx, app, kpi))
-    return samples
+    keep = 1.0 - beta
+    left = sum(backlog)
+    most = max(max(quanta), 1)  # no RB drains more
+    rb = 0
+    while left > 0 and rb < f:
+        block = rng.random(min(f - rb, -(-left // most))).tolist()
+        rb += len(block)
+        for x in block:
+            u = metric.index(max(metric))
+            drained = min(quanta[u], backlog[u]) if x < success_p[u] else 0
+            backlog[u] -= drained
+            left -= drained
+            for k in warm:
+                a = avg[k] = keep * avg[k]
+                metric[k] = rate[k] / (a if a > floor else floor)
+            served = beta * drained
+            if served:
+                a = avg[u] = avg[u] + served
+                metric[u] = rate[u] / (a if a > floor else floor)
+                warm.add(u)
+            if not backlog[u]:
+                metric[u] = -math.inf
+                warm.discard(u)
+    return np.array(backlog, dtype=np.int64)

@@ -1,6 +1,8 @@
 """Scheduling simulator tests: context generation, the analytic residual
-estimate, the logistic selection policy, frame dynamics, and dataset io."""
+estimate, the logistic selection policy, and frame dynamics against the
+per-RB reference loop."""
 
+import itertools
 import math
 
 import numpy as np
@@ -17,10 +19,7 @@ from ccke.mac_sim import (
     default_payload_table,
     estimate_rr_residual,
     generate_context,
-    read_mac_dataset,
     run_frame,
-    select_app,
-    write_mac_dataset,
 )
 
 
@@ -146,17 +145,6 @@ def test_selection_monotonicity_in_residual_and_temperature():
     assert all(p1 < p2 < 0.5 + 1e-12 for p1, p2 in zip(by_t, by_t[1:]))
 
 
-def test_sampling_consistent_with_probability():
-    pol = MacPolicy.default(4, 1.0)
-    rng = np.random.default_rng(7)
-    ctx = generate_context(4, rng)
-    p = pol.prob_rr(ctx)
-    n = 4000
-    hits = sum(select_app(ctx, pol, rng) == RR for _ in range(n))
-    se = math.sqrt(p * (1 - p) / n)
-    assert abs(hits / n - p) < max(4 * se, 0.01)
-
-
 def test_weight_reciprocity():
     pol = MacPolicy.default(8, 0.7)
     rng = np.random.default_rng(8)
@@ -254,28 +242,130 @@ def test_pfca_beats_rr_on_skewed_channels():
     assert gap >= -3.0 * se, (gap, se)
 
 
+def test_policy_rejects_negative_or_non_finite_payload():
+    for table in (np.full(15, -1.0), np.full(15, math.nan), np.full(15, math.inf)):
+        with pytest.raises(ContractViolationError):
+            MacPolicy(temperature=1.0, payload_table=table)
+
+
+@pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
+def test_frame_rejects_success_probability_outside_unit_interval(p):
+    ctx = MacContext(initial_backlogs=[10, 20], cqis=[3, 9])
+    cfg = FrameConfig(per_rb_success_prob=lambda c: p)
+    for app in (RR, PFCA):
+        with pytest.raises(ContractViolationError):
+            run_frame(app, ctx, MacPolicy.default(2, 1.0), cfg, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("floor", [0.0, -1e-6, math.inf, math.nan])
+def test_frame_config_rejects_bad_pfca_floor(floor):
+    with pytest.raises(ContractViolationError):
+        FrameConfig(pfca_floor=floor)
+
+
+@pytest.mark.parametrize("beta", [-0.1, 1.1, math.nan])
+def test_frame_config_rejects_bad_pfca_smoothing(beta):
+    with pytest.raises(ContractViolationError):
+        FrameConfig(pfca_smoothing=beta)
+
+
+def test_frame_config_accepts_pfca_edges():
+    FrameConfig(pfca_floor=5e-324, pfca_smoothing=0.0)
+    FrameConfig(pfca_floor=1e300, pfca_smoothing=1.0)
+
+
 # ---------------------------------------------------------------------------
-# dataset io
+# frame dynamics against the per-RB reference loop
 
 
-def test_dataset_roundtrip(tmp_path):
-    rng = np.random.default_rng(12)
-    pol = MacPolicy.default(3, 1.0)
-    cfg = FrameConfig()
-    samples = []
-    for _ in range(20):
-        ctx = generate_context(3, rng)
-        app = select_app(ctx, pol, rng)
-        kpi = run_frame(app, ctx, pol, cfg, rng)
-        samples.append((ctx, app, kpi))
-    path = tmp_path / "log.csv"
-    write_mac_dataset(path, samples)
-    back = read_mac_dataset(path)
-    assert len(back) == 20
-    for (c0, a0, k0), (c1, a1, k1) in zip(samples, back):
-        assert np.array_equal(c0.initial_backlogs, c1.initial_backlogs)
-        assert np.array_equal(c0.cqis, c1.cqis)
-        assert a0 == a1 and np.array_equal(k0, k1)
-    header = path.read_text().splitlines()[0].split(",")
-    assert header == ["b_in_1", "b_in_2", "b_in_3", "cqi_1", "cqi_2", "cqi_3",
-                      "app", "b_fin_1", "b_fin_2", "b_fin_3"]
+def reference_run_frame(app, ctx, policy, frame_cfg, rng):
+    """The per-RB numpy loop: one uniform per scheduled RB, PFCA's metric,
+    argmax and smoothed-throughput update on arrays."""
+    if app not in (RR, PFCA):
+        raise ContractViolationError(f"unknown app {app!r}")
+    n = ctx.n_users
+    f = frame_cfg.resource_blocks
+    if f < n:
+        raise ContractViolationError(f"{f} RBs cannot serve {n} users round-robin")
+    backlog = ctx.initial_backlogs.astype(np.int64).copy()
+    quanta = np.rint(policy.payload(ctx.cqis) / f).astype(np.int64)
+    success_p = np.array([frame_cfg.per_rb_success_prob(int(c)) for c in ctx.cqis])
+    if app == RR:
+        users = np.arange(f) % n
+        hits = rng.random(f) < success_p[users]
+        successes = np.bincount(users[hits], minlength=n)
+        return np.maximum(backlog - quanta * successes, 0)
+    rate = quanta * success_p
+    avg = np.zeros(n)
+    beta = frame_cfg.pfca_smoothing
+    for _ in range(f):
+        eligible = backlog > 0
+        if not eligible.any():
+            break
+        metric = np.where(eligible, rate / np.maximum(avg, frame_cfg.pfca_floor), -np.inf)
+        u = int(np.argmax(metric))
+        drained = min(quanta[u], backlog[u]) if rng.random() < success_p[u] else 0
+        backlog[u] -= drained
+        served = np.zeros(n)
+        served[u] = drained
+        avg = (1.0 - beta) * avg + beta * served
+    return backlog
+
+
+BIT_GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox)
+SUCCESS_PROBS = (None, lambda c: 0.0, lambda c: 1.0, lambda c: (7 * c % 15) / 14.0)
+
+
+def assert_frame_matches_reference(app, ctx, policy, cfg, bit_generator, seed):
+    ref_rng = np.random.Generator(bit_generator(seed))
+    rng = np.random.Generator(bit_generator(seed))
+    want = reference_run_frame(app, ctx, policy, cfg, ref_rng)
+    got = run_frame(app, ctx, policy, cfg, rng)
+    assert got.dtype == want.dtype and np.array_equal(got, want), (app, ctx, cfg)
+    assert rng.random() == ref_rng.random(), (app, ctx, cfg)
+    return got
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
+def test_run_frame_matches_reference(bit_generator):
+    gen = np.random.default_rng(20)
+    settings = itertools.cycle(itertools.product(
+        SUCCESS_PROBS, (0.0, 0.1, 1.0), ("default", "zero", "triple")))
+    pfca_drained = pfca_left = 0
+    for k in range(1, 33):
+        for f in sorted({k, int(gen.integers(k, 201)), 200}):
+            prob, beta, table = next(settings)
+            payload = {"default": default_payload_table(k), "zero": np.zeros(15),
+                       "triple": 3.0 * default_payload_table(k)}[table]
+            policy = MacPolicy(temperature=1.0, payload_table=payload)
+            cfg = FrameConfig(resource_blocks=f, per_rb_success_prob=prob,
+                              pfca_smoothing=beta)
+            backlogs = gen.integers(0, 101, size=k)
+            backlogs[gen.random(k) < 0.3] = 0
+            ctx = MacContext(initial_backlogs=backlogs, cqis=gen.integers(1, 16, size=k))
+            for app in (RR, PFCA):
+                seed = int(gen.integers(2**32))
+                out = assert_frame_matches_reference(app, ctx, policy, cfg,
+                                                     bit_generator, seed)
+                if app == PFCA:
+                    pfca_drained += not out.any()
+                    pfca_left += bool(out.any())
+    # both frames that empty every queue (and stop early) and frames that
+    # keep a backlog to the last RB were covered
+    assert pfca_drained > 20 and pfca_left > 20
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
+def test_run_frame_matches_reference_on_a_long_frame(bit_generator):
+    # a high-rate user that almost always fails keeps the served low-rate
+    # user waiting for hundreds of RBs, long enough for that user's average
+    # to underflow to 0.0 before it is served again
+    f = 8000
+    policy = MacPolicy(temperature=1.0,
+                       payload_table=np.array([10.0 * f] * 14 + [1e5 * f]))
+    cfg = FrameConfig(resource_blocks=f, pfca_smoothing=0.9,
+                      per_rb_success_prob=lambda c: 1e-3 if c == 15 else 1.0)
+    ctx = MacContext(initial_backlogs=[10**9, 10**6], cqis=[15, 1])
+    for seed in range(3):
+        out = assert_frame_matches_reference(PFCA, ctx, policy, cfg, bit_generator, seed)
+        assert np.all(out > 0)
