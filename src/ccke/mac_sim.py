@@ -270,9 +270,9 @@ def run_frame(app: str, ctx: MacContext, policy: MacPolicy,
     # its order: metric rate / max(avg, floor), numpy's first-max argmax
     # over backlogged users, avg <- (1 - beta) * avg + beta * served.  A
     # metric changes only while its user's queue is nonempty and its
-    # average nonzero ("warm"): an empty queue stays empty (the argmax
-    # always picks a backlogged user, since every metric is >= 0) and a
-    # zero average decays to itself.
+    # average nonzero ("warm"): a zero average decays to itself, and an
+    # empty queue stays empty, as nonnegative payloads and probabilities
+    # keep every metric >= 0, so the argmax picks a backlogged user.
     backlog, quanta, success_p = backlog.tolist(), quanta.tolist(), success_p.tolist()
     rate = [q * p for q, p in zip(quanta, success_p)]
     floor = frame_cfg.pfca_floor
