@@ -26,7 +26,6 @@ from .conformal import (
 from .harness import (
     ExperimentConfig,
     ExperimentReport,
-    LoggedSample,
     MacEnvironment,
     NoiseSpec,
     PhyEnvironment,
@@ -35,10 +34,8 @@ from .harness import (
     counterfactual_truth,
     evaluate_coverage,
     evaluate_inefficiency,
-    log_dataset,
     rng_for,
     run_experiment,
-    select_and_split,
 )
 from .quantile_net import (
     AttentionArch,

@@ -19,8 +19,6 @@ import argparse
 import dataclasses
 import sys
 
-import numpy as np
-
 from . import harness, phy_sim, quantile_net, reporting
 from .harness import ExperimentConfig, NoiseSpec
 
@@ -84,8 +82,8 @@ def _cmd_train(args) -> int:
     kpis = [env.rollout(target, c, rng) for c in contexts]
     model = harness._train_model(env, cfg, contexts, kpis, seed=cfg.base_seed)
     quantile_net.save_checkpoint(model, args.out)
-    print(f"trained on {cfg.n_train} samples "
-          f"(loss {model.loss_history[0]:.4f} -> {model.loss_history[-1]:.4f}); "
+    print(f"trained on {cfg.n_train} samples (initial loss {model.loss_history[0]:.4f} "
+          f"-> last-epoch mean minibatch loss {model.loss_history[-1]:.4f}); "
           f"checkpoint at {args.out}")
     return 0
 

@@ -22,7 +22,7 @@ construction and safe to share across parallel experiment trials.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,7 +36,6 @@ from .conformal import (
 from .conformal import ccke_prediction_set, cke_prediction_set, nccke_prediction_set  # noqa: F401
 
 __all__ = [
-    "LoggedSample",
     "NoiseSpec",
     "ExperimentConfig",
     "TrialResult",
@@ -46,8 +45,6 @@ __all__ = [
     "SyntheticEnvironment",
     "build_environment",
     "rng_for",
-    "log_dataset",
-    "select_and_split",
     "evaluate_coverage",
     "evaluate_inefficiency",
     "InefficiencyReport",
@@ -72,15 +69,6 @@ def rng_for(base_seed: int, stream: int, index: int = 0) -> np.random.Generator:
     """Independent generator for (seed, stream, index); stable across runs."""
     return np.random.Generator(np.random.PCG64(
         np.random.SeedSequence([int(base_seed), int(stream), int(index)])))
-
-
-@dataclass(frozen=True)
-class LoggedSample:
-    """One observation: the context, the app that ran, and its KPI vector."""
-
-    context: object
-    app: object
-    kpi: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -353,40 +341,7 @@ class SyntheticEnvironment:
 
 
 # ---------------------------------------------------------------------------
-# dataset operations
-
-
-def log_dataset(env, n: int, rng: np.random.Generator):
-    """n i.i.d. (context, app, KPI) observations under the selection policy."""
-    if n < 1:
-        raise ContractViolationError("n must be >= 1")
-    samples = []
-    for _ in range(n):
-        ctx = env.sample_context(rng)
-        u, app = rng.random(), env.apps[-1]
-        acc = 0.0
-        for candidate in env.apps:
-            acc += env.app_probability(ctx, candidate)
-            if u < acc:
-                app = candidate
-                break
-        samples.append(LoggedSample(context=ctx, app=app, kpi=env.rollout(app, ctx, rng)))
-    return samples
-
-
-def select_and_split(data: Sequence[LoggedSample], target_app, n_cal: int,
-                     rng: np.random.Generator):
-    """Keep the target app's samples; random calibration/training split."""
-    selected = [s for s in data if s.app == target_app]
-    n_sel = len(selected)
-    if n_sel < n_cal + 1:
-        raise ContractViolationError(
-            f"only {n_sel} samples logged under app {target_app!r}; "
-            f"need at least {n_cal + 1} for a size-{n_cal} calibration split")
-    order = rng.permutation(n_sel)
-    cal = [selected[i] for i in order[:n_cal]]
-    train = [selected[i] for i in order[n_cal:]]
-    return train, cal
+# counterfactual truth
 
 
 def counterfactual_truth(env, context, target_app, rng: np.random.Generator) -> np.ndarray:

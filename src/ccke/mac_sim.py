@@ -14,7 +14,7 @@ has to absorb.  All randomness flows through explicit generator handles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -49,6 +49,7 @@ CQI_EFFICIENCY = np.array([
 
 BACKLOG_MIN = 10
 BACKLOG_MAX = 100
+_PAYLOAD_MAX = 2.0 ** 53
 
 
 @dataclass(frozen=True)
@@ -137,6 +138,9 @@ class MacPolicy:
             raise ContractViolationError("payload_table must have 15 CQI entries")
         if not (np.isfinite(g).all() and g.min() >= 0.0):
             raise ContractViolationError("payload must be finite and nonnegative")
+        if g.max() > _PAYLOAD_MAX:
+            # bounds every quantum and quanta * successes <= payload + F/2 in int64
+            raise ContractViolationError(f"payload must not exceed 2**53, got {g.max()}")
         if np.any(np.diff(g) < 0.0):
             raise ContractViolationError("payload must be nondecreasing in CQI")
         object.__setattr__(self, "payload_table", g)
@@ -187,12 +191,17 @@ class MacPolicy:
 
 @dataclass(frozen=True)
 class FrameConfig:
-    """Frame dynamics: F resource blocks and a per-RB success probability."""
+    """Frame dynamics: F resource blocks and a per-RB success probability.
+
+    ``per_rb_success_prob`` is evaluated once, at construction, for CQI
+    1..15; ``success_table[c-1]`` holds its value for CQI c.
+    """
 
     resource_blocks: int = 50
     per_rb_success_prob: Callable[[int], float] = None
     pfca_smoothing: float = 0.1
     pfca_floor: float = 1e-6
+    success_table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.resource_blocks < 1:
@@ -203,6 +212,10 @@ class FrameConfig:
             raise ContractViolationError("pfca_smoothing must lie in [0, 1]")
         if self.per_rb_success_prob is None:
             object.__setattr__(self, "per_rb_success_prob", default_rb_success_prob)
+        p = np.array([self.per_rb_success_prob(c) for c in range(1, 16)], dtype=float)
+        if not np.all((p >= 0.0) & (p <= 1.0)):
+            raise ContractViolationError("per_rb_success_prob must lie in [0, 1]")
+        object.__setattr__(self, "success_table", p)
 
 
 def default_rb_success_prob(cqi: int) -> float:
@@ -255,9 +268,7 @@ def run_frame(app: str, ctx: MacContext, policy: MacPolicy,
         raise ContractViolationError(f"{f} RBs cannot serve {n} users round-robin")
     backlog = ctx.initial_backlogs.astype(np.int64).copy()
     quanta = np.rint(policy.payload(ctx.cqis) / f).astype(np.int64)
-    success_p = np.array([frame_cfg.per_rb_success_prob(int(c)) for c in ctx.cqis])
-    if not np.all((success_p >= 0.0) & (success_p <= 1.0)):
-        raise ContractViolationError("per_rb_success_prob must lie in [0, 1]")
+    success_p = frame_cfg.success_table[ctx.cqis - 1]
     if app == RR:
         # drains never depend on other users, so the cyclic allocation
         # collapses to counting each user's successful RBs (one batched

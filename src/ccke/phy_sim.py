@@ -39,7 +39,6 @@ __all__ = [
     "PhyPolicy",
     "ConfigurationError",
     "sample_context",
-    "sample_contexts",
     "transmit_arq",
     "estimate_ser",
 ]
@@ -136,19 +135,6 @@ def sample_context(rng: np.random.Generator) -> PhyContext:
         if SNR_DB_MIN <= snr <= SNR_DB_MAX:
             break
     return PhyContext(snr_db=float(snr), paths=int(rng.integers(1, PATHS_MAX + 1)))
-
-
-def sample_contexts(n: int, rng: np.random.Generator):
-    """Vectorized batch of i.i.d. contexts; (snr_db, paths) arrays."""
-    snrs = np.empty(n)
-    filled = 0
-    while filled < n:
-        draw = rng.normal(SNR_DB_MEAN, SNR_DB_SIGMA, size=2 * (n - filled) + 16)
-        keep = draw[(draw >= SNR_DB_MIN) & (draw <= SNR_DB_MAX)][: n - filled]
-        snrs[filled : filled + keep.size] = keep
-        filled += keep.size
-    paths = rng.integers(1, PATHS_MAX + 1, size=n)
-    return snrs, paths
 
 
 def snr_bin_masses(snr_lo: float, bin_width: float, n_bins: int) -> np.ndarray:

@@ -33,7 +33,6 @@ __all__ = [
     "pinball_gradient",
     "batch_loss",
     "init_model",
-    "forward",
     "train",
     "save_checkpoint",
     "load_checkpoint",
@@ -41,7 +40,7 @@ __all__ = [
 
 
 class TrainingDivergedError(RuntimeError):
-    """Training produced a non-finite loss; carries the epoch index."""
+    """Training produced a non-finite loss or parameters; carries the epoch index."""
 
     def __init__(self, epoch: int, message: str = ""):
         self.epoch = epoch
@@ -311,11 +310,6 @@ def _forward_cached(model: QuantileModel, x: np.ndarray):
     return (out[:, :, 0], out[:, :, 1]), cache
 
 
-def forward(model: QuantileModel, context) -> IntervalSet:
-    """Quantile interval estimates for a single context."""
-    return model.interval_set(context)
-
-
 def _pinball_sum(model: QuantileModel, y, lo, hi):
     """Summed two-head pinball loss of the heads, plus the targets as (B, K)."""
     y = np.asarray(y, dtype=float)
@@ -402,6 +396,15 @@ def train(data, arch, alpha: float, cfg: TrainConfig) -> QuantileModel:
     ``data`` is an ``(x, y)`` pair covering the whole training split.
     The update uses the batch-mean gradient; identical data, arch, alpha
     and config reproduce the parameter vector bit for bit.
+
+    ``loss_history`` holds ``epochs + 1`` entries.  Entry 0 is
+    ``batch_loss`` of the initial model over the whole split; entry
+    ``e + 1`` is epoch ``e``'s mean minibatch loss: the summed losses of
+    its minibatches, each taken before that batch's update, in batch
+    order, over n.  No epoch makes a full-data pass; call ``batch_loss``
+    for the loss of the final model.  Raises ``TrainingDivergedError``
+    on a non-finite minibatch loss or non-finite parameters at an epoch's
+    end.
     """
     x, y = data
     x = np.asarray(x, dtype=float)
@@ -418,21 +421,22 @@ def train(data, arch, alpha: float, cfg: TrainConfig) -> QuantileModel:
     grad = np.zeros_like(model.params)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
+        epoch_sum = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             loss, _ = _loss_and_grad(model, x[idx], y[idx], grad)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(epoch)
+            epoch_sum += loss
             # velocity = momentum * velocity - step_size * (grad / batch), in place
             grad /= idx.size
             grad *= cfg.step_size
             velocity *= cfg.momentum
             velocity -= grad
             model.params += velocity
-        epoch_loss = batch_loss(model, x, y)
-        if not math.isfinite(epoch_loss):
-            raise TrainingDivergedError(epoch)
-        model.loss_history.append(epoch_loss)
+        if not np.isfinite(model.params).all():  # the last update overflowed
+            raise TrainingDivergedError(epoch, f"non-finite parameters after epoch {epoch}")
+        model.loss_history.append(epoch_sum / n)
     return model
 
 

@@ -13,8 +13,6 @@ import math
 import os
 from typing import Sequence
 
-import numpy as np
-
 from .conformal import ContractViolationError
 from .harness import BoxStats, ExperimentReport
 

@@ -1,4 +1,4 @@
-"""Harness tests: dataset operations, metrics, experiment execution,
+"""Harness tests: counterfactual truth, metrics, experiment execution,
 report emission, and the command-line interface."""
 
 import math
@@ -28,10 +28,8 @@ from ccke.harness import (
     counterfactual_truth,
     evaluate_coverage,
     evaluate_inefficiency,
-    log_dataset,
     rng_for,
     run_experiment,
-    select_and_split,
 )
 from ccke.reporting import aggregate_rows, emit_report, read_trial_rows
 
@@ -46,51 +44,7 @@ UNBOUNDED = PredictionSet(naive=IntervalSet(lo=[0.0], hi=[0.0]),
 
 
 # ---------------------------------------------------------------------------
-# dataset operations
-
-
-def test_log_dataset_deterministic():
-    env = SyntheticEnvironment()
-    a = log_dataset(env, 50, rng_for(3, 1))
-    b = log_dataset(env, 50, rng_for(3, 1))
-    assert all(s.context == t.context and s.app == t.app and np.array_equal(s.kpi, t.kpi)
-               for s, t in zip(a, b))
-
-
-def test_log_dataset_app_frequencies_match_policy():
-    env = SyntheticEnvironment()
-    data = log_dataset(env, 10_000, rng_for(4, 1))
-    freq = np.mean([s.app == "alt" for s in data])
-    mean_p = np.mean([env.app_probability(s.context, "alt") for s in data])
-    # binomial 3-sigma around the average selection probability
-    assert abs(freq - mean_p) < 3.0 * math.sqrt(0.25 / 10_000) + 0.01
-
-
-def test_log_dataset_supports_training_scale():
-    env = SyntheticEnvironment()
-    data = log_dataset(env, 200, rng_for(5, 1))
-    assert len(data) == 200
-
-
-def test_select_and_split_errors_and_sizes():
-    env = SyntheticEnvironment()
-    data = log_dataset(env, 300, rng_for(6, 1))
-    with pytest.raises(ContractViolationError) as err:
-        select_and_split(data, "nonexistent-app", 10, rng_for(6, 2))
-    assert "0 samples" in str(err.value)
-    train, cal = select_and_split(data, "alt", 20, rng_for(6, 2))
-    n_alt = sum(1 for s in data if s.app == "alt")
-    assert len(cal) == 20 and len(train) == n_alt - 20
-    ids = {id(s) for s in train} | {id(s) for s in cal}
-    assert len(ids) == n_alt  # disjoint split covering the selection
-
-
-def test_select_and_split_degenerate_policy_keeps_everything():
-    env = SyntheticEnvironment()
-    data = [s for s in log_dataset(env, 100, rng_for(7, 1))]
-    forced = [type(s)(context=s.context, app="alt", kpi=s.kpi) for s in data]
-    train, cal = select_and_split(forced, "alt", 10, rng_for(7, 2))
-    assert len(train) + len(cal) == 100
+# counterfactual truth
 
 
 def test_counterfactual_truth_replay():
@@ -680,6 +634,7 @@ def test_cli_train_checkpoint(tmp_path):
                   "--set", "n_train=40", "--set", "train_epochs=2",
                   "--set", "target_app=RR", "--out", str(tmp_path / "m.ckpt"))
     assert out.returncode == 0, out.stderr
+    assert "initial loss" in out.stdout and "last-epoch mean minibatch loss" in out.stdout
     from ccke.quantile_net import load_checkpoint
 
     model = load_checkpoint(tmp_path / "m.ckpt")

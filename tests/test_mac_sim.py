@@ -248,13 +248,43 @@ def test_policy_rejects_negative_or_non_finite_payload():
             MacPolicy(temperature=1.0, payload_table=table)
 
 
+def test_policy_rejects_payload_above_2_pow_53():
+    # a 1e30 payload wrapped the int64 quantum cast, and RR returned [0, 60]
+    with pytest.raises(ContractViolationError):
+        MacPolicy(temperature=1.0, payload_table=np.full(15, 1e30))
+    pol = flat_policy(2.0 ** 53)
+    ctx = MacContext(initial_backlogs=[50, 60], cqis=[3, 9])
+    cfg = FrameConfig(per_rb_success_prob=lambda c: 1.0)
+    for app in (RR, PFCA):
+        assert np.array_equal(run_frame(app, ctx, pol, cfg, np.random.default_rng(0)), [0, 0])
+
+
 @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
 def test_frame_rejects_success_probability_outside_unit_interval(p):
-    ctx = MacContext(initial_backlogs=[10, 20], cqis=[3, 9])
-    cfg = FrameConfig(per_rb_success_prob=lambda c: p)
-    for app in (RR, PFCA):
-        with pytest.raises(ContractViolationError):
-            run_frame(app, ctx, MacPolicy.default(2, 1.0), cfg, np.random.default_rng(0))
+    # checked once, when FrameConfig tabulates the callable
+    with pytest.raises(ContractViolationError):
+        FrameConfig(per_rb_success_prob=lambda c: p)
+    with pytest.raises(ContractViolationError):
+        FrameConfig(per_rb_success_prob=lambda c: p if c == 15 else 0.5)
+
+
+def test_success_probability_tabulated_once_per_config():
+    calls = []
+
+    def prob(c):
+        calls.append(c)
+        return 0.5 + c / 30.0
+
+    cfg = FrameConfig(per_rb_success_prob=prob)
+    assert calls == list(range(1, 16))
+    assert cfg.success_table.tolist() == [0.5 + c / 30.0 for c in range(1, 16)]
+    pol = MacPolicy.default(4, 1.0)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        ctx = generate_context(4, rng)
+        for app in (RR, PFCA):
+            run_frame(app, ctx, pol, cfg, rng)
+    assert len(calls) == 15
 
 
 @pytest.mark.parametrize("floor", [0.0, -1e-6, math.inf, math.nan])

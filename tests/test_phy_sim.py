@@ -26,7 +26,6 @@ from ccke.phy_sim import (
     TransmissionApp,
     estimate_ser,
     sample_context,
-    sample_contexts,
     snr_bin_masses,
     transmit_arq,
 )
@@ -54,21 +53,6 @@ def small_table():
 
 # ---------------------------------------------------------------------------
 # context sampling
-
-
-def test_snr_sampling_range_and_mean():
-    rng = np.random.default_rng(0)
-    snrs, paths = sample_contexts(10_000, rng)
-    assert snrs.min() >= -5.0 and snrs.max() <= 15.0
-    assert abs(snrs.mean() - 5.0) < 0.5
-    assert paths.min() >= 1 and paths.max() <= 10
-
-
-def test_paths_uniform_chi_square():
-    rng = np.random.default_rng(1)
-    _, paths = sample_contexts(10_000, rng)
-    counts = np.bincount(paths, minlength=11)[1:]
-    assert stats.chisquare(counts).pvalue > 0.01
 
 
 def test_single_context_sampler_matches_invariants():

@@ -13,7 +13,6 @@ from ccke.quantile_net import (
     TrainConfig,
     TrainingDivergedError,
     batch_loss,
-    forward,
     init_model,
     load_checkpoint,
     pinball_gradient,
@@ -22,6 +21,7 @@ from ccke.quantile_net import (
     save_checkpoint,
     train,
 )
+from ccke import quantile_net
 from ccke.quantile_net import _loss_and_grad
 
 
@@ -160,7 +160,7 @@ def test_forward_shape_mismatch():
 
 def test_forward_returns_interval_set():
     model = init_model(AttentionArch(), 0.2, 0)
-    iv = forward(model, np.zeros((2, 6)))
+    iv = model.interval_set(np.zeros((2, 6)))
     assert iv.kpi_count == 6
 
 
@@ -222,6 +222,48 @@ def test_train_divergence_reports_epoch():
     assert err.value.epoch == 0
 
 
+def test_train_divergence_on_final_update_reports_last_epoch(monkeypatch):
+    # every minibatch loss is finite; only the last update of the last
+    # epoch overflows (max / 16 * 32), so the end-of-epoch parameter
+    # check is what raises
+    real, calls = quantile_net._loss_and_grad, []
+
+    def overflow_last_step(model, x, y, grad=None):
+        loss, grad = real(model, x, y, grad)
+        calls.append(loss)
+        if len(calls) == 3 * 4:
+            grad[0] = np.finfo(float).max
+        return loss, grad
+
+    monkeypatch.setattr(quantile_net, "_loss_and_grad", overflow_last_step)
+    x, y = _training_data(FeedforwardArch(), 64, 1, seed=12)
+    with pytest.raises(TrainingDivergedError) as err, np.errstate(over="ignore"):
+        train((x, y), FeedforwardArch(), 0.2,
+              TrainConfig(epochs=3, batch_size=16, step_size=32.0, seed=6))
+    assert err.value.epoch == 3 - 1
+    assert len(calls) == 3 * 4 and all(np.isfinite(calls))
+
+
+@pytest.mark.parametrize("arch,k", [(FeedforwardArch(), 1), (AttentionArch(), 8)])
+def test_initial_loss_is_batch_loss_of_init(arch, k):
+    x, y = _training_data(arch, 300, k, seed=13)
+    model = train((x, y), arch, 0.2, TrainConfig(epochs=2, seed=5))
+    assert model.loss_history[0].hex() == batch_loss(init_model(arch, 0.2, 5), x, y).hex()
+
+
+def test_train_makes_one_full_data_pass(monkeypatch):
+    real, calls = quantile_net.batch_loss, []
+
+    def counting(model, x, y):
+        calls.append(np.asarray(x).shape[0])
+        return real(model, x, y)
+
+    monkeypatch.setattr(quantile_net, "batch_loss", counting)
+    x, y = _training_data(FeedforwardArch(), 200, 1, seed=14)
+    model = train((x, y), FeedforwardArch(), 0.2, TrainConfig(epochs=4, seed=1))
+    assert calls == [200] and len(model.loss_history) == 4 + 1
+
+
 def test_final_loss_not_above_initial():
     rng = np.random.default_rng(6)
     x = rng.uniform(-1, 1, (256, 2))
@@ -249,9 +291,9 @@ def reference_batch_loss(model, x, y):
 
 
 def reference_train(data, arch, alpha, cfg):
-    """The original training loop: a fresh gradient array per step, an
-    out-of-place momentum update and a full forward-backward pass for
-    each epoch's loss."""
+    """The original training loop: a fresh gradient array per step and an
+    out-of-place momentum update.  Each epoch's loss is the sum of its
+    minibatch losses, taken before each update in batch order, over n."""
     x, y = (np.asarray(a, dtype=float) for a in data)
     n = x.shape[0]
     model = init_model(arch, alpha, cfg.seed)
@@ -260,12 +302,14 @@ def reference_train(data, arch, alpha, cfg):
     velocity = np.zeros_like(model.params)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
+        epoch_sum = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            _, grad = _loss_and_grad(model, x[idx], y[idx])
+            loss, grad = _loss_and_grad(model, x[idx], y[idx])
+            epoch_sum += loss
             velocity = cfg.momentum * velocity - cfg.step_size * (grad / idx.size)
             model.params = model.params + velocity
-        model.loss_history.append(reference_batch_loss(model, x, y))
+        model.loss_history.append(epoch_sum / n)
     return model
 
 
