@@ -49,7 +49,6 @@ CQI_EFFICIENCY = np.array([
 
 BACKLOG_MIN = 10
 BACKLOG_MAX = 100
-_PAYLOAD_MAX = 2.0 ** 53
 
 
 @dataclass(frozen=True)
@@ -138,7 +137,7 @@ class MacPolicy:
             raise ContractViolationError("payload_table must have 15 CQI entries")
         if not (np.isfinite(g).all() and g.min() >= 0.0):
             raise ContractViolationError("payload must be finite and nonnegative")
-        if g.max() > _PAYLOAD_MAX:
+        if g.max() > 2.0 ** 53:
             # bounds every quantum and quanta * successes <= payload + F/2 in int64
             raise ContractViolationError(f"payload must not exceed 2**53, got {g.max()}")
         if np.any(np.diff(g) < 0.0):
