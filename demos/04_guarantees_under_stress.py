@@ -43,7 +43,7 @@ run("exact density-ratio weights", 1 - ALPHA, base_seed=1)
 # calibrate the perturbation so the average weight error is 0.2
 env = SyntheticEnvironment()
 contexts = env.sample_contexts_given_app("base", 20_000, rng_for(2, 0))
-mean_w = float(np.mean([env.weight(c, "alt", "base") for c in contexts]))
+mean_w = float(np.mean(env.weight(contexts, "alt", "base")))
 delta = min(0.4 / mean_w, 1.0)
 run("weights with ~0.2 average error", 1 - ALPHA - 0.1,
     base_seed=2, weight_perturbation=delta)

@@ -31,7 +31,6 @@ from .harness import (
     PhyEnvironment,
     SyntheticEnvironment,
     build_environment,
-    counterfactual_truth,
     evaluate_coverage,
     evaluate_inefficiency,
     rng_for,
@@ -43,10 +42,8 @@ from .quantile_net import (
     QuantileModel,
     TrainConfig,
     TrainingDivergedError,
-    load_checkpoint,
     pinball_gradient,
     pinball_loss,
-    save_checkpoint,
     train,
 )
 from .reporting import emit_report

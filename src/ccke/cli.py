@@ -2,7 +2,6 @@
 
 Subcommands:
   ser-table   build and persist the link-level SER grid
-  train       fit a quantile model on freshly logged data, save checkpoint
   run         execute an experiment configuration, emit report CSVs
   report      aggregate one or more per-trial CSVs into box statistics
 
@@ -19,7 +18,7 @@ import argparse
 import dataclasses
 import sys
 
-from . import harness, phy_sim, quantile_net, reporting
+from . import harness, phy_sim, reporting
 from .harness import ExperimentConfig, NoiseSpec
 
 
@@ -30,9 +29,7 @@ def _parse_value(name: str, raw: str, current):
         return None if raw.lower() in ("", "none") else NoiseSpec(sigma=float(raw))
     if name == "weight_perturbation":
         return None if raw.lower() in ("", "none") else float(raw)
-    if isinstance(current, bool):
-        return raw.lower() in ("1", "true", "yes", "on")
-    if isinstance(current, int) and not isinstance(current, bool):
+    if isinstance(current, int):
         return int(raw)
     if isinstance(current, float):
         return float(raw)
@@ -73,21 +70,6 @@ def _cmd_ser_table(args) -> int:
     return 0
 
 
-def _cmd_train(args) -> int:
-    cfg = load_config(args.config, args.set or [])
-    env = harness.build_environment(cfg)
-    target = env.parse_app(cfg.target_app)
-    rng = harness.rng_for(cfg.base_seed, 1)
-    contexts = env.sample_contexts_given_app(target, cfg.n_train, rng)
-    kpis = [env.rollout(target, c, rng) for c in contexts]
-    model = harness._train_model(env, cfg, contexts, kpis, seed=cfg.base_seed)
-    quantile_net.save_checkpoint(model, args.out)
-    print(f"trained on {cfg.n_train} samples (initial loss {model.loss_history[0]:.4f} "
-          f"-> last-epoch mean minibatch loss {model.loss_history[-1]:.4f}); "
-          f"checkpoint at {args.out}")
-    return 0
-
-
 def _cmd_run(args) -> int:
     cfg = load_config(args.config, args.set or [])
     report = harness.run_experiment(cfg, progress=args.progress)
@@ -118,12 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-mc", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=20139)
     p.set_defaults(fn=_cmd_ser_table)
-
-    p = sub.add_parser("train", help="fit and checkpoint a quantile model")
-    p.add_argument("--config", default=None)
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_train)
 
     p = sub.add_parser("run", help="execute an experiment configuration")
     p.add_argument("--config", default=None)

@@ -38,6 +38,7 @@ __all__ = [
     "DegeneratePolicyError",
     "compute_score",
     "compute_weight_probabilities",
+    "clipped_exp",
     "weighted_quantile",
     "weighted_corrections",
     "ccke_prediction_set",
@@ -256,6 +257,16 @@ def _weight_masses(w_cal, w_test):
             "selected under any observed context"
         )
     return w_cal / denom[:, None], w_test / denom
+
+
+def clipped_exp(z) -> np.ndarray:
+    """Density ratios exp(z) from (n,) log ratios, each exponent clipped to
+    [-700, 700] so the ratio stays finite.
+
+    ``math.exp`` per element: numpy's vectorized exp differs from it in
+    the last bit on some inputs, which would move the CCKE corrections.
+    """
+    return np.array([math.exp(v) for v in np.clip(z, -700.0, 700.0).tolist()], dtype=float)
 
 
 def compute_weight_probabilities(

@@ -29,6 +29,7 @@ from .conformal import (
     ContractViolationError,
     DegeneratePolicyError,
     PredictionSet,
+    clipped_exp,
     compute_score,
     weighted_corrections,
 )
@@ -48,7 +49,6 @@ __all__ = [
     "evaluate_coverage",
     "evaluate_inefficiency",
     "InefficiencyReport",
-    "counterfactual_truth",
     "run_experiment",
     "METHODS",
 ]
@@ -57,7 +57,6 @@ METHODS = ("CCKE", "NCCKE", "CKE")
 
 # rng stream labels (SeedSequence entropy path: [base_seed, stream, index])
 _STREAM_TRAIN_DATA = 1
-_STREAM_TRAIN_MODEL = 2
 _STREAM_TRIAL_CAL = 3
 _STREAM_TRIAL_TEST = 4
 _STREAM_TRIAL_NOISE = 5
@@ -93,12 +92,45 @@ class NoiseSpec:
 
 # ---------------------------------------------------------------------------
 # environments
+#
+# Every environment works on a batch of n contexts held as arrays (mac:
+# ``MacContexts`` of (n, K) backlogs and CQIs; phy: ``PhyContexts`` of (n,)
+# SNRs and path counts; synthetic: an (n,) float array) through one
+# protocol: ``sample_contexts_given_app(app, n, rng)``, ``rollout(app, ctx,
+# rng) -> (n, K)``, ``weight(ctx, numer, denom) -> (n,)``, and the model
+# and metric inputs ``features(ctx)``, ``normalizers(ctx) -> (n,)`` and
+# ``domains(ctx) -> (n, 2)``.  ``has_exact_model`` says whether the
+# environment supplies ``exact_bounds`` in place of a trained model.
+
+
+def _rejection_sample(draw, accept_prob, n: int, rng: np.random.Generator, app):
+    """n rows from p(x | app) by rejection: ``draw(batch)`` returns a tuple
+    of candidate arrays (rows along axis 0), and row i is kept when a
+    uniform from ``rng`` falls below ``accept_prob(*candidates)[i]``.
+
+    Each round draws the candidates first, then ``rng.random(batch)``; the
+    first n kept rows, in draw order, are returned as a tuple of arrays.
+    """
+    parts, have, total = [], 0, 0
+    batch = max(1024, 2 * n)
+    while have < n:
+        if total > _MAX_REJECTION_DRAWS:
+            raise DegeneratePolicyError(
+                f"app {app!r} too rare under the selection policy "
+                f"({have}/{n} contexts after {total} draws)")
+        candidates = draw(batch)
+        accept = rng.random(batch) < accept_prob(*candidates)
+        keep = np.flatnonzero(accept)[: n - have]
+        parts.append([c[keep] for c in candidates])
+        have += keep.size
+        total += batch
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 class MacEnvironment:
     """Scheduling simulator bundle: K users, logistic policy, frame config."""
 
-    name = "mac"
+    has_exact_model = False
 
     def __init__(self, n_users: int = 8, temperature: float = 1.0,
                  policy: Optional[mac_sim.MacPolicy] = None,
@@ -106,67 +138,49 @@ class MacEnvironment:
         self.n_users = n_users
         self.policy = policy or mac_sim.MacPolicy.default(n_users, temperature)
         self.frame_cfg = frame_cfg or mac_sim.FrameConfig()
-        self.apps = mac_sim.MAC_APPS
-        self.kpi_count = n_users
 
     def parse_app(self, label: str) -> str:
-        if label not in self.apps:
+        if label not in mac_sim.MAC_APPS:
             raise ContractViolationError(f"unknown MAC app {label!r}")
         return label
 
-    def app_label(self, app) -> str:
-        return app
+    def sample_contexts_given_app(self, app, n, rng) -> mac_sim.MacContexts:
+        """Rejection sampling from p(x | app): backlogs, then CQIs, per round."""
+        def draw(batch):
+            size = (batch, self.n_users)
+            return (rng.integers(mac_sim.BACKLOG_MIN, mac_sim.BACKLOG_MAX + 1, size=size),
+                    rng.integers(1, 16, size=size))
 
-    def sample_context(self, rng):
-        return mac_sim.generate_context(self.n_users, rng)
+        def accept_prob(b, c):
+            return self.policy.app_probability(mac_sim.MacContexts(b, c), app)
 
-    def app_probability(self, ctx, app) -> float:
-        return self.policy.app_probability(ctx, app)
+        return mac_sim.MacContexts(*_rejection_sample(draw, accept_prob, n, rng, app))
 
-    def weight(self, ctx, numer_app, denom_app) -> float:
+    def weight(self, ctx, numer_app, denom_app) -> np.ndarray:
         return self.policy.weight(ctx, numer_app, denom_app)
 
     def rollout(self, app, ctx, rng) -> np.ndarray:
-        return mac_sim.run_frame(app, ctx, self.policy, self.frame_cfg, rng).astype(float)
+        """(n, K) KPIs of ``app`` under each context, one frame per row in
+        order.  Only the simulator can grant this for the app that did not
+        run: it reruns the very context under the alternative app, which
+        the real system never observes (the counterfactual truth)."""
+        rows = [mac_sim.run_frame(app, b, c, self.policy, self.frame_cfg, rng)
+                for b, c in zip(ctx.backlogs, ctx.cqis)]
+        return np.array(rows, dtype=float).reshape(ctx.backlogs.shape)
 
-    def sample_contexts_given_app(self, app, n, rng):
-        """Rejection sampling from p(x | app); batched and vectorized."""
-        table = self.policy.payload_table
-        temp = self.policy.temperature
-        out, total = [], 0
-        batch = max(1024, 2 * n)
-        while len(out) < n:
-            if total > _MAX_REJECTION_DRAWS:
-                raise DegeneratePolicyError(
-                    f"app {app!r} too rare under the selection policy "
-                    f"({len(out)}/{n} contexts after {total} draws)")
-            b = rng.integers(mac_sim.BACKLOG_MIN, mac_sim.BACKLOG_MAX + 1,
-                             size=(batch, self.n_users))
-            c = rng.integers(1, 16, size=(batch, self.n_users))
-            resid = np.max(b - table[c - 1] / self.n_users, axis=1)
-            z = -resid / temp
-            e = np.exp(-np.minimum(np.abs(z), 700.0))  # exp(-z) for z >= 0, exp(z) below
-            p_rr = np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-            p_app = p_rr if app == mac_sim.RR else 1.0 - p_rr
-            accept = rng.random(batch) < p_app
-            for i in np.flatnonzero(accept):
-                out.append(mac_sim.MacContext(initial_backlogs=b[i], cqis=c[i]))
-                if len(out) == n:
-                    break
-            total += batch
-        return out
-
-    def model_features(self, ctx) -> np.ndarray:
-        return ctx.features()
+    def features(self, ctx) -> np.ndarray:
+        """(n, 2, K) token matrices (backlog, CQI) fed to the quantile model."""
+        return np.stack([ctx.backlogs, ctx.cqis], axis=1).astype(float)
 
     def make_arch(self):
         return quantile_net.AttentionArch(feature_scale=(float(mac_sim.BACKLOG_MAX), 15.0))
 
-    def inefficiency_normalizer(self, ctx) -> float:
-        return float(np.max(ctx.initial_backlogs))
+    def normalizers(self, ctx) -> np.ndarray:
+        return np.max(ctx.backlogs, axis=1).astype(float)
 
-    def clip_domain(self, ctx):
-        return 0.0, float(np.max(ctx.initial_backlogs))
+    def domains(self, ctx) -> np.ndarray:
+        hi = self.normalizers(ctx)
+        return np.stack([np.zeros_like(hi), hi], axis=1)
 
 
 class PhyEnvironment:
@@ -176,7 +190,7 @@ class PhyEnvironment:
     (``SerTable.default``).
     """
 
-    name = "phy"
+    has_exact_model = False
 
     def __init__(self, temperature: float = 1.0,
                  ser_table: Optional[phy_sim.SerTable] = None,
@@ -185,28 +199,21 @@ class PhyEnvironment:
             ser_table = phy_sim.SerTable.default()
         self.policy = phy_sim.PhyPolicy(temperature=temperature, ser_table=ser_table)
         self.arq = arq or phy_sim.ArqConfig()
-        self.apps = phy_sim.PHY_APPS
-        self.kpi_count = 1
 
     def parse_app(self, label: str):
         return phy_sim.TransmissionApp.from_key(label)
 
-    def app_label(self, app) -> str:
-        return app.key
-
-    def sample_context(self, rng):
-        return phy_sim.sample_context(rng)
-
-    def app_probability(self, ctx, app) -> float:
-        return self.policy.app_probability(ctx, app)
-
-    def weight(self, ctx, numer_app, denom_app) -> float:
+    def weight(self, ctx, numer_app, denom_app) -> np.ndarray:
         return self.policy.weight(ctx, numer_app, denom_app)
 
     def rollout(self, app, ctx, rng) -> np.ndarray:
-        return np.array([float(phy_sim.transmit_arq(app, ctx, self.arq, rng))])
+        """(n, 1) ARQ latencies of ``app`` under each context, in row order
+        (the counterfactual truth when ``app`` did not run; see
+        ``MacEnvironment.rollout``)."""
+        return np.array([float(phy_sim.transmit_arq(app, s, m, self.arq, rng))
+                         for s, m in zip(ctx.snr_db.tolist(), ctx.paths.tolist())])[:, None]
 
-    def sample_contexts_given_app(self, app, n, rng):
+    def sample_contexts_given_app(self, app, n, rng) -> phy_sim.PhyContexts:
         """Exact draw from p(x | app).
 
         The policy is piecewise constant on (SNR bin, m) cells, so the
@@ -235,35 +242,34 @@ class PhyEnvironment:
         c_hi = ndtr((lo_edges + table.bin_width - mu) / sd)
         snrs = mu + sd * ndtri(rng.uniform(c_lo, c_hi))
         snrs = np.clip(snrs, lo_edges, np.nextafter(lo_edges + table.bin_width, -np.inf))
-        return [phy_sim.PhyContext(snr_db=float(s), paths=int(m) + 1)
-                for s, m in zip(snrs, m_idx)]
+        return phy_sim.PhyContexts(snr_db=snrs, paths=m_idx + 1)
 
-    def model_features(self, ctx) -> np.ndarray:
-        return ctx.features()
+    def features(self, ctx) -> np.ndarray:
+        """(n, 2) rows (SNR in dB, path count)."""
+        return np.stack([ctx.snr_db, ctx.paths.astype(float)], axis=1)
 
     def make_arch(self):
         return quantile_net.FeedforwardArch(
             widths=(2, 10, 10, 5, 2),
             feature_scale=(phy_sim.SNR_DB_MAX, float(phy_sim.PATHS_MAX)))
 
-    def inefficiency_normalizer(self, ctx) -> float:
-        return 1.0
+    def normalizers(self, ctx) -> np.ndarray:
+        return np.ones(len(ctx))
 
-    def clip_domain(self, ctx):
-        return 1.0, float(self.arq.max_retx)
+    def domains(self, ctx) -> np.ndarray:
+        return np.tile([1.0, float(self.arq.max_retx)], (len(ctx), 1))
 
 
 class SyntheticEnvironment:
     """Scalar toy environment with closed-form quantiles and exact weights.
 
-    Context x ~ N(0, 1); the "alt" app is chosen with logistic probability
-    sigma(x / selection_temperature); KPI under app a is
-    ``offset_a + x + Uniform(-half_width, half_width)``.  Because every
-    conditional quantile is known in closed form, the calibration layer
-    can be exercised with zero model error.
+    Context x ~ N(0, 1), held as an (n,) float array; the "alt" app is
+    chosen with logistic probability sigma(x / selection_temperature); KPI
+    under app a is ``offset_a + x + Uniform(-half_width, half_width)``.
+    Because every conditional quantile is known in closed form, the
+    calibration layer can be exercised with zero model error.
     """
 
-    name = "synthetic"
     has_exact_model = True
 
     def __init__(self, selection_temperature: float = 1.0,
@@ -273,55 +279,40 @@ class SyntheticEnvironment:
         self.selection_temperature = selection_temperature
         self.offsets = {"base": float(offsets[0]), "alt": float(offsets[1])}
         self.half_width = float(half_width)
-        self.apps = ("base", "alt")
-        self.kpi_count = 1
 
     def parse_app(self, label: str) -> str:
-        if label not in self.apps:
+        if label not in self.offsets:
             raise ContractViolationError(f"unknown synthetic app {label!r}")
         return label
-
-    def app_label(self, app) -> str:
-        return app
-
-    def sample_context(self, rng) -> float:
-        return float(rng.normal())
 
     def _p_alt(self, x):
         z = np.asarray(x, dtype=float) / self.selection_temperature
         e = np.exp(-np.abs(z))  # exp(-z) on the first branch, exp(z) on the second
         return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
-    def app_probability(self, ctx, app) -> float:
-        p = float(self._p_alt(ctx))
-        return p if app == "alt" else 1.0 - p
-
-    def weight(self, ctx, numer_app, denom_app) -> float:
+    def weight(self, ctx, numer_app, denom_app) -> np.ndarray:
         if numer_app == denom_app:
-            return 1.0
-        z = float(ctx) / self.selection_temperature
+            return np.ones(len(ctx))
+        z = ctx / self.selection_temperature
         if numer_app == "base":
             z = -z
-        return math.exp(min(max(z, -700.0), 700.0))
+        return clipped_exp(z)
 
     def rollout(self, app, ctx, rng) -> np.ndarray:
-        y = self.offsets[app] + float(ctx) + rng.uniform(-self.half_width, self.half_width)
-        return np.array([y])
+        """(n, 1) KPIs of ``app`` under each context (the counterfactual
+        truth when ``app`` did not run; see ``MacEnvironment.rollout``)."""
+        noise = rng.uniform(-self.half_width, self.half_width, size=len(ctx))
+        return (self.offsets[app] + ctx + noise)[:, None]
 
-    def sample_contexts_given_app(self, app, n, rng):
-        out, total = [], 0
-        batch = max(1024, 2 * n)
-        while len(out) < n:
-            if total > _MAX_REJECTION_DRAWS:
-                raise DegeneratePolicyError(f"app {app!r} too rare under the policy")
-            x = rng.normal(size=batch)
+    def sample_contexts_given_app(self, app, n, rng) -> np.ndarray:
+        """Rejection sampling from p(x | app)."""
+        def accept_prob(x):
             p = self._p_alt(x)
-            if app == "base":
-                p = 1.0 - p
-            accept = rng.random(batch) < p
-            out.extend(float(v) for v in x[accept][: n - len(out)])
-            total += batch
-        return out
+            return 1.0 - p if app == "base" else p
+
+        (x,) = _rejection_sample(lambda batch: (rng.normal(size=batch),), accept_prob,
+                                 n, rng, app)
+        return x
 
     def exact_bounds(self, contexts, app, alpha: float):
         """True (alpha/2, 1-alpha/2) conditional quantiles of the KPI, as
@@ -330,28 +321,14 @@ class SyntheticEnvironment:
         spread = (1.0 - alpha) * self.half_width
         return mid - spread, mid + spread
 
-    def model_features(self, ctx) -> np.ndarray:
-        return np.array([float(ctx)])
+    def features(self, ctx) -> np.ndarray:
+        return ctx[:, None]
 
-    def inefficiency_normalizer(self, ctx) -> float:
-        return 1.0
+    def normalizers(self, ctx) -> np.ndarray:
+        return np.ones(len(ctx))
 
-    def clip_domain(self, ctx):
-        return -10.0, 10.0
-
-
-# ---------------------------------------------------------------------------
-# counterfactual truth
-
-
-def counterfactual_truth(env, context, target_app, rng: np.random.Generator) -> np.ndarray:
-    """KPI the target app would attain under this very context.
-
-    Only the simulator can grant this: it reruns the environment with
-    the same context under the alternative app, which the real system
-    never observes.
-    """
-    return env.rollout(target_app, context, rng)
+    def domains(self, ctx) -> np.ndarray:
+        return np.tile([-10.0, 10.0], (len(ctx), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +435,6 @@ class ExperimentConfig:
     y_max: int = 10
     symbols_per_packet: int = 8
     ser_table_path: Optional[str] = None
-    retrain_per_trial: bool = False
     train_epochs: int = 200
     train_batch: int = 64
     train_step: float = 1e-2
@@ -493,32 +469,6 @@ class TrialResult:
 
 
 @dataclass(frozen=True)
-class BoxStats:
-    median: float
-    mean: float
-    q1: float
-    q3: float
-    whisker_lo: float
-    whisker_hi: float
-    outlier_count: int
-
-    @classmethod
-    def from_values(cls, values) -> "BoxStats":
-        v = np.asarray(values, dtype=float)
-        if v.size == 0 or not np.all(np.isfinite(v)):
-            inf = math.inf
-            return cls(median=inf, mean=inf, q1=inf, q3=inf,
-                       whisker_lo=inf, whisker_hi=inf, outlier_count=0)
-        q1, med, q3 = np.percentile(v, [25.0, 50.0, 75.0])
-        iqr = q3 - q1
-        lo_fence, hi_fence = q1 - 1.5 * iqr, q3 + 1.5 * iqr
-        inside = v[(v >= lo_fence) & (v <= hi_fence)]
-        return cls(median=float(med), mean=float(v.mean()), q1=float(q1), q3=float(q3),
-                   whisker_lo=float(inside.min()), whisker_hi=float(inside.max()),
-                   outlier_count=int(np.sum((v < lo_fence) | (v > hi_fence))))
-
-
-@dataclass(frozen=True)
 class ExperimentReport:
     config: ExperimentConfig
     trials: tuple
@@ -535,19 +485,6 @@ class ExperimentReport:
         vals = [getattr(t, key) for t in self.trials_for(method)]
         return float(np.mean(vals))
 
-    def aggregates(self) -> dict:
-        """(method, metric) -> BoxStats for coverage and both inefficiencies."""
-        out = {}
-        for method in self.config.methods:
-            rows = self.trials_for(method)
-            out[(method, "coverage")] = BoxStats.from_values([t.coverage for t in rows])
-            out[(method, "inefficiency_clipped")] = BoxStats.from_values(
-                [t.inefficiency_clipped for t in rows])
-            finite_raw = [t.inefficiency_raw for t in rows if math.isfinite(t.inefficiency_raw)]
-            out[(method, "inefficiency_raw")] = BoxStats.from_values(
-                finite_raw if finite_raw else [math.inf])
-        return out
-
 
 def build_environment(cfg: ExperimentConfig):
     if cfg.environment == "mac":
@@ -562,23 +499,22 @@ def build_environment(cfg: ExperimentConfig):
     raise ContractViolationError(f"unknown environment {cfg.environment!r}")
 
 
-def _train_model(env, cfg: ExperimentConfig, contexts, kpis, seed: int):
-    x = np.stack([env.model_features(c) for c in contexts])
-    y = np.stack([np.asarray(k, dtype=float) for k in kpis])
-    if y.shape[1] == 1:
-        y = y[:, 0]
+def _train_model(env, cfg: ExperimentConfig, contexts, kpis: np.ndarray, seed: int):
+    y = kpis[:, 0] if kpis.shape[1] == 1 else kpis
     train_cfg = quantile_net.TrainConfig(epochs=cfg.train_epochs,
                                          batch_size=cfg.train_batch,
                                          step_size=cfg.train_step, seed=seed)
-    return quantile_net.train((x, y), env.make_arch(), cfg.alpha, train_cfg)
+    return quantile_net.train((env.features(contexts), y), env.make_arch(), cfg.alpha,
+                              train_cfg)
 
 
 def _draw_labeled(env, app, n, rng, noise: Optional[NoiseSpec], noise_rng):
-    """Contexts from p(x | app) with lazily materialized KPI rollouts."""
+    """Contexts from p(x | app) and their (n, K) KPIs under ``app``, with
+    observation noise added if ``noise`` is set."""
     contexts = env.sample_contexts_given_app(app, n, rng)
-    kpis = [env.rollout(app, c, rng) for c in contexts]
+    kpis = env.rollout(app, contexts, rng)
     if noise is not None:
-        kpis = [k + noise.draw(noise_rng, k.shape) for k in kpis]
+        kpis = kpis + noise.draw(noise_rng, kpis.shape)
     return contexts, kpis
 
 
@@ -587,10 +523,9 @@ def run_experiment(cfg: ExperimentConfig, environment=None,
     """Execute one full experiment; never emits a partial report.
 
     The quantile model is trained once on a fixed training split and
-    reused across trials (per-trial retraining sits behind
-    ``retrain_per_trial``).  Each trial draws a fresh calibration set
-    under the target app and a fresh test set under the actual app; all
-    requested methods see identical test data.
+    reused across trials.  Each trial draws a fresh calibration set under
+    the target app and a fresh test set under the actual app, each as one
+    batch of contexts; all requested methods see identical test data.
     """
     env = environment if environment is not None else build_environment(cfg)
     target = env.parse_app(cfg.target_app)
@@ -598,9 +533,7 @@ def run_experiment(cfg: ExperimentConfig, environment=None,
     if target == actual:
         raise ContractViolationError("target and actual app must differ")
 
-    exact_model = getattr(env, "has_exact_model", False)
-    model = None
-    if not exact_model and not cfg.retrain_per_trial:
+    if not env.has_exact_model:
         rng_tr = rng_for(cfg.base_seed, _STREAM_TRAIN_DATA)
         noise_rng = rng_for(cfg.base_seed, _STREAM_TRIAL_NOISE)
         contexts, kpis = _draw_labeled(env, target, cfg.n_train, rng_tr,
@@ -609,12 +542,9 @@ def run_experiment(cfg: ExperimentConfig, environment=None,
 
     def bounds_for(contexts):
         """(n, K) lower and upper quantile bounds of the target app."""
-        if exact_model:
+        if env.has_exact_model:
             return env.exact_bounds(contexts, target, cfg.alpha)
-        return model.predict(np.stack([env.model_features(c) for c in contexts]))
-
-    def weights(contexts) -> np.ndarray:
-        return np.array([env.weight(c, actual, target) for c in contexts], dtype=float)
+        return model.predict(env.features(contexts))
 
     trials = []
     weight_errors = []
@@ -624,23 +554,18 @@ def run_experiment(cfg: ExperimentConfig, environment=None,
         rng_test = rng_for(cfg.base_seed, _STREAM_TRIAL_TEST, t)
         rng_noise = rng_for(cfg.base_seed, _STREAM_TRIAL_NOISE, t + 1)
 
-        if cfg.retrain_per_trial and not exact_model:
-            contexts, kpis = _draw_labeled(env, target, cfg.n_train, rng_cal,
-                                           cfg.kpi_noise, rng_noise)
-            model = _train_model(env, cfg, contexts, kpis, seed=cfg.base_seed + t)
-
         cal_ctx, cal_kpi = _draw_labeled(env, target, cfg.n_cal, rng_cal,
                                          cfg.kpi_noise, rng_noise)
-        cal_scores = _scores(*bounds_for(cal_ctx), np.stack(cal_kpi))
+        cal_scores = _scores(*bounds_for(cal_ctx), cal_kpi)
 
         test_ctx = env.sample_contexts_given_app(actual, cfg.n_test, rng_test)
-        truths = np.stack([counterfactual_truth(env, c, target, rng_test) for c in test_ctx])
+        truths = env.rollout(target, test_ctx, rng_test)  # the counterfactual KPIs
         test_lo, test_hi = bounds_for(test_ctx)
         test_scores = _scores(test_lo, test_hi, truths)
 
         # exact density-ratio weights, optionally perturbed once per point
         # (calibration points first, then test points)
-        w_cal, w_test = weights(cal_ctx), weights(test_ctx)
+        w_cal, w_test = env.weight(cal_ctx, actual, target), env.weight(test_ctx, actual, target)
         if cfg.weight_perturbation is not None:
             delta = cfg.weight_perturbation
             factor = 1.0 + rng_noise.uniform(-delta, delta, size=cfg.n_cal + cfg.n_test)
@@ -648,9 +573,8 @@ def run_experiment(cfg: ExperimentConfig, environment=None,
             w_test = w_test * factor[cfg.n_cal:]
             weight_errors.append(np.abs(w_cal - w_exact))
 
-        normalizers = np.array([env.inefficiency_normalizer(c) for c in test_ctx],
-                               dtype=float)
-        domains = [env.clip_domain(c) for c in test_ctx]
+        normalizers = env.normalizers(test_ctx)
+        domains = env.domains(test_ctx)
         for method in cfg.methods:
             if method == "CCKE":
                 corrections = weighted_corrections(cal_scores, w_cal, w_test, cfg.alpha)

@@ -19,14 +19,14 @@ from typing import Callable
 
 import numpy as np
 
-from .conformal import ContractViolationError
+from .conformal import ContractViolationError, clipped_exp
 
 __all__ = [
     "RR",
     "PFCA",
     "MAC_APPS",
     "CQI_EFFICIENCY",
-    "MacContext",
+    "MacContexts",
     "MacPolicy",
     "FrameConfig",
     "default_payload_table",
@@ -52,31 +52,27 @@ BACKLOG_MAX = 100
 
 
 @dataclass(frozen=True)
-class MacContext:
-    """Initial per-user packet backlogs and CQI indices (1..15)."""
+class MacContexts:
+    """A batch of n contexts: initial per-user packet backlogs and CQI
+    indices (1..15), each an (n, K) int64 array, validated once here."""
 
-    initial_backlogs: np.ndarray
+    backlogs: np.ndarray
     cqis: np.ndarray
 
     def __post_init__(self):
-        b = np.atleast_1d(np.asarray(self.initial_backlogs, dtype=np.int64))
-        c = np.atleast_1d(np.asarray(self.cqis, dtype=np.int64))
-        if b.shape != c.shape or b.ndim != 1 or b.size < 1:
-            raise ContractViolationError("backlogs and CQIs must be equal-length vectors")
+        b = np.asarray(self.backlogs, dtype=np.int64)
+        c = np.asarray(self.cqis, dtype=np.int64)
+        if b.shape != c.shape or b.ndim != 2 or b.shape[1] < 1:
+            raise ContractViolationError("backlogs and CQIs must be equal (n, K) arrays, K >= 1")
         if np.any(b < 0):
             raise ContractViolationError("backlogs must be nonnegative")
         if np.any((c < 1) | (c > 15)):
             raise ContractViolationError("CQIs must lie in 1..15")
-        object.__setattr__(self, "initial_backlogs", b)
+        object.__setattr__(self, "backlogs", b)
         object.__setattr__(self, "cqis", c)
 
-    @property
-    def n_users(self) -> int:
-        return self.initial_backlogs.size
-
-    def features(self) -> np.ndarray:
-        """2 x K token matrix (backlog, CQI) fed to the quantile model."""
-        return np.stack([self.initial_backlogs, self.cqis]).astype(float)
+    def __len__(self) -> int:
+        return self.backlogs.shape[0]
 
 
 def default_payload_table(
@@ -155,24 +151,18 @@ class MacPolicy:
     def payload(self, cqis) -> np.ndarray:
         return self.payload_table[np.asarray(cqis, dtype=np.int64) - 1]
 
-    def prob_rr(self, ctx: MacContext) -> float:
-        """p(RR | x) = logistic(-residual_estimate / T), computed stably."""
+    def app_probability(self, ctx: MacContexts, app: str) -> np.ndarray:
+        """(n,) p(app | x), with p(RR | x) = logistic(-residual_estimate / T)
+        taken on the branch whose exp cannot overflow."""
+        if app not in MAC_APPS:
+            raise ContractViolationError(f"unknown app {app!r}")
         z = -estimate_rr_residual(ctx, self) / self.temperature
-        if z >= 0.0:
-            return 1.0 / (1.0 + math.exp(-z))
-        e = math.exp(z)
-        return e / (1.0 + e)
+        e = np.exp(-np.minimum(np.abs(z), 700.0))  # exp(-z) for z >= 0, exp(z) below
+        p_rr = np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+        return p_rr if app == RR else 1.0 - p_rr
 
-    def app_probability(self, ctx: MacContext, app: str) -> float:
-        p_rr = self.prob_rr(ctx)
-        if app == RR:
-            return p_rr
-        if app == PFCA:
-            return 1.0 - p_rr
-        raise ContractViolationError(f"unknown app {app!r}")
-
-    def weight(self, ctx: MacContext, numer_app: str, denom_app: str) -> float:
-        """Density ratio p(numer|x)/p(denom|x), computed in log space.
+    def weight(self, ctx: MacContexts, numer_app: str, denom_app: str) -> np.ndarray:
+        """(n,) density ratios p(numer|x)/p(denom|x), computed in log space.
 
         For the logistic pair the ratio is exactly exp(+-residual/T);
         the exponent is clipped to keep the result finite.
@@ -181,11 +171,11 @@ class MacPolicy:
             if app not in MAC_APPS:
                 raise ContractViolationError(f"unknown app {app!r}")
         if numer_app == denom_app:
-            return 1.0
+            return np.ones(len(ctx))
         z = estimate_rr_residual(ctx, self) / self.temperature
         if numer_app == RR:
             z = -z
-        return math.exp(min(max(z, -700.0), 700.0))
+        return clipped_exp(z)
 
 
 @dataclass(frozen=True)
@@ -222,28 +212,27 @@ def default_rb_success_prob(cqi: int) -> float:
 
 
 def generate_context(n_users: int, rng: np.random.Generator,
-                     backlog_range=(BACKLOG_MIN, BACKLOG_MAX)) -> MacContext:
-    """Backlogs i.i.d. uniform integers over ``backlog_range``; CQIs
-    i.i.d. uniform over 1..15."""
+                     backlog_range=(BACKLOG_MIN, BACKLOG_MAX)) -> MacContexts:
+    """One context, as a batch of one: backlogs i.i.d. uniform integers
+    over ``backlog_range``; CQIs i.i.d. uniform over 1..15."""
     if n_users < 1:
         raise ContractViolationError("n_users must be >= 1")
     lo, hi = backlog_range
-    return MacContext(
-        initial_backlogs=rng.integers(lo, hi + 1, size=n_users),
-        cqis=rng.integers(1, 16, size=n_users),
-    )
+    return MacContexts(backlogs=rng.integers(lo, hi + 1, size=(1, n_users)),
+                       cqis=rng.integers(1, 16, size=(1, n_users)))
 
 
-def estimate_rr_residual(ctx: MacContext, policy: MacPolicy) -> float:
-    """Worst-case analytic residual backlog if RR served this frame:
-    max_k (b_k - g(c_k)/K)."""
-    share = policy.payload(ctx.cqis) / ctx.n_users
-    return float(np.max(ctx.initial_backlogs - share))
+def estimate_rr_residual(ctx: MacContexts, policy: MacPolicy) -> np.ndarray:
+    """(n,) worst-case analytic residual backlogs if RR served the frame:
+    max_k (b_k - g(c_k)/K) per context."""
+    return np.max(ctx.backlogs - policy.payload(ctx.cqis) / ctx.backlogs.shape[1], axis=1)
 
 
-def run_frame(app: str, ctx: MacContext, policy: MacPolicy,
+def run_frame(app: str, backlogs, cqis, policy: MacPolicy,
               frame_cfg: FrameConfig, rng: np.random.Generator) -> np.ndarray:
-    """Simulate one scheduling frame; returns the final backlog vector.
+    """Simulate one scheduling frame of one context, given as its (K,)
+    backlogs and CQIs (a row of a ``MacContexts``, which validated them);
+    returns the final backlog vector.
 
     Each scheduled RB drains ``round(g(c)/F)`` packets from the chosen
     user with probability ``per_rb_success_prob(c)`` (zero otherwise),
@@ -261,13 +250,14 @@ def run_frame(app: str, ctx: MacContext, policy: MacPolicy,
     """
     if app not in MAC_APPS:
         raise ContractViolationError(f"unknown app {app!r}")
-    n = ctx.n_users
+    backlog = np.array(backlogs, dtype=np.int64)
+    cqis = np.asarray(cqis, dtype=np.int64)
+    n = backlog.size
     f = frame_cfg.resource_blocks
     if f < n:
         raise ContractViolationError(f"{f} RBs cannot serve {n} users round-robin")
-    backlog = ctx.initial_backlogs.astype(np.int64).copy()
-    quanta = np.rint(policy.payload(ctx.cqis) / f).astype(np.int64)
-    success_p = frame_cfg.success_table[ctx.cqis - 1]
+    quanta = np.rint(policy.payload(cqis) / f).astype(np.int64)
+    success_p = frame_cfg.success_table[cqis - 1]
     if app == RR:
         # drains never depend on other users, so the cyclic allocation
         # collapses to counting each user's successful RBs (one batched

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import ContractViolationError
+from .conformal import ContractViolationError, clipped_exp
 
 __all__ = [
     "ALAMOUTI",
@@ -33,7 +32,7 @@ __all__ = [
     "QPSK",
     "PHY_APPS",
     "TransmissionApp",
-    "PhyContext",
+    "PhyContexts",
     "ArqConfig",
     "SerTable",
     "PhyPolicy",
@@ -98,22 +97,31 @@ PHY_APPS = (
 
 
 @dataclass(frozen=True)
-class PhyContext:
-    """Average SNR in dB (nominally -5..15) and multipath count m in 1..10."""
+class PhyContexts:
+    """A batch of n contexts: average SNRs in dB (nominally -5..15) and
+    multipath counts m in 1..10, each an (n,) array, validated once here."""
 
-    snr_db: float
-    paths: int
+    snr_db: np.ndarray
+    paths: np.ndarray
 
     def __post_init__(self):
+        snr = np.asarray(self.snr_db, dtype=float)
+        m = np.asarray(self.paths)
+        if snr.ndim != 1 or m.shape != snr.shape:
+            raise ContractViolationError("snr_db and paths must be equal-length vectors")
         # a zero-path or non-finite channel would saturate the KPI silently
-        if not isinstance(self.paths, numbers.Integral) or not 1 <= self.paths <= PATHS_MAX:
-            raise ContractViolationError(
-                f"paths must be an integer in 1..{PATHS_MAX}, got {self.paths!r}")
-        if not math.isfinite(self.snr_db):
-            raise ContractViolationError(f"snr_db must be finite, got {self.snr_db!r}")
+        if not np.issubdtype(m.dtype, np.integer):
+            raise ContractViolationError(f"paths must be integers, got dtype {m.dtype}")
+        bad = (m < 1) | (m > PATHS_MAX)
+        if bad.any():
+            raise ContractViolationError(f"paths must lie in 1..{PATHS_MAX}, got {m[bad][0]}")
+        if not np.all(np.isfinite(snr)):
+            raise ContractViolationError(f"snr_db must be finite, got {snr[~np.isfinite(snr)][0]}")
+        object.__setattr__(self, "snr_db", snr)
+        object.__setattr__(self, "paths", m.astype(np.int64))
 
-    def features(self) -> np.ndarray:
-        return np.array([self.snr_db, float(self.paths)])
+    def __len__(self) -> int:
+        return self.snr_db.size
 
 
 @dataclass(frozen=True)
@@ -128,13 +136,14 @@ class ArqConfig:
             raise ContractViolationError("symbols_per_packet must be even (2 symbols per block)")
 
 
-def sample_context(rng: np.random.Generator) -> PhyContext:
-    """SNR from a rejection-sampled truncated Gaussian, m uniform on 1..10."""
+def sample_context(rng: np.random.Generator) -> PhyContexts:
+    """One context, as a batch of one: SNR from a rejection-sampled
+    truncated Gaussian, m uniform on 1..10."""
     while True:
         snr = rng.normal(SNR_DB_MEAN, SNR_DB_SIGMA)
         if SNR_DB_MIN <= snr <= SNR_DB_MAX:
             break
-    return PhyContext(snr_db=float(snr), paths=int(rng.integers(1, PATHS_MAX + 1)))
+    return PhyContexts(snr_db=[float(snr)], paths=[int(rng.integers(1, PATHS_MAX + 1))])
 
 
 def snr_bin_masses(snr_lo: float, bin_width: float, n_bins: int) -> np.ndarray:
@@ -374,9 +383,11 @@ def _multiplexing_packet_ok(h, sym, w, tables) -> bool:
     return True
 
 
-def transmit_arq(app: TransmissionApp, ctx: PhyContext, arq: ArqConfig,
+def transmit_arq(app: TransmissionApp, snr_db: float, paths: int, arq: ArqConfig,
                  rng: np.random.Generator, noise_std: float = 1.0) -> int:
-    """ARQ latency KPI: attempts until one packet decodes error free.
+    """ARQ latency KPI of one context, given as its SNR and path count (a
+    row of a ``PhyContexts``, which validated them): attempts until one
+    packet decodes error free.
 
     Every attempt rides a fresh channel realization and carries
     ``symbols_per_packet`` random symbols; the count is capped at
@@ -414,9 +425,9 @@ def transmit_arq(app: TransmissionApp, ctx: PhyContext, arq: ArqConfig,
     blocks = arq.symbols_per_packet // 2
     noise_shape = (noise_rows, blocks, 2)
     noise_scale = noise_std / math.sqrt(2.0)
-    amp = math.sqrt(10.0 ** (ctx.snr_db / 10.0))
+    amp = math.sqrt(10.0 ** (snr_db / 10.0))
     for attempt in range(1, arq.max_retx + 1):
-        h = _attempt_channel(amp, ctx.paths, rng)
+        h = _attempt_channel(amp, paths, rng)
         sym = rng.integers(0, n_points, size=(blocks, 2)).tolist()
         if noise_std == 0.0:
             w = np.zeros(noise_shape).tolist()
@@ -468,23 +479,28 @@ class SerTable:
     def n_bins(self) -> int:
         return self.values.shape[1]
 
-    def bin_index(self, snr_db: float) -> int:
-        idx = int(math.floor((snr_db - self.snr_lo) / self.bin_width))
-        return min(max(idx, 0), self.n_bins - 1)
+    def bin_index(self, snr_db) -> np.ndarray:
+        """SNR bin of each entry of ``snr_db``; values off the grid clamp to
+        the edge bins."""
+        idx = np.floor((np.asarray(snr_db, dtype=float) - self.snr_lo) / self.bin_width)
+        return np.clip(idx, 0, self.n_bins - 1).astype(np.int64)
 
-    def lookup(self, app: TransmissionApp, snr_db: float, paths: int) -> float:
+    def lookup(self, app: TransmissionApp, snr_db, paths) -> np.ndarray:
+        """SER of ``app`` at each (snr_db, paths) pair, as an (n,) array."""
         try:
             a = PHY_APPS.index(app)
         except ValueError:
             raise ConfigurationError(f"SER table has no app {app!r}")
-        if not 1 <= paths <= self.values.shape[2]:
-            raise ConfigurationError(f"SER table has no entry for m={paths}")
-        v = self.values[a, self.bin_index(snr_db), paths - 1]
-        if not np.isfinite(v):
-            raise ConfigurationError(
-                f"SER table cell ({app.key}, snr={snr_db}, m={paths}) is unset"
-            )
-        return float(v)
+        snr, m = np.atleast_1d(snr_db), np.atleast_1d(paths)
+        off_grid = (m < 1) | (m > self.values.shape[2])
+        if off_grid.any():
+            raise ConfigurationError(f"SER table has no entry for m={m[off_grid][0]}")
+        v = self.values[a, self.bin_index(snr), m - 1]
+        unset = ~np.isfinite(v)
+        if unset.any():
+            i = np.flatnonzero(unset)[0]
+            raise ConfigurationError(f"SER table cell ({app.key}, snr={snr[i]}, m={m[i]}) is unset")
+        return v
 
     @classmethod
     def build(cls, n_mc: int = 10_000, seed: int = 20139,
@@ -571,27 +587,23 @@ class PhyPolicy:
         if self.temperature <= 0.0:
             raise ContractViolationError("temperature must be positive")
 
-    def _utilities(self, ctx: PhyContext) -> np.ndarray:
-        return np.array([
-            1.0 / (self.ser_table.lookup(app, ctx.snr_db, ctx.paths) * self.temperature)
-            for app in PHY_APPS
-        ])
+    def _utilities(self, ctx: PhyContexts) -> np.ndarray:
+        """(n, apps) utilities 1/(ser*T)."""
+        ser = np.stack([self.ser_table.lookup(app, ctx.snr_db, ctx.paths) for app in PHY_APPS],
+                       axis=1)
+        return 1.0 / (ser * self.temperature)
 
-    def app_probabilities(self, ctx: PhyContext) -> np.ndarray:
-        """All four selection probabilities (normalized softmax; the sum
-        is 1 to floating-point roundoff)."""
+    def app_probabilities(self, ctx: PhyContexts) -> np.ndarray:
+        """(n, apps) selection probabilities (normalized softmax; each row
+        sums to 1 to floating-point roundoff)."""
         u = self._utilities(ctx)
-        e = np.exp(u - u.max())
-        return e / e.sum()
+        e = np.exp(u - u.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
 
-    def app_probability(self, ctx: PhyContext, app: TransmissionApp) -> float:
-        return float(self.app_probabilities(ctx)[PHY_APPS.index(app)])
-
-    def weight(self, ctx: PhyContext, numer_app: TransmissionApp,
-               denom_app: TransmissionApp) -> float:
-        """Density ratio p(numer|x)/p(denom|x) in log space (clipped finite)."""
+    def weight(self, ctx: PhyContexts, numer_app: TransmissionApp,
+               denom_app: TransmissionApp) -> np.ndarray:
+        """(n,) density ratios p(numer|x)/p(denom|x) in log space (clipped finite)."""
         if numer_app == denom_app:
-            return 1.0
+            return np.ones(len(ctx))
         u = self._utilities(ctx)
-        z = u[PHY_APPS.index(numer_app)] - u[PHY_APPS.index(denom_app)]
-        return math.exp(min(max(z, -700.0), 700.0))
+        return clipped_exp(u[:, PHY_APPS.index(numer_app)] - u[:, PHY_APPS.index(denom_app)])

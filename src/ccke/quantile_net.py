@@ -5,7 +5,7 @@ scalar-KPI link-level contexts, and a permutation-equivariant two-block
 self-attention net for per-user scheduling contexts (shared token-wise
 MLPs keep the user ordering irrelevant).  Gradients are computed by hand
 so that training is bit-reproducible from a seed and the whole parameter
-state is a single flat vector that serializes to text exactly.
+state is a single flat vector.
 
 Both networks emit a pair of quantile estimates (lower, upper) per KPI;
 nothing constrains the pair against crossing - downstream calibration
@@ -34,8 +34,6 @@ __all__ = [
     "batch_loss",
     "init_model",
     "train",
-    "save_checkpoint",
-    "load_checkpoint",
 ]
 
 
@@ -438,81 +436,3 @@ def train(data, arch, alpha: float, cfg: TrainConfig) -> QuantileModel:
             raise TrainingDivergedError(epoch, f"non-finite parameters after epoch {epoch}")
         model.loss_history.append(epoch_sum / n)
     return model
-
-
-# ---------------------------------------------------------------------------
-# checkpoint io (plain text, bit-exact round trip via float hex)
-
-
-def _fmt_floats(values) -> str:
-    return " ".join(float(v).hex() for v in np.asarray(values, dtype=float).ravel())
-
-
-def _parse_floats(tokens) -> np.ndarray:
-    return np.array([float.fromhex(t) for t in tokens], dtype=float)
-
-
-def save_checkpoint(model: QuantileModel, path) -> None:
-    """Self-describing text dump: header fields, then each named tensor
-    row-major in float hex.  Round trip is bit exact."""
-    arch = model.arch
-    lines = ["ccke-quantile-checkpoint v1", f"arch {arch.kind}",
-             f"alpha {float(model.alpha).hex()}"]
-    if arch.kind == "feedforward":
-        lines.append("widths " + " ".join(str(w) for w in arch.widths))
-    else:
-        lines.append(f"dims {arch.d_h} {arch.d_o} {arch.d_e} {arch.token_dim}")
-        lines.append("mlp1 " + " ".join(str(w) for w in arch.mlp1))
-        lines.append("mlp2 " + " ".join(str(w) for w in arch.mlp2))
-    lines.append("feature_scale " + _fmt_floats(arch.feature_scale))
-    table, _ = _layout(arch)
-    lines.append(f"tensors {len(table)}")
-    views = model.views()
-    for name, shape, _, _ in table:
-        lines.append(f"tensor {name} " + " ".join(str(d) for d in shape))
-        lines.append(_fmt_floats(views[name]))
-    lines.append("end")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_checkpoint(path) -> QuantileModel:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if lines[0] != "ccke-quantile-checkpoint v1":
-        raise ContractViolationError(f"unrecognized checkpoint header: {lines[0]!r}")
-    fields = {}
-    i = 1
-    while not lines[i].startswith("tensors "):
-        key, _, rest = lines[i].partition(" ")
-        fields[key] = rest
-        i += 1
-    kind = fields["arch"]
-    alpha = float.fromhex(fields["alpha"])
-    feature_scale = tuple(_parse_floats(fields["feature_scale"].split()))
-    if kind == "feedforward":
-        arch = FeedforwardArch(widths=tuple(int(w) for w in fields["widths"].split()),
-                               feature_scale=feature_scale)
-    elif kind == "attention":
-        d_h, d_o, d_e, token_dim = (int(v) for v in fields["dims"].split())
-        arch = AttentionArch(d_h=d_h, d_o=d_o, d_e=d_e,
-                             mlp1=tuple(int(w) for w in fields["mlp1"].split()),
-                             mlp2=tuple(int(w) for w in fields["mlp2"].split()),
-                             token_dim=token_dim, feature_scale=feature_scale)
-    else:
-        raise ContractViolationError(f"unknown architecture kind {kind!r}")
-    n_tensors = int(lines[i].split()[1])
-    i += 1
-    chunks = {}
-    for _ in range(n_tensors):
-        _, name, *dims = lines[i].split()
-        values = _parse_floats(lines[i + 1].split())
-        chunks[name] = values.reshape(tuple(int(d) for d in dims))
-        i += 2
-    table, n = _layout(arch)
-    flat = np.empty(n)
-    for name, shape, a, b in table:
-        if name not in chunks or chunks[name].shape != shape:
-            raise ContractViolationError(f"checkpoint missing tensor {name} of shape {shape}")
-        flat[a:b] = chunks[name].ravel()
-    return QuantileModel(arch=arch, alpha=alpha, params=flat)

@@ -11,10 +11,13 @@ from __future__ import annotations
 import csv
 import math
 import os
+from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .conformal import ContractViolationError
-from .harness import BoxStats, ExperimentReport
+from .harness import ExperimentReport
 
 __all__ = ["emit_report", "read_trial_rows", "aggregate_rows", "write_aggregate"]
 
@@ -22,6 +25,34 @@ TRIAL_COLUMNS = ["environment", "method", "T", "K", "alpha", "trial", "coverage"
                  "inefficiency_raw", "inefficiency_clipped", "n_unbounded", "seed"]
 AGGREGATE_COLUMNS = ["environment", "method", "metric", "T", "K", "alpha", "median",
                      "mean", "q1", "q3", "whisker_lo", "whisker_hi", "outlier_count"]
+
+
+@dataclass(frozen=True)
+class BoxStats:
+    """Box-plot statistics of one metric; all +inf when any value is not finite."""
+
+    median: float
+    mean: float
+    q1: float
+    q3: float
+    whisker_lo: float
+    whisker_hi: float
+    outlier_count: int
+
+    @classmethod
+    def from_values(cls, values) -> "BoxStats":
+        v = np.asarray(values, dtype=float)
+        if v.size == 0 or not np.all(np.isfinite(v)):
+            inf = math.inf
+            return cls(median=inf, mean=inf, q1=inf, q3=inf,
+                       whisker_lo=inf, whisker_hi=inf, outlier_count=0)
+        q1, med, q3 = np.percentile(v, [25.0, 50.0, 75.0])
+        iqr = q3 - q1
+        lo_fence, hi_fence = q1 - 1.5 * iqr, q3 + 1.5 * iqr
+        inside = v[(v >= lo_fence) & (v <= hi_fence)]
+        return cls(median=float(med), mean=float(v.mean()), q1=float(q1), q3=float(q3),
+                   whisker_lo=float(inside.min()), whisker_hi=float(inside.max()),
+                   outlier_count=int(np.sum((v < lo_fence) | (v > hi_fence))))
 
 
 def _kpi_count(cfg) -> int:
@@ -35,29 +66,19 @@ def emit_report(report: ExperimentReport, out_dir) -> tuple:
     run never leaves a partial report behind.
     """
     cfg = report.config
-    k = _kpi_count(cfg)
-    trial_rows = [[cfg.environment, t.method, repr(float(cfg.temperature)), k,
-                   repr(float(cfg.alpha)), t.trial, repr(float(t.coverage)),
-                   repr(float(t.inefficiency_raw)), repr(float(t.inefficiency_clipped)),
-                   t.n_unbounded, t.seed]
-                  for t in report.trials]
-    agg_rows = []
-    for (method, metric), stats in sorted(report.aggregates().items()):
-        agg_rows.append([cfg.environment, method, metric, repr(float(cfg.temperature)),
-                         k, repr(float(cfg.alpha)), repr(stats.median), repr(stats.mean),
-                         repr(stats.q1), repr(stats.q3), repr(stats.whisker_lo),
-                         repr(stats.whisker_hi), stats.outlier_count])
+    rows = [dict(zip(TRIAL_COLUMNS, (
+        cfg.environment, t.method, float(cfg.temperature), _kpi_count(cfg), float(cfg.alpha),
+        t.trial, float(t.coverage), float(t.inefficiency_raw), float(t.inefficiency_clipped),
+        t.n_unbounded, t.seed))) for t in report.trials]
+    agg_rows = aggregate_rows(rows)
     os.makedirs(out_dir, exist_ok=True)
     trials_path = os.path.join(out_dir, "trials.csv")
     agg_path = os.path.join(out_dir, "aggregate.csv")
     with open(trials_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRIAL_COLUMNS)
-        writer.writerows(trial_rows)
-    with open(agg_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(AGGREGATE_COLUMNS)
-        writer.writerows(agg_rows)
+        writer = csv.DictWriter(fh, TRIAL_COLUMNS)  # floats go out as repr
+        writer.writeheader()
+        writer.writerows(rows)
+    _write_rows(agg_path, agg_rows)
     return trials_path, agg_path
 
 
@@ -105,8 +126,11 @@ def aggregate_rows(rows: Sequence[dict]) -> list:
 
 
 def write_aggregate(rows: Sequence[dict], path) -> None:
-    agg = aggregate_rows(rows)
+    _write_rows(path, aggregate_rows(rows))
+
+
+def _write_rows(path, agg_rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(AGGREGATE_COLUMNS)
-        writer.writerows(agg)
+        writer.writerows(agg_rows)

@@ -226,7 +226,7 @@ def test_criterion_7_weight_error_guarantee():
     env = SyntheticEnvironment()
     rng = rng_for(700, 99)
     contexts = env.sample_contexts_given_app("base", 20_000, rng)
-    mean_w = float(np.mean([env.weight(c, "alt", "base") for c in contexts]))
+    mean_w = float(np.mean(env.weight(contexts, "alt", "base")))
     target_err = 0.2
     delta = min(2.0 * target_err / mean_w, 1.0)
     rep = run_experiment(synthetic_config(base_seed=700, weight_perturbation=delta))
@@ -332,7 +332,7 @@ def test_criterion_9d_probability_normalization(ser_table):
     worst = 0.0
     for _ in range(200):
         ctx = phy_sim.sample_context(rng)
-        worst = max(worst, abs(float(pol.app_probabilities(ctx).sum()) - 1.0))
+        worst = max(worst, abs(float(pol.app_probabilities(ctx)[0].sum()) - 1.0))
     from ccke.conformal import compute_weight_probabilities
 
     for _ in range(200):
@@ -350,13 +350,13 @@ def test_criterion_9e_weight_reciprocity(ser_table):
     worst = 0.0
     for _ in range(100):
         ctx = mac_sim.generate_context(8, rng)
-        worst = max(worst, abs(mac_pol.weight(ctx, mac_sim.RR, mac_sim.PFCA)
-                               * mac_pol.weight(ctx, mac_sim.PFCA, mac_sim.RR) - 1.0))
+        worst = max(worst, abs(float(mac_pol.weight(ctx, mac_sim.RR, mac_sim.PFCA)[0])
+                               * float(mac_pol.weight(ctx, mac_sim.PFCA, mac_sim.RR)[0]) - 1.0))
         pctx = phy_sim.sample_context(rng)
         for a in phy_sim.PHY_APPS:
             for b in phy_sim.PHY_APPS:
-                worst = max(worst, abs(phy_pol.weight(pctx, a, b)
-                                       * phy_pol.weight(pctx, b, a) - 1.0))
+                worst = max(worst, abs(float(phy_pol.weight(pctx, a, b)[0])
+                                       * float(phy_pol.weight(pctx, b, a)[0]) - 1.0))
     check("criterion 9 (weight reciprocity)", worst <= 1e-9,
           f"max |w_fwd * w_rev - 1| = {worst:.2e}")
 
@@ -368,15 +368,15 @@ def test_criterion_9f_kpi_bounds_and_conservation(ser_table):
     for _ in range(150):
         ctx = phy_sim.sample_context(rng)
         app = phy_sim.PHY_APPS[int(rng.integers(0, 4))]
-        y = phy_sim.transmit_arq(app, ctx, arq, rng)
+        y = phy_sim.transmit_arq(app, float(ctx.snr_db[0]), int(ctx.paths[0]), arq, rng)
         ok_phy &= 1 <= y <= 10
     env = MacEnvironment(n_users=8, temperature=1.0)
     ok_mac = True
     for _ in range(150):
-        ctx = env.sample_context(rng)
+        ctx = mac_sim.generate_context(env.n_users, rng)
         for app in mac_sim.MAC_APPS:
             out = env.rollout(app, ctx, rng)
-            ok_mac &= bool(np.all(out >= 0) and np.all(out <= ctx.initial_backlogs))
+            ok_mac &= bool(np.all(out >= 0) and np.all(out <= ctx.backlogs))
     check("criterion 9 (KPI bounds / conservation)", ok_phy and ok_mac,
           "latency in [1, 10]; final backlogs within [0, initial]")
 

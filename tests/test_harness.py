@@ -1,6 +1,8 @@
-"""Harness tests: counterfactual truth, metrics, experiment execution,
-report emission, and the command-line interface."""
+"""Harness tests: the batch environment protocol and counterfactual
+truth, metrics, experiment execution, report emission, and the
+command-line interface."""
 
+import csv
 import math
 import re
 import subprocess
@@ -24,8 +26,8 @@ from ccke.harness import (
     ExperimentConfig,
     MacEnvironment,
     NoiseSpec,
+    PhyEnvironment,
     SyntheticEnvironment,
-    counterfactual_truth,
     evaluate_coverage,
     evaluate_inefficiency,
     rng_for,
@@ -44,31 +46,72 @@ UNBOUNDED = PredictionSet(naive=IntervalSet(lo=[0.0], hi=[0.0]),
 
 
 # ---------------------------------------------------------------------------
-# counterfactual truth
+# environments and counterfactual truth
+
+
+def rows_of(ctx):
+    """Each context of a batch as a batch of one."""
+    if isinstance(ctx, mac_sim.MacContexts):
+        return [mac_sim.MacContexts(ctx.backlogs[i:i + 1], ctx.cqis[i:i + 1])
+                for i in range(len(ctx))]
+    if isinstance(ctx, phy_sim.PhyContexts):
+        return [phy_sim.PhyContexts(ctx.snr_db[i:i + 1], ctx.paths[i:i + 1])
+                for i in range(len(ctx))]
+    return [ctx[i:i + 1] for i in range(len(ctx))]
 
 
 def test_counterfactual_truth_replay():
     env = MacEnvironment(n_users=4, temperature=1.0)
-    ctx = env.sample_context(rng_for(8, 1))
-    a = counterfactual_truth(env, ctx, mac_sim.RR, rng_for(8, 2))
-    b = counterfactual_truth(env, ctx, mac_sim.RR, rng_for(8, 2))
-    assert np.array_equal(a, b)
+    ctx = env.sample_contexts_given_app(mac_sim.PFCA, 5, rng_for(8, 1))
+    a = env.rollout(mac_sim.RR, ctx, rng_for(8, 2))
+    b = env.rollout(mac_sim.RR, ctx, rng_for(8, 2))
+    assert a.shape == (5, 4) and np.array_equal(a, b)
 
 
 def test_counterfactual_truth_empty_backlogs():
     env = MacEnvironment(n_users=3, temperature=1.0)
-    ctx = mac_sim.MacContext(initial_backlogs=[0, 0, 0], cqis=[4, 9, 13])
-    assert np.array_equal(counterfactual_truth(env, ctx, mac_sim.RR, rng_for(9, 1)),
-                          np.zeros(3))
+    ctx = mac_sim.MacContexts(backlogs=[[0, 0, 0]], cqis=[[4, 9, 13]])
+    assert np.array_equal(env.rollout(mac_sim.RR, ctx, rng_for(9, 1)), np.zeros((1, 3)))
 
 
 def test_counterfactual_truth_distribution_matches_direct_rollout():
+    # one rollout of a batch of 1000 copies against 1000 rollouts of the context alone
     env = SyntheticEnvironment()
-    ctx = 0.3
     rng = rng_for(10, 1)
-    a = np.array([counterfactual_truth(env, ctx, "base", rng)[0] for _ in range(1000)])
-    b = np.array([env.rollout("base", ctx, rng)[0] for _ in range(1000)])
+    a = env.rollout("base", np.full(1000, 0.3), rng)[:, 0]
+    b = np.array([env.rollout("base", np.array([0.3]), rng)[0, 0] for _ in range(1000)])
     assert stats.ks_2samp(a, b).pvalue > 0.01
+
+
+ENVIRONMENTS = {
+    "mac": (lambda: MacEnvironment(n_users=4, temperature=1.0), mac_sim.MAC_APPS),
+    "phy": (PhyEnvironment, phy_sim.PHY_APPS),
+    "synthetic": (SyntheticEnvironment, ("base", "alt")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENVIRONMENTS))
+def test_batch_protocol_matches_per_row_calls(name):
+    # a batch rollout makes the draws of one rollout per row, in row order,
+    # and every per-context quantity of a batch is that of its rows
+    make, apps = ENVIRONMENTS[name]
+    env = make()
+    ctx = env.sample_contexts_given_app(apps[0], 30, rng_for(14, 1))
+    rows = rows_of(ctx)
+    assert len(ctx) == 30
+    for app in apps:
+        batch_rng, row_rng = rng_for(14, 2), rng_for(14, 2)
+        batch = env.rollout(app, ctx, batch_rng)
+        per_row = np.concatenate([env.rollout(app, r, row_rng) for r in rows])
+        assert batch.dtype == float and np.array_equal(batch, per_row)
+        assert batch_rng.random() == row_rng.random()
+        w = env.weight(ctx, app, apps[0])
+        assert w.shape == (30,)
+        assert w.tobytes() == np.concatenate([env.weight(r, app, apps[0]) for r in rows]).tobytes()
+    for method in ("features", "normalizers", "domains"):
+        got = getattr(env, method)(ctx)
+        assert np.array_equal(got, np.concatenate([getattr(env, method)(r) for r in rows]))
+    assert env.domains(ctx).shape == (30, 2)
 
 
 def test_selection_logistic_stable_at_sharp_temperature():
@@ -102,14 +145,39 @@ def reference_mac_contexts_given_app(env, app, n, rng):
     return out
 
 
-@pytest.mark.parametrize("app", mac_sim.MAC_APPS)
+def reference_synthetic_contexts_given_app(env, app, n, rng):
+    """The synthetic rejection sampler as a per-draw loop: each round draws
+    the candidates, then one uniform per candidate, and keeps candidates in
+    draw order until n are kept."""
+    out, batch = [], max(1024, 2 * n)
+    while len(out) < n:
+        x = rng.normal(size=batch)
+        z = x / env.selection_temperature
+        with np.errstate(over="ignore"):
+            p_alt = np.where(z >= 0.0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+        u = rng.random(batch)
+        for xi, pi, ui in zip(x.tolist(), p_alt.tolist(), u.tolist()):
+            if len(out) < n and ui < (pi if app == "alt" else 1.0 - pi):
+                out.append(xi)
+    return out
+
+
+@pytest.mark.parametrize("app", mac_sim.MAC_APPS + ("base", "alt"))
 def test_mac_sampler_matches_two_branch_logistic(app):
-    env = MacEnvironment(n_users=8, temperature=1.0)
-    got = env.sample_contexts_given_app(app, 300, rng_for(12, 1))
-    want = reference_mac_contexts_given_app(env, app, 300, rng_for(12, 1))
-    assert len(got) == len(want) == 300
-    for ctx, (b, c) in zip(got, want):
-        assert np.array_equal(ctx.initial_backlogs, b) and np.array_equal(ctx.cqis, c)
+    if app in mac_sim.MAC_APPS:
+        env = MacEnvironment(n_users=8, temperature=1.0)
+        got = env.sample_contexts_given_app(app, 300, rng_for(12, 1))
+        want = reference_mac_contexts_given_app(env, app, 300, rng_for(12, 1))
+        assert len(got) == len(want) == 300
+        for b, c, (wb, wc) in zip(got.backlogs, got.cqis, want):
+            assert np.array_equal(b, wb) and np.array_equal(c, wc)
+    else:
+        # n sits near one round's acceptances: "alt" takes a second round,
+        # "base" keeps the first n of one
+        env = SyntheticEnvironment(selection_temperature=0.3)
+        got = env.sample_contexts_given_app(app, 1500, rng_for(12, 1))
+        want = reference_synthetic_contexts_given_app(env, app, 1500, rng_for(12, 1))
+        assert got.dtype == float and got.tolist() == want
 
 
 @pytest.mark.parametrize("app", mac_sim.MAC_APPS)
@@ -342,22 +410,14 @@ def test_nccke_approaches_ccke_at_large_temperature():
     assert np.median(diffs) <= max(0.01 * abs(iqr), 1e-9)
 
 
-def test_retrain_per_trial_flag():
-    cfg = ExperimentConfig(environment="mac", n_users=3, temperature=1.0,
-                           n_train=60, n_cal=20, n_test=3, n_trials=2,
-                           train_epochs=2, base_seed=7, retrain_per_trial=True,
-                           methods=("CKE",))
-    rep = run_experiment(cfg)
-    assert len(rep.trials) == 2
-
-
 # ---------------------------------------------------------------------------
 # reference: the per-point trial path
 #
-# run_experiment computes each trial as array operations.  The functions
-# below are the per-point path it replaced, self-contained (they share no
-# quantile, weight-normalization or metric code with the library), and
-# the tests require equal bytes.
+# run_experiment computes each trial as array operations on batches of
+# contexts.  The functions below are the per-point path it replaced: they
+# call the environment once per context and share no quantile,
+# weight-normalization or metric code with the library, and the tests
+# require equal bytes.
 
 
 def reference_quantile(scores, probs, alpha):
@@ -395,26 +455,34 @@ def reference_inefficiency(sets, normalizers, domains):
     return float(np.mean(clipped_terms)), raw, n_unbounded
 
 
+def reference_draw_labeled(env, app, n, rng, noise, noise_rng):
+    """One batch of contexts, then one rollout and one noise draw per context."""
+    contexts = env.sample_contexts_given_app(app, n, rng)
+    kpis = [env.rollout(app, row, rng)[0] for row in rows_of(contexts)]
+    if noise is not None:
+        kpis = [k + noise.draw(noise_rng, k.shape) for k in kpis]
+    return contexts, kpis
+
+
 def reference_run(cfg):
-    """run_experiment with the per-point trial body: id()-keyed weights,
-    one prediction set per test point, per-set metrics.  Returns
+    """run_experiment with the per-point trial body: one rollout, weight,
+    prediction set and metric input per context.  Returns
     ``(trials, weight_error_mean)`` with trials as
     ``(method, trial, coverage, raw, clipped, n_unbounded, corrections)``."""
     env = harness.build_environment(cfg)
     target, actual = env.parse_app(cfg.target_app), env.parse_app(cfg.actual_app)
-    exact_model = getattr(env, "has_exact_model", False)
-    if not exact_model:
-        contexts, kpis = harness._draw_labeled(
+    if not env.has_exact_model:
+        contexts, kpis = reference_draw_labeled(
             env, target, cfg.n_train, rng_for(cfg.base_seed, harness._STREAM_TRAIN_DATA),
             cfg.kpi_noise, rng_for(cfg.base_seed, harness._STREAM_TRIAL_NOISE))
-        model = harness._train_model(env, cfg, contexts, kpis, seed=cfg.base_seed)
+        model = harness._train_model(env, cfg, contexts, np.stack(kpis), seed=cfg.base_seed)
 
     def intervals_for_batch(contexts):
-        if exact_model:
+        if env.has_exact_model:
             spread = (1.0 - cfg.alpha) * env.half_width
             mids = [env.offsets[target] + float(c) for c in contexts]
             return [IntervalSet(lo=[m - spread], hi=[m + spread]) for m in mids]
-        lo, hi = model.predict(np.stack([env.model_features(c) for c in contexts]))
+        lo, hi = model.predict(np.concatenate([env.features(r) for r in rows_of(contexts)]))
         return [IntervalSet(lo=lo[i], hi=hi[i]) for i in range(len(contexts))]
 
     trials, weight_errors = [], []
@@ -422,33 +490,33 @@ def reference_run(cfg):
         rng_cal = rng_for(cfg.base_seed, harness._STREAM_TRIAL_CAL, t)
         rng_test = rng_for(cfg.base_seed, harness._STREAM_TRIAL_TEST, t)
         rng_noise = rng_for(cfg.base_seed, harness._STREAM_TRIAL_NOISE, t + 1)
-        cal_ctx, cal_kpi = harness._draw_labeled(env, target, cfg.n_cal, rng_cal,
-                                                 cfg.kpi_noise, rng_noise)
+        cal_ctx, cal_kpi = reference_draw_labeled(env, target, cfg.n_cal, rng_cal,
+                                                  cfg.kpi_noise, rng_noise)
         scores = np.array([compute_score(iv, y)
                            for iv, y in zip(intervals_for_batch(cal_ctx), cal_kpi)])
         test_ctx = env.sample_contexts_given_app(actual, cfg.n_test, rng_test)
-        truths = [counterfactual_truth(env, c, target, rng_test) for c in test_ctx]
+        test_rows = rows_of(test_ctx)
+        truths = [env.rollout(target, r, rng_test)[0] for r in test_rows]
         test_intervals = intervals_for_batch(test_ctx)
 
-        w_exact = {id(c): env.weight(c, actual, target) for c in cal_ctx}
-        for c in test_ctx:
-            w_exact[id(c)] = env.weight(c, actual, target)
+        # calibration points first, then test points
+        w_exact = [float(env.weight(r, actual, target)[0])
+                   for r in rows_of(cal_ctx) + test_rows]
         if cfg.weight_perturbation is not None:
             delta = cfg.weight_perturbation
-            w_used = {k: w * (1.0 + rng_noise.uniform(-delta, delta))
-                      for k, w in w_exact.items()}
-            weight_errors.extend(abs(w_used[id(c)] - w_exact[id(c)]) for c in cal_ctx)
+            w_used = [w * (1.0 + rng_noise.uniform(-delta, delta)) for w in w_exact]
+            weight_errors.extend(abs(u - w) for u, w in zip(w_used[:cfg.n_cal], w_exact))
         else:
             w_used = w_exact
-        w_cal = np.array([w_used[id(c)] for c in cal_ctx], dtype=float)
+        w_cal = np.array(w_used[:cfg.n_cal], dtype=float)
 
-        normalizers = [env.inefficiency_normalizer(c) for c in test_ctx]
-        domains = [env.clip_domain(c) for c in test_ctx]
+        normalizers = [float(env.normalizers(r)[0]) for r in test_rows]
+        domains = [tuple(env.domains(r)[0]) for r in test_rows]
         for method in cfg.methods:
             sets = []
-            for i, ctx in enumerate(test_ctx):
+            for i in range(len(test_rows)):
                 if method == "CCKE":
-                    q = reference_ccke_correction(scores, w_cal, float(w_used[id(ctx)]),
+                    q = reference_ccke_correction(scores, w_cal, w_used[cfg.n_cal + i],
                                                   cfg.alpha)
                 elif method == "NCCKE":
                     q = reference_quantile(scores, np.full(scores.size, 1.0 / (scores.size + 1)),
@@ -472,6 +540,12 @@ REFERENCE_CASES = {
     "unbounded": dict(_SYNTHETIC, n_cal=7, alpha=15 / 64, n_test=40),
     "mac-k3": dict(environment="mac", n_users=3, n_train=60, n_cal=20, n_test=10,
                    n_trials=4, train_epochs=0),
+    "mac-pfca-noisy": dict(environment="mac", n_users=3, actual_app="RR", target_app="PFCA",
+                           n_train=60, n_cal=20, n_test=10, n_trials=3, train_epochs=1,
+                           kpi_noise=NoiseSpec(2.0), weight_perturbation=0.2),
+    "phy": dict(environment="phy", actual_app="multiplexing_qpsk", target_app="alamouti_qpsk",
+                n_train=60, n_cal=20, n_test=10, n_trials=3, train_epochs=1,
+                kpi_noise=NoiseSpec(0.5)),
     "cke-only": dict(_SYNTHETIC, n_trials=4, methods=("CKE",)),
     "nccke-ccke": dict(_SYNTHETIC, n_trials=4, methods=("NCCKE", "CCKE")),
 }
@@ -560,8 +634,6 @@ def test_report_roundtrip_bit_exact(small_report, tmp_path):
 def test_aggregate_median_matches_oracle(small_report, tmp_path):
     trials_path, agg_path = emit_report(small_report, tmp_path)
     rows = read_trial_rows(trials_path)
-    import csv
-
     with open(agg_path, newline="") as fh:
         agg = list(csv.DictReader(fh))
     for record in agg:
@@ -573,14 +645,19 @@ def test_aggregate_median_matches_oracle(small_report, tmp_path):
 
 
 def test_aggregate_whiskers_within_tukey_fences(small_report, tmp_path):
-    stats_map = small_report.aggregates()
-    for (method, metric), s in stats_map.items():
-        if not math.isfinite(s.median):
+    _, agg_path = emit_report(small_report, tmp_path)
+    with open(agg_path, newline="") as fh:
+        agg = list(csv.DictReader(fh))
+    assert len(agg) == 3 * 3  # three methods x three metrics
+    for record in agg:
+        q1, q3, lo, hi, median = (float(record[k]) for k in
+                                  ("q1", "q3", "whisker_lo", "whisker_hi", "median"))
+        if not math.isfinite(median):
             continue
-        iqr = s.q3 - s.q1
-        assert s.whisker_lo >= s.q1 - 1.5 * iqr - 1e-12
-        assert s.whisker_hi <= s.q3 + 1.5 * iqr + 1e-12
-        assert s.whisker_lo <= s.q1 and s.whisker_hi >= s.q3
+        iqr = q3 - q1
+        assert lo >= q1 - 1.5 * iqr - 1e-12
+        assert hi <= q3 + 1.5 * iqr + 1e-12
+        assert lo <= q1 and hi >= q3
 
 
 def test_aggregate_rows_from_files(small_report, tmp_path):
@@ -627,18 +704,6 @@ def test_cli_run_and_report(tmp_path):
                       "--out", str(tmp_path / "agg.csv"))
     assert agg_out.returncode == 0, agg_out.stderr
     assert (tmp_path / "agg.csv").exists()
-
-
-def test_cli_train_checkpoint(tmp_path):
-    out = run_cli("train", "--set", "environment=mac", "--set", "n_users=3",
-                  "--set", "n_train=40", "--set", "train_epochs=2",
-                  "--set", "target_app=RR", "--out", str(tmp_path / "m.ckpt"))
-    assert out.returncode == 0, out.stderr
-    assert "initial loss" in out.stdout and "last-epoch mean minibatch loss" in out.stdout
-    from ccke.quantile_net import load_checkpoint
-
-    model = load_checkpoint(tmp_path / "m.ckpt")
-    assert model.arch.kind == "attention"
 
 
 def test_cli_ser_table(tmp_path):

@@ -14,7 +14,7 @@ from ccke.mac_sim import (
     PFCA,
     RR,
     FrameConfig,
-    MacContext,
+    MacContexts,
     MacPolicy,
     default_payload_table,
     estimate_rr_residual,
@@ -27,6 +27,11 @@ def flat_policy(payload, temperature=1.0):
     return MacPolicy(temperature=temperature, payload_table=np.full(15, float(payload)))
 
 
+def one(backlogs, cqis):
+    """A single context, as a batch of one."""
+    return MacContexts(backlogs=[backlogs], cqis=[cqis])
+
+
 # ---------------------------------------------------------------------------
 # contexts
 
@@ -34,19 +39,19 @@ def flat_policy(payload, temperature=1.0):
 def test_context_replay_deterministic():
     a = generate_context(8, np.random.default_rng(42))
     b = generate_context(8, np.random.default_rng(42))
-    assert np.array_equal(a.initial_backlogs, b.initial_backlogs)
+    assert np.array_equal(a.backlogs, b.backlogs)
     assert np.array_equal(a.cqis, b.cqis)
 
 
 def test_context_shapes():
     ctx = generate_context(8, np.random.default_rng(0))
-    assert ctx.n_users == 8
-    assert ctx.initial_backlogs.shape == (8,) and ctx.cqis.shape == (8,)
+    assert len(ctx) == 1
+    assert ctx.backlogs.shape == (1, 8) and ctx.cqis.shape == (1, 8)
 
 
 def test_context_distribution_bounds():
     rng = np.random.default_rng(1)
-    b = np.concatenate([generate_context(4, rng).initial_backlogs for _ in range(2500)])
+    b = np.concatenate([generate_context(4, rng).backlogs for _ in range(2500)])
     c = np.concatenate([generate_context(4, rng).cqis for _ in range(2500)])
     assert b.min() >= 10 and b.max() <= 100
     assert c.min() >= 1 and c.max() <= 15
@@ -56,9 +61,9 @@ def test_context_distribution_bounds():
 
 def test_context_validation():
     with pytest.raises(ContractViolationError):
-        MacContext(initial_backlogs=[-1], cqis=[5])
+        one([-1], [5])
     with pytest.raises(ContractViolationError):
-        MacContext(initial_backlogs=[3], cqis=[16])
+        one([3], [16])
 
 
 # ---------------------------------------------------------------------------
@@ -66,14 +71,14 @@ def test_context_validation():
 
 
 def test_residual_single_user_exact_drain():
-    ctx = MacContext(initial_backlogs=[10], cqis=[8])
+    ctx = one([10], [8])
     assert estimate_rr_residual(ctx, flat_policy(10.0)) == 0.0
 
 
 def test_residual_identical_users_reduce_to_single():
     pol = MacPolicy(temperature=1.0, payload_table=np.linspace(10, 150, 15))
-    single = MacContext(initial_backlogs=[40], cqis=[7])
-    many = MacContext(initial_backlogs=[40] * 4, cqis=[7] * 4)
+    single = one([40], [7])
+    many = one([40] * 4, [7] * 4)
     single_share = estimate_rr_residual(single, pol)  # b - g/1
     # with K identical users each gets g/K, so shift by the share change
     expected = 40 - pol.payload_table[6] / 4
@@ -82,7 +87,7 @@ def test_residual_identical_users_reduce_to_single():
 
 
 def test_residual_zero_service():
-    ctx = MacContext(initial_backlogs=[12, 99, 40], cqis=[1, 8, 15])
+    ctx = one([12, 99, 40], [1, 8, 15])
     assert estimate_rr_residual(ctx, flat_policy(0.0)) == 99.0
 
 
@@ -110,38 +115,39 @@ def test_payload_sign_balance_across_k():
 
 def test_selection_probability_at_zero_residual():
     pol = flat_policy(50.0, temperature=2.0)
-    ctx = MacContext(initial_backlogs=[50], cqis=[8])  # residual exactly 0
-    assert pol.prob_rr(ctx) == pytest.approx(0.5)
+    ctx = one([50], [8])  # residual exactly 0
+    assert pol.app_probability(ctx, RR) == pytest.approx(0.5)
 
 
 def test_selection_probability_tends_to_half_for_large_t():
-    ctx = MacContext(initial_backlogs=[90, 20], cqis=[3, 12])
+    ctx = one([90, 20], [3, 12])
     for t, tol in ((1e3, 0.02), (1e6, 1e-4)):
         pol = MacPolicy(temperature=t, payload_table=default_payload_table(2))
-        assert abs(pol.prob_rr(ctx) - 0.5) < tol
+        assert abs(pol.app_probability(ctx, RR) - 0.5) < tol
 
 
 def test_selection_probability_hand_inversion():
     t = 2.5
     pol = flat_policy(0.0, temperature=t)
     b = t * math.log(3.0)
-    ctx = MacContext(initial_backlogs=[int(round(b))], cqis=[8])
+    ctx = one([int(round(b))], [8])
     # integer backlogs: evaluate through the formula at the exact residual
     p = math.exp(-b / t) / (1.0 + math.exp(-b / t))
     assert p == pytest.approx(0.25)
-    assert pol.prob_rr(MacContext(initial_backlogs=[3], cqis=[8])) == pytest.approx(
+    assert pol.app_probability(one([3], [8]), RR) == pytest.approx(
         math.exp(-3 / t) / (1 + math.exp(-3 / t)))
 
 
 def test_selection_monotonicity_in_residual_and_temperature():
     pol = flat_policy(50.0, temperature=1.0)
     backlogs = [20, 40, 60, 80, 100]
-    probs = [pol.prob_rr(MacContext(initial_backlogs=[b], cqis=[8]))
+    probs = [pol.app_probability(one([b], [8]), RR)
              for b in backlogs]
     assert all(p1 > p2 for p1, p2 in zip(probs, probs[1:]))
     # positive residual: p(RR) rises toward 0.5 as T grows
-    ctx = MacContext(initial_backlogs=[80], cqis=[8])
-    by_t = [flat_policy(50.0, temperature=t).prob_rr(ctx) for t in (0.5, 2.0, 10.0, 100.0)]
+    ctx = one([80], [8])
+    by_t = [flat_policy(50.0, temperature=t).app_probability(ctx, RR)
+            for t in (0.5, 2.0, 10.0, 100.0)]
     assert all(p1 < p2 < 0.5 + 1e-12 for p1, p2 in zip(by_t, by_t[1:]))
 
 
@@ -165,23 +171,38 @@ def test_weight_matches_probability_ratio():
         assert w == pytest.approx(ratio, rel=1e-9)
 
 
+def test_batch_weight_is_per_element_math_exp():
+    # exponents past both clip edges and between them, where numpy's
+    # vectorized exp differs from math.exp in the last bit on some inputs
+    t = 0.02
+    pol = MacPolicy.default(8, t)
+    rng = np.random.default_rng(13)
+    ctx = MacContexts(backlogs=rng.integers(0, 101, size=(4000, 8)),
+                      cqis=rng.integers(1, 16, size=(4000, 8)))
+    resid = [float(np.max(b - pol.payload(c) / 8)) for b, c in zip(ctx.backlogs, ctx.cqis)]
+    for numer, denom, sign in ((PFCA, RR, 1.0), (RR, PFCA, -1.0)):
+        z = [sign * r / t for r in resid]
+        assert min(z) < -700.0 and max(z) > 700.0
+        want = np.array([math.exp(min(max(v, -700.0), 700.0)) for v in z])
+        assert np.array_equal(pol.weight(ctx, numer, denom), want)
+        assert not np.array_equal(np.exp(np.clip(z, -700.0, 700.0)), want)
+
+
 # ---------------------------------------------------------------------------
 # frame dynamics
 
 
 def test_frame_nothing_to_serve():
-    ctx = MacContext(initial_backlogs=[0, 0, 0], cqis=[5, 9, 14])
     pol = MacPolicy.default(3, 1.0)
     for app in (RR, PFCA):
-        out = run_frame(app, ctx, pol, FrameConfig(), np.random.default_rng(0))
+        out = run_frame(app, [0, 0, 0], [5, 9, 14], pol, FrameConfig(), np.random.default_rng(0))
         assert np.all(out == 0)
 
 
 def test_frame_full_drain_single_user():
     pol = flat_policy(600.0)
     cfg = FrameConfig(per_rb_success_prob=lambda c: 1.0)
-    ctx = MacContext(initial_backlogs=[100], cqis=[8])
-    out = run_frame(RR, ctx, pol, cfg, np.random.default_rng(0))
+    out = run_frame(RR, [100], [8], pol, cfg, np.random.default_rng(0))
     assert out[0] == 0
 
 
@@ -189,9 +210,9 @@ def test_frame_rr_one_rb_each():
     k = 5
     pol = MacPolicy(temperature=1.0, payload_table=np.linspace(50, 400, 15))
     cfg = FrameConfig(resource_blocks=k, per_rb_success_prob=lambda c: 1.0)
-    ctx = MacContext(initial_backlogs=[100] * k, cqis=[1, 4, 8, 12, 15])
-    out = run_frame(RR, ctx, pol, cfg, np.random.default_rng(0))
-    quanta = np.rint(pol.payload(ctx.cqis) / k).astype(int)
+    cqis = [1, 4, 8, 12, 15]
+    out = run_frame(RR, [100] * k, cqis, pol, cfg, np.random.default_rng(0))
+    quanta = np.rint(pol.payload(cqis) / k).astype(int)
     expected = np.maximum(100 - np.minimum(quanta, 100), 0)
     assert np.array_equal(out, expected)
 
@@ -203,25 +224,26 @@ def test_frame_conservation_property():
     for _ in range(200):
         ctx = generate_context(6, rng)
         for app in (RR, PFCA):
-            out = run_frame(app, ctx, pol, cfg, rng)
+            out = run_frame(app, ctx.backlogs[0], ctx.cqis[0], pol, cfg, rng)
             assert np.all(out >= 0)
-            assert np.all(out <= ctx.initial_backlogs)
+            assert np.all(out <= ctx.backlogs[0])
 
 
 def test_frame_replay_deterministic():
     pol = MacPolicy.default(8, 1.0)
     cfg = FrameConfig()
     ctx = generate_context(8, np.random.default_rng(11))
-    a = run_frame(PFCA, ctx, pol, cfg, np.random.default_rng(123))
-    b = run_frame(PFCA, ctx, pol, cfg, np.random.default_rng(123))
-    assert np.array_equal(a, b)
+    b, c = ctx.backlogs[0], ctx.cqis[0]
+    assert np.array_equal(run_frame(PFCA, b, c, pol, cfg, np.random.default_rng(123)),
+                          run_frame(PFCA, b, c, pol, cfg, np.random.default_rng(123)))
 
 
 def test_frame_rejects_more_users_than_rbs():
     pol = MacPolicy.default(4, 1.0)
     ctx = generate_context(4, np.random.default_rng(0))
     with pytest.raises(ContractViolationError):
-        run_frame(RR, ctx, pol, FrameConfig(resource_blocks=3), np.random.default_rng(0))
+        run_frame(RR, ctx.backlogs[0], ctx.cqis[0], pol, FrameConfig(resource_blocks=3),
+                  np.random.default_rng(0))
 
 
 def test_pfca_beats_rr_on_skewed_channels():
@@ -231,10 +253,9 @@ def test_pfca_beats_rr_on_skewed_channels():
     cfg = FrameConfig()
     drained_rr, drained_pf = [], []
     for i in range(1000):
-        ctx = MacContext(initial_backlogs=np.full(8, 100),
-                         cqis=[15, 1, 1, 1, 1, 1, 1, 1])
-        rr = run_frame(RR, ctx, pol, cfg, np.random.default_rng(50_000 + i))
-        pf = run_frame(PFCA, ctx, pol, cfg, np.random.default_rng(50_000 + i))
+        backlogs, cqis = np.full(8, 100), [15, 1, 1, 1, 1, 1, 1, 1]
+        rr = run_frame(RR, backlogs, cqis, pol, cfg, np.random.default_rng(50_000 + i))
+        pf = run_frame(PFCA, backlogs, cqis, pol, cfg, np.random.default_rng(50_000 + i))
         drained_rr.append(800 - rr.sum())
         drained_pf.append(800 - pf.sum())
     gap = np.mean(drained_pf) - np.mean(drained_rr)
@@ -253,10 +274,10 @@ def test_policy_rejects_payload_above_2_pow_53():
     with pytest.raises(ContractViolationError):
         MacPolicy(temperature=1.0, payload_table=np.full(15, 1e30))
     pol = flat_policy(2.0 ** 53)
-    ctx = MacContext(initial_backlogs=[50, 60], cqis=[3, 9])
     cfg = FrameConfig(per_rb_success_prob=lambda c: 1.0)
     for app in (RR, PFCA):
-        assert np.array_equal(run_frame(app, ctx, pol, cfg, np.random.default_rng(0)), [0, 0])
+        assert np.array_equal(run_frame(app, [50, 60], [3, 9], pol, cfg, np.random.default_rng(0)),
+                              [0, 0])
 
 
 @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
@@ -283,7 +304,7 @@ def test_success_probability_tabulated_once_per_config():
     for _ in range(20):
         ctx = generate_context(4, rng)
         for app in (RR, PFCA):
-            run_frame(app, ctx, pol, cfg, rng)
+            run_frame(app, ctx.backlogs[0], ctx.cqis[0], pol, cfg, rng)
     assert len(calls) == 15
 
 
@@ -308,18 +329,19 @@ def test_frame_config_accepts_pfca_edges():
 # frame dynamics against the per-RB reference loop
 
 
-def reference_run_frame(app, ctx, policy, frame_cfg, rng):
+def reference_run_frame(app, backlogs, cqis, policy, frame_cfg, rng):
     """The per-RB numpy loop: one uniform per scheduled RB, PFCA's metric,
     argmax and smoothed-throughput update on arrays."""
     if app not in (RR, PFCA):
         raise ContractViolationError(f"unknown app {app!r}")
-    n = ctx.n_users
+    backlogs, cqis = np.asarray(backlogs), np.asarray(cqis)
+    n = backlogs.size
     f = frame_cfg.resource_blocks
     if f < n:
         raise ContractViolationError(f"{f} RBs cannot serve {n} users round-robin")
-    backlog = ctx.initial_backlogs.astype(np.int64).copy()
-    quanta = np.rint(policy.payload(ctx.cqis) / f).astype(np.int64)
-    success_p = np.array([frame_cfg.per_rb_success_prob(int(c)) for c in ctx.cqis])
+    backlog = backlogs.astype(np.int64).copy()
+    quanta = np.rint(policy.payload(cqis) / f).astype(np.int64)
+    success_p = np.array([frame_cfg.per_rb_success_prob(int(c)) for c in cqis])
     if app == RR:
         users = np.arange(f) % n
         hits = rng.random(f) < success_p[users]
@@ -346,13 +368,13 @@ BIT_GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox)
 SUCCESS_PROBS = (None, lambda c: 0.0, lambda c: 1.0, lambda c: (7 * c % 15) / 14.0)
 
 
-def assert_frame_matches_reference(app, ctx, policy, cfg, bit_generator, seed):
+def assert_frame_matches_reference(app, backlogs, cqis, policy, cfg, bit_generator, seed):
     ref_rng = np.random.Generator(bit_generator(seed))
     rng = np.random.Generator(bit_generator(seed))
-    want = reference_run_frame(app, ctx, policy, cfg, ref_rng)
-    got = run_frame(app, ctx, policy, cfg, rng)
-    assert got.dtype == want.dtype and np.array_equal(got, want), (app, ctx, cfg)
-    assert rng.random() == ref_rng.random(), (app, ctx, cfg)
+    want = reference_run_frame(app, backlogs, cqis, policy, cfg, ref_rng)
+    got = run_frame(app, backlogs, cqis, policy, cfg, rng)
+    assert got.dtype == want.dtype and np.array_equal(got, want), (app, backlogs, cqis, cfg)
+    assert rng.random() == ref_rng.random(), (app, backlogs, cqis, cfg)
     return got
 
 
@@ -372,10 +394,10 @@ def test_run_frame_matches_reference(bit_generator):
                               pfca_smoothing=beta)
             backlogs = gen.integers(0, 101, size=k)
             backlogs[gen.random(k) < 0.3] = 0
-            ctx = MacContext(initial_backlogs=backlogs, cqis=gen.integers(1, 16, size=k))
+            cqis = gen.integers(1, 16, size=k)
             for app in (RR, PFCA):
                 seed = int(gen.integers(2**32))
-                out = assert_frame_matches_reference(app, ctx, policy, cfg,
+                out = assert_frame_matches_reference(app, backlogs, cqis, policy, cfg,
                                                      bit_generator, seed)
                 if app == PFCA:
                     pfca_drained += not out.any()
@@ -395,7 +417,7 @@ def test_run_frame_matches_reference_on_a_long_frame(bit_generator):
                        payload_table=np.array([10.0 * f] * 14 + [1e5 * f]))
     cfg = FrameConfig(resource_blocks=f, pfca_smoothing=0.9,
                       per_rb_success_prob=lambda c: 1e-3 if c == 15 else 1.0)
-    ctx = MacContext(initial_backlogs=[10**9, 10**6], cqis=[15, 1])
     for seed in range(3):
-        out = assert_frame_matches_reference(PFCA, ctx, policy, cfg, bit_generator, seed)
+        out = assert_frame_matches_reference(PFCA, [10**9, 10**6], [15, 1], policy, cfg,
+                                             bit_generator, seed)
         assert np.all(out > 0)

@@ -20,7 +20,7 @@ from ccke.phy_sim import (
     SER_CLAMP,
     ArqConfig,
     ConfigurationError,
-    PhyContext,
+    PhyContexts,
     PhyPolicy,
     SerTable,
     TransmissionApp,
@@ -59,8 +59,9 @@ def test_single_context_sampler_matches_invariants():
     rng = np.random.default_rng(2)
     for _ in range(200):
         ctx = sample_context(rng)
-        assert -5.0 <= ctx.snr_db <= 15.0
-        assert 1 <= ctx.paths <= 10
+        assert len(ctx) == 1
+        assert -5.0 <= ctx.snr_db[0] <= 15.0
+        assert 1 <= ctx.paths[0] <= 10
 
 
 def test_bin_masses_normalized_and_centered():
@@ -126,15 +127,14 @@ def test_arq_noiseless_alamouti_first_attempt():
         app = TransmissionApp(ALAMOUTI, constellation)
         for _ in range(20):
             ctx = sample_context(rng)
-            assert transmit_arq(app, ctx, arq, rng, noise_std=0.0) == 1
+            assert transmit_arq(app, ctx.snr_db[0], ctx.paths[0], arq, rng, noise_std=0.0) == 1
 
 
 def test_arq_dead_channel_saturates_at_cap():
     rng = np.random.default_rng(7)
-    ctx = PhyContext(snr_db=-400.0, paths=3)
     arq = ArqConfig(max_retx=10)
     for app in PHY_APPS:
-        assert transmit_arq(app, ctx, arq, rng) == 10
+        assert transmit_arq(app, -400.0, 3, arq, rng) == 10
 
 
 def test_arq_bounds_always_hold():
@@ -143,7 +143,7 @@ def test_arq_bounds_always_hold():
     for _ in range(300):
         ctx = sample_context(rng)
         app = PHY_APPS[int(rng.integers(0, 4))]
-        y = transmit_arq(app, ctx, arq, rng)
+        y = transmit_arq(app, ctx.snr_db[0], ctx.paths[0], arq, rng)
         assert 1 <= y <= 7
 
 
@@ -151,16 +151,15 @@ def test_arq_geometric_attempt_ratio():
     # attempts are i.i.d., so P(y = t+1) / P(y = t) estimates the
     # per-attempt packet error rate below the cap
     rng = np.random.default_rng(9)
-    ctx = PhyContext(snr_db=4.0, paths=6)
     arq = ArqConfig(max_retx=10)
     app = AQ
     n_pkt = 3000
     # independent per-attempt error estimate: did the first attempt fail
     errs = 0
     for _ in range(n_pkt):
-        errs += transmit_arq(app, ctx, ArqConfig(max_retx=2), rng) > 1
+        errs += transmit_arq(app, 4.0, 6, ArqConfig(max_retx=2), rng) > 1
     per = errs / n_pkt
-    ys = np.array([transmit_arq(app, ctx, arq, rng) for _ in range(6000)])
+    ys = np.array([transmit_arq(app, 4.0, 6, arq, rng) for _ in range(6000)])
     p1 = np.mean(ys == 1)
     p2 = np.mean(ys == 2)
     if p1 > 0.05 and p2 > 0.02:
@@ -176,18 +175,18 @@ def test_arq_odd_packet_size_rejected():
 def test_context_rejects_invalid_paths(paths):
     # a zero-path channel is all zeros and would saturate the KPI silently
     with pytest.raises(ContractViolationError):
-        PhyContext(snr_db=5.0, paths=paths)
+        PhyContexts(snr_db=[5.0], paths=[paths])
 
 
 @pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf])
 def test_context_rejects_non_finite_snr(snr_db):
     with pytest.raises(ContractViolationError):
-        PhyContext(snr_db=snr_db, paths=3)
+        PhyContexts(snr_db=[snr_db], paths=[3])
 
 
 def test_context_accepts_grid_edges_and_dead_channel():
     for snr_db, paths in ((-400.0, 1), (-5.0, 10), (15.0, np.int64(4))):
-        assert PhyContext(snr_db=snr_db, paths=paths).paths == paths
+        assert PhyContexts(snr_db=[snr_db], paths=[paths]).paths[0] == paths
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +241,13 @@ def reference_estimate_ser(app, snr_db, paths, rng, n_symbols):
 # per-attempt fast path against the batched reference
 
 
-def reference_transmit_arq(app, ctx, arq, rng, noise_std=1.0):
+def reference_transmit_arq(app, snr_db, paths, arq, rng, noise_std=1.0):
     """The batched per-attempt loop: one numpy channel draw repeated over
     the blocks, numpy detection of every block, then a whole-packet check."""
     constellation = _CONSTELLATIONS[app.constellation]
     blocks = arq.symbols_per_packet // 2
     for attempt in range(1, arq.max_retx + 1):
-        h = reference_channel_batch(ctx.snr_db, ctx.paths, 1, rng)
+        h = reference_channel_batch(snr_db, paths, 1, rng)
         hb = np.repeat(h, blocks, axis=0)
         sym = rng.integers(0, constellation.size, size=(blocks, 2))
         decoded = reference_send_blocks(app, hb, sym, rng, noise_std)
@@ -276,14 +275,13 @@ def test_transmit_arq_matches_reference(app):
     grid = itertools.product(range(1, PATHS_MAX + 1), (-400.0, -5.0, 0.0, 5.0, 10.0, 15.0),
                              (0.0, 1.0), (2, 8), (1, 10))
     for case, (m, snr_db, noise_std, spp, max_retx) in enumerate(grid):
-        ctx = PhyContext(snr_db=snr_db, paths=m)
         arq = ArqConfig(max_retx=max_retx, symbols_per_packet=spp)
         ref_rng = np.random.default_rng([PHY_APPS.index(app), case])
         rng = np.random.default_rng([PHY_APPS.index(app), case])
         for _ in range(2):
-            want = reference_transmit_arq(app, ctx, arq, ref_rng, noise_std)
-            got = transmit_arq(app, ctx, arq, rng, noise_std)
-            assert got == want, (ctx, arq, noise_std)
+            want = reference_transmit_arq(app, snr_db, m, arq, ref_rng, noise_std)
+            got = transmit_arq(app, snr_db, m, arq, rng, noise_std)
+            assert got == want, (snr_db, m, arq, noise_std)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -460,8 +458,15 @@ def test_table_lookup_out_of_grid():
     with pytest.raises(ConfigurationError):
         t.lookup(AB, 0.0, 99)
     # snr outside the grid clamps to the edge bins
-    assert t.lookup(AB, -50.0, 3) == t.values[0, 0, 2]
-    assert t.lookup(AB, 50.0, 3) == t.values[0, -1, 2]
+    assert t.lookup(AB, [-50.0, 50.0], [3, 3]).tolist() == [t.values[0, 0, 2], t.values[0, -1, 2]]
+
+
+def test_table_lookup_rejects_unset_cell():
+    t = SerTable.build(n_mc=200, seed=6)
+    t.values[1, 4, 2] = np.nan
+    assert np.isfinite(t.lookup(AQ, [-1.5, 0.5], [3, 3])).all()  # bins 3 and 5
+    with pytest.raises(ConfigurationError, match="unset"):
+        t.lookup(AQ, [0.5, -0.5], [3, 3])  # bin 4
 
 
 # ---------------------------------------------------------------------------
@@ -478,13 +483,13 @@ def constant_table(eps_by_app):
 def test_equal_sers_give_uniform_selection():
     table = constant_table({a.key: 0.3 for a in PHY_APPS})
     pol = PhyPolicy(temperature=1.0, ser_table=table)
-    p = pol.app_probabilities(PhyContext(snr_db=3.0, paths=4))
+    p = pol.app_probabilities(PhyContexts(snr_db=[3.0], paths=[4]))
     np.testing.assert_allclose(p, 0.25)
 
 
 def test_large_temperature_tends_uniform(small_table):
     pol = PhyPolicy(temperature=1e6, ser_table=small_table)
-    p = pol.app_probabilities(PhyContext(snr_db=8.0, paths=5))
+    p = pol.app_probabilities(PhyContexts(snr_db=[8.0], paths=[5]))
     np.testing.assert_allclose(p, 0.25, atol=1e-3)
 
 
@@ -493,10 +498,10 @@ def test_softmax_hand_evaluation():
     table = constant_table({"alamouti_bpsk": 0.1, "alamouti_qpsk": 0.2,
                             "multiplexing_bpsk": 1 - 1e-6, "multiplexing_qpsk": 1 - 1e-6})
     pol = PhyPolicy(temperature=1.0, ser_table=table)
-    p = pol.app_probabilities(PhyContext(snr_db=0.0, paths=1))
-    ratio = p[0] / (p[0] + p[1])
+    p = pol.app_probabilities(PhyContexts(snr_db=[0.0], paths=[1]))
+    ratio = p[0, 0] / (p[0, 0] + p[0, 1])
     assert ratio == pytest.approx(math.exp(10) / (math.exp(10) + math.exp(5)), rel=1e-9)
-    assert p[0] / p[1] == pytest.approx(math.exp(5), rel=1e-9)
+    assert p[0, 0] / p[0, 1] == pytest.approx(math.exp(5), rel=1e-9)
 
 
 def test_softmax_probabilities_sum_to_one(small_table):
@@ -517,3 +522,26 @@ def test_weight_reciprocity_all_pairs(small_table):
             for b in PHY_APPS:
                 prod = pol.weight(ctx, a, b) * pol.weight(ctx, b, a)
                 assert prod == pytest.approx(1.0, rel=1e-12)
+
+
+def test_batch_weight_is_per_element_math_exp():
+    # exponents past both clip edges (where one app's SER sits at the clamp)
+    # and between them, where numpy's vectorized exp differs from math.exp
+    # in the last bit on some inputs
+    t = 100.0
+    pol = PhyPolicy(temperature=t, ser_table=SerTable.default())
+    snr_db = np.repeat(np.arange(-5.0, 15.0, 0.25), PATHS_MAX)
+    paths = np.tile(np.arange(1, PATHS_MAX + 1), snr_db.size // PATHS_MAX)
+    ctx = PhyContexts(snr_db=snr_db, paths=paths)
+
+    def utility(app, s, m):
+        return 1.0 / (float(pol.ser_table.lookup(app, s, m)[0]) * t)
+
+    exponents = []
+    for numer, denom in ((AB, AQ), (AQ, AB), (MQ, MB)):
+        z = [utility(numer, s, m) - utility(denom, s, m) for s, m in zip(snr_db, paths)]
+        want = np.array([math.exp(min(max(v, -700.0), 700.0)) for v in z])
+        assert np.array_equal(pol.weight(ctx, numer, denom), want)
+        assert not np.array_equal(np.exp(np.clip(z, -700.0, 700.0)), want)
+        exponents += z
+    assert min(exponents) < -700.0 and max(exponents) > 700.0

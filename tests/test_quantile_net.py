@@ -1,6 +1,5 @@
 """Quantile regression tests: loss conventions, hand-checked and
-finite-difference gradients, equivariance, training behavior, and
-checkpoint round trips."""
+finite-difference gradients, equivariance, and training behavior."""
 
 import numpy as np
 import pytest
@@ -14,11 +13,9 @@ from ccke.quantile_net import (
     TrainingDivergedError,
     batch_loss,
     init_model,
-    load_checkpoint,
     pinball_gradient,
     pinball_loss,
     pinball_output_grad,
-    save_checkpoint,
     train,
 )
 from ccke import quantile_net
@@ -368,31 +365,3 @@ def test_list_valued_archs_match_tuples():
         data = _training_data(a, 40, k, seed=11)
         cfg = TrainConfig(epochs=2, batch_size=16, seed=2)
         assert train(data, a, 0.2, cfg).params.tobytes() == train(data, b, 0.2, cfg).params.tobytes()
-
-
-# ---------------------------------------------------------------------------
-# checkpoints
-
-
-@pytest.mark.parametrize("arch", [
-    FeedforwardArch(feature_scale=(15.0, 10.0)),
-    AttentionArch(feature_scale=(100.0, 15.0)),
-])
-def test_checkpoint_roundtrip_bit_exact(arch, tmp_path):
-    model = init_model(arch, 0.1, seed=13)
-    model.params[:] = np.random.default_rng(0).normal(size=model.params.size)
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(model, path)
-    loaded = load_checkpoint(path)
-    assert np.array_equal(loaded.params, model.params)
-    assert loaded.alpha == model.alpha
-    assert loaded.arch == model.arch
-    x = (np.zeros((1, 2)) if arch.kind == "feedforward" else np.zeros((1, 2, 3)))
-    np.testing.assert_array_equal(model.predict(x)[0], loaded.predict(x)[0])
-
-
-def test_checkpoint_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.ckpt"
-    path.write_text("not a checkpoint\n")
-    with pytest.raises(ContractViolationError):
-        load_checkpoint(path)
