@@ -164,9 +164,7 @@ class MacEnvironment:
         order.  Only the simulator can grant this for the app that did not
         run: it reruns the very context under the alternative app, which
         the real system never observes (the counterfactual truth)."""
-        rows = [mac_sim.run_frame(app, b, c, self.policy, self.frame_cfg, rng)
-                for b, c in zip(ctx.backlogs, ctx.cqis)]
-        return np.array(rows, dtype=float).reshape(ctx.backlogs.shape)
+        return mac_sim.run_frame(app, ctx, self.policy, self.frame_cfg, rng).astype(float)
 
     def features(self, ctx) -> np.ndarray:
         """(n, 2, K) token matrices (backlog, CQI) fed to the quantile model."""
@@ -199,6 +197,22 @@ class PhyEnvironment:
             ser_table = phy_sim.SerTable.default()
         self.policy = phy_sim.PhyPolicy(temperature=temperature, ser_table=ser_table)
         self.arq = arq or phy_sim.ArqConfig()
+        self._cell_posteriors = {app: self._cell_posterior(app) for app in phy_sim.PHY_APPS}
+
+    def _cell_posterior(self, app) -> np.ndarray:
+        """Flattened p(cell | app) over the table's (SNR bin, m) cells."""
+        from scipy.special import logsumexp
+
+        table = self.policy.ser_table
+        a = phy_sim.PHY_APPS.index(app)
+        u = 1.0 / (table.values * self.policy.temperature)  # (4, bins, m)
+        log_p_app = u[a] - logsumexp(u, axis=0)              # (bins, m)
+        bin_mass = phy_sim.snr_bin_masses(table.snr_lo, table.bin_width, table.n_bins)
+        log_post = np.log(bin_mass)[:, None] - math.log(phy_sim.PATHS_MAX) + log_p_app
+        flat = log_post.ravel()
+        flat = flat - logsumexp(flat)
+        post = np.exp(flat)
+        return post / post.sum()
 
     def parse_app(self, label: str):
         return phy_sim.TransmissionApp.from_key(label)
@@ -222,20 +236,12 @@ class PhyEnvironment:
         stays usable at sharp temperatures where the selected app is so
         rare that rejection sampling would never terminate.
         """
-        from scipy.special import logsumexp, ndtr, ndtri
+        from scipy.special import ndtr, ndtri
 
         table = self.policy.ser_table
-        a = phy_sim.PHY_APPS.index(app)
-        u = 1.0 / (table.values * self.policy.temperature)  # (4, bins, m)
-        log_p_app = u[a] - logsumexp(u, axis=0)              # (bins, m)
-        bin_mass = phy_sim.snr_bin_masses(table.snr_lo, table.bin_width, table.n_bins)
-        log_post = np.log(bin_mass)[:, None] - math.log(phy_sim.PATHS_MAX) + log_p_app
-        flat = log_post.ravel()
-        flat = flat - logsumexp(flat)
-        post = np.exp(flat)
-        post = post / post.sum()
+        post = self._cell_posteriors[app]
         cells = rng.choice(post.size, size=n, p=post)
-        bins, m_idx = np.unravel_index(cells, log_post.shape)
+        bins, m_idx = np.unravel_index(cells, table.values.shape[1:])
         lo_edges = table.snr_lo + bins * table.bin_width
         mu, sd = phy_sim.SNR_DB_MEAN, phy_sim.SNR_DB_SIGMA
         c_lo = ndtr((lo_edges - mu) / sd)

@@ -228,11 +228,10 @@ def estimate_rr_residual(ctx: MacContexts, policy: MacPolicy) -> np.ndarray:
     return np.max(ctx.backlogs - policy.payload(ctx.cqis) / ctx.backlogs.shape[1], axis=1)
 
 
-def run_frame(app: str, backlogs, cqis, policy: MacPolicy,
+def run_frame(app: str, ctx: MacContexts, policy: MacPolicy,
               frame_cfg: FrameConfig, rng: np.random.Generator) -> np.ndarray:
-    """Simulate one scheduling frame of one context, given as its (K,)
-    backlogs and CQIs (a row of a ``MacContexts``, which validated them);
-    returns the final backlog vector.
+    """Simulate one scheduling frame per context of the batch; returns the
+    (n, K) int64 final backlogs, row i for context i.
 
     Each scheduled RB drains ``round(g(c)/F)`` packets from the chosen
     user with probability ``per_rb_success_prob(c)`` (zero otherwise),
@@ -241,31 +240,32 @@ def run_frame(app: str, backlogs, cqis, policy: MacPolicy,
     expected-rate / smoothed-throughput ratio (the first such user on a
     tie).
 
-    Draws: one uniform from ``rng`` per scheduled RB, in RB order.  RR
-    schedules all F RBs; PFCA stops at the first RB where every queue is
-    empty.  PFCA takes its uniforms in blocks sized to the RBs the frame
-    is certain to schedule (no RB drains more than the largest quantum),
-    so it draws nothing it does not use and leaves ``rng`` exactly where
-    one draw per RB would.
+    Draws: one uniform from ``rng`` per scheduled RB, in RB order, frame
+    after frame in row order, so a batch leaves ``rng`` exactly where its
+    rows run one at a time would; an empty batch draws nothing.  RR
+    schedules all F RBs and takes the whole batch as one ``(n, F)`` draw.
+    PFCA stops at the first RB where every queue is empty, and takes each
+    row's uniforms in blocks sized to the RBs the frame is certain to
+    schedule (no RB drains more than the largest quantum), so it draws
+    nothing it does not use.
     """
     if app not in MAC_APPS:
         raise ContractViolationError(f"unknown app {app!r}")
-    backlog = np.array(backlogs, dtype=np.int64)
-    cqis = np.asarray(cqis, dtype=np.int64)
-    n = backlog.size
+    n, k = ctx.backlogs.shape
     f = frame_cfg.resource_blocks
-    if f < n:
-        raise ContractViolationError(f"{f} RBs cannot serve {n} users round-robin")
-    quanta = np.rint(policy.payload(cqis) / f).astype(np.int64)
-    success_p = frame_cfg.success_table[cqis - 1]
+    if f < k:
+        raise ContractViolationError(f"{f} RBs cannot serve {k} users round-robin")
+    quanta = np.rint(policy.payload(ctx.cqis) / f).astype(np.int64)
+    success_p = frame_cfg.success_table[ctx.cqis - 1]
     if app == RR:
         # drains never depend on other users, so the cyclic allocation
-        # collapses to counting each user's successful RBs (one batched
-        # draw consumes the stream exactly like per-RB draws)
-        users = np.arange(f) % n
-        hits = rng.random(f) < success_p[users]
-        successes = np.bincount(users[hits], minlength=n)
-        return np.maximum(backlog - quanta * successes, 0)
+        # collapses to counting each user's successful RBs: RB r serves
+        # user r % K, so rows of K RBs (the last padded with misses) sum
+        # to the per-user counts
+        hits = rng.random((n, f)) < success_p[:, np.arange(f) % k]
+        hits = np.pad(hits, ((0, 0), (0, -f % k)))
+        successes = hits.reshape(n, -(-f // k), k).sum(axis=1)
+        return np.maximum(ctx.backlogs - quanta * successes, 0)
     # PFCA on Python scalars, making the array form's float operations in
     # its order: metric rate / max(avg, floor), numpy's first-max argmax
     # over backlogged users, avg <- (1 - beta) * avg + beta * served.  A
@@ -273,34 +273,40 @@ def run_frame(app: str, backlogs, cqis, policy: MacPolicy,
     # average nonzero ("warm"): a zero average decays to itself, and an
     # empty queue stays empty, as nonnegative payloads and probabilities
     # keep every metric >= 0, so the argmax picks a backlogged user.
-    backlog, quanta, success_p = backlog.tolist(), quanta.tolist(), success_p.tolist()
-    rate = [q * p for q, p in zip(quanta, success_p)]
+    out = np.empty((n, k), dtype=np.int64)
     floor = frame_cfg.pfca_floor
-    metric = [r / floor if b > 0 else -math.inf for r, b in zip(rate, backlog)]
-    avg = [0.0] * n
-    warm = set()
     beta = frame_cfg.pfca_smoothing
     keep = 1.0 - beta
-    left = sum(backlog)
-    most = max(max(quanta), 1)  # no RB drains more
-    rb = 0
-    while left > 0 and rb < f:
-        block = rng.random(min(f - rb, -(-left // most))).tolist()
-        rb += len(block)
-        for x in block:
-            u = metric.index(max(metric))
-            drained = min(quanta[u], backlog[u]) if x < success_p[u] else 0
-            backlog[u] -= drained
-            left -= drained
-            for k in warm:
-                a = avg[k] = keep * avg[k]
-                metric[k] = rate[k] / (a if a > floor else floor)
-            served = beta * drained
-            if served:
-                a = avg[u] = avg[u] + served
-                metric[u] = rate[u] / (a if a > floor else floor)
-                warm.add(u)
-            if not backlog[u]:
-                metric[u] = -math.inf
-                warm.discard(u)
-    return np.array(backlog, dtype=np.int64)
+    rates = quanta * success_p
+    for i in range(n):
+        # one row's lists at a time: the whole batch's as Python objects
+        # raised peak memory by about 9 MiB at n=3000, K=32
+        backlog, q, p, rate = (ctx.backlogs[i].tolist(), quanta[i].tolist(),
+                               success_p[i].tolist(), rates[i].tolist())
+        metric = [r / floor if b > 0 else -math.inf for r, b in zip(rate, backlog)]
+        avg = [0.0] * k
+        warm = set()
+        left = sum(backlog)
+        most = max(max(q), 1)  # no RB drains more
+        rb = 0
+        while left > 0 and rb < f:
+            block = rng.random(min(f - rb, -(-left // most))).tolist()
+            rb += len(block)
+            for x in block:
+                u = metric.index(max(metric))
+                drained = min(q[u], backlog[u]) if x < p[u] else 0
+                backlog[u] -= drained
+                left -= drained
+                for j in warm:
+                    a = avg[j] = keep * avg[j]
+                    metric[j] = rate[j] / (a if a > floor else floor)
+                served = beta * drained
+                if served:
+                    a = avg[u] = avg[u] + served
+                    metric[u] = rate[u] / (a if a > floor else floor)
+                    warm.add(u)
+                if not backlog[u]:
+                    metric[u] = -math.inf
+                    warm.discard(u)
+        out[i] = backlog
+    return out

@@ -332,14 +332,13 @@ _SYMBOL_TABLES = {name: _symbol_tables(points) for name, points in _CONSTELLATIO
 
 
 def _decodes(est: complex, sent: int, points) -> bool:
-    """Whether the nearest point to ``est``, the first on ties as in
-    np.argmin, is ``points[sent]``."""
-    best, best_d = 0, abs(est - points[0])
-    for j in range(1, len(points)):
-        d = abs(est - points[j])
-        if d < best_d:
-            best, best_d = j, d
-    return best == sent
+    """Whether ``points[sent]`` is strictly nearest to ``est``: a tie, as
+    every distance ties on a dead channel, is a symbol error."""
+    d_sent = abs(est - points[sent])
+    for j, p in enumerate(points):
+        if j != sent and abs(est - p) <= d_sent:
+            return False
+    return True
 
 
 def _alamouti_packet_ok(h, sym, w, tables) -> bool:
@@ -349,7 +348,7 @@ def _alamouti_packet_ok(h, sym, w, tables) -> bool:
     points, tx, tx_neg_conj, tx_conj = tables
     c00, c01, c10, c11 = (x.conjugate() for x in h)
     gain = (abs(h00) ** 2 + abs(h01) ** 2) + (abs(h10) ** 2 + abs(h11) ** 2)
-    k = math.sqrt(2.0) / gain if gain > 0.0 else 0.0  # dead channel decodes arbitrarily
+    k = math.sqrt(2.0) / gain if gain > 0.0 else 0.0  # dead channel: every distance ties
     re1, im1, re2, im2 = w
     for b, (s0, s1) in enumerate(sym):
         t0, t1 = tx[s0], tx[s1]
@@ -410,7 +409,9 @@ def transmit_arq(app: TransmissionApp, snr_db: float, paths: int, arq: ArqConfig
     the first symbol error.  Its estimates can differ from numpy's in the
     last bit (numpy may fuse multiply-adds and vectorise abs), so a
     decision could differ only for an estimate within rounding of a
-    decision boundary; exact ties go to the first point in both.
+    decision boundary.  An exact tie for nearest is a symbol error here
+    (np.argmin gives it to the first point), so a dead channel, where
+    every distance ties, never decodes.
     Multiplexing keeps the pseudo-inverse, taken once per attempt.  The
     batched SER path's ``_zero_forcing`` replaces it only for clear
     channels; every rank-1 single-path (m=1) channel keeps pinv and its

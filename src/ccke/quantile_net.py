@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conformal import ContractViolationError, IntervalSet
+from .conformal import ContractViolationError
 
 __all__ = [
     "FeedforwardArch",
@@ -169,10 +169,6 @@ class QuantileModel:
         out, _ = _forward_cached(self, x)
         return out
 
-    def interval_set(self, context) -> IntervalSet:
-        lo, hi = self.predict(_single(self.arch, context))
-        return IntervalSet(lo=lo[0], hi=hi[0])
-
 
 def init_model(arch, alpha: float, seed: int) -> QuantileModel:
     """Seeded uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)] per tensor."""
@@ -205,13 +201,6 @@ def pinball_output_grad(y, q, tau: float):
 
 # ---------------------------------------------------------------------------
 # forward / backward
-
-
-def _single(arch, context):
-    x = np.asarray(context, dtype=float)
-    if arch.kind == "feedforward":
-        return x.reshape(1, -1)
-    return x.reshape((1,) + x.shape)
 
 
 def _scale(arch, x):

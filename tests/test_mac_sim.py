@@ -195,15 +195,16 @@ def test_batch_weight_is_per_element_math_exp():
 def test_frame_nothing_to_serve():
     pol = MacPolicy.default(3, 1.0)
     for app in (RR, PFCA):
-        out = run_frame(app, [0, 0, 0], [5, 9, 14], pol, FrameConfig(), np.random.default_rng(0))
-        assert np.all(out == 0)
+        out = run_frame(app, one([0, 0, 0], [5, 9, 14]), pol, FrameConfig(),
+                        np.random.default_rng(0))
+        assert out.shape == (1, 3) and np.all(out == 0)
 
 
 def test_frame_full_drain_single_user():
     pol = flat_policy(600.0)
     cfg = FrameConfig(per_rb_success_prob=lambda c: 1.0)
-    out = run_frame(RR, [100], [8], pol, cfg, np.random.default_rng(0))
-    assert out[0] == 0
+    out = run_frame(RR, one([100], [8]), pol, cfg, np.random.default_rng(0))
+    assert out[0, 0] == 0
 
 
 def test_frame_rr_one_rb_each():
@@ -211,10 +212,10 @@ def test_frame_rr_one_rb_each():
     pol = MacPolicy(temperature=1.0, payload_table=np.linspace(50, 400, 15))
     cfg = FrameConfig(resource_blocks=k, per_rb_success_prob=lambda c: 1.0)
     cqis = [1, 4, 8, 12, 15]
-    out = run_frame(RR, [100] * k, cqis, pol, cfg, np.random.default_rng(0))
+    out = run_frame(RR, one([100] * k, cqis), pol, cfg, np.random.default_rng(0))
     quanta = np.rint(pol.payload(cqis) / k).astype(int)
     expected = np.maximum(100 - np.minimum(quanta, 100), 0)
-    assert np.array_equal(out, expected)
+    assert np.array_equal(out, [expected])
 
 
 def test_frame_conservation_property():
@@ -224,26 +225,24 @@ def test_frame_conservation_property():
     for _ in range(200):
         ctx = generate_context(6, rng)
         for app in (RR, PFCA):
-            out = run_frame(app, ctx.backlogs[0], ctx.cqis[0], pol, cfg, rng)
+            out = run_frame(app, ctx, pol, cfg, rng)
             assert np.all(out >= 0)
-            assert np.all(out <= ctx.backlogs[0])
+            assert np.all(out <= ctx.backlogs)
 
 
 def test_frame_replay_deterministic():
     pol = MacPolicy.default(8, 1.0)
     cfg = FrameConfig()
     ctx = generate_context(8, np.random.default_rng(11))
-    b, c = ctx.backlogs[0], ctx.cqis[0]
-    assert np.array_equal(run_frame(PFCA, b, c, pol, cfg, np.random.default_rng(123)),
-                          run_frame(PFCA, b, c, pol, cfg, np.random.default_rng(123)))
+    assert np.array_equal(run_frame(PFCA, ctx, pol, cfg, np.random.default_rng(123)),
+                          run_frame(PFCA, ctx, pol, cfg, np.random.default_rng(123)))
 
 
 def test_frame_rejects_more_users_than_rbs():
     pol = MacPolicy.default(4, 1.0)
     ctx = generate_context(4, np.random.default_rng(0))
     with pytest.raises(ContractViolationError):
-        run_frame(RR, ctx.backlogs[0], ctx.cqis[0], pol, FrameConfig(resource_blocks=3),
-                  np.random.default_rng(0))
+        run_frame(RR, ctx, pol, FrameConfig(resource_blocks=3), np.random.default_rng(0))
 
 
 def test_pfca_beats_rr_on_skewed_channels():
@@ -253,9 +252,9 @@ def test_pfca_beats_rr_on_skewed_channels():
     cfg = FrameConfig()
     drained_rr, drained_pf = [], []
     for i in range(1000):
-        backlogs, cqis = np.full(8, 100), [15, 1, 1, 1, 1, 1, 1, 1]
-        rr = run_frame(RR, backlogs, cqis, pol, cfg, np.random.default_rng(50_000 + i))
-        pf = run_frame(PFCA, backlogs, cqis, pol, cfg, np.random.default_rng(50_000 + i))
+        ctx = one([100] * 8, [15, 1, 1, 1, 1, 1, 1, 1])
+        rr = run_frame(RR, ctx, pol, cfg, np.random.default_rng(50_000 + i))
+        pf = run_frame(PFCA, ctx, pol, cfg, np.random.default_rng(50_000 + i))
         drained_rr.append(800 - rr.sum())
         drained_pf.append(800 - pf.sum())
     gap = np.mean(drained_pf) - np.mean(drained_rr)
@@ -276,8 +275,8 @@ def test_policy_rejects_payload_above_2_pow_53():
     pol = flat_policy(2.0 ** 53)
     cfg = FrameConfig(per_rb_success_prob=lambda c: 1.0)
     for app in (RR, PFCA):
-        assert np.array_equal(run_frame(app, [50, 60], [3, 9], pol, cfg, np.random.default_rng(0)),
-                              [0, 0])
+        assert np.array_equal(run_frame(app, one([50, 60], [3, 9]), pol, cfg,
+                                        np.random.default_rng(0)), [[0, 0]])
 
 
 @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
@@ -304,7 +303,7 @@ def test_success_probability_tabulated_once_per_config():
     for _ in range(20):
         ctx = generate_context(4, rng)
         for app in (RR, PFCA):
-            run_frame(app, ctx.backlogs[0], ctx.cqis[0], pol, cfg, rng)
+            run_frame(app, ctx, pol, cfg, rng)
     assert len(calls) == 15
 
 
@@ -369,12 +368,15 @@ SUCCESS_PROBS = (None, lambda c: 0.0, lambda c: 1.0, lambda c: (7 * c % 15) / 14
 
 
 def assert_frame_matches_reference(app, backlogs, cqis, policy, cfg, bit_generator, seed):
+    """run_frame on the (n, K) batch against the reference run on its rows
+    one after another, from one generator: same bits, same generator end."""
     ref_rng = np.random.Generator(bit_generator(seed))
     rng = np.random.Generator(bit_generator(seed))
-    want = reference_run_frame(app, backlogs, cqis, policy, cfg, ref_rng)
-    got = run_frame(app, backlogs, cqis, policy, cfg, rng)
+    want = np.array([reference_run_frame(app, b, c, policy, cfg, ref_rng)
+                     for b, c in zip(backlogs, cqis)], dtype=np.int64).reshape(np.shape(backlogs))
+    got = run_frame(app, MacContexts(backlogs, cqis), policy, cfg, rng)
     assert got.dtype == want.dtype and np.array_equal(got, want), (app, backlogs, cqis, cfg)
-    assert rng.random() == ref_rng.random(), (app, backlogs, cqis, cfg)
+    assert np.array_equal(rng.random(4), ref_rng.random(4)), (app, backlogs, cqis, cfg)
     return got
 
 
@@ -392,9 +394,9 @@ def test_run_frame_matches_reference(bit_generator):
             policy = MacPolicy(temperature=1.0, payload_table=payload)
             cfg = FrameConfig(resource_blocks=f, per_rb_success_prob=prob,
                               pfca_smoothing=beta)
-            backlogs = gen.integers(0, 101, size=k)
-            backlogs[gen.random(k) < 0.3] = 0
-            cqis = gen.integers(1, 16, size=k)
+            backlogs = gen.integers(0, 101, size=(1, k))
+            backlogs[gen.random((1, k)) < 0.3] = 0
+            cqis = gen.integers(1, 16, size=(1, k))
             for app in (RR, PFCA):
                 seed = int(gen.integers(2**32))
                 out = assert_frame_matches_reference(app, backlogs, cqis, policy, cfg,
@@ -418,6 +420,28 @@ def test_run_frame_matches_reference_on_a_long_frame(bit_generator):
     cfg = FrameConfig(resource_blocks=f, pfca_smoothing=0.9,
                       per_rb_success_prob=lambda c: 1e-3 if c == 15 else 1.0)
     for seed in range(3):
-        out = assert_frame_matches_reference(PFCA, [10**9, 10**6], [15, 1], policy, cfg,
+        out = assert_frame_matches_reference(PFCA, [[10**9, 10**6]], [[15, 1]], policy, cfg,
                                              bit_generator, seed)
         assert np.all(out > 0)
+
+
+@pytest.mark.parametrize("app", (RR, PFCA))
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
+def test_run_frame_batch_is_its_rows_in_order(bit_generator, app):
+    # K=1, F = K, F % K != 0 and F % K == 0, under the zero and triple
+    # payload tables too, in batches of 0 (which must draw nothing), 1 and
+    # several rows
+    gen = np.random.default_rng(21)
+    settings = itertools.cycle(SUCCESS_PROBS)
+    for k, f in ((1, 1), (1, 50), (3, 3), (3, 50), (8, 50), (8, 64), (32, 50)):
+        for table in (default_payload_table(k), np.zeros(15), 3.0 * default_payload_table(k)):
+            policy = MacPolicy(temperature=1.0, payload_table=table)
+            cfg = FrameConfig(resource_blocks=f, per_rb_success_prob=next(settings))
+            for n in (0, 1, 7):
+                backlogs = gen.integers(0, 101, size=(n, k))
+                backlogs[gen.random((n, k)) < 0.3] = 0
+                cqis = gen.integers(1, 16, size=(n, k))
+                out = assert_frame_matches_reference(app, backlogs, cqis, policy, cfg,
+                                                     bit_generator, int(gen.integers(2**32)))
+                assert out.shape == (n, k)
+

@@ -131,10 +131,15 @@ def test_arq_noiseless_alamouti_first_attempt():
 
 
 def test_arq_dead_channel_saturates_at_cap():
-    rng = np.random.default_rng(7)
-    arq = ArqConfig(max_retx=10)
-    for app in PHY_APPS:
-        assert transmit_arq(app, -400.0, 3, arq, rng) == 10
+    # every distance ties at -400 dB; a tie must not decode, even when
+    # both sent symbols are point 0 (1 in 4 BPSK attempts at 2 symbols;
+    # the last attempt returns the cap either way)
+    arq = ArqConfig(max_retx=3, symbols_per_packet=2)
+    for seed in range(3):
+        rng = np.random.default_rng([7, seed])
+        for app in PHY_APPS:
+            for i in range(1000):
+                assert transmit_arq(app, -400.0, 1 + i % PATHS_MAX, arq, rng) == 3, (app, seed, i)
 
 
 def test_arq_bounds_always_hold():
@@ -214,17 +219,20 @@ def reference_channel_batch(snr_db, paths, n, rng):
     return math.sqrt(snr_lin) * h
 
 
-def reference_send_blocks(app, h, sym, rng, noise_std=1.0):
-    """Batched detection; multiplexing zero-forces through the batched-SVD
-    pseudo-inverse of every channel."""
-    constellation = _CONSTELLATIONS[app.constellation]
-    s = constellation[sym]
+def reference_estimates(app, h, sym, rng, noise_std=1.0):
+    """Batched detector outputs; multiplexing zero-forces through the
+    batched-SVD pseudo-inverse of every channel."""
+    s = _CONSTELLATIONS[app.constellation][sym]
     if app.code == ALAMOUTI:
-        est = _alamouti_block(h, s, rng, noise_std)
-    else:
-        r = np.einsum("nij,nj->ni", h, s / math.sqrt(2.0)) + _draw_noise(s.shape, rng, noise_std)
-        est = math.sqrt(2.0) * np.einsum("nij,nj->ni", np.linalg.pinv(h), r)
-    return _decode_nearest(est, constellation)
+        return _alamouti_block(h, s, rng, noise_std)
+    r = np.einsum("nij,nj->ni", h, s / math.sqrt(2.0)) + _draw_noise(s.shape, rng, noise_std)
+    return math.sqrt(2.0) * np.einsum("nij,nj->ni", np.linalg.pinv(h), r)
+
+
+def reference_send_blocks(app, h, sym, rng, noise_std=1.0):
+    """Batched detection, ties to the first point (np.argmin)."""
+    return _decode_nearest(reference_estimates(app, h, sym, rng, noise_std),
+                           _CONSTELLATIONS[app.constellation])
 
 
 def reference_estimate_ser(app, snr_db, paths, rng, n_symbols):
@@ -243,15 +251,17 @@ def reference_estimate_ser(app, snr_db, paths, rng, n_symbols):
 
 def reference_transmit_arq(app, snr_db, paths, arq, rng, noise_std=1.0):
     """The batched per-attempt loop: one numpy channel draw repeated over
-    the blocks, numpy detection of every block, then a whole-packet check."""
+    the blocks, numpy estimates of every block, then a whole-packet check
+    that each sent point is strictly nearest its estimate."""
     constellation = _CONSTELLATIONS[app.constellation]
     blocks = arq.symbols_per_packet // 2
     for attempt in range(1, arq.max_retx + 1):
         h = reference_channel_batch(snr_db, paths, 1, rng)
         hb = np.repeat(h, blocks, axis=0)
         sym = rng.integers(0, constellation.size, size=(blocks, 2))
-        decoded = reference_send_blocks(app, hb, sym, rng, noise_std)
-        if np.array_equal(decoded, sym):
+        d = np.abs(reference_estimates(app, hb, sym, rng, noise_std)[..., None] - constellation)
+        d_sent = np.take_along_axis(d, sym[..., None], axis=-1)
+        if np.all(np.sum(d <= d_sent, axis=-1) == 1):
             return attempt
     return arq.max_retx
 

@@ -155,12 +155,6 @@ def test_forward_shape_mismatch():
         model.predict(np.zeros((3, 5)))
 
 
-def test_forward_returns_interval_set():
-    model = init_model(AttentionArch(), 0.2, 0)
-    iv = model.interval_set(np.zeros((2, 6)))
-    assert iv.kpi_count == 6
-
-
 # ---------------------------------------------------------------------------
 # training
 
