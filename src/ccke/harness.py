@@ -221,11 +221,10 @@ class PhyEnvironment:
         return self.policy.weight(ctx, numer_app, denom_app)
 
     def rollout(self, app, ctx, rng) -> np.ndarray:
-        """(n, 1) ARQ latencies of ``app`` under each context, in row order
-        (the counterfactual truth when ``app`` did not run; see
-        ``MacEnvironment.rollout``)."""
-        return np.array([float(phy_sim.transmit_arq(app, s, m, self.arq, rng))
-                         for s, m in zip(ctx.snr_db.tolist(), ctx.paths.tolist())])[:, None]
+        """(n, 1) ARQ latencies of ``app`` under each context, from one
+        ``arq_latencies`` batch (the counterfactual truth when ``app`` did
+        not run; see ``MacEnvironment.rollout``)."""
+        return phy_sim.arq_latencies(app, ctx, self.arq, rng).astype(float)[:, None]
 
     def sample_contexts_given_app(self, app, n, rng) -> phy_sim.PhyContexts:
         """Exact draw from p(x | app).

@@ -4,7 +4,12 @@ The context is (average SNR in dB, number of multipath components m).
 A transmission app pairs a space-time code (Alamouti or per-antenna
 multiplexing) with a constellation (BPSK or QPSK).  The KPI is the ARQ
 latency: transmission attempts until the first error-free packet, capped
-at the retransmission limit.
+at the retransmission limit.  ``arq_latencies`` simulates a whole batch
+of contexts round-major: it takes the rows in blocks of
+``ARQ_BLOCK_ROWS`` (512), and each round of a block makes one attempt,
+with one set of generator draws, for every row that has not decoded yet.
+So a context's latency has the same law in any batch, but its draws
+depend on the batch it is in.
 
 The controller selects apps through a softmax over inverse symbol error
 rates; the SER estimates come from a Monte-Carlo table on a (1 dB SNR
@@ -38,6 +43,7 @@ __all__ = [
     "PhyPolicy",
     "ConfigurationError",
     "sample_context",
+    "arq_latencies",
     "transmit_arq",
     "estimate_ser",
 ]
@@ -130,6 +136,10 @@ class ArqConfig:
     symbols_per_packet: int = 8
 
     def __post_init__(self):
+        for name in ("max_retx", "symbols_per_packet"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ContractViolationError(f"{name} must be an integer, got {value!r}")
         if self.max_retx < 1 or self.symbols_per_packet < 1:
             raise ContractViolationError("max_retx and symbols_per_packet must be >= 1")
         if self.symbols_per_packet % 2 != 0:
@@ -291,152 +301,95 @@ def _send_blocks(app: TransmissionApp, h, sym_idx, rng, noise_std=1.0):
     return _decode_nearest(est, constellation)
 
 
-def _attempt_channel(amp: float, paths: int, rng: np.random.Generator):
-    """One channel as Python complex entries (h00, h01, h10, h11).
+ARQ_BLOCK_ROWS = 512  # rows per block of arq_latencies: bounds its working arrays
 
-    Bit for bit ``_channel_batch(snr_db, paths, 1, rng)[0]`` with
-    ``amp = sqrt(SNR)``, and the same generator stream: the real and
-    imaginary gain draws are one (2, m) normal draw, the receive and
-    transmit angles one (2, m) uniform draw.  The steering entries come
-    from ``_steering_second`` as there.  The rest runs here in the same
-    order: the gains scale by 1/sqrt(m), and the complex multiply-accumulate
-    over paths is the plain one, without fused operations.
+
+def _arq_channels(amp: np.ndarray, paths: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One channel per row, (n, 2, 2): row i has the law of
+    ``_channel_batch`` at amplitude ``amp[i] = sqrt(SNR)`` and ``paths[i]``
+    paths.  The draws are PATHS_MAX wide, gains ``standard_normal((2, n,
+    PATHS_MAX))`` and angles ``uniform(0, 2*pi, (2, n, PATHS_MAX))``, and the
+    gains beyond each row's m are masked to zero."""
+    g = rng.standard_normal((2, amp.size, PATHS_MAX))
+    phi = rng.uniform(0.0, 2.0 * math.pi, size=(2, amp.size, PATHS_MAX))
+    live = np.arange(PATHS_MAX) < paths[:, None]
+    a = (g[0] + 1j * g[1]) * np.where(live, (amp / np.sqrt(paths))[:, None], 0.0)
+    er, et = _steering_second(phi)  # the first entries are 1/sqrt(2)
+    et = np.conj(et)
+    ar = a * er
+    s = 1.0 / math.sqrt(2.0)
+    h = np.stack([0.5 * a.sum(axis=1), s * (a * et).sum(axis=1),
+                  s * ar.sum(axis=1), (ar * et).sum(axis=1)], axis=1)
+    return h.reshape(-1, 2, 2)
+
+
+def _attempt_decodes(app: TransmissionApp, amp, paths, blocks: int, rng, noise_std) -> np.ndarray:
+    """One ARQ attempt of every row: whether its packet of ``blocks``
+    2-symbol blocks on one fresh channel decodes error free, (n,) bool.
+
+    A symbol decodes only when the sent point is strictly nearest its
+    estimate, the only point no farther than the sent one: a tie, as every
+    distance ties on a dead channel, or a NaN estimate is a symbol error."""
+    points = _CONSTELLATIONS[app.constellation]
+    h = np.repeat(_arq_channels(amp, paths, rng), blocks, axis=0)
+    sym = rng.integers(0, points.size, size=(h.shape[0], 2))
+    block = _alamouti_block if app.code == ALAMOUTI else _multiplexing_block
+    d = np.abs(block(h, points[sym], rng, noise_std)[..., None] - points)
+    nearer = d <= np.take_along_axis(d, sym[..., None], axis=-1)
+    return (nearer.sum(axis=-1) == 1).reshape(amp.size, -1).all(axis=1)
+
+
+def arq_latencies(app: TransmissionApp, ctx: PhyContexts, arq: ArqConfig,
+                  rng: np.random.Generator, noise_std: float = 1.0) -> np.ndarray:
+    """ARQ latency KPI of every context, (n,) int64: attempts until one
+    packet decodes error free, capped at ``max_retx`` (persistent failure
+    saturates the KPI).
+
+    Every attempt rides a fresh channel realization and carries
+    ``symbols_per_packet`` random symbols.  The rows run in blocks of
+    ``ARQ_BLOCK_ROWS``, in row order.  A block runs in rounds: round t
+    makes attempt t of every row of the block that has not decoded yet,
+    and a row that decodes reads t.  Byte-stable replay rests on the
+    draws of a round over its ``n_active`` rows, in this order, with
+    ``blocks = symbols_per_packet // 2``:
+
+    1. gains ``standard_normal((2, n_active, PATHS_MAX))``: real parts,
+       then imaginary, masked beyond each row's m;
+    2. angles ``uniform(0, 2*pi, (2, n_active, PATHS_MAX))``: receive,
+       then transmit;
+    3. symbol indices ``integers(0, M, (n_active, blocks, 2))``;
+    4. unless ``noise_std == 0``, noise ``standard_normal((k, n_active,
+       blocks, 2))``, real then imaginary parts of each slot: k = 4 for
+       Alamouti's two slots, k = 2 for multiplexing's one.
+
+    An empty batch draws nothing.  Alamouti combines orthogonally;
+    multiplexing zero-forces through ``_zero_forcing``, which keeps pinv
+    for every rank-1 single-path channel.  Each row's latency has the law
+    of attempts drawn one row after another, so only the stream, not the
+    law, depends on the batch.
     """
-    re, im = rng.standard_normal((2, paths)).tolist()
-    phi = rng.uniform(0.0, 2.0 * math.pi, size=(2, paths))
-    inv_root_m = 1.0 / math.sqrt(paths)
-    gains = [complex(x * inv_root_m, y * inv_root_m) for x, y in zip(re, im)]
-    second = _steering_second(phi).tolist()
-    first = complex(1.0 / math.sqrt(2.0), 0.0)  # the first steering entry
-    first_c = first.conjugate()
-    h00 = h01 = h10 = h11 = 0j
-    for a, er, et in zip(gains, second[0], second[1]):
-        a0, a1, et_c = a * first, a * er, et.conjugate()
-        h00 += a0 * first_c
-        h01 += a0 * et_c
-        h10 += a1 * first_c
-        h11 += a1 * et_c
-    return amp * h00, amp * h01, amp * h10, amp * h11
-
-
-def _symbol_tables(points: np.ndarray):
-    """Constellation points, the first-slot values s/sqrt(2) and Alamouti's
-    second-slot values -conj(s)/sqrt(2), conj(s)/sqrt(2), as Python
-    complex lists computed by the same numpy ops ``_send_blocks`` uses."""
-    root2 = math.sqrt(2.0)
-    return (points.tolist(), (points / root2).tolist(),
-            (-np.conj(points) / root2).tolist(), (np.conj(points) / root2).tolist())
-
-
-_SYMBOL_TABLES = {name: _symbol_tables(points) for name, points in _CONSTELLATIONS.items()}
-
-
-def _decodes(est: complex, sent: int, points) -> bool:
-    """Whether ``points[sent]`` is strictly nearest to ``est``: a tie, as
-    every distance ties on a dead channel, is a symbol error."""
-    d_sent = abs(est - points[sent])
-    for j, p in enumerate(points):
-        if j != sent and abs(est - p) <= d_sent:
-            return False
-    return True
-
-
-def _alamouti_packet_ok(h, sym, w, tables) -> bool:
-    """Orthogonal combining over two slots per block; w holds the slots'
-    real and imaginary noise, (4, blocks, 2)."""
-    h00, h01, h10, h11 = h
-    points, tx, tx_neg_conj, tx_conj = tables
-    c00, c01, c10, c11 = (x.conjugate() for x in h)
-    gain = (abs(h00) ** 2 + abs(h01) ** 2) + (abs(h10) ** 2 + abs(h11) ** 2)
-    k = math.sqrt(2.0) / gain if gain > 0.0 else 0.0  # dead channel: every distance ties
-    re1, im1, re2, im2 = w
-    for b, (s0, s1) in enumerate(sym):
-        t0, t1 = tx[s0], tx[s1]
-        u0, u1 = tx_neg_conj[s1], tx_conj[s0]
-        r0 = h00 * t0 + h01 * t1 + complex(re1[b][0], im1[b][0])
-        r1 = h10 * t0 + h11 * t1 + complex(re1[b][1], im1[b][1])
-        q0 = h00 * u0 + h01 * u1 + complex(re2[b][0], im2[b][0])
-        q1 = h10 * u0 + h11 * u1 + complex(re2[b][1], im2[b][1])
-        z0 = c00 * r0 + c10 * r1 + (c01 * q0 + c11 * q1).conjugate()
-        z1 = c01 * r0 + c11 * r1 - (c00 * q0 + c10 * q1).conjugate()
-        if not (_decodes(k * z0, s0, points) and _decodes(k * z1, s1, points)):
-            return False
-    return True
-
-
-def _multiplexing_packet_ok(h, sym, w, tables) -> bool:
-    """One slot per block, zero-forcing through pinv of the 2x2 channel;
-    w holds the real and imaginary noise, (2, blocks, 2)."""
-    h00, h01, h10, h11 = h
-    points, tx = tables[:2]
-    (p00, p01), (p10, p11) = np.linalg.pinv(np.array([[h00, h01], [h10, h11]])).tolist()
-    root2 = math.sqrt(2.0)
-    re, im = w
-    for b, (s0, s1) in enumerate(sym):
-        t0, t1 = tx[s0], tx[s1]
-        r0 = h00 * t0 + h01 * t1 + complex(re[b][0], im[b][0])
-        r1 = h10 * t0 + h11 * t1 + complex(re[b][1], im[b][1])
-        if not (_decodes(root2 * (p00 * r0 + p01 * r1), s0, points)
-                and _decodes(root2 * (p10 * r0 + p11 * r1), s1, points)):
-            return False
-    return True
+    if not (math.isfinite(noise_std) and noise_std >= 0.0):
+        raise ContractViolationError(f"noise_std must be finite and >= 0, got {noise_std!r}")
+    blocks = arq.symbols_per_packet // 2
+    amp = np.sqrt(10.0 ** (ctx.snr_db / 10.0))
+    latency = np.full(len(ctx), arq.max_retx, dtype=np.int64)
+    for start in range(0, len(ctx), ARQ_BLOCK_ROWS):
+        rows = np.arange(start, min(start + ARQ_BLOCK_ROWS, len(ctx)))
+        for attempt in range(1, arq.max_retx + 1):
+            ok = _attempt_decodes(app, amp[rows], ctx.paths[rows], blocks, rng, noise_std)
+            latency[rows[ok]] = attempt
+            rows = rows[~ok]
+            if not rows.size:
+                break
+    return latency
 
 
 def transmit_arq(app: TransmissionApp, snr_db: float, paths: int, arq: ArqConfig,
                  rng: np.random.Generator, noise_std: float = 1.0) -> int:
-    """ARQ latency KPI of one context, given as its SNR and path count (a
-    row of a ``PhyContexts``, which validated them): attempts until one
-    packet decodes error free.
-
-    Every attempt rides a fresh channel realization and carries
-    ``symbols_per_packet`` random symbols; the count is capped at
-    ``max_retx`` (persistent failure saturates the KPI).
-
-    Byte-stable replay rests on a fixed per-attempt draw order, the one
-    of a per-attempt ``_channel_batch`` plus ``_send_blocks`` over the
-    ``blocks = symbols_per_packet // 2`` copies of the channel:
-
-    1. gains ``standard_normal((2, m))``: real parts, then imaginary;
-    2. angles ``uniform(0, 2*pi, (2, m))``: receive, then transmit;
-    3. symbol indices ``integers(0, M, (blocks, 2))``;
-    4. unless ``noise_std == 0``, noise ``standard_normal((k, blocks, 2))``,
-       real then imaginary parts of each slot: k = 4 for Alamouti's two
-       slots, k = 2 for multiplexing's one.
-
-    Each merged draw yields the same stream as the separate draws it
-    replaces, and the channel is the same bits.  Detection runs on
-    Python complex numbers, one 2-symbol block at a time, and stops at
-    the first symbol error.  Its estimates can differ from numpy's in the
-    last bit (numpy may fuse multiply-adds and vectorise abs), so a
-    decision could differ only for an estimate within rounding of a
-    decision boundary.  An exact tie for nearest is a symbol error here
-    (np.argmin gives it to the first point), so a dead channel, where
-    every distance ties, never decodes.
-    Multiplexing keeps the pseudo-inverse, taken once per attempt.  The
-    batched SER path's ``_zero_forcing`` replaces it only for clear
-    channels; every rank-1 single-path (m=1) channel keeps pinv and its
-    rank cutoff there too.
-    """
-    tables = _SYMBOL_TABLES[app.constellation]
-    n_points = len(tables[0])
-    if app.code == ALAMOUTI:
-        packet_ok, noise_rows = _alamouti_packet_ok, 4
-    else:
-        packet_ok, noise_rows = _multiplexing_packet_ok, 2
-    blocks = arq.symbols_per_packet // 2
-    noise_shape = (noise_rows, blocks, 2)
-    noise_scale = noise_std / math.sqrt(2.0)
-    amp = math.sqrt(10.0 ** (snr_db / 10.0))
-    for attempt in range(1, arq.max_retx + 1):
-        h = _attempt_channel(amp, paths, rng)
-        sym = rng.integers(0, n_points, size=(blocks, 2)).tolist()
-        if noise_std == 0.0:
-            w = np.zeros(noise_shape).tolist()
-        else:
-            w = (noise_scale * rng.standard_normal(noise_shape)).tolist()
-        if packet_ok(h, sym, w, tables):
-            return attempt
-    return arq.max_retx
+    """ARQ latency KPI of one context, given as its SNR and path count:
+    ``arq_latencies`` of a batch of one."""
+    ctx = PhyContexts(snr_db=[snr_db], paths=[paths])
+    return int(arq_latencies(app, ctx, arq, rng, noise_std)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -92,8 +92,10 @@ ENVIRONMENTS = {
 
 @pytest.mark.parametrize("name", sorted(ENVIRONMENTS))
 def test_batch_protocol_matches_per_row_calls(name):
-    # a batch rollout makes the draws of one rollout per row, in row order,
-    # and every per-context quantity of a batch is that of its rows
+    # a mac or synthetic batch rollout makes the draws of one rollout per
+    # row, in row order; a phy batch is one round-major arq_latencies call,
+    # which replays from its seed.  Every per-context quantity of a batch
+    # is that of its rows.
     make, apps = ENVIRONMENTS[name]
     env = make()
     ctx = env.sample_contexts_given_app(apps[0], 30, rng_for(14, 1))
@@ -102,8 +104,12 @@ def test_batch_protocol_matches_per_row_calls(name):
     for app in apps:
         batch_rng, row_rng = rng_for(14, 2), rng_for(14, 2)
         batch = env.rollout(app, ctx, batch_rng)
-        per_row = np.concatenate([env.rollout(app, r, row_rng) for r in rows])
-        assert batch.dtype == float and np.array_equal(batch, per_row)
+        if name == "phy":
+            want = phy_sim.arq_latencies(app, ctx, env.arq, row_rng)[:, None]
+            assert np.array_equal(env.rollout(app, ctx, rng_for(14, 2)), batch)
+        else:
+            want = np.concatenate([env.rollout(app, r, row_rng) for r in rows])
+        assert batch.dtype == float and np.array_equal(batch, want)
         assert batch_rng.random() == row_rng.random()
         w = env.weight(ctx, app, apps[0])
         assert w.shape == (30,)
@@ -455,10 +461,19 @@ def reference_inefficiency(sets, normalizers, domains):
     return float(np.mean(clipped_terms)), raw, n_unbounded
 
 
+def reference_rollouts(env, app, contexts, rng):
+    """Each context's KPI row: one rollout per context, except on phy, whose
+    batch draws round-major (``phy_sim.arq_latencies``), not row by row."""
+    if isinstance(env, PhyEnvironment):
+        return list(env.rollout(app, contexts, rng))
+    return [env.rollout(app, row, rng)[0] for row in rows_of(contexts)]
+
+
 def reference_draw_labeled(env, app, n, rng, noise, noise_rng):
-    """One batch of contexts, then one rollout and one noise draw per context."""
+    """One batch of contexts, then their rollouts, then one noise draw per
+    context."""
     contexts = env.sample_contexts_given_app(app, n, rng)
-    kpis = [env.rollout(app, row, rng)[0] for row in rows_of(contexts)]
+    kpis = reference_rollouts(env, app, contexts, rng)
     if noise is not None:
         kpis = [k + noise.draw(noise_rng, k.shape) for k in kpis]
     return contexts, kpis
@@ -496,7 +511,7 @@ def reference_run(cfg):
                            for iv, y in zip(intervals_for_batch(cal_ctx), cal_kpi)])
         test_ctx = env.sample_contexts_given_app(actual, cfg.n_test, rng_test)
         test_rows = rows_of(test_ctx)
-        truths = [env.rollout(target, r, rng_test)[0] for r in test_rows]
+        truths = reference_rollouts(env, target, test_ctx, rng_test)
         test_intervals = intervals_for_batch(test_ctx)
 
         # calibration points first, then test points

@@ -12,6 +12,7 @@ from ccke.conformal import ContractViolationError
 from ccke.phy_sim import (
     ALAMOUTI,
     ANTENNA_SEPARATION,
+    ARQ_BLOCK_ROWS,
     BPSK,
     MULTIPLEXING,
     PATHS_MAX,
@@ -24,6 +25,7 @@ from ccke.phy_sim import (
     PhyPolicy,
     SerTable,
     TransmissionApp,
+    arq_latencies,
     estimate_ser,
     sample_context,
     snr_bin_masses,
@@ -32,7 +34,6 @@ from ccke.phy_sim import (
 from ccke.phy_sim import (
     _CONSTELLATIONS,
     _alamouti_block,
-    _attempt_channel,
     _channel_batch,
     _decode_nearest,
     _draw_noise,
@@ -130,16 +131,25 @@ def test_arq_noiseless_alamouti_first_attempt():
             assert transmit_arq(app, ctx.snr_db[0], ctx.paths[0], arq, rng, noise_std=0.0) == 1
 
 
+def test_arq_batch_noiseless_alamouti_reads_one():
+    rng = np.random.default_rng(60)
+    snr_db = rng.uniform(-5.0, 15.0, 2000)
+    ctx = PhyContexts(snr_db=snr_db, paths=1 + np.arange(2000) % PATHS_MAX)
+    for app in (AB, AQ):
+        assert np.all(arq_latencies(app, ctx, ArqConfig(), rng, noise_std=0.0) == 1), app
+
+
 def test_arq_dead_channel_saturates_at_cap():
     # every distance ties at -400 dB; a tie must not decode, even when
     # both sent symbols are point 0 (1 in 4 BPSK attempts at 2 symbols;
     # the last attempt returns the cap either way)
     arq = ArqConfig(max_retx=3, symbols_per_packet=2)
+    ctx = PhyContexts(snr_db=np.full(1000, -400.0), paths=1 + np.arange(1000) % PATHS_MAX)
     for seed in range(3):
         rng = np.random.default_rng([7, seed])
         for app in PHY_APPS:
-            for i in range(1000):
-                assert transmit_arq(app, -400.0, 1 + i % PATHS_MAX, arq, rng) == 3, (app, seed, i)
+            y = arq_latencies(app, ctx, arq, rng)
+            assert np.all(y == 3), (app, seed, np.flatnonzero(y != 3))
 
 
 def test_arq_bounds_always_hold():
@@ -149,7 +159,12 @@ def test_arq_bounds_always_hold():
         ctx = sample_context(rng)
         app = PHY_APPS[int(rng.integers(0, 4))]
         y = transmit_arq(app, ctx.snr_db[0], ctx.paths[0], arq, rng)
-        assert 1 <= y <= 7
+        assert type(y) is int and 1 <= y <= 7
+    ctx = PhyContexts(snr_db=rng.uniform(-5.0, 15.0, 1500), paths=rng.integers(1, 11, 1500))
+    for app in PHY_APPS:
+        y = arq_latencies(app, ctx, arq, rng)
+        assert y.dtype == np.int64 and y.shape == (1500,)
+        assert np.all((1 <= y) & (y <= 7))
 
 
 def test_arq_geometric_attempt_ratio():
@@ -160,15 +175,63 @@ def test_arq_geometric_attempt_ratio():
     app = AQ
     n_pkt = 3000
     # independent per-attempt error estimate: did the first attempt fail
-    errs = 0
-    for _ in range(n_pkt):
-        errs += transmit_arq(app, 4.0, 6, ArqConfig(max_retx=2), rng) > 1
-    per = errs / n_pkt
-    ys = np.array([transmit_arq(app, 4.0, 6, arq, rng) for _ in range(6000)])
+    def at(n):
+        return PhyContexts(snr_db=np.full(n, 4.0), paths=np.full(n, 6))
+
+    per = np.mean(arq_latencies(app, at(n_pkt), ArqConfig(max_retx=2), rng) > 1)
+    ys = arq_latencies(app, at(6000), arq, rng)
     p1 = np.mean(ys == 1)
     p2 = np.mean(ys == 2)
-    if p1 > 0.05 and p2 > 0.02:
-        assert p2 / p1 == pytest.approx(per, abs=0.08)
+    assert p1 > 0.05 and p2 > 0.02
+    assert p2 / p1 == pytest.approx(per, abs=0.08)
+
+
+def test_arq_empty_batch_draws_nothing():
+    rng = np.random.default_rng(61)
+    state = rng.bit_generator.state
+    for app in PHY_APPS:
+        y = arq_latencies(app, PhyContexts(snr_db=[], paths=np.array([], dtype=np.int64)),
+                          ArqConfig(), rng)
+        assert y.shape == (0,) and y.dtype == np.int64
+    assert rng.bit_generator.state == state
+
+
+def test_arq_batch_across_blocks_replays_byte_stable():
+    # 1,025 rows: two full blocks of ARQ_BLOCK_ROWS and one row
+    assert ARQ_BLOCK_ROWS == 512
+    rng = np.random.default_rng(62)
+    ctx = PhyContexts(snr_db=rng.uniform(-5.0, 15.0, 1025), paths=rng.integers(1, 11, 1025))
+    for app in PHY_APPS:
+        a, b = np.random.default_rng([63, 1]), np.random.default_rng([63, 1])
+        first = arq_latencies(app, ctx, ArqConfig(), a)
+        assert first.tobytes() == arq_latencies(app, ctx, ArqConfig(), b).tobytes()
+        assert a.bit_generator.state == b.bit_generator.state
+        assert len(np.unique(first)) > 1
+
+
+@pytest.mark.parametrize("noise_std", [math.nan, math.inf, -math.inf, -1.0])
+def test_arq_rejects_bad_noise_std(noise_std):
+    # a NaN noise made every estimate NaN, and every packet decoded at once
+    ctx = PhyContexts(snr_db=[5.0, 10.0], paths=[3, 1])
+    for app in PHY_APPS:
+        with pytest.raises(ContractViolationError, match="noise_std"):
+            arq_latencies(app, ctx, ArqConfig(), np.random.default_rng(0), noise_std)
+        with pytest.raises(ContractViolationError, match="noise_std"):
+            transmit_arq(app, 5.0, 3, ArqConfig(), np.random.default_rng(0), noise_std)
+
+
+@pytest.mark.parametrize("field", ["max_retx", "symbols_per_packet"])
+@pytest.mark.parametrize("value", [2.5, 4.0, True, False, "4", None, np.float64(4.0)])
+def test_arq_config_rejects_non_integers(field, value):
+    # max_retx=2.5 used to fail later, as a bare TypeError inside range
+    with pytest.raises(ContractViolationError, match=field):
+        ArqConfig(**{field: value})
+
+
+def test_arq_config_accepts_numpy_integers():
+    arq = ArqConfig(max_retx=np.int64(3), symbols_per_packet=np.int32(4))
+    ctx = PhyContexts(snr_db=[5.0], paths=[2])
+    assert 1 <= arq_latencies(AQ, ctx, arq, np.random.default_rng(0))[0] <= 3
 
 
 def test_arq_odd_packet_size_rejected():
@@ -246,7 +309,7 @@ def reference_estimate_ser(app, snr_db, paths, rng, n_symbols):
 
 
 # ---------------------------------------------------------------------------
-# per-attempt fast path against the batched reference
+# round-major ARQ batches against per-row references
 
 
 def reference_transmit_arq(app, snr_db, paths, arq, rng, noise_std=1.0):
@@ -266,33 +329,114 @@ def reference_transmit_arq(app, snr_db, paths, arq, rng, noise_std=1.0):
     return arq.max_retx
 
 
-def test_attempt_channel_is_the_batched_draw_bit_for_bit():
-    # same bits matter for multiplexing: pinv's rank cutoff sits at the
-    # rounding level of rank-1 (m=1) channels
-    for seed in range(40):
-        for m in range(1, PATHS_MAX + 1):
-            for snr_db in (-400.0, -5.0, 4.3, 15.0):
-                a = np.random.default_rng([seed, m])
-                b = np.random.default_rng([seed, m])
-                h = _channel_batch(snr_db, m, 1, a)[0]
-                fast = _attempt_channel(math.sqrt(10.0 ** (snr_db / 10.0)), m, b)
-                assert np.array_equal(np.array(fast).reshape(2, 2), h)
-                assert a.bit_generator.state == b.bit_generator.state
+def reference_packet_ok(app, h, sym, w):
+    """Textbook detection of one packet on one channel: ``sym`` holds the
+    (blocks, 2) sent point indices, ``w`` each slot's complex noise.
+    Alamouti sends (s0, s1) then (-s1*, s0*), each over sqrt(2), and
+    combines orthogonally; multiplexing zero-forces through pinv."""
+    points = _CONSTELLATIONS[app.constellation]
+    s = points[sym]
+    if app.code == ALAMOUTI:
+        r1 = s @ h.T / math.sqrt(2.0) + w[0]
+        r2 = np.stack([-np.conj(s[:, 1]), np.conj(s[:, 0])], axis=1) @ h.T / math.sqrt(2.0) + w[1]
+        z0 = r1 @ np.conj(h[:, 0]) + np.conj(r2) @ h[:, 1]
+        z1 = r1 @ np.conj(h[:, 1]) - np.conj(r2) @ h[:, 0]
+        gain = np.sum(np.abs(h) ** 2)
+        est = math.sqrt(2.0) * np.stack([z0, z1], axis=1) / (gain if gain > 0.0 else np.inf)
+    else:
+        r = s @ h.T / math.sqrt(2.0) + w[0]
+        est = math.sqrt(2.0) * r @ np.linalg.pinv(h).T
+    d = np.abs(est[..., None] - points)
+    d_sent = np.take_along_axis(d, sym[..., None], axis=-1)
+    return bool(np.all(np.sum(d <= d_sent, axis=-1) == 1))
+
+
+def reference_arq_latencies(app, ctx, arq, rng, noise_std=1.0):
+    """The draw contract of ``arq_latencies`` (blocks of ARQ_BLOCK_ROWS rows,
+    rounds over the rows still undecoded, one merged draw of each kind per
+    round), with each row's channel and packet worked out on its own from
+    its first m paths by the reference steering, a 3-operand einsum and
+    ``reference_packet_ok``."""
+    points = _CONSTELLATIONS[app.constellation]
+    blocks = arq.symbols_per_packet // 2
+    slots = 2 if app.code == ALAMOUTI else 1
+    latency = np.full(len(ctx), arq.max_retx)
+    for start in range(0, len(ctx), ARQ_BLOCK_ROWS):
+        active = list(range(start, min(start + ARQ_BLOCK_ROWS, len(ctx))))
+        for attempt in range(1, arq.max_retx + 1):
+            n = len(active)
+            g = rng.standard_normal((2, n, PATHS_MAX))
+            phi = rng.uniform(0.0, 2.0 * math.pi, size=(2, n, PATHS_MAX))
+            sym = rng.integers(0, points.size, size=(n, blocks, 2))
+            w = np.zeros((2 * slots, n, blocks, 2))
+            if noise_std != 0.0:
+                w = rng.standard_normal((2 * slots, n, blocks, 2))
+            w = noise_std / math.sqrt(2.0) * (w[0::2] + 1j * w[1::2])
+            undecoded = []
+            for j, row in enumerate(active):
+                m = ctx.paths[row]
+                gains = (g[0, j, :m] + 1j * g[1, j, :m]) / math.sqrt(m)
+                e_r, e_t = reference_steering(phi[0, j, :m]), reference_steering(phi[1, j, :m])
+                h = (math.sqrt(10.0 ** (ctx.snr_db[row] / 10.0))
+                     * np.einsum("m,mi,mj->ij", gains, e_r, np.conj(e_t)))
+                if reference_packet_ok(app, h, sym[j], w[:, j]):
+                    latency[row] = attempt
+                else:
+                    undecoded.append(row)
+            active = undecoded
+            if not active:
+                break
+    return latency
 
 
 @pytest.mark.parametrize("app", PHY_APPS, ids=lambda a: a.key)
-def test_transmit_arq_matches_reference(app):
-    grid = itertools.product(range(1, PATHS_MAX + 1), (-400.0, -5.0, 0.0, 5.0, 10.0, 15.0),
-                             (0.0, 1.0), (2, 8), (1, 10))
-    for case, (m, snr_db, noise_std, spp, max_retx) in enumerate(grid):
+def test_arq_latencies_follow_their_draw_contract(app):
+    # 600 rows cross a block boundary; -400 dB rows are dead channels,
+    # m=1 rows rank-1 channels that multiplexing zero-forces through pinv
+    rng = np.random.default_rng([64, PHY_APPS.index(app)])
+    snr_db = rng.uniform(-5.0, 15.0, 600)
+    snr_db[::50] = -400.0
+    ctx = PhyContexts(snr_db=snr_db, paths=1 + np.arange(600) % PATHS_MAX)
+    for case, (noise_std, spp, max_retx) in enumerate(((1.0, 8, 10), (0.0, 2, 3), (1.0, 2, 1))):
         arq = ArqConfig(max_retx=max_retx, symbols_per_packet=spp)
-        ref_rng = np.random.default_rng([PHY_APPS.index(app), case])
-        rng = np.random.default_rng([PHY_APPS.index(app), case])
-        for _ in range(2):
-            want = reference_transmit_arq(app, snr_db, m, arq, ref_rng, noise_std)
-            got = transmit_arq(app, snr_db, m, arq, rng, noise_std)
-            assert got == want, (snr_db, m, arq, noise_std)
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        ref_rng = np.random.default_rng([65, case])
+        got_rng = np.random.default_rng([65, case])
+        want = reference_arq_latencies(app, ctx, arq, ref_rng, noise_std)
+        got = arq_latencies(app, ctx, arq, got_rng, noise_std)
+        assert np.array_equal(got, want), (arq, noise_std, np.flatnonzero(got != want))
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# Fixed before the results were seen: a two-proportion z test of the
+# first-attempt success probability, |z| <= 4, and a chi-square test of
+# homogeneity of the whole latency law (cells with no draws on either
+# side dropped), p >= 1e-4.  With 16 cells of two tests each, a correct
+# program fails one by chance with probability below 0.3%.
+LAW_POINTS = ((0.0, 1), (0.0, 10), (8.0, 1), (8.0, 10))
+LAW_Z_MAX = 4.0
+LAW_P_MIN = 1e-4
+
+
+@pytest.mark.parametrize("app", PHY_APPS, ids=lambda a: a.key)
+def test_arq_latencies_law_matches_reference(app):
+    arq = ArqConfig(max_retx=4, symbols_per_packet=8)
+    n_ref, n_batch = 1200, 20_000
+    for point, (snr_db, m) in enumerate(LAW_POINTS):
+        rng = np.random.default_rng([66, PHY_APPS.index(app), point])
+        want = np.array([reference_transmit_arq(app, snr_db, m, arq, rng) for _ in range(n_ref)])
+        ctx = PhyContexts(snr_db=np.full(n_batch, snr_db), paths=np.full(n_batch, m))
+        got = arq_latencies(app, ctx, arq, rng)
+        p_ref, p_got = np.mean(want == 1), np.mean(got == 1)
+        pooled = (p_ref * n_ref + p_got * n_batch) / (n_ref + n_batch)
+        se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / n_ref + 1.0 / n_batch))
+        z = 0.0 if se == 0.0 else (p_got - p_ref) / se
+        assert abs(z) <= LAW_Z_MAX, (snr_db, m, p_ref, p_got, z)
+        table = np.array([[np.sum(y == t) for t in range(1, arq.max_retx + 1)]
+                          for y in (want, got)])
+        table = table[:, table.sum(axis=0) > 0]
+        if table.shape[1] > 1:
+            p = stats.chi2_contingency(table, correction=False).pvalue
+            assert p >= LAW_P_MIN, (snr_db, m, table, p)
 
 
 # ---------------------------------------------------------------------------
