@@ -240,14 +240,12 @@ def run_frame(app: str, ctx: MacContexts, policy: MacPolicy,
     expected-rate / smoothed-throughput ratio (the first such user on a
     tie).
 
-    Draws: one uniform from ``rng`` per scheduled RB, in RB order, frame
-    after frame in row order, so a batch leaves ``rng`` exactly where its
-    rows run one at a time would; an empty batch draws nothing.  RR
-    schedules all F RBs and takes the whole batch as one ``(n, F)`` draw.
-    PFCA stops at the first RB where every queue is empty, and takes each
-    row's uniforms in blocks sized to the RBs the frame is certain to
-    schedule (no RB drains more than the largest quantum), so it draws
-    nothing it does not use.
+    Draws: F uniforms from ``rng`` per frame, one per RB, in RB order,
+    frame after frame in row order, for both apps; the whole batch is one
+    ``(n, F)`` draw, so a batch leaves ``rng`` exactly where its rows run
+    one at a time would, and an empty batch draws nothing.  PFCA stops
+    stepping once every queue of the batch is empty; its remaining
+    uniforms are drawn all the same.
     """
     if app not in MAC_APPS:
         raise ContractViolationError(f"unknown app {app!r}")
@@ -257,56 +255,39 @@ def run_frame(app: str, ctx: MacContexts, policy: MacPolicy,
         raise ContractViolationError(f"{f} RBs cannot serve {k} users round-robin")
     quanta = np.rint(policy.payload(ctx.cqis) / f).astype(np.int64)
     success_p = frame_cfg.success_table[ctx.cqis - 1]
+    u = rng.random((n, f))
     if app == RR:
         # drains never depend on other users, so the cyclic allocation
         # collapses to counting each user's successful RBs: RB r serves
         # user r % K, so rows of K RBs (the last padded with misses) sum
         # to the per-user counts
-        hits = rng.random((n, f)) < success_p[:, np.arange(f) % k]
-        hits = np.pad(hits, ((0, 0), (0, -f % k)))
+        hits = np.pad(u < success_p[:, np.arange(f) % k], ((0, 0), (0, -f % k)))
         successes = hits.reshape(n, -(-f // k), k).sum(axis=1)
         return np.maximum(ctx.backlogs - quanta * successes, 0)
-    # PFCA on Python scalars, making the array form's float operations in
-    # its order: metric rate / max(avg, floor), numpy's first-max argmax
-    # over backlogged users, avg <- (1 - beta) * avg + beta * served.  A
-    # metric changes only while its user's queue is nonempty and its
-    # average nonzero ("warm"): a zero average decays to itself, and an
-    # empty queue stays empty, as nonnegative payloads and probabilities
-    # keep every metric >= 0, so the argmax picks a backlogged user.
-    out = np.empty((n, k), dtype=np.int64)
-    floor = frame_cfg.pfca_floor
+    # PFCA in lockstep over the batch, one RB at a time: metric
+    # rate / max(avg, floor), argmax over users, avg <- (1 - beta) * avg +
+    # beta * served.  An empty queue's rate reads -inf, and so does its
+    # metric, so a row with a backlog serves a backlogged user; a row whose
+    # queues are all empty drains nothing until the whole batch is empty.
+    backlog = ctx.backlogs.copy()
+    rates = np.where(backlog > 0, quanta * success_p, -np.inf)
+    avg = np.zeros((n, k))
+    rows = np.arange(n)
     beta = frame_cfg.pfca_smoothing
-    keep = 1.0 - beta
-    rates = quanta * success_p
-    for i in range(n):
-        # one row's lists at a time: the whole batch's as Python objects
-        # raised peak memory by about 9 MiB at n=3000, K=32
-        backlog, q, p, rate = (ctx.backlogs[i].tolist(), quanta[i].tolist(),
-                               success_p[i].tolist(), rates[i].tolist())
-        metric = [r / floor if b > 0 else -math.inf for r, b in zip(rate, backlog)]
-        avg = [0.0] * k
-        warm = set()
-        left = sum(backlog)
-        most = max(max(q), 1)  # no RB drains more
-        rb = 0
-        while left > 0 and rb < f:
-            block = rng.random(min(f - rb, -(-left // most))).tolist()
-            rb += len(block)
-            for x in block:
-                u = metric.index(max(metric))
-                drained = min(q[u], backlog[u]) if x < p[u] else 0
-                backlog[u] -= drained
-                left -= drained
-                for j in warm:
-                    a = avg[j] = keep * avg[j]
-                    metric[j] = rate[j] / (a if a > floor else floor)
-                served = beta * drained
-                if served:
-                    a = avg[u] = avg[u] + served
-                    metric[u] = rate[u] / (a if a > floor else floor)
-                    warm.add(u)
-                if not backlog[u]:
-                    metric[u] = -math.inf
-                    warm.discard(u)
-        out[i] = backlog
-    return out
+    for rb in range(f):
+        if not backlog.any():
+            break
+        # rate / 5e-324 overflows to an intended inf metric; equal metrics,
+        # inf among them, go to the first user
+        with np.errstate(over="ignore"):
+            metric = rates / np.maximum(avg, frame_cfg.pfca_floor)
+        user = metric.argmax(axis=1)
+        left = backlog[rows, user]
+        drained = np.where(u[:, rb] < success_p[rows, user],
+                           np.minimum(quanta[rows, user], left), 0)
+        backlog[rows, user] = left - drained
+        emptied = left == drained
+        rates[rows[emptied], user[emptied]] = -np.inf
+        avg *= 1.0 - beta
+        avg[rows, user] += beta * drained
+    return backlog

@@ -160,10 +160,6 @@ class QuantileModel:
     def views(self) -> dict:
         return {nm: self.params[a:b].reshape(shape) for nm, shape, a, b in _layout(self.arch)[0]}
 
-    def copy(self) -> "QuantileModel":
-        return QuantileModel(self.arch, self.alpha, self.params.copy(),
-                             list(self.loss_history))
-
     def predict(self, x: np.ndarray):
         """Batched quantile heads; returns (lo, hi) arrays of shape (B, K)."""
         out, _ = _forward_cached(self, x)

@@ -4,6 +4,7 @@ per-RB reference loop."""
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -329,8 +330,9 @@ def test_frame_config_accepts_pfca_edges():
 
 
 def reference_run_frame(app, backlogs, cqis, policy, frame_cfg, rng):
-    """The per-RB numpy loop: one uniform per scheduled RB, PFCA's metric,
-    argmax and smoothed-throughput update on arrays."""
+    """The per-RB numpy loop for one frame: F uniforms drawn up front, one
+    per RB, and PFCA's metric, argmax and smoothed-throughput update on
+    arrays until every queue is empty."""
     if app not in (RR, PFCA):
         raise ContractViolationError(f"unknown app {app!r}")
     backlogs, cqis = np.asarray(backlogs), np.asarray(cqis)
@@ -349,13 +351,15 @@ def reference_run_frame(app, backlogs, cqis, policy, frame_cfg, rng):
     rate = quanta * success_p
     avg = np.zeros(n)
     beta = frame_cfg.pfca_smoothing
-    for _ in range(f):
+    draws = rng.random(f)
+    for rb in range(f):
         eligible = backlog > 0
         if not eligible.any():
             break
-        metric = np.where(eligible, rate / np.maximum(avg, frame_cfg.pfca_floor), -np.inf)
+        with np.errstate(over="ignore"):
+            metric = np.where(eligible, rate / np.maximum(avg, frame_cfg.pfca_floor), -np.inf)
         u = int(np.argmax(metric))
-        drained = min(quanta[u], backlog[u]) if rng.random() < success_p[u] else 0
+        drained = min(quanta[u], backlog[u]) if draws[rb] < success_p[u] else 0
         backlog[u] -= drained
         served = np.zeros(n)
         served[u] = drained
@@ -445,3 +449,42 @@ def test_run_frame_batch_is_its_rows_in_order(bit_generator, app):
                                                      bit_generator, int(gen.integers(2**32)))
                 assert out.shape == (n, k)
 
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
+def test_pfca_batch_draws_n_times_f_doubles(bit_generator):
+    # every frame takes its F uniforms, also one that empties every queue
+    # at its first RBs or starts empty; an empty batch draws nothing
+    k, f = 4, 50
+    policy = flat_policy(1000.0)
+    cfg = FrameConfig(resource_blocks=f, per_rb_success_prob=lambda c: 1.0)
+    gen = np.random.default_rng(22)
+    for n in (0, 1, 7, 300):
+        backlogs = gen.integers(0, 41, size=(n, k))
+        backlogs[gen.random((n, k)) < 0.3] = 0
+        ctx = MacContexts(backlogs, gen.integers(1, 16, size=(n, k)))
+        rng = np.random.Generator(bit_generator(n))
+        after = np.random.Generator(bit_generator(n))
+        after.random(n * f)
+        out = run_frame(PFCA, ctx, policy, cfg, rng)
+        assert not out.any()
+        np.testing.assert_equal(rng.bit_generator.state, after.bit_generator.state, err_msg=str(n))
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+@pytest.mark.parametrize("floor", [5e-324, 1e300])
+def test_pfca_numeric_edges_match_reference_without_warnings(floor, beta):
+    # at floor 5e-324 a zero average makes every positive metric inf, a
+    # tie that goes to the first backlogged user; at 1e300 the floor always
+    # binds, so the averages never matter
+    gen = np.random.default_rng(23)
+    for k, f in ((1, 1), (3, 7), (8, 50), (32, 200)):
+        for table in (default_payload_table(k), np.zeros(15)):
+            policy = MacPolicy(temperature=1.0, payload_table=table)
+            cfg = FrameConfig(resource_blocks=f, pfca_floor=floor, pfca_smoothing=beta)
+            backlogs = gen.integers(0, 101, size=(7, k))
+            backlogs[gen.random((7, k)) < 0.3] = 0
+            cqis = gen.integers(1, 16, size=(7, k))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert_frame_matches_reference(PFCA, backlogs, cqis, policy, cfg,
+                                               np.random.PCG64, int(gen.integers(2**32)))
