@@ -23,6 +23,7 @@ multiplexing (the 2x2 inverse, or the pseudo-inverse of a rank-1 channel).
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -62,6 +63,7 @@ SNR_DB_MIN = -5.0
 SNR_DB_MAX = 15.0
 SNR_DB_MEAN = 5.0
 SNR_DB_SIGMA = 5.0
+SNR_DB_CEILING = 1000.0  # channel power about 1e100, far from float64 overflow
 PATHS_MAX = 10
 ANTENNA_SEPARATION = 0.5
 SER_CLAMP = 1e-6
@@ -104,8 +106,9 @@ PHY_APPS = (
 
 @dataclass(frozen=True)
 class PhyContexts:
-    """A batch of n contexts: average SNRs in dB (nominally -5..15) and
-    multipath counts m in 1..10, each an (n,) array, validated once here."""
+    """A batch of n contexts: average SNRs in dB (nominally -5..15, at
+    most ``SNR_DB_CEILING``) and multipath counts m in 1..10, each an (n,)
+    array, validated once here."""
 
     snr_db: np.ndarray
     paths: np.ndarray
@@ -123,6 +126,11 @@ class PhyContexts:
             raise ContractViolationError(f"paths must lie in 1..{PATHS_MAX}, got {m[bad][0]}")
         if not np.all(np.isfinite(snr)):
             raise ContractViolationError(f"snr_db must be finite, got {snr[~np.isfinite(snr)][0]}")
+        # the channel power overflows float64 near 3,080 dB, where even a
+        # perfect channel would saturate the KPI silently
+        if np.any(snr > SNR_DB_CEILING):
+            raise ContractViolationError(
+                f"snr_db must be at most {SNR_DB_CEILING} dB, got {snr[snr > SNR_DB_CEILING][0]}")
         object.__setattr__(self, "snr_db", snr)
         object.__setattr__(self, "paths", m.astype(np.int64))
 
@@ -301,42 +309,142 @@ def _send_blocks(app: TransmissionApp, h, sym_idx, rng, noise_std=1.0):
     return _decode_nearest(est, constellation)
 
 
-ARQ_BLOCK_ROWS = 512  # rows per block of arq_latencies: bounds its working arrays
+ARQ_BLOCK_ROWS = 512  # rows per block of arq_latencies
+ARQ_CHUNK_ROWS = 128  # rows decoded at a time: bounds the working arrays
 
 
-def _arq_channels(amp: np.ndarray, paths: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One channel per row, (n, 2, 2): row i has the law of
-    ``_channel_batch`` at amplitude ``amp[i] = sqrt(SNR)`` and ``paths[i]``
-    paths.  The draws are PATHS_MAX wide, gains ``standard_normal((2, n,
-    PATHS_MAX))`` and angles ``uniform(0, 2*pi, (2, n, PATHS_MAX))``, and the
-    gains beyond each row's m are masked to zero."""
-    g = rng.standard_normal((2, amp.size, PATHS_MAX))
-    phi = rng.uniform(0.0, 2.0 * math.pi, size=(2, amp.size, PATHS_MAX))
-    live = np.arange(PATHS_MAX) < paths[:, None]
-    a = (g[0] + 1j * g[1]) * np.where(live, (amp / np.sqrt(paths))[:, None], 0.0)
-    er, et = _steering_second(phi)  # the first entries are 1/sqrt(2)
-    et = np.conj(et)
-    ar = a * er
-    s = 1.0 / math.sqrt(2.0)
-    h = np.stack([0.5 * a.sum(axis=1), s * (a * et).sum(axis=1),
-                  s * ar.sum(axis=1), (ar * et).sum(axis=1)], axis=1)
-    return h.reshape(-1, 2, 2)
+def _mirror_images(points: np.ndarray) -> np.ndarray:
+    """(M, M): row 0 is the points, the other rows their mirror images,
+    which are the other points: -conj, conj and - for QPSK, - for BPSK."""
+    if points.size == 2:
+        return np.stack([points, -points])
+    return np.stack([points, -np.conj(points), np.conj(points), -points])
 
 
-def _attempt_decodes(app: TransmissionApp, amp, paths, blocks: int, rng, noise_std) -> np.ndarray:
+def _arq_tables(app: TransmissionApp) -> tuple:
+    """The transmit vectors of every sent index pair (i, j), (slots, 2,
+    M*M) indexed by M*i + j: Alamouti sends (s_i, s_j) then (-conj(s_j),
+    conj(s_i)), multiplexing (s_i, s_j), each over sqrt(2); and
+    ``_mirror_images``."""
+    points = _CONSTELLATIONS[app.constellation]
+    s0, s1 = np.repeat(points, points.size), np.tile(points, points.size)
+    slots = [[s0, s1]]
+    if app.code == ALAMOUTI:
+        slots.append([-np.conj(s1), np.conj(s0)])
+    return np.array(slots) / math.sqrt(2.0), _mirror_images(points)
+
+
+_ARQ_TABLES = {app: _arq_tables(app) for app in PHY_APPS}
+# h_ij is _H_SCALE[j, i] times the sum of its path terms: the steering
+# entries that are 1/sqrt(2) at every angle, with 0.5 exact for h_00
+_H_SCALE = np.array([[0.5, 1.0 / math.sqrt(2.0)],
+                     [1.0 / math.sqrt(2.0), 1.0]])[:, :, None, None]
+# -pi for the receive phases; +pi for the transmit ones: cos is even and sin
+# odd, bit for bit, so their steering comes out conjugated
+_CONJ_PHASE = np.array([-math.pi, math.pi])[:, None, None]
+
+
+def _sent_is_nearest(est: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Whether each estimate decodes to its sent point, ``est.shape`` bool:
+    ``cand[0]`` holds the sent points and ``cand[1:]`` their mirror images,
+    so the rule is that the sent point is the only point no farther from
+    the estimate than itself.  A tie or a NaN estimate is a symbol error."""
+    d = np.abs(est - cand)
+    return d[0] < functools.reduce(np.minimum, d[1:])
+
+
+def _attempt_decodes(app: TransmissionApp, amp, live, blocks: int, rng, noise_std) -> np.ndarray:
     """One ARQ attempt of every row: whether its packet of ``blocks``
     2-symbol blocks on one fresh channel decodes error free, (n,) bool.
 
-    A symbol decodes only when the sent point is strictly nearest its
-    estimate, the only point no farther than the sent one: a tie, as every
-    distance ties on a dead channel, or a NaN estimate is a symbol error."""
-    points = _CONSTELLATIONS[app.constellation]
-    h = np.repeat(_arq_channels(amp, paths, rng), blocks, axis=0)
-    sym = rng.integers(0, points.size, size=(h.shape[0], 2))
-    block = _alamouti_block if app.code == ALAMOUTI else _multiplexing_block
-    d = np.abs(block(h, points[sym], rng, noise_std)[..., None] - points)
-    nearer = d <= np.take_along_axis(d, sym[..., None], axis=-1)
-    return (nearer.sum(axis=-1) == 1).reshape(amp.size, -1).all(axis=1)
+    ``live`` (n, PATHS_MAX) marks each row's first m paths and ``amp``
+    holds sqrt(SNR/m) on them, 0 beyond.  The draws are the round's, as
+    ``arq_latencies`` lists them; they are decoded ``ARQ_CHUNK_ROWS`` rows
+    at a time, which keeps the working arrays small.  A tie, a NaN
+    estimate or a dead channel is a symbol error."""
+    n = amp.shape[0]
+    tx_table, mirrors = _ARQ_TABLES[app]
+    slots = tx_table.shape[0]
+    g = rng.standard_normal((2, n, PATHS_MAX))
+    phi = rng.uniform(0.0, 2.0 * math.pi, size=(2, n, PATHS_MAX))
+    sym = rng.integers(0, mirrors.shape[1], size=(n, blocks, 2))
+    w = None
+    if noise_std != 0.0:
+        w = rng.standard_normal((slots, 2, n, blocks, 2))
+        w *= noise_std / math.sqrt(2.0)
+    ok = np.empty(n, dtype=bool)
+    for lo in range(0, n, ARQ_CHUNK_ROWS):
+        rows = slice(lo, lo + ARQ_CHUNK_ROWS)
+        ok[rows] = _packet_decodes(app, amp[rows], live[rows], g[:, rows], phi[:, rows],
+                                   sym[rows], None if w is None else w[:, :, rows])
+    return ok
+
+
+def _packet_decodes(app: TransmissionApp, amp, live, g, phi, sym, w) -> np.ndarray:
+    """Whether each row's packet decodes error free, (n,) bool, given its
+    gains ``g`` and angles ``phi``, (2, n, PATHS_MAX); symbol indices
+    ``sym``, (n, blocks, 2); and noise ``w``, (slots, 2, n, blocks, 2),
+    already scaled, or None.
+
+    Each row's 2x2 channel is formed once, from its live paths only, and
+    serves every block.  The estimates are, bit for bit (but for the sign
+    of a zero on an exactly zero channel), those of the masked
+    PATHS_MAX-wide channel repeated per block through ``_alamouti_block``
+    or ``_multiplexing_block``.  So sums keep numpy's order, the received
+    signal is a plain complex einsum, and every other complex product is a
+    numpy complex multiply into an output that overlaps no input (numpy
+    fuses its multiply-adds except in the scalar loop it takes for
+    overlaps).  Arrays run (.., block, row), rows innermost.  A dead
+    channel (||H|| = 0) estimates 0, where every distance ties."""
+    n = amp.shape[0]
+    tx_table, mirrors = _ARQ_TABLES[app]
+    sym = np.ascontiguousarray(sym.transpose(2, 1, 0))
+
+    # the steering e_r and conj(e_t) of live paths only, as cos and sin of
+    # the phase -pi cos(phi), and of its negation for conj(e_t); dead paths
+    # keep e = 0 and gains a = 0
+    phase = np.cos(phi, out=np.zeros_like(phi), where=live)
+    phase *= _CONJ_PHASE
+    e = np.zeros((2, n, PATHS_MAX, 2))
+    np.cos(phase, out=e[..., 0], where=live)
+    np.sin(phase, out=e[..., 1], where=live)
+    e *= 1.0 / math.sqrt(2.0)
+    er, et = e.view(complex)[..., 0]
+    # path terms [[a, a e_r], [a conj(e_t), a e_r conj(e_t)]], a = (g_re + i g_im) sqrt(SNR/m)
+    terms = np.empty((2, 2, n, PATHS_MAX), dtype=complex)
+    np.multiply(g[0], amp, out=terms[0, 0].real)
+    np.multiply(g[1], amp, out=terms[0, 0].imag)
+    np.multiply(terms[0, 0], er, out=terms[0, 1])
+    np.multiply(terms[0], et, out=terms[1])
+    h = terms.sum(axis=-1)  # h[j, i] is channel entry h_ij of every row
+    h.view(float).reshape(2, 2, n, 2)[...] *= _H_SCALE
+
+    tx = np.take(tx_table, sym[0] * mirrors.shape[1] + sym[1], axis=2)
+    r = np.empty(tx.shape, dtype=complex)
+    np.einsum("jin,sjbn->sibn", h, tx, out=r)  # einsum picks a slow layout without out=
+    if w is not None:
+        r.real += w[:, 0].transpose(0, 3, 2, 1)
+        r.imag += w[:, 1].transpose(0, 3, 2, 1)
+    if app.code == ALAMOUTI:
+        # z_0 = sum_i conj(h_i0) r1_i + conj(sum_i conj(h_i1) r2_i),
+        # z_1 = sum_i conj(h_i1) r1_i - conj(sum_i conj(h_i0) r2_i)
+        prod = np.conj(h)[None, :, :, None] * r[:, None]
+        comb = prod[:, :, 0] + prod[:, :, 1]
+        est = np.conj(comb[1, ::-1])
+        np.negative(est[1], out=est[1])
+        est += comb[0]
+        power = np.empty((4, n))  # |h_00|^2, |h_01|^2, |h_10|^2, |h_11|^2
+        np.abs(h.transpose(1, 0, 2), out=power.reshape(2, 2, n))
+        np.square(power, out=power)
+        gain = power.sum(axis=0)
+        est.view(float)[...] *= math.sqrt(2.0)
+        est *= 1.0 / np.where(gain > 0.0, gain, np.inf)
+    else:
+        zf = _zero_forcing(np.ascontiguousarray(h.transpose(2, 1, 0))).transpose(2, 1, 0)
+        est = np.empty(r.shape[1:], dtype=complex)
+        np.einsum("jin,jbn->ibn", zf, r[0], out=est)
+        est.view(float)[...] *= math.sqrt(2.0)
+    return _sent_is_nearest(est, np.take(mirrors, sym, axis=1)).reshape(-1, n).all(axis=0)
 
 
 def arq_latencies(app: TransmissionApp, ctx: PhyContexts, arq: ArqConfig,
@@ -362,22 +470,29 @@ def arq_latencies(app: TransmissionApp, ctx: PhyContexts, arq: ArqConfig,
        blocks, 2))``, real then imaginary parts of each slot: k = 4 for
        Alamouti's two slots, k = 2 for multiplexing's one.
 
-    An empty batch draws nothing.  Alamouti combines orthogonally;
-    multiplexing zero-forces through ``_zero_forcing``, which keeps pinv
-    for every rank-1 single-path channel.  Each row's latency has the law
-    of attempts drawn one row after another, so only the stream, not the
-    law, depends on the batch.
+    An empty batch draws nothing.  An attempt forms each row's 2x2 channel
+    once, from its first m paths, and sends every block of the packet
+    through it.  Alamouti combines orthogonally; multiplexing zero-forces
+    through ``_zero_forcing``, which keeps pinv for every rank-1
+    single-path channel.  A symbol decodes only when its sent point is the
+    only point no farther from the estimate than itself, so a tie, a NaN
+    estimate or a dead channel (||H|| = 0, every distance tied) is a
+    symbol error.  Each row's latency has the law of attempts drawn one row
+    after another, so only the stream, not the law, depends on the batch.
     """
     if not (math.isfinite(noise_std) and noise_std >= 0.0):
         raise ContractViolationError(f"noise_std must be finite and >= 0, got {noise_std!r}")
     blocks = arq.symbols_per_packet // 2
-    amp = np.sqrt(10.0 ** (ctx.snr_db / 10.0))
+    scale = np.sqrt(10.0 ** (ctx.snr_db / 10.0)) / np.sqrt(ctx.paths)  # sqrt(SNR/m)
     latency = np.full(len(ctx), arq.max_retx, dtype=np.int64)
     for start in range(0, len(ctx), ARQ_BLOCK_ROWS):
-        rows = np.arange(start, min(start + ARQ_BLOCK_ROWS, len(ctx)))
+        block = slice(start, start + ARQ_BLOCK_ROWS)
+        live = np.arange(PATHS_MAX) < ctx.paths[block, None]  # each row's first m paths
+        amp = np.where(live, scale[block, None], 0.0)
+        rows = np.arange(amp.shape[0])  # the block's undecoded rows
         for attempt in range(1, arq.max_retx + 1):
-            ok = _attempt_decodes(app, amp[rows], ctx.paths[rows], blocks, rng, noise_std)
-            latency[rows[ok]] = attempt
+            ok = _attempt_decodes(app, amp[rows], live[rows], blocks, rng, noise_std)
+            latency[block][rows[ok]] = attempt
             rows = rows[~ok]
             if not rows.size:
                 break

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from ccke import phy_sim
 from ccke.conformal import ContractViolationError
 from ccke.phy_sim import (
     ALAMOUTI,
@@ -19,6 +20,7 @@ from ccke.phy_sim import (
     PHY_APPS,
     QPSK,
     SER_CLAMP,
+    SNR_DB_CEILING,
     ArqConfig,
     ConfigurationError,
     PhyContexts,
@@ -34,9 +36,13 @@ from ccke.phy_sim import (
 from ccke.phy_sim import (
     _CONSTELLATIONS,
     _alamouti_block,
+    _attempt_decodes,
     _channel_batch,
     _decode_nearest,
     _draw_noise,
+    _mirror_images,
+    _multiplexing_block,
+    _sent_is_nearest,
     _steering_second,
     _zero_forcing,
 )
@@ -152,6 +158,19 @@ def test_arq_dead_channel_saturates_at_cap():
             assert np.all(y == 3), (app, seed, np.flatnonzero(y != 3))
 
 
+def test_arq_zero_amplitude_channel_saturates_at_cap():
+    # at -8000 dB the amplitude underflows to exactly 0, so H = 0 and
+    # ||H||^2 = 0: every estimate is 0, where every distance ties
+    assert math.sqrt(10.0 ** (-8000.0 / 10.0)) == 0.0
+    arq = ArqConfig(max_retx=3, symbols_per_packet=2)
+    ctx = PhyContexts(snr_db=np.full(400, -8000.0), paths=1 + np.arange(400) % PATHS_MAX)
+    for noise_std in (1.0, 0.0):
+        rng = np.random.default_rng(67)
+        for app in PHY_APPS:
+            y = arq_latencies(app, ctx, arq, rng, noise_std)
+            assert np.all(y == 3), (app, noise_std, np.flatnonzero(y != 3))
+
+
 def test_arq_bounds_always_hold():
     rng = np.random.default_rng(8)
     arq = ArqConfig(max_retx=7)
@@ -250,6 +269,29 @@ def test_context_rejects_invalid_paths(paths):
 def test_context_rejects_non_finite_snr(snr_db):
     with pytest.raises(ContractViolationError):
         PhyContexts(snr_db=[snr_db], paths=[3])
+
+
+@pytest.mark.parametrize("snr_db", [3100.0, 1000.5, 1e300])
+def test_context_rejects_snr_above_ceiling(snr_db):
+    # at 3,100 dB the channel power overflowed, and a perfect channel read
+    # the cap (with an "overflow encountered in power" warning)
+    assert SNR_DB_CEILING < 3000.0
+    with pytest.raises(ContractViolationError, match="snr_db"):
+        PhyContexts(snr_db=[5.0, snr_db], paths=[3, 2])
+    with pytest.raises(ContractViolationError, match="snr_db"):
+        transmit_arq(AQ, snr_db, 2, ArqConfig(), np.random.default_rng(0))
+
+
+def test_arq_decodes_at_very_high_snr():
+    # 320 dB is far above the grid but under the ceiling: noise is
+    # negligible, so every packet decodes at once (rank-1 single-path
+    # channels cannot carry multiplexing's two streams, so m >= 2 there)
+    rng = np.random.default_rng(68)
+    for snr_db in (320.0, SNR_DB_CEILING):
+        for app in PHY_APPS:
+            low = 1 if app.code == ALAMOUTI else 2
+            ctx = PhyContexts(snr_db=np.full(300, snr_db), paths=low + np.arange(300) % (11 - low))
+            assert np.all(arq_latencies(app, ctx, ArqConfig(), rng) == 1), (app, snr_db)
 
 
 def test_context_accepts_grid_edges_and_dead_channel():
@@ -387,6 +429,102 @@ def reference_arq_latencies(app, ctx, arq, rng, noise_std=1.0):
             if not active:
                 break
     return latency
+
+
+def reference_decodes(est, sym, points):
+    """The decode rule over every point: the sent point must be the only
+    point no farther from the estimate than itself."""
+    d = np.abs(est[..., None] - points)
+    d_sent = np.take_along_axis(d, sym[..., None], axis=-1)
+    return np.sum(d <= d_sent, axis=-1) == 1
+
+
+@pytest.mark.parametrize("constellation", [BPSK, QPSK])
+def test_mirror_point_decode_matches_reference_rule(constellation):
+    # estimates at scales 1..1e20 around the points, on the axes (where
+    # mirror images tie), at the points, and exactly 0 or NaN in a part
+    points = _CONSTELLATIONS[constellation]
+    mirrors = _mirror_images(points)
+    assert np.array_equal(mirrors[0], points)
+    for j in range(points.size):  # each sent point's candidates are all the points
+        assert np.array_equal(np.sort_complex(mirrors[:, j]), np.sort_complex(points))
+    rng = np.random.default_rng(69)
+    for rows in (1, 5, 7, 83, 500):
+        for scale in 10.0 ** np.arange(0, 21, 4):
+            sym = rng.integers(0, points.size, size=(rows, 4, 2))
+            est = points[sym] + scale * (rng.standard_normal(sym.shape)
+                                         + 1j * rng.standard_normal(sym.shape)) / 1e4
+            kind = rng.integers(0, 8, size=sym.shape)
+            est[kind == 1] = 0.0
+            est[kind == 2] = est[kind == 2].real
+            est[kind == 3] = 1j * est[kind == 3].imag
+            est[kind == 4] = complex(math.nan, 1.0)
+            est[kind == 5] = complex(0.5, math.nan)
+            est[kind == 6] = points[sym][kind == 6]
+            got = _sent_is_nearest(est, np.take(mirrors, sym, axis=1))
+            want = reference_decodes(est, sym, points)
+            assert got.dtype == bool and np.array_equal(got, want), (rows, scale)
+            assert not got[(kind == 1) | (kind == 4) | (kind == 5)].any()
+
+
+def reference_attempt_decodes(app, amp, paths, blocks, rng, noise_std):
+    """One ARQ attempt as the round-major rollouts first wrote it: the
+    PATHS_MAX-wide channel with masked gains, repeated over the blocks,
+    ``_alamouti_block`` or ``_multiplexing_block``, and the decode rule
+    over every point.  Returns the (n,) decisions and the (n * blocks, 2)
+    estimates."""
+    points = _CONSTELLATIONS[app.constellation]
+    g = rng.standard_normal((2, amp.size, PATHS_MAX))
+    phi = rng.uniform(0.0, 2.0 * math.pi, size=(2, amp.size, PATHS_MAX))
+    live = np.arange(PATHS_MAX) < paths[:, None]
+    a = (g[0] + 1j * g[1]) * np.where(live, (amp / np.sqrt(paths))[:, None], 0.0)
+    er, et = _steering_second(phi)
+    et = np.conj(et)
+    ar = a * er
+    s = 1.0 / math.sqrt(2.0)
+    h = np.stack([0.5 * a.sum(axis=1), s * (a * et).sum(axis=1),
+                  s * ar.sum(axis=1), (ar * et).sum(axis=1)], axis=1)
+    h = np.repeat(h.reshape(-1, 2, 2), blocks, axis=0)
+    sym = rng.integers(0, points.size, size=(h.shape[0], 2))
+    block = _alamouti_block if app.code == ALAMOUTI else _multiplexing_block
+    est = block(h, points[sym], rng, noise_std)
+    return reference_decodes(est, sym, points).reshape(amp.size, -1).all(axis=1), est
+
+
+@pytest.mark.parametrize("app", PHY_APPS, ids=lambda a: a.key)
+def test_attempt_decodes_match_repeated_channel_reference(app, monkeypatch):
+    # same draws, same arithmetic: equal estimates (so equal bits, but for
+    # the sign of a zero on an exactly zero channel), equal decisions and
+    # generator states on rounds of 1 to 512 rows, across chunks, with
+    # dead (-400 dB), exactly zero (-8000 dB) and noiseless (300 dB) channels
+    estimates = []
+
+    def spy(est, cand):
+        estimates.append(est.copy())
+        return _sent_is_nearest(est, cand)
+
+    monkeypatch.setattr(phy_sim, "_sent_is_nearest", spy)
+    rng = np.random.default_rng([70, PHY_APPS.index(app)])
+    for n in (1, 2, 7, 83, 129, 512):
+        snr_db = rng.uniform(-5.0, 15.0, n)
+        snr_db[::11], snr_db[3::13], snr_db[5::17] = -400.0, -8000.0, 300.0
+        paths = rng.integers(1, PATHS_MAX + 1, n)
+        amp = np.sqrt(10.0 ** (snr_db / 10.0))
+        live = np.arange(PATHS_MAX) < paths[:, None]
+        for blocks, noise_std in ((4, 1.0), (1, 1.0), (3, 0.0)):
+            seed = rng.integers(1 << 32)
+            ref_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            want, want_est = reference_attempt_decodes(app, amp, paths, blocks, ref_rng, noise_std)
+            estimates.clear()
+            got = _attempt_decodes(app, np.where(live, (amp / np.sqrt(paths))[:, None], 0.0),
+                                   live, blocks, got_rng, noise_std)
+            got_est = np.concatenate(estimates, axis=-1).transpose(2, 1, 0).reshape(-1, 2)
+            for part in ("real", "imag"):
+                a, b = getattr(got_est, part), getattr(want_est, part)
+                assert np.array_equal(a, b, equal_nan=True), (n, blocks, noise_std, part)
+            assert np.array_equal(got, want), (n, blocks, noise_std, np.flatnonzero(got != want))
+            assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+            assert 0 < want.sum() < n or n < 83
 
 
 @pytest.mark.parametrize("app", PHY_APPS, ids=lambda a: a.key)
