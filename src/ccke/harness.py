@@ -459,6 +459,9 @@ class ExperimentConfig:
             raise ContractViolationError(f"unknown methods {sorted(unknown)}")
         if self.weight_perturbation is not None and not 0.0 <= self.weight_perturbation <= 1.0:
             raise ContractViolationError("weight_perturbation must lie in [0, 1]")
+        # bad training fields fail here, not after the training rollouts
+        quantile_net.TrainConfig(epochs=self.train_epochs, batch_size=self.train_batch,
+                                 step_size=self.train_step)
 
 
 @dataclass(frozen=True)

@@ -521,6 +521,9 @@ def estimate_ser(app: TransmissionApp, snr_db: float, paths: int,
     if n_symbols < 2:
         raise ContractViolationError(
             f"n_symbols must be >= 2 (one 2-symbol block), got {n_symbols!r}")
+    if not (math.isfinite(snr_db) and snr_db <= SNR_DB_CEILING):
+        raise ContractViolationError(
+            f"snr_db must be finite and at most {SNR_DB_CEILING} dB, got {snr_db!r}")
     constellation = _CONSTELLATIONS[app.constellation]
     blocks = n_symbols // 2
     h = _channel_batch(snr_db, paths, blocks, rng)
@@ -581,6 +584,9 @@ class SerTable:
         if not (math.isfinite(snr_lo) and math.isfinite(snr_hi) and snr_hi > snr_lo):
             raise ContractViolationError(
                 f"need finite snr_lo < snr_hi, got {snr_lo!r}, {snr_hi!r}")
+        if snr_hi > SNR_DB_CEILING:
+            raise ContractViolationError(
+                f"snr_hi must be at most {SNR_DB_CEILING} dB, got {snr_hi!r}")
         n_bins = int(round((snr_hi - snr_lo) / bin_width))
         if n_bins < 1:
             raise ContractViolationError(

@@ -333,6 +333,15 @@ def test_config_validation():
         ExperimentConfig(n_trials=0)
 
 
+@pytest.mark.parametrize("field,value", [("train_batch", 0), ("train_epochs", -1),
+                                         ("train_step", 0.0), ("train_step", math.nan),
+                                         ("train_step", math.inf)])
+def test_config_rejects_bad_training_fields_when_built(field, value):
+    # these failed only inside run_experiment, after the training rollouts
+    with pytest.raises(ContractViolationError):
+        ExperimentConfig(**{field: value})
+
+
 def test_experiment_deterministic_bytes(tmp_path):
     cfg = ExperimentConfig(environment="synthetic", actual_app="alt", target_app="base",
                            n_cal=40, n_test=3, n_trials=8, base_seed=21)

@@ -665,6 +665,31 @@ def test_estimate_ser_rejects_fewer_than_one_block(n_symbols):
         estimate_ser(AB, 5.0, 3, np.random.default_rng(0), n_symbols=n_symbols)
 
 
+@pytest.mark.parametrize("snr_db", [3100.0, 1000.5, math.nan, math.inf])
+def test_estimate_ser_rejects_snr_above_ceiling(snr_db):
+    # at 3,100 dB the channel gain overflowed into a bare OverflowError
+    for app in PHY_APPS:
+        with pytest.raises(ContractViolationError, match="snr_db"):
+            estimate_ser(app, snr_db, 2, np.random.default_rng(0), 2000)
+
+
+def test_estimate_ser_accepts_the_ceiling():
+    for app in PHY_APPS:
+        ser = estimate_ser(app, SNR_DB_CEILING, 2, np.random.default_rng(0), 2000)
+        assert SER_CLAMP <= ser <= 1.0 - SER_CLAMP
+
+
+def test_table_build_rejects_snr_hi_above_ceiling():
+    with pytest.raises(ContractViolationError, match="snr_hi"):
+        SerTable.build(n_mc=2, snr_lo=3099.0, snr_hi=3100.0)
+
+
+def test_table_build_accepts_the_ceiling():
+    table = SerTable.build(n_mc=2, snr_lo=SNR_DB_CEILING - 1.0, snr_hi=SNR_DB_CEILING)
+    assert table.values.shape == (len(PHY_APPS), 1, PATHS_MAX)
+    assert np.isfinite(table.values).all()
+
+
 def test_table_build_rejects_one_symbol_per_cell():
     with pytest.raises(ContractViolationError):
         SerTable.build(n_mc=1)

@@ -1,6 +1,9 @@
 """Quantile regression tests: loss conventions, hand-checked and
 finite-difference gradients, equivariance, and training behavior."""
 
+import math
+import resource
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,7 @@ from ccke.quantile_net import (
     train,
 )
 from ccke import quantile_net
-from ccke.quantile_net import _loss_and_grad
+from ccke.quantile_net import _layout, _loss_and_grad
 
 
 # ---------------------------------------------------------------------------
@@ -217,16 +220,16 @@ def test_train_divergence_on_final_update_reports_last_epoch(monkeypatch):
     # every minibatch loss is finite; only the last update of the last
     # epoch overflows (max / 16 * 32), so the end-of-epoch parameter
     # check is what raises
-    real, calls = quantile_net._loss_and_grad, []
+    real, calls = quantile_net._Workspace.loss_and_grad, []
 
-    def overflow_last_step(model, x, y, grad=None):
-        loss, grad = real(model, x, y, grad)
+    def overflow_last_step(ws, x, y):
+        loss = real(ws, x, y)
         calls.append(loss)
         if len(calls) == 3 * 4:
-            grad[0] = np.finfo(float).max
-        return loss, grad
+            ws.grad[0] = np.finfo(float).max
+        return loss
 
-    monkeypatch.setattr(quantile_net, "_loss_and_grad", overflow_last_step)
+    monkeypatch.setattr(quantile_net._Workspace, "loss_and_grad", overflow_last_step)
     x, y = _training_data(FeedforwardArch(), 64, 1, seed=12)
     with pytest.raises(TrainingDivergedError) as err, np.errstate(over="ignore"):
         train((x, y), FeedforwardArch(), 0.2,
@@ -276,15 +279,143 @@ def test_loss_improves_in_median_over_seeds():
     assert np.median(final) < np.median(initial)
 
 
+# ---------------------------------------------------------------------------
+# frozen oracle: the forward and backward passes as they were before the
+# training step moved into one preallocated workspace.  Every step allocated
+# its temporaries, the three projections were separate matmuls, the weight
+# gradients came from tensordot, block 1's input gradient was formed and
+# dropped, and the gradient was summed into zeros.  The production path must
+# match it bit for bit.
+
+
+def _reference_softmax_rows(a):
+    m = a.max(axis=-1, keepdims=True)
+    e = np.exp(a - m)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _reference_attention_fwd(x, wq, wk, wv, d_h):
+    q = wq @ x
+    k = wk @ x
+    v = wv @ x
+    a = k.transpose(0, 2, 1) @ q / math.sqrt(d_h)
+    s = _reference_softmax_rows(a)
+    return v @ s, (x, q, k, v, s, wq, wk, wv)
+
+
+def _reference_attention_bwd(d_out, cache, d_h):
+    x, q, k, v, s, wq, wk, wv = cache
+    dv = d_out @ s.transpose(0, 2, 1)
+    ds = v.transpose(0, 2, 1) @ d_out
+    da = s * (ds - np.sum(ds * s, axis=-1)[:, :, None])
+    da /= math.sqrt(d_h)
+    dq = k @ da
+    dk = q @ da.transpose(0, 2, 1)
+    grads = [np.tensordot(d, x, axes=([0, 2], [0, 2])) for d in (dq, dk, dv)]
+    dx = wq.T @ dq + wk.T @ dk + wv.T @ dv
+    return dx, grads
+
+
+def _reference_mlp_fwd(x_tokens, weights, biases):
+    acts = [x_tokens]
+    h = x_tokens
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = h @ w.T + b
+        h = z if i == len(weights) - 1 else np.maximum(z, 0.0)
+        acts.append(h)
+    return h, acts
+
+
+def _reference_mlp_bwd(d_out, acts, weights):
+    grads = [None] * (2 * len(weights))
+    d = d_out
+    for i in range(len(weights) - 1, -1, -1):
+        if i != len(weights) - 1:
+            d = d * (acts[i + 1] > 0.0)
+        grads[2 * i] = d.T @ acts[i]
+        grads[2 * i + 1] = d.sum(axis=0)
+        d = d @ weights[i]
+    return d, grads
+
+
+def reference_forward(model, x):
+    """Heads (lo, hi) of the oracle's forward pass, plus its backward cache."""
+    arch, p = model.arch, model.views()
+    s = np.asarray(arch.feature_scale, dtype=float)
+    x = np.asarray(x, dtype=float)
+    xs = x / s if arch.kind == "feedforward" else x / s[None, :, None]
+    if arch.kind == "feedforward":
+        ws = [p[f"W{i}"] for i in range(len(arch.widths) - 1)]
+        bs = [p[f"b{i}"] for i in range(len(arch.widths) - 1)]
+        out, acts = _reference_mlp_fwd(xs, ws, bs)
+        return (out[:, 0:1], out[:, 1:2]), ("ff", acts, ws)
+    b, _, kk = xs.shape
+    att1, c1 = _reference_attention_fwd(xs, p["Wq"], p["Wk"], p["Wv"], arch.d_h)
+    t1 = att1.transpose(0, 2, 1).reshape(b * kk, arch.d_o)
+    w1 = [p[f"m1W{i}"] for i in range(len(arch.mlp1))]
+    b1 = [p[f"m1b{i}"] for i in range(len(arch.mlp1))]
+    e_tokens, acts1 = _reference_mlp_fwd(t1, w1, b1)
+    xe = e_tokens.reshape(b, kk, arch.d_e).transpose(0, 2, 1)
+    att2, c2 = _reference_attention_fwd(xe, p["Wq2"], p["Wk2"], p["Wv2"], arch.d_h)
+    t2 = att2.transpose(0, 2, 1).reshape(b * kk, arch.d_o)
+    w2 = [p[f"m2W{i}"] for i in range(len(arch.mlp2))]
+    b2 = [p[f"m2b{i}"] for i in range(len(arch.mlp2))]
+    out_tokens, acts2 = _reference_mlp_fwd(t2, w2, b2)
+    out = out_tokens.reshape(b, kk, 2)
+    return (out[:, :, 0], out[:, :, 1]), ("att", (b, kk), c1, acts1, w1, c2, acts2, w2)
+
+
+def _reference_pinball_sum(model, y, lo, hi):
+    y = np.asarray(y, dtype=float)
+    if y.ndim == 1:
+        y = y[:, None]
+    tau_lo, tau_hi = model.alpha / 2.0, 1.0 - model.alpha / 2.0
+    return float(np.sum(pinball_loss(y, lo, tau_lo)) + np.sum(pinball_loss(y, hi, tau_hi))), y
+
+
+def reference_grads(model, x, y):
+    """The oracle's loss and its per-tensor gradients in layout order, before
+    they are summed into the flat vector."""
+    arch = model.arch
+    (lo, hi), cache = reference_forward(model, x)
+    loss, y = _reference_pinball_sum(model, y, lo, hi)
+    d_lo = pinball_output_grad(y, lo, model.alpha / 2.0)
+    d_hi = pinball_output_grad(y, hi, 1.0 - model.alpha / 2.0)
+    if cache[0] == "ff":
+        _, acts, ws = cache
+        _, grads = _reference_mlp_bwd(np.concatenate([d_lo, d_hi], axis=1), acts, ws)
+        return loss, grads
+    _, (b, kk), c1, acts1, w1, c2, acts2, w2 = cache
+    d_out_tokens = np.stack([d_lo, d_hi], axis=2).reshape(b * kk, 2)
+    d_t2, g2 = _reference_mlp_bwd(d_out_tokens, acts2, w2)
+    d_att2 = d_t2.reshape(b, kk, arch.d_o).transpose(0, 2, 1)
+    d_xe, ga2 = _reference_attention_bwd(d_att2, c2, arch.d_h)
+    d_e_tokens = d_xe.transpose(0, 2, 1).reshape(b * kk, arch.d_e)
+    d_t1, g1 = _reference_mlp_bwd(d_e_tokens, acts1, w1)
+    d_att1 = d_t1.reshape(b, kk, arch.d_o).transpose(0, 2, 1)
+    _, ga1 = _reference_attention_bwd(d_att1, c1, arch.d_h)
+    return loss, ga1 + g1 + ga2 + g2
+
+
+def reference_loss_and_grad(model, x, y):
+    """The oracle's summed loss and flat gradient: each tensor's gradient added
+    into zeros, so a -0.0 entry becomes +0.0."""
+    loss, grads = reference_grads(model, x, y)
+    grad = np.zeros_like(model.params)
+    for (_, _, a, b), g in zip(_layout(model.arch)[0], grads):
+        grad[a:b] += g.ravel()
+    return loss, grad
+
+
 def reference_batch_loss(model, x, y):
-    loss, _ = _loss_and_grad(model, x, y)
+    loss, _ = reference_loss_and_grad(model, x, y)
     return loss / np.asarray(x).shape[0]
 
 
 def reference_train(data, arch, alpha, cfg):
-    """The original training loop: a fresh gradient array per step and an
-    out-of-place momentum update.  Each epoch's loss is the sum of its
-    minibatch losses, taken before each update in batch order, over n."""
+    """The original training loop on the oracle: a fresh gradient array per
+    step and an out-of-place momentum update.  Each epoch's loss is the sum
+    of its minibatch losses, taken before each update in batch order, over n."""
     x, y = (np.asarray(a, dtype=float) for a in data)
     n = x.shape[0]
     model = init_model(arch, alpha, cfg.seed)
@@ -296,7 +427,7 @@ def reference_train(data, arch, alpha, cfg):
         epoch_sum = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            loss, grad = _loss_and_grad(model, x[idx], y[idx])
+            loss, grad = reference_loss_and_grad(model, x[idx], y[idx])
             epoch_sum += loss
             velocity = cfg.momentum * velocity - cfg.step_size * (grad / idx.size)
             model.params = model.params + velocity
@@ -311,9 +442,18 @@ def _training_data(arch, n, k, seed):
     return rng.uniform(0.0, 3.0, (n, 2, k)), rng.uniform(0.0, 3.0, (n, k))
 
 
-# n is not a multiple of the batch size 64, and spans several batch_loss chunks
+# small feature scales push the inputs far out, so that some ReLU units are
+# dead for every row and their gradients are exact zeros
+DEAD_FF = FeedforwardArch(feature_scale=(0.02, 0.02))
+DEAD_ATT = AttentionArch(feature_scale=(0.02, 0.02))
+
+
+# n is not a multiple of the batch size 64, and spans several batch_loss chunks;
+# n = 129 leaves a last batch (and a last batch_loss chunk at K = 32) of one row
 @pytest.mark.parametrize("arch,k,n", [(FeedforwardArch(), 1, 2100), (AttentionArch(), 1, 2100),
-                                      (AttentionArch(), 8, 600)])
+                                      (AttentionArch(), 8, 600), (AttentionArch(), 32, 129),
+                                      (FeedforwardArch(), 1, 129), (AttentionArch(), 8, 129),
+                                      (DEAD_FF, 1, 300), (DEAD_ATT, 8, 300)])
 @pytest.mark.parametrize("epochs", [0, 3])
 @pytest.mark.parametrize("momentum", [0.0, 0.9])
 def test_train_matches_reference_bytes(arch, k, n, epochs, momentum):
@@ -326,12 +466,82 @@ def test_train_matches_reference_bytes(arch, k, n, epochs, momentum):
     assert len(got.loss_history) == epochs + 1
 
 
+@pytest.mark.parametrize("arch,k", [(FeedforwardArch(), 1), (AttentionArch(), 1),
+                                    (AttentionArch(), 2), (AttentionArch(), 8),
+                                    (AttentionArch(), 32)])
+@pytest.mark.parametrize("b", [1, 2, 64])
+def test_step_and_predict_match_reference_bytes(arch, k, b):
+    # b = 1 and K = 1 are where numpy's reshapes return views, whose memory
+    # layout the BLAS products and pairwise sums round by
+    x, y = _training_data(arch, b, k, seed=15)
+    model = init_model(arch, 0.2, seed=6)
+    loss, grad = _loss_and_grad(model, x, y)
+    want_loss, want_grad = reference_loss_and_grad(model, x, y)
+    assert loss.hex() == want_loss.hex() and grad.tobytes() == want_grad.tobytes()
+    (want_lo, want_hi), _ = reference_forward(model, x)
+    lo, hi = model.predict(x)
+    assert lo.shape == want_lo.shape and lo.tobytes() == want_lo.tobytes()
+    assert hi.shape == want_hi.shape and hi.tobytes() == want_hi.tobytes()
+
+
+@pytest.mark.parametrize("arch,k", [(DEAD_FF, 1), (DEAD_ATT, 8)])
+def test_dead_unit_gradients_match_reference_bytes(arch, k):
+    x, y = _training_data(arch, 64, k, seed=8)
+    model = init_model(arch, 0.2, seed=4)
+    _, grads = reference_grads(model, x, y)
+    # the case is exercised: some unit's incoming weights get no gradient from any row
+    assert any(np.all(g == 0.0, axis=1).any() for g in grads if g.ndim == 2)
+    loss, grad = _loss_and_grad(model, x, y)
+    want_loss, want_grad = reference_loss_and_grad(model, x, y)
+    assert loss == want_loss and grad.tobytes() == want_grad.tobytes()
+    assert not np.signbit(grad[grad == 0.0]).any()
+
+
+def test_train_calls_share_no_workspace_state():
+    att, ff = AttentionArch(), FeedforwardArch()
+    data = {att: _training_data(att, 130, 8, seed=16), ff: _training_data(ff, 130, 1, seed=17)}
+    cfg = TrainConfig(epochs=2, batch_size=64, seed=3)
+    for arch, other in ((att, ff), (ff, att)):
+        first = train(data[arch], arch, 0.2, cfg)
+        train(data[other], other, 0.2, cfg)
+        second = train(data[arch], arch, 0.2, cfg)
+        assert first.params.tobytes() == second.params.tobytes()
+        assert first.loss_history == second.loss_history
+
+
+def test_train_step_does_not_churn_pages():
+    # a mac-k32-pfca-sized call (3000 rows of 32 tokens, 2 epochs): allocating
+    # each step's temporaries afresh took about 76,000 minor page faults, as
+    # glibc returned them to the OS and faulted them back in; one workspace
+    # is touched once
+    arch = AttentionArch(feature_scale=(100.0, 15.0))
+    x, y = _training_data(arch, 3000, 32, seed=18)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train((x * 30.0, y), arch, 0.2, TrainConfig(epochs=2, seed=0))
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before <= 10_000
+
+
+@pytest.mark.parametrize("field,value", [("step_size", float("nan")), ("step_size", float("inf")),
+                                         ("step_size", 0.0), ("momentum", float("nan")),
+                                         ("momentum", float("inf")), ("momentum", -3.0),
+                                         ("momentum", 1.0)])
+def test_train_config_rejects_bad_step_size_and_momentum(field, value):
+    with pytest.raises(ContractViolationError):
+        TrainConfig(**{field: value})
+
+
+def test_train_rejects_targets_of_another_shape():
+    x, y = _training_data(AttentionArch(), 40, 4, seed=19)
+    with pytest.raises(ContractViolationError):
+        train((x, y[:, :3]), AttentionArch(), 0.2, TrainConfig(epochs=1))
+
+
 @pytest.mark.parametrize("arch,k,n", [(FeedforwardArch(), 1, 70), (FeedforwardArch(), 1, 4500),
                                       (AttentionArch(), 8, 600), (AttentionArch(), 32, 150)])
 def test_batch_loss_is_forward_loss_over_n(arch, k, n):
     x, y = _training_data(arch, n, k, seed=9)
     model = init_model(arch, 0.2, seed=3)
-    assert batch_loss(model, x, y).hex() == (_loss_and_grad(model, x, y)[0] / n).hex()
+    assert batch_loss(model, x, y).hex() == (reference_loss_and_grad(model, x, y)[0] / n).hex()
 
 
 def test_batch_loss_empty_batch_rejected():
