@@ -2,7 +2,8 @@
 
 Subcommands:
   ser-table   build and persist the link-level SER grid
-  run         execute an experiment configuration, emit report CSVs
+  run         execute an experiment configuration, emit report CSVs and
+              print the wall seconds of each experiment stage
   report      aggregate one or more per-trial CSVs into box statistics
 
 ``run`` reads a plain-text key-value config file (``key = value`` per
@@ -77,6 +78,8 @@ def _cmd_run(args) -> int:
     for method in cfg.methods:
         print(f"{method}: coverage {report.mean_coverage(method):.4f}, "
               f"inefficiency {report.mean_inefficiency(method):.4f}")
+    print("stage seconds: " + ", ".join(f"{stage} {seconds:.3f}"
+                                        for stage, seconds in report.stage_seconds.items()))
     print(f"wrote {trials_path} and {agg_path}")
     return 0
 

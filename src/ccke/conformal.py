@@ -12,8 +12,9 @@ provided:
 * :func:`cke_prediction_set` - no calibration at all.
 
 :func:`weighted_corrections` computes the corrections of a whole test
-set at once (one sort and one cumulative sum per calibration set), bit
-for bit equal to the per-point constructors.
+set at once, or of a stack of calibration and test sets (one sort per
+calibration set and one cumulative sum over the stack), bit for bit
+equal to the per-point constructors.
 
 All functions are pure; every value object is immutable after
 construction and safe to share across parallel experiment trials.
@@ -39,6 +40,7 @@ __all__ = [
     "compute_score",
     "compute_weight_probabilities",
     "clipped_exp",
+    "rng_segments",
     "weighted_quantile",
     "weighted_corrections",
     "ccke_prediction_set",
@@ -240,23 +242,24 @@ def compute_score(intervals: IntervalSet, y) -> float:
     return float(np.max(np.maximum(intervals.lo - y, y - intervals.hi)))
 
 
-def _weight_masses(w_cal, w_test):
-    """Point and infinity masses for each test weight against one
-    calibration weight vector: rows ``w_cal / (W + w_test[i])`` and
-    ``w_test / (W + w_test)``, with ``W`` summed in calibration order."""
+def _denominators(w_cal, w_test):
+    """Checked calibration and test weights, as float arrays, and the
+    mass denominators ``W + w_test``, with ``W`` summed in calibration
+    order; ``w_cal`` is (..., N) and ``w_test`` (..., m), one set per
+    leading index."""
     w_cal = np.asarray(w_cal, dtype=float)
     w_test = np.asarray(w_test, dtype=float)
     if np.any(w_cal < 0.0) or np.any(w_test < 0.0):
         raise ContractViolationError("weights must be nonnegative")
     if not (np.all(np.isfinite(w_cal)) and np.all(np.isfinite(w_test))):
         raise ContractViolationError("weights must be finite")
-    denom = float(w_cal.sum()) + w_test
+    denom = w_cal.sum(axis=-1, keepdims=True) + w_test
     if np.any(denom <= 0.0):
         raise DegeneratePolicyError(
             "all density-ratio weights are zero: the actual app is never "
             "selected under any observed context"
         )
-    return w_cal / denom[:, None], w_test / denom
+    return w_cal, w_test, denom
 
 
 def clipped_exp(z) -> np.ndarray:
@@ -267,6 +270,21 @@ def clipped_exp(z) -> np.ndarray:
     the last bit on some inputs, which would move the CCKE corrections.
     """
     return np.array([math.exp(v) for v in np.clip(z, -700.0, 700.0).tolist()], dtype=float)
+
+
+def rng_segments(rng, n: int) -> list:
+    """The generators of a batch of ``n`` simulator rows, as a list of
+    (generator, row count) segments in row order.  A single ``Generator``
+    is one segment of all ``n`` rows; a sequence of pairs must cover the
+    rows exactly.  Each segment's draws come from its own generator, as a
+    call on that segment alone would make them."""
+    if isinstance(rng, np.random.Generator):
+        return [(rng, n)]
+    segments = [(g, int(count)) for g, count in rng]
+    if any(count < 0 for _, count in segments) or sum(c for _, c in segments) != n:
+        raise ContractViolationError(
+            f"segments of {[c for _, c in segments]} rows for a batch of {n}")
+    return segments
 
 
 def compute_weight_probabilities(
@@ -283,34 +301,34 @@ def compute_weight_probabilities(
     testing the normalization alone).
     """
     w = np.array([weight_fn(c) for c in cal_contexts], dtype=float)
-    probs, p_inf = _weight_masses(w, [float(weight_fn(test_context))])
+    w, w_test, denom = _denominators(w, [float(weight_fn(test_context))])
     if scores is None:
         scores = np.zeros_like(w)
     return WeightedScoreDistribution(
-        scores=scores, point_probs=probs[0], infinity_prob=float(p_inf[0])
+        scores=scores, point_probs=w / denom, infinity_prob=float(w_test[0] / denom[0])
     )
 
 
-def _quantiles(scores: np.ndarray, point_probs: np.ndarray, alpha: float) -> np.ndarray:
-    """The quantile rule of :func:`weighted_quantile` for each row of
-    ``point_probs`` (masses on ``scores``; the rest of a row sits at +inf).
-
-    One stable sort of the scores serves every row; each row's cumulative
-    mass is searched, ``side="left"``, for the threshold.
-    """
-    n = scores.size
+def _level(n: int, alpha: float) -> float:
+    """The mass level ``(1 - alpha)(N + 1) / N`` a correction must reach
+    over ``n`` calibration points; an infeasible alpha raises."""
     min_alpha = 1.0 / (n + 1)
     if not min_alpha <= alpha < 1.0:  # NaN fails too
         raise PreconditionError(
             f"alpha={alpha} infeasible for {n} calibration points; "
             f"smallest feasible alpha is {min_alpha}"
         )
-    threshold = (1.0 - alpha) * (n + 1) / n
-    order = np.argsort(scores, kind="stable")
-    cum = np.cumsum(point_probs[:, order], axis=1)
-    # cum rows never decrease, so this count is searchsorted(row, threshold, "left")
-    idx = np.count_nonzero(cum < threshold, axis=1)
-    return np.append(scores[order], math.inf)[idx]
+    return (1.0 - alpha) * (n + 1) / n
+
+
+def _pick(sorted_scores: np.ndarray, cum: np.ndarray, level: float) -> np.ndarray:
+    """The quantile rule of :func:`weighted_quantile`: for each row of the
+    cumulative masses ``cum``, (..., m, N) over the sorted scores (..., N),
+    the first score whose cumulative mass reaches ``level``, else +inf."""
+    # cum rows never decrease, so this count is searchsorted(row, level, "left")
+    idx = np.count_nonzero(cum < level, axis=-1)
+    inf = np.full(sorted_scores.shape[:-1] + (1,), math.inf)
+    return np.take_along_axis(np.concatenate([sorted_scores, inf], axis=-1), idx, axis=-1)
 
 
 def weighted_quantile(dist: WeightedScoreDistribution, alpha: float) -> CorrectionQuantile:
@@ -324,32 +342,44 @@ def weighted_quantile(dist: WeightedScoreDistribution, alpha: float) -> Correcti
     with the convention that ``1(inf <= inf) = 1``.  When only the atom
     at infinity reaches the threshold the result is INFINITE.
     """
-    q = _quantiles(dist.scores, dist.point_probs[None, :], alpha)[0]
+    level = _level(dist.n_cal, alpha)
+    order = np.argsort(dist.scores, kind="stable")
+    q = _pick(dist.scores[order], np.cumsum(dist.point_probs[order])[None, :], level)[0]
     return CorrectionQuantile(float(q))
 
 
 def weighted_corrections(scores, w_cal, w_test, alpha: float) -> np.ndarray:
-    """CCKE corrections of many test points against one calibration set.
+    """CCKE corrections of many test points against one calibration set,
+    or against each of a stack of them.
 
     ``scores`` and ``w_cal`` are the calibration scores and density-ratio
-    weights; ``w_test`` holds one weight per test point.  Entry ``i`` is
-    ``weighted_quantile`` of the distribution that
+    weights, (N,) or stacked (..., N); ``w_test`` holds one weight per
+    test point, (m,) or (..., m) with the same leading shape.  Entry ``i``
+    of a set is ``weighted_quantile`` of the distribution that
     :func:`compute_weight_probabilities` builds for test weight
     ``w_test[i]``, bit for bit, and ``+inf`` where the set is unbounded.
     Unit weights give the NCCKE correction.
+
+    Each set's scores are sorted once and its weights gathered into that
+    order before they are divided by ``W + w_test`` (``W`` summed in
+    calibration order); the divide is elementwise, so the masses keep
+    their bits, and one cumulative sum runs over the (..., m, N) masses.
     """
     scores = np.atleast_1d(np.asarray(scores, dtype=float))
-    if scores.ndim != 1 or scores.size < 1:
+    if scores.shape[-1] < 1:
         raise ContractViolationError("calibration set must contain at least one score")
     if not np.all(np.isfinite(scores)):
         raise ContractViolationError("calibration scores must be finite")
     w_test = np.atleast_1d(np.asarray(w_test, dtype=float))
-    if np.shape(w_cal) != scores.shape or w_test.ndim != 1:
+    if np.shape(w_cal) != scores.shape or w_test.shape[:-1] != scores.shape[:-1]:
         raise ContractViolationError("one weight per score and a vector of test weights required")
-    probs, p_inf = _weight_masses(w_cal, w_test)
-    if np.any(np.abs(probs.sum(axis=1) + p_inf - 1.0) > PROB_TOL):
+    w_cal, w_test, denom = _denominators(w_cal, w_test)
+    order = np.argsort(scores, axis=-1, kind="stable")
+    cum = np.take_along_axis(w_cal, order, axis=-1)[..., None, :] / denom[..., None]
+    np.cumsum(cum, axis=-1, out=cum)
+    if np.any(np.abs(cum[..., -1] + w_test / denom - 1.0) > PROB_TOL):
         raise ContractViolationError("probabilities do not sum to 1")
-    return _quantiles(scores, probs, alpha)
+    return _pick(np.take_along_axis(scores, order, axis=-1), cum, _level(scores.shape[-1], alpha))
 
 
 def ccke_prediction_set(

@@ -7,6 +7,16 @@ train, then per trial draw fresh calibration/test sets, compute the
 CCKE / NCCKE / CKE corrections of the whole test set as arrays, and
 score coverage and normalized inefficiency.
 
+Trials run in blocks of ``TRIAL_BLOCK``, in three phases per block.  The
+draw phase makes every trial's draws from its own generators, in the
+order a trial run alone makes them, with the block's rollouts in one
+call of one generator segment per set.  The predict phase computes the
+bounds and weights of every row of the block at once.  The calibrate
+and metrics phases compute scores, corrections, coverage and
+inefficiency of all trials as stacked (T, n) arrays.  A trial's numbers
+do not depend on its block, and the report carries each stage's wall
+seconds.
+
 A fully synthetic scalar environment with analytically known quantiles
 and exact density ratios backs the coverage-guarantee test suites
 (exact weights, perturbed weights, noisy KPI observations).
@@ -19,7 +29,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,6 +41,7 @@ from .conformal import (
     PredictionSet,
     clipped_exp,
     compute_score,
+    rng_segments,
     weighted_corrections,
 )
 # unused here, but bound: perfbench/tracer.py wraps these names in this module's namespace
@@ -51,6 +62,8 @@ __all__ = [
     "InefficiencyReport",
     "run_experiment",
     "METHODS",
+    "STAGES",
+    "TRIAL_BLOCK",
 ]
 
 METHODS = ("CCKE", "NCCKE", "CKE")
@@ -100,7 +113,11 @@ class NoiseSpec:
 # rng) -> (n, K)``, ``weight(ctx, numer, denom) -> (n,)``, and the model
 # and metric inputs ``features(ctx)``, ``normalizers(ctx) -> (n,)`` and
 # ``domains(ctx) -> (n, 2)``.  ``has_exact_model`` says whether the
-# environment supplies ``exact_bounds`` in place of a trained model.
+# environment supplies ``exact_bounds`` in place of a trained model.  A
+# rollout's ``rng`` is a generator or a sequence of (generator, row count)
+# segments (``conformal.rng_segments``); each segment draws exactly as a
+# rollout of its rows alone would, so the trials of a block share one
+# rollout call while each keeps its own generators.
 
 
 def _rejection_sample(draw, accept_prob, n: int, rng: np.random.Generator, app):
@@ -305,8 +322,10 @@ class SyntheticEnvironment:
 
     def rollout(self, app, ctx, rng) -> np.ndarray:
         """(n, 1) KPIs of ``app`` under each context (the counterfactual
-        truth when ``app`` did not run; see ``MacEnvironment.rollout``)."""
-        noise = rng.uniform(-self.half_width, self.half_width, size=len(ctx))
+        truth when ``app`` did not run; see ``MacEnvironment.rollout``):
+        one uniform per row, each segment's from its own generator."""
+        noise = np.concatenate([g.uniform(-self.half_width, self.half_width, size=rows)
+                                for g, rows in rng_segments(rng, len(ctx))])
         return (self.offsets[app] + ctx + noise)[:, None]
 
     def sample_contexts_given_app(self, app, n, rng) -> np.ndarray:
@@ -341,20 +360,22 @@ class SyntheticEnvironment:
 
 
 def _scores(lo: np.ndarray, hi: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``compute_score`` of every row of (n, K) bounds against (n, K) KPIs."""
-    return np.max(np.maximum(lo - y, y - hi), axis=1)
+    """``compute_score`` of every row of (..., K) bounds against (..., K) KPIs."""
+    return np.max(np.maximum(lo - y, y - hi), axis=-1)
 
 
 def _corrections(sets: Sequence[PredictionSet]) -> np.ndarray:
     return np.array([s.correction.value for s in sets], dtype=float)
 
 
-def _coverage(scores: np.ndarray, corrections: np.ndarray) -> float:
-    """Fraction of rows covered: unbounded, or score within the correction."""
-    if scores.size == 0:
+def _coverage(scores: np.ndarray, corrections: np.ndarray) -> list:
+    """For each of T sets of (T, n) scores and corrections, the fraction of
+    rows covered: unbounded, or score within the correction."""
+    n = scores.shape[-1]
+    if n == 0:
         raise ContractViolationError("no test samples to evaluate")
-    covered = np.count_nonzero(np.isinf(corrections) | (scores <= corrections))
-    return int(covered) / scores.size
+    covered = np.count_nonzero(np.isinf(corrections) | (scores <= corrections), axis=-1)
+    return [c / n for c in covered.tolist()]
 
 
 def evaluate_coverage(sets: Sequence[PredictionSet], truths: Sequence) -> float:
@@ -362,7 +383,7 @@ def evaluate_coverage(sets: Sequence[PredictionSet], truths: Sequence) -> float:
     if len(sets) != len(truths):
         raise ContractViolationError(f"{len(sets)} sets against {len(truths)} truths")
     scores = [compute_score(s.naive, y) for s, y in zip(sets, truths)]
-    return _coverage(np.array(scores, dtype=float), _corrections(sets))
+    return _coverage(np.array([scores], dtype=float), _corrections(sets)[None])[0]
 
 
 @dataclass(frozen=True)
@@ -376,28 +397,36 @@ class InefficiencyReport:
 
 
 def _inefficiency(lo: np.ndarray, hi: np.ndarray, corrections: np.ndarray,
-                  normalizers: np.ndarray, domains: Optional[Sequence]) -> InefficiencyReport:
-    """:func:`evaluate_inefficiency` on (n, K) bounds and (n,) corrections."""
-    if corrections.size == 0:
+                  normalizers: np.ndarray, domains: Optional[np.ndarray]) -> tuple:
+    """:func:`evaluate_inefficiency` of each of T sets, from (T, n, K)
+    bounds, (T, n) corrections and normalizers and (T, n, 2) domains;
+    returns the lists of T clipped and raw means and unbounded counts."""
+    if corrections.shape[-1] == 0:
         raise ContractViolationError("no prediction sets to evaluate")
     ok = np.isfinite(normalizers) & (normalizers > 0.0)
     if not ok.all():
         raise ContractViolationError(f"normalizer {normalizers[~ok][0]} must be finite and positive")
     unbounded = np.isinf(corrections)
-    q = corrections[:, None]
+    q = corrections[..., None]
     widths = np.maximum((hi + q) - (lo - q), 0.0)
     if unbounded.any():
         if domains is None:
             raise ContractViolationError("unbounded prediction set needs a clipping domain")
-        dom = np.asarray(domains, dtype=float)[unbounded]
+        dom = domains[unbounded]
         span = dom[:, 1] - dom[:, 0]
         if np.any(span < 0.0):
             raise ContractViolationError("empty clipping domain")
         widths[unbounded] = span[:, None]
-    terms = np.mean(widths, axis=1) / normalizers
-    raw = float(np.mean(terms[~unbounded])) if not unbounded.all() else math.inf
-    return InefficiencyReport(clipped=float(np.mean(terms)), raw=raw,
-                              n_unbounded=int(np.count_nonzero(unbounded)))
+    terms = np.mean(widths, axis=-1) / normalizers
+    clipped = np.mean(terms, axis=-1).tolist()
+    n_unbounded = np.count_nonzero(unbounded, axis=-1).tolist()
+    raw = list(clipped)
+    for t in np.flatnonzero(n_unbounded):
+        # the mean of the bounded terms alone: masking them in place would
+        # change the order in which numpy's pairwise sum adds them
+        bounded = terms[t][~unbounded[t]]
+        raw[t] = float(np.mean(bounded)) if bounded.size else math.inf
+    return clipped, raw, n_unbounded
 
 
 def evaluate_inefficiency(sets: Sequence[PredictionSet], normalizers: Sequence[float],
@@ -413,8 +442,11 @@ def evaluate_inefficiency(sets: Sequence[PredictionSet], normalizers: Sequence[f
         raise ContractViolationError("no prediction sets to evaluate")
     lo = np.stack([s.naive.lo for s in sets])
     hi = np.stack([s.naive.hi for s in sets])
-    return _inefficiency(lo, hi, _corrections(sets), np.asarray(normalizers, dtype=float),
-                         domains)
+    dom = None if domains is None else np.asarray(domains, dtype=float)[None]
+    clipped, raw, n_unbounded = _inefficiency(
+        lo[None], hi[None], _corrections(sets)[None],
+        np.asarray(normalizers, dtype=float)[None], dom)
+    return InefficiencyReport(clipped=clipped[0], raw=raw[0], n_unbounded=n_unbounded[0])
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +510,14 @@ class TrialResult:
 
 @dataclass(frozen=True)
 class ExperimentReport:
+    """An experiment's trials.  ``stage_seconds`` maps each of ``STAGES``
+    to the wall seconds ``run_experiment`` spent in it (see there); it is
+    not written to the report CSVs."""
+
     config: ExperimentConfig
     trials: tuple
     weight_error_mean: Optional[float] = None  # measured E|w_hat - w| if perturbed
+    stage_seconds: dict = field(default_factory=dict, compare=False)
 
     def trials_for(self, method: str):
         return [t for t in self.trials if t.method == method]
@@ -526,82 +563,181 @@ def _draw_labeled(env, app, n, rng, noise: Optional[NoiseSpec], noise_rng):
     return contexts, kpis
 
 
+TRIAL_BLOCK = 25  # trials per block of run_experiment: bounds its (T, n_test, n_cal) masses
+STAGES = ("train", "draw", "predict", "calibrate", "metrics")
+
+
+class _StageClock:
+    """Wall seconds per stage: ``lap(stage)`` charges the time since the
+    previous lap to ``stage``."""
+
+    def __init__(self):
+        self.seconds = dict.fromkeys(STAGES, 0.0)
+        self._last = time.perf_counter()
+
+    def lap(self, stage: str) -> None:
+        now = time.perf_counter()
+        self.seconds[stage] += now - self._last
+        self._last = now
+
+
+def _batch(parts):
+    """The context batches ``parts`` as one batch, in order."""
+    first = parts[0]
+    if isinstance(first, np.ndarray):
+        return np.concatenate(parts)
+    return type(first)(*(np.concatenate([getattr(p, f.name) for p in parts])
+                         for f in fields(first)))
+
+
+def _draw_block(env, cfg: ExperimentConfig, target, actual, block: range,
+                progress: bool, start: float):
+    """Phase 1 of a block of trials: every draw, each from its trial's own
+    generators, in the order a trial run alone makes them.
+
+    Per trial: the calibration contexts, then their rollouts (``rng_cal``);
+    the test contexts, then their truths (``rng_test``); the KPI noise on
+    the calibration KPIs, then the weight perturbation (``rng_noise``).
+    The block's rollouts are one call with one generator segment per set.
+    Returns the block's contexts as one batch, every trial's calibration
+    set and then every trial's test set; their (rows, K) KPIs (noisy
+    calibration KPIs, then the test truths); and the (T, n_cal + n_test)
+    weight perturbation factors, or None.
+    """
+    gens = [(rng_for(cfg.base_seed, _STREAM_TRIAL_CAL, t),
+             rng_for(cfg.base_seed, _STREAM_TRIAL_TEST, t),
+             rng_for(cfg.base_seed, _STREAM_TRIAL_NOISE, t + 1)) for t in block]
+    cal = [env.sample_contexts_given_app(target, cfg.n_cal, rng_cal) for rng_cal, _, _ in gens]
+    test = [env.sample_contexts_given_app(actual, cfg.n_test, rng_test) for _, rng_test, _ in gens]
+    segments = ([(rng_cal, cfg.n_cal) for rng_cal, _, _ in gens]
+                + [(rng_test, cfg.n_test) for _, rng_test, _ in gens])
+    ctx = _batch(cal + test)
+    kpis = env.rollout(target, ctx, segments)  # on the test rows: the counterfactual truths
+    factors = []
+    for i, (t, (_, _, rng_noise)) in enumerate(zip(block, gens)):
+        if cfg.kpi_noise is not None:
+            cal_kpis = kpis[i * cfg.n_cal:(i + 1) * cfg.n_cal]
+            cal_kpis += cfg.kpi_noise.draw(rng_noise, cal_kpis.shape)
+        if cfg.weight_perturbation is not None:
+            # one factor per point, calibration points first, then test points
+            delta = cfg.weight_perturbation
+            factors.append(1.0 + rng_noise.uniform(-delta, delta, size=cfg.n_cal + cfg.n_test))
+        if progress and (t + 1) % 25 == 0:
+            rate = (t + 1) / (time.perf_counter() - start)
+            print(f"  trial {t + 1}/{cfg.n_trials} ({rate:.1f} trials/s)")
+    return ctx, kpis, np.array(factors) if factors else None
+
+
+def _bounds(env, cfg: ExperimentConfig, model, target, ctx, sets: int):
+    """Phase 2: (rows, K) lower and upper quantile bounds of the target app
+    for a block's contexts, which hold ``sets`` calibration sets and then
+    ``sets`` test sets."""
+    if env.has_exact_model:
+        return env.exact_bounds(ctx, target, cfg.alpha)
+    x = env.features(ctx)
+    if min(cfg.n_cal, cfg.n_test) > 1:
+        return model.predict(x)  # a row's bounds do not depend on the rows around it
+    # a 1-row prediction takes BLAS gemv, which rounds differently from a
+    # longer pass: predict each set on its own, as a trial run alone would
+    edges = np.cumsum([0] + [cfg.n_cal] * sets + [cfg.n_test] * sets)
+    parts = [model.predict(x[a:b]) for a, b in zip(edges[:-1], edges[1:])]
+    return np.concatenate([lo for lo, _ in parts]), np.concatenate([hi for _, hi in parts])
+
+
 def run_experiment(cfg: ExperimentConfig, environment=None,
                    progress: bool = False) -> ExperimentReport:
     """Execute one full experiment; never emits a partial report.
 
     The quantile model is trained once on a fixed training split and
     reused across trials.  Each trial draws a fresh calibration set under
-    the target app and a fresh test set under the actual app, each as one
-    batch of contexts; all requested methods see identical test data.
+    the target app and a fresh test set under the actual app, from its own
+    generators; all requested methods see identical test data.
+
+    The trials run in blocks of ``TRIAL_BLOCK``, each in three phases:
+
+    1. draw (``_draw_block``): each trial's contexts, KPI noise and weight
+       perturbation from its own generators, and the rollouts of the whole
+       block in one call, one generator segment per set;
+    2. predict: the bounds (``QuantileModel.predict`` or ``exact_bounds``)
+       and the weights of every row of the block at once;
+    3. calibrate, then metrics: scores, CCKE and NCCKE corrections,
+       coverage and inefficiency of all trials of the block as stacked
+       (T, n) arrays.
+
+    No trial's numbers depend on its block: each is what the trial run
+    alone would give, bit for bit.  ``stage_seconds`` of the report holds
+    the wall seconds of training (with its rollouts) and of each phase,
+    summed over the blocks.  With ``progress``, the draw phase prints the
+    trial count and rate every 25 trials.
     """
+    clock = _StageClock()
     env = environment if environment is not None else build_environment(cfg)
     target = env.parse_app(cfg.target_app)
     actual = env.parse_app(cfg.actual_app)
     if target == actual:
         raise ContractViolationError("target and actual app must differ")
 
+    model = None
     if not env.has_exact_model:
         rng_tr = rng_for(cfg.base_seed, _STREAM_TRAIN_DATA)
         noise_rng = rng_for(cfg.base_seed, _STREAM_TRIAL_NOISE)
         contexts, kpis = _draw_labeled(env, target, cfg.n_train, rng_tr,
                                        cfg.kpi_noise, noise_rng)
         model = _train_model(env, cfg, contexts, kpis, seed=cfg.base_seed)
+    clock.lap("train")
 
-    def bounds_for(contexts):
-        """(n, K) lower and upper quantile bounds of the target app."""
-        if env.has_exact_model:
-            return env.exact_bounds(contexts, target, cfg.alpha)
-        return model.predict(env.features(contexts))
-
-    trials = []
-    weight_errors = []
+    n_cal, n_test = cfg.n_cal, cfg.n_test
+    trials, weight_errors = [], []
     start = time.perf_counter()
-    for t in range(cfg.n_trials):
-        rng_cal = rng_for(cfg.base_seed, _STREAM_TRIAL_CAL, t)
-        rng_test = rng_for(cfg.base_seed, _STREAM_TRIAL_TEST, t)
-        rng_noise = rng_for(cfg.base_seed, _STREAM_TRIAL_NOISE, t + 1)
+    for first in range(0, cfg.n_trials, TRIAL_BLOCK):
+        block = range(first, min(first + TRIAL_BLOCK, cfg.n_trials))
+        ctx, kpis, factors = _draw_block(env, cfg, target, actual, block, progress, start)
+        clock.lap("draw")
 
-        cal_ctx, cal_kpi = _draw_labeled(env, target, cfg.n_cal, rng_cal,
-                                         cfg.kpi_noise, rng_noise)
-        cal_scores = _scores(*bounds_for(cal_ctx), cal_kpi)
+        n_sets, c = len(block), len(block) * n_cal  # c: the block's calibration rows
+        lo, hi = _bounds(env, cfg, model, target, ctx, n_sets)
+        w = env.weight(ctx, actual, target)
+        clock.lap("predict")
 
-        test_ctx = env.sample_contexts_given_app(actual, cfg.n_test, rng_test)
-        truths = env.rollout(target, test_ctx, rng_test)  # the counterfactual KPIs
-        test_lo, test_hi = bounds_for(test_ctx)
-        test_scores = _scores(test_lo, test_hi, truths)
-
-        # exact density-ratio weights, optionally perturbed once per point
-        # (calibration points first, then test points)
-        w_cal, w_test = env.weight(cal_ctx, actual, target), env.weight(test_ctx, actual, target)
-        if cfg.weight_perturbation is not None:
-            delta = cfg.weight_perturbation
-            factor = 1.0 + rng_noise.uniform(-delta, delta, size=cfg.n_cal + cfg.n_test)
-            w_cal, w_exact = w_cal * factor[:cfg.n_cal], w_cal
-            w_test = w_test * factor[cfg.n_cal:]
-            weight_errors.append(np.abs(w_cal - w_exact))
-
-        normalizers = env.normalizers(test_ctx)
-        domains = env.domains(test_ctx)
-        for method in cfg.methods:
+        scores = _scores(lo, hi, kpis)
+        cal_scores = scores[:c].reshape(n_sets, n_cal)
+        w_cal, w_test = w[:c].reshape(n_sets, n_cal), w[c:].reshape(n_sets, n_test)
+        if factors is not None:
+            w_cal, w_exact = w_cal * factors[:, :n_cal], w_cal
+            w_test = w_test * factors[:, n_cal:]
+            weight_errors.append(np.abs(w_cal - w_exact).ravel())
+        corrections = {}
+        for method in dict.fromkeys(cfg.methods):
             if method == "CCKE":
-                corrections = weighted_corrections(cal_scores, w_cal, w_test, cfg.alpha)
+                corrections[method] = weighted_corrections(cal_scores, w_cal, w_test, cfg.alpha)
             elif method == "NCCKE":
-                corrections = weighted_corrections(cal_scores, np.ones(cfg.n_cal),
-                                                   np.ones(cfg.n_test), cfg.alpha)
+                # unit weights give all test points of a trial one correction
+                q = weighted_corrections(cal_scores, np.ones((n_sets, n_cal)),
+                                         np.ones((n_sets, 1)), cfg.alpha)
+                corrections[method] = np.repeat(q, n_test, axis=1)
             else:
-                corrections = np.zeros(cfg.n_test)
-            ineff = _inefficiency(test_lo, test_hi, corrections, normalizers, domains)
-            trials.append(TrialResult(
-                method=method, trial=t, coverage=_coverage(test_scores, corrections),
-                inefficiency_raw=ineff.raw, inefficiency_clipped=ineff.clipped,
-                n_unbounded=ineff.n_unbounded, seed=cfg.base_seed,
-                corrections=corrections))
-        if progress and (t + 1) % 25 == 0:
-            rate = (t + 1) / (time.perf_counter() - start)
-            print(f"  trial {t + 1}/{cfg.n_trials} ({rate:.1f} trials/s)")
+                corrections[method] = np.zeros((n_sets, n_test))
+        clock.lap("calibrate")
+
+        k = lo.shape[1]
+        test_lo, test_hi = lo[c:].reshape(n_sets, n_test, k), hi[c:].reshape(n_sets, n_test, k)
+        test_scores = scores[c:].reshape(n_sets, n_test)
+        normalizers = env.normalizers(ctx)[c:].reshape(n_sets, n_test)
+        domains = env.domains(ctx)[c:].reshape(n_sets, n_test, 2)
+        metrics = {method: (_coverage(test_scores, q),
+                            *_inefficiency(test_lo, test_hi, q, normalizers, domains))
+                   for method, q in corrections.items()}
+        for i, t in enumerate(block):
+            for method in cfg.methods:
+                coverage, clipped, raw, n_unbounded = metrics[method]
+                trials.append(TrialResult(
+                    method=method, trial=t, coverage=coverage[i], inefficiency_raw=raw[i],
+                    inefficiency_clipped=clipped[i], n_unbounded=n_unbounded[i],
+                    seed=cfg.base_seed, corrections=corrections[method][i]))
+        clock.lap("metrics")
 
     weight_error_mean = (float(np.mean(np.concatenate(weight_errors)))
                          if weight_errors else None)
     return ExperimentReport(config=cfg, trials=tuple(trials),
-                            weight_error_mean=weight_error_mean)
+                            weight_error_mean=weight_error_mean,
+                            stage_seconds=clock.seconds)

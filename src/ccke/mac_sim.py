@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .conformal import ContractViolationError, clipped_exp
+from .conformal import ContractViolationError, clipped_exp, rng_segments
 
 __all__ = [
     "RR",
@@ -229,9 +229,11 @@ def estimate_rr_residual(ctx: MacContexts, policy: MacPolicy) -> np.ndarray:
 
 
 def run_frame(app: str, ctx: MacContexts, policy: MacPolicy,
-              frame_cfg: FrameConfig, rng: np.random.Generator) -> np.ndarray:
+              frame_cfg: FrameConfig, rng) -> np.ndarray:
     """Simulate one scheduling frame per context of the batch; returns the
-    (n, K) int64 final backlogs, row i for context i.
+    (n, K) int64 final backlogs, row i for context i.  ``rng`` is a
+    ``Generator`` or a sequence of (generator, row count) segments that
+    cover the rows in order (``conformal.rng_segments``).
 
     Each scheduled RB drains ``round(g(c)/F)`` packets from the chosen
     user with probability ``per_rb_success_prob(c)`` (zero otherwise),
@@ -240,12 +242,14 @@ def run_frame(app: str, ctx: MacContexts, policy: MacPolicy,
     expected-rate / smoothed-throughput ratio (the first such user on a
     tie).
 
-    Draws: F uniforms from ``rng`` per frame, one per RB, in RB order,
-    frame after frame in row order, for both apps; the whole batch is one
-    ``(n, F)`` draw, so a batch leaves ``rng`` exactly where its rows run
-    one at a time would, and an empty batch draws nothing.  PFCA stops
-    stepping once every queue of the batch is empty; its remaining
-    uniforms are drawn all the same.
+    Draws: F uniforms per frame, one per RB, in RB order, frame after
+    frame in row order, for both apps.  Each segment is one ``(rows, F)``
+    draw from its own generator, segment after segment, so every segment
+    leaves its generator exactly where a call on its rows alone, or on
+    each of them one at a time, would; an empty segment draws nothing.
+    The frames of all segments then run together.  PFCA stops stepping
+    once every queue of the batch is empty; its remaining uniforms are
+    drawn all the same.
     """
     if app not in MAC_APPS:
         raise ContractViolationError(f"unknown app {app!r}")
@@ -255,14 +259,18 @@ def run_frame(app: str, ctx: MacContexts, policy: MacPolicy,
         raise ContractViolationError(f"{f} RBs cannot serve {k} users round-robin")
     quanta = np.rint(policy.payload(ctx.cqis) / f).astype(np.int64)
     success_p = frame_cfg.success_table[ctx.cqis - 1]
-    u = rng.random((n, f))
+    u, first = np.empty((n, f)), 0
+    for g, rows in rng_segments(rng, n):
+        g.random(out=u[first:first + rows])
+        first += rows
     if app == RR:
         # drains never depend on other users, so the cyclic allocation
         # collapses to counting each user's successful RBs: RB r serves
-        # user r % K, so rows of K RBs (the last padded with misses) sum
-        # to the per-user counts
-        hits = np.pad(u < success_p[:, np.arange(f) % k], ((0, 0), (0, -f % k)))
-        successes = hits.reshape(n, -(-f // k), k).sum(axis=1)
+        # user r % K, so the whole rounds of K RBs, viewed as (n, rounds,
+        # K), and then the last partial round sum to the per-user counts
+        whole, rest = f - f % k, f % k
+        successes = (u[:, :whole].reshape(n, f // k, k) < success_p[:, None, :]).sum(axis=1)
+        successes[:, :rest] += u[:, whole:] < success_p[:, :rest]
         return np.maximum(ctx.backlogs - quanta * successes, 0)
     # PFCA in lockstep over the batch, one RB at a time: metric
     # rate / max(avg, floor), argmax over users, avg <- (1 - beta) * avg +

@@ -9,7 +9,9 @@ of contexts round-major: it takes the rows in blocks of
 ``ARQ_BLOCK_ROWS`` (512), and each round of a block makes one attempt,
 with one set of generator draws, for every row that has not decoded yet.
 So a context's latency has the same law in any batch, but its draws
-depend on the batch it is in.
+depend on the batch it is in.  A batch may be split into segments, each
+with its own generator: every segment draws as a batch of its own would,
+and the rounds of all segments are decoded together.
 
 The controller selects apps through a softmax over inverse symbol error
 rates; the SER estimates come from a Monte-Carlo table on a (1 dB SNR
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import ContractViolationError, clipped_exp
+from .conformal import ContractViolationError, clipped_exp, rng_segments
 
 __all__ = [
     "ALAMOUTI",
@@ -353,25 +355,39 @@ def _sent_is_nearest(est: np.ndarray, cand: np.ndarray) -> np.ndarray:
     return d[0] < functools.reduce(np.minimum, d[1:])
 
 
-def _attempt_decodes(app: TransmissionApp, amp, live, blocks: int, rng, noise_std) -> np.ndarray:
-    """One ARQ attempt of every row: whether its packet of ``blocks``
-    2-symbol blocks on one fresh channel decodes error free, (n,) bool.
-
-    ``live`` (n, PATHS_MAX) marks each row's first m paths and ``amp``
-    holds sqrt(SNR/m) on them, 0 beyond.  The draws are the round's, as
-    ``arq_latencies`` lists them; they are decoded ``ARQ_CHUNK_ROWS`` rows
-    at a time, which keeps the working arrays small.  A tie, a NaN
-    estimate or a dead channel is a symbol error."""
-    n = amp.shape[0]
+def _attempt_draws(app: TransmissionApp, n: int, blocks: int, rng, noise_std) -> tuple:
+    """One ARQ attempt's draws for n rows, in the order ``arq_latencies``
+    lists them: gains and angles, (2, n, PATHS_MAX); symbol indices, (n,
+    blocks, 2); and the noise, (slots, 2, n, blocks, 2) and scaled, or
+    None when ``noise_std`` is 0."""
     tx_table, mirrors = _ARQ_TABLES[app]
-    slots = tx_table.shape[0]
     g = rng.standard_normal((2, n, PATHS_MAX))
     phi = rng.uniform(0.0, 2.0 * math.pi, size=(2, n, PATHS_MAX))
     sym = rng.integers(0, mirrors.shape[1], size=(n, blocks, 2))
     w = None
     if noise_std != 0.0:
-        w = rng.standard_normal((slots, 2, n, blocks, 2))
+        w = rng.standard_normal((tx_table.shape[0], 2, n, blocks, 2))
         w *= noise_std / math.sqrt(2.0)
+    return g, phi, sym, w
+
+
+def _attempt_decodes(app: TransmissionApp, amp, live, blocks: int, rng, noise_std) -> np.ndarray:
+    """One ARQ attempt of every row: whether its packet of ``blocks``
+    2-symbol blocks on one fresh channel decodes error free, (n,) bool.
+
+    ``live`` (n, PATHS_MAX) marks each row's first m paths and ``amp``
+    holds sqrt(SNR/m) on them, 0 beyond.  ``rng`` is a generator or a
+    list of (generator, row count) segments: each segment makes the
+    round's draws for its rows, as ``arq_latencies`` lists them, segment
+    after segment.  Then all rows are decoded ``ARQ_CHUNK_ROWS`` at a
+    time, which keeps the working arrays small; a row's result does not
+    depend on its chunk.  A tie, a NaN estimate or a dead channel is a
+    symbol error."""
+    n = amp.shape[0]
+    draws = [_attempt_draws(app, rows, blocks, g, noise_std) for g, rows in rng_segments(rng, n)]
+    g, phi, sym, w = (parts[0] if len(parts) == 1 or parts[0] is None
+                      else np.concatenate(parts, axis=axis)
+                      for axis, parts in zip((1, 1, 0, 2), zip(*draws)))
     ok = np.empty(n, dtype=bool)
     for lo in range(0, n, ARQ_CHUNK_ROWS):
         rows = slice(lo, lo + ARQ_CHUNK_ROWS)
@@ -448,17 +464,20 @@ def _packet_decodes(app: TransmissionApp, amp, live, g, phi, sym, w) -> np.ndarr
 
 
 def arq_latencies(app: TransmissionApp, ctx: PhyContexts, arq: ArqConfig,
-                  rng: np.random.Generator, noise_std: float = 1.0) -> np.ndarray:
+                  rng, noise_std: float = 1.0) -> np.ndarray:
     """ARQ latency KPI of every context, (n,) int64: attempts until one
     packet decodes error free, capped at ``max_retx`` (persistent failure
-    saturates the KPI).
+    saturates the KPI).  ``rng`` is a ``Generator`` or a sequence of
+    (generator, row count) segments that cover the rows in order
+    (``conformal.rng_segments``).
 
     Every attempt rides a fresh channel realization and carries
-    ``symbols_per_packet`` random symbols.  The rows run in blocks of
-    ``ARQ_BLOCK_ROWS``, in row order.  A block runs in rounds: round t
-    makes attempt t of every row of the block that has not decoded yet,
-    and a row that decodes reads t.  Byte-stable replay rests on the
-    draws of a round over its ``n_active`` rows, in this order, with
+    ``symbols_per_packet`` random symbols.  Each segment's rows run in
+    blocks of ``ARQ_BLOCK_ROWS``, in row order, one block after another.
+    A block runs in rounds: round t makes attempt t of every row of the
+    block that has not decoded yet, and a row that decodes reads t.
+    Byte-stable replay rests on the draws of a round over its
+    ``n_active`` rows, in this order, from the segment's generator, with
     ``blocks = symbols_per_packet // 2``:
 
     1. gains ``standard_normal((2, n_active, PATHS_MAX))``: real parts,
@@ -470,31 +489,54 @@ def arq_latencies(app: TransmissionApp, ctx: PhyContexts, arq: ArqConfig,
        blocks, 2))``, real then imaginary parts of each slot: k = 4 for
        Alamouti's two slots, k = 2 for multiplexing's one.
 
-    An empty batch draws nothing.  An attempt forms each row's 2x2 channel
-    once, from its first m paths, and sends every block of the packet
-    through it.  Alamouti combines orthogonally; multiplexing zero-forces
-    through ``_zero_forcing``, which keeps pinv for every rank-1
-    single-path channel.  A symbol decodes only when its sent point is the
-    only point no farther from the estimate than itself, so a tie, a NaN
-    estimate or a dead channel (||H|| = 0, every distance tied) is a
-    symbol error.  Each row's latency has the law of attempts drawn one row
-    after another, so only the stream, not the law, depends on the batch.
+    A block whose rows have all decoded draws no further round, and an
+    empty segment draws nothing, so each segment's draws are those of a
+    call on that segment alone.  The blocks of all segments, in order,
+    are packed into pools of at most ``ARQ_BLOCK_ROWS`` rows, which run
+    one after another; so a segment's blocks still run one after another,
+    and a pool's rounds serve several small segments at once.  In each
+    round of a pool, every block draws for its live rows, in segment
+    order, before all live rows are decoded together, ``ARQ_CHUNK_ROWS``
+    at a time.
+
+    An attempt forms each row's 2x2 channel once, from its first m paths,
+    and sends every block of the packet through it.  Alamouti combines
+    orthogonally; multiplexing zero-forces through ``_zero_forcing``,
+    which keeps pinv for every rank-1 single-path channel.  A symbol
+    decodes only when its sent point is the only point no farther from
+    the estimate than itself, so a tie, a NaN estimate or a dead channel
+    (||H|| = 0, every distance tied) is a symbol error.  Each row's
+    latency has the law of attempts drawn one row after another, so only
+    the stream, not the law, depends on the segment.
     """
     if not (math.isfinite(noise_std) and noise_std >= 0.0):
         raise ContractViolationError(f"noise_std must be finite and >= 0, got {noise_std!r}")
     blocks = arq.symbols_per_packet // 2
     scale = np.sqrt(10.0 ** (ctx.snr_db / 10.0)) / np.sqrt(ctx.paths)  # sqrt(SNR/m)
+    live = np.arange(PATHS_MAX) < ctx.paths[:, None]  # each row's first m paths
+    amp = np.where(live, scale[:, None], 0.0)
     latency = np.full(len(ctx), arq.max_retx, dtype=np.int64)
-    for start in range(0, len(ctx), ARQ_BLOCK_ROWS):
-        block = slice(start, start + ARQ_BLOCK_ROWS)
-        live = np.arange(PATHS_MAX) < ctx.paths[block, None]  # each row's first m paths
-        amp = np.where(live, scale[block, None], 0.0)
-        rows = np.arange(amp.shape[0])  # the block's undecoded rows
+    # pools of (generator, rows) lanes, one lane per segment block
+    pools, pooled, first = [], ARQ_BLOCK_ROWS, 0
+    for g, count in rng_segments(rng, len(ctx)):
+        for lo in range(first, first + count, ARQ_BLOCK_ROWS):
+            rows = np.arange(lo, min(lo + ARQ_BLOCK_ROWS, first + count))
+            if pooled + rows.size > ARQ_BLOCK_ROWS:
+                pools.append([])
+                pooled = 0
+            pools[-1].append((g, rows))
+            pooled += rows.size
+        first += count
+    for lanes in pools:  # a lane's rows: those of its block not decoded yet
         for attempt in range(1, arq.max_retx + 1):
-            ok = _attempt_decodes(app, amp[rows], live[rows], blocks, rng, noise_std)
-            latency[block][rows[ok]] = attempt
-            rows = rows[~ok]
-            if not rows.size:
+            rows = np.concatenate([lane for _, lane in lanes])
+            ok = _attempt_decodes(app, amp[rows], live[rows], blocks,
+                                  [(g, lane.size) for g, lane in lanes], noise_std)
+            latency[rows[ok]] = attempt
+            split = np.cumsum([lane.size for _, lane in lanes])[:-1]
+            lanes = [(g, lane[~lane_ok]) for (g, lane), lane_ok in zip(lanes, np.split(ok, split))]
+            lanes = [(g, lane) for g, lane in lanes if lane.size]
+            if not lanes:
                 break
     return latency
 

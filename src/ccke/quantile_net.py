@@ -41,6 +41,7 @@ __all__ = [
     "batch_loss",
     "init_model",
     "train",
+    "PREDICT_ROWS",
 ]
 
 
@@ -168,10 +169,13 @@ class QuantileModel:
         return _views(self.params, self.arch)
 
     def predict(self, x: np.ndarray):
-        """Batched quantile heads; returns (lo, hi) arrays of shape (B, K)."""
+        """Batched quantile heads; returns (lo, hi) arrays of shape (B, K).
+
+        The rows run through one workspace in passes of about
+        ``PREDICT_ROWS`` rows, which keeps its (b, K, K) buffers small; a
+        row's heads do not depend on the rows around it."""
         xs = _scale(self.arch, np.asarray(x, dtype=float))
-        out = _Workspace(self, xs.shape[0], _tokens(self.arch, xs)).forward(xs)
-        return out[:, :, 0], out[:, :, 1]
+        return _heads(self, xs, PREDICT_ROWS)
 
 
 def _views(flat: np.ndarray, arch) -> dict:
@@ -515,23 +519,40 @@ def pinball_gradient(model: QuantileModel, batch) -> np.ndarray:
     return grad
 
 
+PREDICT_ROWS = 128  # rows per forward pass of QuantileModel.predict
+
+
+def _heads(model: QuantileModel, xs, rows: int):
+    """(lo, hi) heads, each (n, K), of the scaled rows ``xs``, run through
+    one workspace in passes of ``rows`` >= 2 rows, each a leading slice of
+    the same buffers.  No pass has 1 row unless ``xs`` has: a 1-row pass
+    takes BLAS gemv, which rounds differently, so a last row left alone
+    joins the pass before it.  Any other pass gives each row the heads a
+    call on all rows at once would."""
+    n, k = xs.shape[0], _tokens(model.arch, xs)
+    starts = list(range(0, n, rows))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        del starts[-1]
+    ws = _Workspace(model, min(n, rows + 1), k)
+    lo, hi = np.empty((n, k)), np.empty((n, k))
+    for a, b in zip(starts, starts[1:] + [n]):
+        out = ws.forward(xs[a:b])
+        lo[a:b], hi[a:b] = out[:, :, 0], out[:, :, 1]
+    return lo, hi
+
+
 def batch_loss(model: QuantileModel, x, y) -> float:
     """Mean per-sample two-head pinball loss (summed over KPIs); forward only, in
-    cache-sized chunks of about 2048 tokens (rows x KPIs) through one workspace.
-    A row's heads do not depend on its chunk, and the loss is summed over the
-    whole batch at once."""
+    cache-sized passes of about 2048 tokens (rows x KPIs) through one workspace
+    (``_heads``).  A row's heads do not depend on its pass, and the loss is
+    summed over the whole batch at once."""
     x = np.asarray(x, dtype=float)
     if x.shape[0] == 0:
         raise ContractViolationError("batch must be nonempty")
     xs = _scale(model.arch, x)
     n, k = xs.shape[0], _tokens(model.arch, xs)
     y = _targets(y, n, k)
-    rows = min(n, max(1, 2048 // k))
-    ws = _Workspace(model, rows, k)
-    lo, hi = np.empty((n, k)), np.empty((n, k))
-    for i in range(0, n, rows):
-        out = ws.forward(xs[i : i + rows])
-        lo[i : i + rows], hi[i : i + rows] = out[:, :, 0], out[:, :, 1]
+    lo, hi = _heads(model, xs, max(2, 2048 // k))
     return _pinball_sum(model.alpha, y, lo, hi) / n
 
 

@@ -226,6 +226,24 @@ def test_batch_corrections_equal_per_point_sets():
                                          .correction.value).tobytes()
 
 
+def test_stacked_corrections_equal_per_set_calls():
+    # T calibration sets in one call: each row of the result is the call on
+    # that set alone, bit for bit, with tied scores and zero weights too
+    rng = np.random.default_rng(7)
+    for t, n, m in ((1, 1, 1), (3, 5, 4), (25, 50, 100)):
+        scores = np.round(rng.normal(size=(t, n)), 1)
+        w_cal = rng.lognormal(sigma=2.0, size=(t, n))
+        w_cal[rng.uniform(size=(t, n)) < 0.1] = 0.0
+        w_test = rng.lognormal(sigma=2.0, size=(t, m))
+        alpha = max(0.2, 1.0 / (n + 1))
+        got = weighted_corrections(scores, w_cal, w_test, alpha)
+        want = np.stack([weighted_corrections(scores[i], w_cal[i], w_test[i], alpha)
+                         for i in range(t)])
+        assert got.shape == (t, m) and got.tobytes() == want.tobytes()
+    with pytest.raises(ContractViolationError):  # one row of test weights per set
+        weighted_corrections(scores, w_cal, w_test[:-1], 0.2)
+
+
 @pytest.mark.parametrize("w_cal, w_test, error", [
     ([1.0, -1.0], [1.0], ContractViolationError),
     ([1.0, 1.0], [-1.0], ContractViolationError),

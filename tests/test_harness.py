@@ -248,6 +248,19 @@ def test_phy_draw_does_not_import_scipy_stats():
     assert out.stdout.split() == ["False"]
 
 
+def test_synthetic_rollout_segments_equal_per_segment_calls():
+    env = SyntheticEnvironment()
+    ctx = np.random.default_rng(30).normal(size=31)
+    sizes = (10, 0, 20, 1)
+    segments = [(np.random.default_rng([30, i]), n) for i, n in enumerate(sizes)]
+    got = env.rollout("alt", ctx, segments)
+    edges = np.cumsum((0,) + sizes)
+    for i, ((rng, _), a, b) in enumerate(zip(segments, edges[:-1], edges[1:])):
+        alone = np.random.default_rng([30, i])
+        assert got[a:b].tobytes() == env.rollout("alt", ctx[a:b], alone).tobytes()
+        assert rng.bit_generator.state == alone.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # metrics
 
@@ -368,6 +381,17 @@ def test_progress_reports_trial_rate(tmp_path, capsys):
     for name in ("trials.csv", "aggregate.csv"):
         assert (tmp_path / "quiet" / name).read_bytes() == \
                (tmp_path / "progress" / name).read_bytes()
+
+
+def test_report_times_its_stages():
+    cfg = ExperimentConfig(environment="mac", n_users=3, n_train=60, n_cal=20, n_test=5,
+                           n_trials=harness.TRIAL_BLOCK + 1, train_epochs=1, base_seed=21)
+    rep = run_experiment(cfg)
+    assert tuple(rep.stage_seconds) == harness.STAGES
+    assert all(seconds > 0.0 for seconds in rep.stage_seconds.values())
+    exact = run_experiment(ExperimentConfig(environment="synthetic", actual_app="alt",
+                                            target_app="base", n_trials=3))
+    assert exact.stage_seconds["train"] < exact.stage_seconds["draw"]  # nothing to train
 
 
 def test_synthetic_exact_weights_cover():
@@ -572,7 +596,25 @@ REFERENCE_CASES = {
                 kpi_noise=NoiseSpec(0.5)),
     "cke-only": dict(_SYNTHETIC, n_trials=4, methods=("CKE",)),
     "nccke-ccke": dict(_SYNTHETIC, n_trials=4, methods=("NCCKE", "CCKE")),
+    # at K=1 a 1-row prediction takes BLAS gemv, which rounds differently
+    # from a longer pass: a trial's 1-point set must still be predicted alone
+    "mac-k1-one-test-point": dict(environment="mac", n_users=1, n_train=60, n_cal=20,
+                                  n_test=1, n_trials=4, train_epochs=1),
+    # alpha=0.5, the smallest feasible at n_cal=1, sets the level to 1, so
+    # every calibrated set is unbounded; at 0.9 the one score is the correction
+    "mac-k1-one-cal-point": dict(environment="mac", n_users=1, n_train=60, n_cal=1,
+                                 alpha=0.5, n_test=10, n_trials=4, train_epochs=1),
+    "mac-k1-one-cal-point-finite": dict(environment="mac", n_users=1, n_train=60, n_cal=1,
+                                        alpha=0.9, n_test=10, n_trials=12, train_epochs=1),
+    # several trial blocks, the last one partial
+    "synthetic-trial-blocks": dict(_SYNTHETIC, n_cal=20, n_test=10,
+                                   n_trials=2 * harness.TRIAL_BLOCK + 3),
+    # a block's pooled ARQ rows (5 trials x 30) cross a decode chunk
+    "phy-pooled-chunks": dict(environment="phy", actual_app="multiplexing_qpsk",
+                              target_app="alamouti_qpsk", n_train=60, n_cal=20, n_test=10,
+                              n_trials=5, train_epochs=1),
 }
+assert 5 * 30 > phy_sim.ARQ_CHUNK_ROWS
 
 
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
@@ -722,6 +764,9 @@ def test_cli_run_and_report(tmp_path):
     out = run_cli("run", "--config", str(cfgfile), "--set", "n_trials=6",
                   "--out-dir", str(tmp_path / "rep"))
     assert out.returncode == 0, out.stderr
+    assert re.search(r"^stage seconds: train \d+\.\d{3}, draw \d+\.\d{3}, predict "
+                     r"\d+\.\d{3}, calibrate \d+\.\d{3}, metrics \d+\.\d{3}$",
+                     out.stdout, re.M), out.stdout
     rows = read_trial_rows(tmp_path / "rep" / "trials.csv")
     assert len(rows) == 3 * 6  # override applied
     agg_out = run_cli("report", str(tmp_path / "rep" / "trials.csv"),

@@ -488,3 +488,27 @@ def test_pfca_numeric_edges_match_reference_without_warnings(floor, beta):
                 warnings.simplefilter("error")
                 assert_frame_matches_reference(PFCA, backlogs, cqis, policy, cfg,
                                                np.random.PCG64, int(gen.integers(2**32)))
+
+
+@pytest.mark.parametrize("app", (RR, PFCA))
+def test_run_frame_segments_equal_per_segment_calls(app):
+    # each segment draws from its own generator as a call on its rows alone
+    # would, an empty segment draws nothing, and the frames of all segments
+    # run together with the same bits
+    gen = np.random.default_rng(24)
+    k, sizes = 8, (3, 0, 40, 1, 17)
+    policy, cfg = MacPolicy.default(k, 1.0), FrameConfig()
+    backlogs = gen.integers(0, 101, size=(sum(sizes), k))
+    backlogs[gen.random(backlogs.shape) < 0.3] = 0
+    cqis = gen.integers(1, 16, size=backlogs.shape)
+    seeds = [int(s) for s in gen.integers(2**32, size=len(sizes))]
+    segments = [(np.random.default_rng(s), n) for s, n in zip(seeds, sizes)]
+    got = run_frame(app, MacContexts(backlogs, cqis), policy, cfg, segments)
+    edges = np.cumsum((0,) + sizes)
+    for (rng, _), seed, a, b in zip(segments, seeds, edges[:-1], edges[1:]):
+        alone = np.random.default_rng(seed)
+        want = run_frame(app, MacContexts(backlogs[a:b], cqis[a:b]), policy, cfg, alone)
+        assert got[a:b].dtype == want.dtype and got[a:b].tobytes() == want.tobytes()
+        assert rng.bit_generator.state == alone.bit_generator.state
+    with pytest.raises(ContractViolationError):
+        run_frame(app, MacContexts(backlogs, cqis), policy, cfg, segments[:-1])

@@ -862,3 +862,28 @@ def test_batch_weight_is_per_element_math_exp():
         assert not np.array_equal(np.exp(np.clip(z, -700.0, 700.0)), want)
         exponents += z
     assert min(exponents) < -700.0 and max(exponents) > 700.0
+
+
+@pytest.mark.parametrize("app", PHY_APPS, ids=lambda a: a.key)
+def test_arq_segments_equal_per_segment_calls(app):
+    # segments of 0 and 1 rows, and of 600, whose blocks run one after
+    # another; the pooled rounds cross decode chunks.  With and without
+    # noise, each segment's latencies and generator state are those of a
+    # call on its rows alone
+    rng = np.random.default_rng([66, PHY_APPS.index(app)])
+    sizes = (90, 0, 600, 1, 40)
+    assert sizes[2] > ARQ_BLOCK_ROWS and sizes[-2] + sizes[-1] < ARQ_BLOCK_ROWS
+    n = sum(sizes)
+    ctx = PhyContexts(snr_db=rng.uniform(-5.0, 15.0, n), paths=rng.integers(1, PATHS_MAX + 1, n))
+    edges = np.cumsum((0,) + sizes)
+    for noise_std, arq in ((1.0, ArqConfig()), (0.0, ArqConfig(max_retx=3, symbols_per_packet=2))):
+        seeds = [int(s) for s in rng.integers(2**32, size=len(sizes))]
+        segments = [(np.random.default_rng(s), c) for s, c in zip(seeds, sizes)]
+        got = arq_latencies(app, ctx, arq, segments, noise_std)
+        for (g, _), seed, a, b in zip(segments, seeds, edges[:-1], edges[1:]):
+            alone = np.random.default_rng(seed)
+            part = PhyContexts(snr_db=ctx.snr_db[a:b], paths=ctx.paths[a:b])
+            want = arq_latencies(app, part, arq, alone, noise_std)
+            assert got[a:b].tobytes() == want.tobytes(), (noise_std, a)
+            assert g.bit_generator.state == alone.bit_generator.state
+        assert noise_std == 0.0 or len(np.unique(got)) > 2  # rows that need several rounds

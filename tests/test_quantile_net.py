@@ -1,6 +1,7 @@
 """Quantile regression tests: loss conventions, hand-checked and
 finite-difference gradients, equivariance, and training behavior."""
 
+import itertools
 import math
 import resource
 
@@ -482,6 +483,23 @@ def test_step_and_predict_match_reference_bytes(arch, k, b):
     lo, hi = model.predict(x)
     assert lo.shape == want_lo.shape and lo.tobytes() == want_lo.tobytes()
     assert hi.shape == want_hi.shape and hi.tobytes() == want_hi.tobytes()
+
+
+@pytest.mark.parametrize("arch,k", [(FeedforwardArch(), 1), (AttentionArch(), 1),
+                                    (AttentionArch(), 8)])
+def test_predict_passes_match_one_pass_reference_bytes(arch, k):
+    # PREDICT_ROWS + 1 and 2 PREDICT_ROWS + 1 rows leave one row after the
+    # whole passes.  At K = 1 a 1-row pass takes BLAS gemv, which rounds
+    # about a third of the rows differently, so that row joins the pass
+    # before it, and every row keeps the heads of one pass over all rows
+    model = init_model(arch, 0.2, seed=6)
+    model.params += np.random.default_rng(19).normal(scale=0.5, size=model.params.size)
+    rows = quantile_net.PREDICT_ROWS
+    for n, seed in itertools.product((2, rows + 1, 2 * rows + 1), range(6)):
+        x, _ = _training_data(arch, n, k, seed=seed)
+        (want_lo, want_hi), _ = reference_forward(model, x)
+        lo, hi = model.predict(x)
+        assert lo.tobytes() == want_lo.tobytes() and hi.tobytes() == want_hi.tobytes(), (n, seed)
 
 
 @pytest.mark.parametrize("arch,k", [(DEAD_FF, 1), (DEAD_ATT, 8)])
