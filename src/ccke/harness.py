@@ -35,6 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import mac_sim, phy_sim, quantile_net
+from ._normal import logsumexp, ndtr, ndtri
 from .conformal import (
     ContractViolationError,
     DegeneratePolicyError,
@@ -215,11 +216,16 @@ class PhyEnvironment:
         self.policy = phy_sim.PhyPolicy(temperature=temperature, ser_table=ser_table)
         self.arq = arq or phy_sim.ArqConfig()
         self._cell_posteriors = {app: self._cell_posterior(app) for app in phy_sim.PHY_APPS}
+        # per SNR bin: its low edge and the normal CDF at both of its edges
+        self._bin_lo = ser_table.snr_lo + np.arange(ser_table.n_bins) * ser_table.bin_width
+        mu, sd = phy_sim.SNR_DB_MEAN, phy_sim.SNR_DB_SIGMA
+        self._bin_cdf = (ndtr((self._bin_lo - mu) / sd),
+                         ndtr((self._bin_lo + ser_table.bin_width - mu) / sd))
 
     def _cell_posterior(self, app) -> np.ndarray:
-        """Flattened p(cell | app) over the table's (SNR bin, m) cells."""
-        from scipy.special import logsumexp
-
+        """Flattened p(cell | app) over the table's (SNR bin, m) cells,
+        normalised in log space with ``_normal.logsumexp`` (scipy's
+        ``logsumexp``, bit for bit)."""
         table = self.policy.ser_table
         a = phy_sim.PHY_APPS.index(app)
         u = 1.0 / (table.values * self.policy.temperature)  # (4, bins, m)
@@ -251,18 +257,19 @@ class PhyEnvironment:
         over cells times the context law restricted to the cell.  This
         stays usable at sharp temperatures where the selected app is so
         rare that rejection sampling would never terminate.
-        """
-        from scipy.special import ndtr, ndtri
 
+        Within the cell, the SNR is the inverse normal CDF
+        (``_normal.ndtri``, scipy's ``ndtri`` bit for bit) of a uniform
+        between the CDFs of the bin's edges, which ``__init__`` computes
+        once per bin (``_normal.ndtr``).
+        """
         table = self.policy.ser_table
         post = self._cell_posteriors[app]
         cells = rng.choice(post.size, size=n, p=post)
         bins, m_idx = np.unravel_index(cells, table.values.shape[1:])
-        lo_edges = table.snr_lo + bins * table.bin_width
+        lo_edges = self._bin_lo[bins]
         mu, sd = phy_sim.SNR_DB_MEAN, phy_sim.SNR_DB_SIGMA
-        c_lo = ndtr((lo_edges - mu) / sd)
-        c_hi = ndtr((lo_edges + table.bin_width - mu) / sd)
-        snrs = mu + sd * ndtri(rng.uniform(c_lo, c_hi))
+        snrs = mu + sd * ndtri(rng.uniform(self._bin_cdf[0][bins], self._bin_cdf[1][bins]))
         snrs = np.clip(snrs, lo_edges, np.nextafter(lo_edges + table.bin_width, -np.inf))
         return phy_sim.PhyContexts(snr_db=snrs, paths=m_idx + 1)
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._normal import ndtr
 from .conformal import ContractViolationError, clipped_exp, rng_segments
 
 __all__ = [
@@ -168,8 +169,6 @@ def sample_context(rng: np.random.Generator) -> PhyContexts:
 
 def snr_bin_masses(snr_lo: float, bin_width: float, n_bins: int) -> np.ndarray:
     """Context-law probability of each SNR bin under the truncated Gaussian."""
-    from scipy.special import ndtr  # lazy: scipy.special costs ~0.5 s to import
-
     edges = snr_lo + bin_width * np.arange(n_bins + 1)
     cdf = ndtr((edges - SNR_DB_MEAN) / SNR_DB_SIGMA)
     masses = np.diff(cdf)
@@ -682,10 +681,22 @@ class SerTable:
         values = np.full((len(PHY_APPS), n_bins, PATHS_MAX), np.nan)
         n_mc, seed = int(rows[0][4]), int(rows[0][5])
         keys = [app.key for app in PHY_APPS]
-        for app_key, low, m, ser, _, _ in rows:
-            a = keys.index(app_key)
-            b = int(round((float(low) - snr_lo) / bin_width))
-            values[a, b, int(m) - 1] = float(ser)
+        for line, (app_key, low, m, ser, _, _) in enumerate(rows, start=2):
+            if app_key not in keys:
+                raise ConfigurationError(f"{path}, line {line}: unknown app {app_key!r}")
+            low = float(low)
+            b = int(round((low - snr_lo) / bin_width))
+            # save writes snr_lo + b * w; bin_width, a difference of two
+            # lows, may miss w by an ulp, which b products can multiply
+            slack = 2 * (b + 2) * math.ulp(abs(snr_lo) + abs(low) + bin_width)
+            if not (b < n_bins and abs(low - (snr_lo + b * bin_width)) <= slack):
+                raise ConfigurationError(
+                    f"{path}, line {line}: SNR bin low {low!r} is not on the grid "
+                    f"{snr_lo!r} + b * {bin_width!r}, b < {n_bins}")
+            if not 1 <= int(m) <= PATHS_MAX:
+                raise ConfigurationError(
+                    f"{path}, line {line}: path count {m} is not in 1..{PATHS_MAX}")
+            values[keys.index(app_key), b, int(m) - 1] = float(ser)
         return cls(values=values, snr_lo=snr_lo, bin_width=bin_width, n_mc=n_mc, seed=seed)
 
 

@@ -248,6 +248,28 @@ def test_phy_draw_does_not_import_scipy_stats():
     assert out.stdout.split() == ["False"]
 
 
+PHY_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+import ccke
+from ccke import harness, phy_sim
+cfg = harness.ExperimentConfig(environment="phy", actual_app="multiplexing_qpsk",
+                               target_app="alamouti_qpsk", n_train=200, train_epochs=1,
+                               n_trials=2)
+env = harness.build_environment(cfg)
+phy_sim.snr_bin_masses(-5.0, 1.0, 20)
+harness.run_experiment(cfg, env)
+print(sorted(name for name, mod in sys.modules.items() if name.startswith("scipy") and mod))
+"""
+
+
+def test_phy_experiment_runs_without_scipy():
+    out = subprocess.run([sys.executable, "-c", PHY_WITHOUT_SCIPY], capture_output=True,
+                         text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["[]"]
+
+
 def test_synthetic_rollout_segments_equal_per_segment_calls():
     env = SyntheticEnvironment()
     ctx = np.random.default_rng(30).normal(size=31)

@@ -1,6 +1,7 @@
 """Link-simulator tests: context sampling, channel statistics, ARQ
 latency, the Monte-Carlo SER grid, and softmax app selection."""
 
+import csv
 import itertools
 import math
 
@@ -762,6 +763,52 @@ def test_table_roundtrip(tmp_path, small_table):
     assert loaded.n_mc == small_table.n_mc and loaded.seed == small_table.seed
     header = path.read_text().splitlines()[0]
     assert header == "app,snr_bin_low_db,m,ser,n_mc,seed"
+
+
+@pytest.mark.parametrize("snr_lo, bin_width, n_bins", [(-10.0, 0.1, 300), (-9.7, 0.3, 40),
+                                                        (2.5, 0.7, 2), (-5.0, 1.0, 20)])
+def test_table_load_accepts_every_grid_save_writes(tmp_path, snr_lo, bin_width, n_bins):
+    # a bin width that is no binary fraction comes back off by an ulp
+    table = SerTable(values=np.full((len(PHY_APPS), n_bins, PATHS_MAX), 0.25), snr_lo=snr_lo,
+                     bin_width=bin_width, n_mc=1, seed=0)
+    table.save(tmp_path / "ser.csv")
+    loaded = SerTable.load(tmp_path / "ser.csv")
+    assert np.array_equal(loaded.values, table.values)
+    assert loaded.bin_width == pytest.approx(bin_width, rel=1e-12)
+
+
+def write_ser_rows(path, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["app", "snr_bin_low_db", "m", "ser", "n_mc", "seed"])
+        writer.writerows([key, repr(low), m, 0.25, 1, 0] for key, low, m in rows)
+
+
+@pytest.mark.parametrize("lows", [(-5.0, -4.0, -3.5), (-5.0, -4.0, -2.0),
+                                  (-5.0, -4.0, -3.0 + 1e-9)])
+def test_table_load_rejects_lows_off_the_grid(tmp_path, lows):
+    path = tmp_path / "ser.csv"
+    write_ser_rows(path, [(AB.key, low, m) for low in lows for m in range(1, PATHS_MAX + 1)])
+    bad_line = 2 + 2 * PATHS_MAX  # header, then two bins of good rows
+    with pytest.raises(ConfigurationError,
+                       match=rf"ser\.csv, line {bad_line}: SNR bin low {lows[2]!r} is not on"):
+        SerTable.load(path)
+
+
+def test_table_load_rejects_an_unknown_app(tmp_path):
+    path = tmp_path / "ser.csv"
+    write_ser_rows(path, [(AB.key, -5.0, 1), (AB.key, -4.0, 1), ("alamouti_8psk", -5.0, 2)])
+    with pytest.raises(ConfigurationError, match=r"ser\.csv, line 4: unknown app 'alamouti_8psk'"):
+        SerTable.load(path)
+
+
+@pytest.mark.parametrize("m", [0, PATHS_MAX + 1])
+def test_table_load_rejects_a_path_count_off_the_grid(tmp_path, m):
+    # m = 0 used to land silently in the m = PATHS_MAX column
+    path = tmp_path / "ser.csv"
+    write_ser_rows(path, [(AB.key, -5.0, 1), (AB.key, -4.0, m)])
+    with pytest.raises(ConfigurationError, match=rf"ser\.csv, line 3: path count {m} is not in"):
+        SerTable.load(path)
 
 
 def test_table_build_reproducible():
