@@ -36,6 +36,7 @@ import numpy as np
 
 from . import mac_sim, phy_sim, quantile_net
 from ._normal import logsumexp, ndtr, ndtri
+from ._rowmax import row_max
 from .conformal import (
     ContractViolationError,
     DegeneratePolicyError,
@@ -192,7 +193,7 @@ class MacEnvironment:
         return quantile_net.AttentionArch(feature_scale=(float(mac_sim.BACKLOG_MAX), 15.0))
 
     def normalizers(self, ctx) -> np.ndarray:
-        return np.max(ctx.backlogs, axis=1).astype(float)
+        return row_max(ctx.backlogs).astype(float)
 
     def domains(self, ctx) -> np.ndarray:
         hi = self.normalizers(ctx)
@@ -368,7 +369,7 @@ class SyntheticEnvironment:
 
 def _scores(lo: np.ndarray, hi: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``compute_score`` of every row of (..., K) bounds against (..., K) KPIs."""
-    return np.max(np.maximum(lo - y, y - hi), axis=-1)
+    return row_max(np.maximum(lo - y, y - hi))
 
 
 def _corrections(sets: Sequence[PredictionSet]) -> np.ndarray:

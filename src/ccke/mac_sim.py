@@ -19,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._rowmax import row_max
 from .conformal import ContractViolationError, clipped_exp, rng_segments
 
 __all__ = [
@@ -225,7 +226,7 @@ def generate_context(n_users: int, rng: np.random.Generator,
 def estimate_rr_residual(ctx: MacContexts, policy: MacPolicy) -> np.ndarray:
     """(n,) worst-case analytic residual backlogs if RR served the frame:
     max_k (b_k - g(c_k)/K) per context."""
-    return np.max(ctx.backlogs - policy.payload(ctx.cqis) / ctx.backlogs.shape[1], axis=1)
+    return row_max(ctx.backlogs - policy.payload(ctx.cqis) / ctx.backlogs.shape[1])
 
 
 def run_frame(app: str, ctx: MacContexts, policy: MacPolicy,

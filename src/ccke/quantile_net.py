@@ -17,6 +17,15 @@ is allocated up front and written through ``out=``, so a training step
 after the first allocates no array.  The backward pass writes each
 gradient straight into its view of one flat vector, and it never forms
 the first attention block's input gradient, which nothing reads.
+
+A step issues as few numpy calls as keep every bit.  The views of each
+pass size are bound once.  Both pinball heads take their residual, loss
+and output gradient in one pass over (2, b, k) arrays, with two sums.
+The softmax row max is a running ``np.maximum`` over the K columns when
+the pass has at least K rows and its (b, K, K) block fits in 1 MiB, and
+``np.max`` otherwise (``_rowmax``); a max never rounds, so the rule only
+sets the speed.  Sums call ``np.add.reduce`` without the ``np.sum``
+wrapper.
 """
 
 from __future__ import annotations
@@ -24,9 +33,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
+from ._rowmax import row_max
 from .conformal import ContractViolationError
 
 __all__ = [
@@ -224,9 +235,9 @@ def _scale(arch, x):
                 f"feedforward input must be (B, {len(s)}), got {x.shape}"
             )
         return x / s
-    if x.ndim != 3 or x.shape[1] != arch.token_dim:
+    if x.ndim != 3 or x.shape[1] != arch.token_dim or x.shape[2] == 0:
         raise ContractViolationError(
-            f"attention input must be (B, {arch.token_dim}, K), got {x.shape}"
+            f"attention input must be (B, {arch.token_dim}, K) with K >= 1, got {x.shape}"
         )
     return x / s[None, :, None]
 
@@ -252,43 +263,25 @@ def _pinball_sum(alpha: float, y, lo, hi) -> float:
                  + np.sum(pinball_loss(y, hi, 1.0 - alpha / 2.0)))
 
 
-def _merged(a, axes, out) -> np.ndarray:
+def _merger(a, axes, out) -> tuple:
     """``a.transpose(axes).reshape(out.shape)`` for a C-contiguous (b, d, K)
-    ``a``, without a temporary.  numpy's reshape returns a view when b, d or
-    K is 1 and a copy otherwise, and the BLAS products and pairwise sums
-    that read the result round by its memory layout; so take the view where
-    numpy would, else copy into ``out``."""
+    ``a``, without a temporary, as a (result, copy) pair that ``_merge``
+    carries out.  numpy's reshape returns a view when b, d or K is 1 and a
+    copy otherwise, and the BLAS products and pairwise sums that read the
+    result round by its memory layout; so take the view where numpy would,
+    else copy into ``out``."""
     t = a.transpose(axes)
     if 1 in a.shape:
-        return t.reshape(out.shape)
-    np.copyto(out.reshape(t.shape), t)
-    return out
+        return t.reshape(out.shape), None
+    return out, (out.reshape(t.shape), t)
 
 
-def _buffer_shapes(arch, b: int, k: int, backward: bool) -> dict:
-    """Shape of every workspace buffer for a pass over b rows of k tokens."""
-    n = b * k
-    if arch.kind == "feedforward":
-        shapes = {f"m{i}": (n, w) for i, w in enumerate(arch.widths[1:])}
-        widths, x = arch.widths, (b, arch.widths[0])
-    else:
-        p = 2 * arch.d_h + arch.d_o
-        shapes = {"qkv1": (b, p, k), "qkv2": (b, p, k), "s1": (b, k, k), "s2": (b, k, k),
-                  "mx": (b, k, 1), "den": (b, k, 1), "att1": (b, arch.d_o, k),
-                  "att2": (b, arch.d_o, k), "t1": (n, arch.d_o), "t2": (n, arch.d_o)}
-        shapes.update({f"m1_{i}": (n, w) for i, w in enumerate(arch.mlp1)})
-        shapes.update({f"m2_{i}": (n, w) for i, w in enumerate(arch.mlp2)})
-        widths, x = (arch.d_o, arch.d_e, *arch.mlp1, *arch.mlp2), (b, arch.token_dim, k)
-    if backward:
-        wide = (n, max(widths))
-        shapes.update(x=x, y=(b, k), r=(b, k), l1=(b, k), l2=(b, k), ge=(b, k),
-                      d_out=(n, 2), d0=wide, d1=wide, alive=wide, factor=wide)
-        if arch.kind == "attention":
-            shapes.update(xT=(n, arch.token_dim), dq=(b, arch.d_h, k), dk=(b, arch.d_h, k),
-                          dv=(b, arch.d_o, k), at=(max(arch.d_h, arch.d_o), n),
-                          ds=(b, k, k), prod=(b, k, k), rowsum=(b, k),
-                          dx=(b, arch.d_e, k), dx_tmp=(b, arch.d_e, k))
-    return shapes
+def _merge(merger) -> np.ndarray:
+    """The result of a ``_merger`` pair, its copy made."""
+    result, copy = merger
+    if copy is not None:
+        np.copyto(*copy)
+    return result
 
 
 class _Workspace:
@@ -296,104 +289,175 @@ class _Workspace:
 
     A pass over b <= rows rows works in leading slices of the same flat
     buffers, and every write goes through ``out=``, so no pass after the
-    first allocates an array.  Forward caches are kept per block and per
-    layer, because the backward pass reads them.  The (b, K, K) backward
-    temporaries, the projection gradients and the MLP backward buffers are
-    shared by the two blocks, because block 2's backward pass ends before
-    block 1's starts.  Every operand of a BLAS product or a sum keeps the
-    memory layout it had when each step allocated its temporaries, so every
-    value keeps its bits.  With ``grad`` given, the workspace also holds the
-    loss and backward buffers and writes each parameter's gradient
-    straight into its view of ``grad``.
+    first allocates an array.  The first pass of each size binds those
+    slices, and the transposes and merges the step takes of them, once
+    (``_pass``), so a step looks up no view.  Forward caches are kept per
+    block and per layer, because the backward pass reads them.  The
+    (b, K, K) backward temporaries, the projection gradients and the MLP
+    backward buffers are shared by the two blocks, because block 2's
+    backward pass ends before block 1's starts.  Every operand of a BLAS
+    product or a sum keeps the memory layout it had when each step
+    allocated its temporaries, so every value keeps its bits.  With
+    ``grad`` given, the workspace also holds the loss and backward buffers
+    and writes each parameter's gradient straight into its view of
+    ``grad``.
     """
 
     def __init__(self, model: QuantileModel, rows: int, k: int, grad=None):
         arch = self.arch = model.arch
-        self.alpha, self.k, self.grad = model.alpha, k, grad
+        self.k, self.grad = k, grad
+        # per head, as (2, 1, 1) columns against (2, b, k) arrays: the level
+        # tau, the loss slope below the quantile, and the output gradient at
+        # or above it (the kink takes the tau side) and below it
+        lo, hi = model.alpha / 2.0, 1.0 - model.alpha / 2.0
+        per_head = [[lo, -(1.0 - lo), -lo, 1.0 - lo], [hi, -(1.0 - hi), -hi, 1.0 - hi]]
+        self.tau, self.slope_below, self.d_at_or_above, self.d_below = \
+            np.array(per_head).T.reshape(4, 2, 1, 1)
         p = _views(model.params, arch)
         g = _views(grad, arch) if grad is not None else dict.fromkeys(p)
 
         def mlp(prefix, count):
-            return [(p[f"{prefix}W{i}"], p[f"{prefix}b{i}"], g[f"{prefix}W{i}"], g[f"{prefix}b{i}"])
-                    for i in range(count)]
+            return [(p[f"{prefix}W{i}"], p[f"{prefix}W{i}"].T, p[f"{prefix}b{i}"],
+                     g[f"{prefix}W{i}"], g[f"{prefix}b{i}"]) for i in range(count)]
 
         if arch.kind == "feedforward":
             self.mlp = mlp("", len(arch.widths) - 1)
         else:
             h, o = arch.d_h, arch.d_o
             self.qkv_rows = (slice(0, h), slice(h, 2 * h), slice(2 * h, 2 * h + o))
+            self.root_dh = math.sqrt(arch.d_h)
             # Wq, Wk and Wv sit next to each other in the layout, so block 1
             # projects with one (2 d_h + d_o, token_dim) view.  Block 2 keeps
             # three matmuls: at K = 1 they are BLAS gemv calls, and a taller
             # gemv rounds some rows differently.
             table = {nm: (a, b) for nm, _, a, b in _layout(arch)[0]}
             wqkv = model.params[table["Wq"][0]:table["Wv"][1]].reshape(-1, arch.token_dim)
-            self.proj1 = [(wqkv, slice(None))]
-            self.proj2 = list(zip((p["Wq2"], p["Wk2"], p["Wv2"]), self.qkv_rows))
+            self.proj = ([wqkv], [p["Wq2"], p["Wk2"], p["Wv2"]])
+            self.grads = ((g["Wq"], g["Wk"], g["Wv"]), (g["Wq2"], g["Wk2"], g["Wv2"]))
             self.dx_weights = (p["Wq2"].T, p["Wk2"].T, p["Wv2"].T)
-            self.grads1 = (g["Wq"], g["Wk"], g["Wv"])
-            self.grads2 = (g["Wq2"], g["Wk2"], g["Wv2"])
             self.mlp1, self.mlp2 = mlp("m1", len(arch.mlp1)), mlp("m2", len(arch.mlp2))
-        shapes = _buffer_shapes(arch, rows, k, grad is not None)
-        self._flat = {name: np.empty(math.prod(shape), dtype=bool if name in ("ge", "alive") else float)
-                      for name, shape in shapes.items()}
-        self._views = {}
+        self._flat, self._sizes, self._passes = {}, {}, {}
+        self._bind(rows)  # a dry run of the largest pass sizes every buffer
+        self._flat = {name: np.empty(size, dtype=bool if name in ("ge", "alive") else float)
+                      for name, size in self._sizes.items()}
 
-    def _v(self, name: str, shape: tuple) -> np.ndarray:
-        """Leading slice of buffer ``name``, as an array of ``shape``."""
-        view = self._views.get((name, shape))
-        if view is None:
-            view = self._views[name, shape] = self._flat[name][:math.prod(shape)].reshape(shape)
-        return view
+    def _buf(self, name: str, shape: tuple) -> np.ndarray:
+        """Leading slice of buffer ``name``, as an array of ``shape``.  Before
+        the buffers exist, a stand-in that records the size ``name`` needs."""
+        size = math.prod(shape)
+        if name not in self._flat:
+            self._sizes[name] = max(self._sizes.get(name, 0), size)
+            return np.empty(shape)
+        return self._flat[name][:size].reshape(shape)
+
+    def _pass(self, b: int) -> dict:
+        """The views of a pass over b rows, bound on the first pass of that size."""
+        if b not in self._passes:
+            self._passes[b] = self._bind(b)
+        return self._passes[b]
+
+    def _bind(self, b: int) -> dict:
+        """Every buffer of a pass over b rows, and the slices, transposes and
+        merges the pass takes of them."""
+        arch, k, buf = self.arch, self.k, self._buf
+        n, backward = b * k, self.grad is not None
+        v = {}
+        if arch.kind == "feedforward":
+            v["m"] = self._mlp_views("m", self.mlp, n, backward)
+            out = v["m"][-1][0].reshape(b, 1, 2)
+            v["x"] = buf("x", (b, arch.widths[0])) if backward else None
+        else:
+            p, d_o, d_e = self.qkv_rows[-1].stop, arch.d_o, arch.d_e
+            mx, den = buf("mx", (b, k)), buf("den", (b, k))
+            v.update(mx=mx, mx_col=mx[:, :, None], den=den, den_col=den[:, :, None])
+            for j, prefix, layers in ((1, "m1_", self.mlp1), (2, "m2_", self.mlp2)):
+                qkv, s = buf(f"qkv{j}", (b, p, k)), buf(f"s{j}", (b, k, k))
+                q, kk, vv = (qkv[:, rows] for rows in self.qkv_rows)
+                att = buf(f"att{j}", (b, d_o, k))
+                t = _merger(att, (0, 2, 1), buf(f"t{j}", (n, d_o)))
+                proj = list(zip(self.proj[j - 1], [qkv] if j == 1 else [q, kk, vv]))
+                v[j] = SimpleNamespace(proj=proj, q=q, kk=kk, kT=kk.transpose(0, 2, 1), v=vv,
+                                       vT=vv.transpose(0, 2, 1), s=s, sT=s.transpose(0, 2, 1),
+                                       att=att, merge_t=t, t=t[0], grads=self.grads[j - 1])
+                v[prefix] = self._mlp_views(prefix, layers, n, backward)
+            v["e"] = v["m1_"][-1][0]
+            v["e_in"] = v["e"].reshape(b, k, d_e).transpose(0, 2, 1)  # block 2's input
+            out = v["m2_"][-1][0].reshape(b, k, 2)
+            if backward:
+                dqkv = tuple(buf(name, (b, rows.stop - rows.start, k))
+                             for name, rows in zip(("dq", "dk", "dv"), self.qkv_rows))
+                ds, rowsum, dx = buf("ds", (b, k, k)), buf("rowsum", (b, k)), buf("dx", (b, d_e, k))
+                # mlp1's backward pass reads its output gradient from the d
+                # buffer its last layer does not write
+                d_e_buf = buf(f"d{len(self.mlp1) % 2}", (n, d_e))
+                at = [_merger(d, (1, 0, 2), buf("at", (d.shape[1], n))) for d in dqkv]
+                v.update(x=buf("x", (b, arch.token_dim, k)), xT=buf("xT", (n, arch.token_dim)),
+                         dqkv=dqkv, at=at,
+                         ds=ds, dsT=ds.transpose(0, 2, 1), prod=buf("prod", (b, k, k)),
+                         rowsum_col=rowsum[:, :, None], rowsum=rowsum, dx=dx,
+                         dx_tmp=buf("dx_tmp", (b, d_e, k)), d_e=_merger(dx, (0, 2, 1), d_e_buf))
+        v["out"] = out
+        if backward:
+            v.update((name, buf(name, (2, b, k))) for name in ("r", "l1", "l2", "ge"))
+            v.update(y=buf("y", (b, k)), heads=out.transpose(2, 0, 1), d_out=buf("d_out", (n, 2)))
+            v["d_heads"] = v["d_out"].reshape(b, k, 2).transpose(2, 0, 1)
+        return v
+
+    def _mlp_views(self, prefix: str, layers, n: int, backward: bool) -> list:
+        """(output, ReLU mask, mask factors, input gradient) views of each
+        layer of a dense stack over n token rows; the gradient of layer i's
+        input goes to buffer d{i % 2}."""
+        views, last = [], len(layers) - 1
+        for i, (w, *_) in enumerate(layers):
+            z = self._buf(f"{prefix}{i}", (n, w.shape[0]))
+            mask = (self._buf("alive", z.shape), self._buf("factor", z.shape)) \
+                if backward and i != last else (None, None)
+            d_in = self._buf(f"d{i % 2}", (n, w.shape[1])) if backward else None
+            views.append((z, *mask, d_in))
+        return views
 
     def gather(self, xs, y, idx):
         """Rows ``idx`` of the scaled inputs and (n, k) targets, copied into the workspace."""
-        xb, yb = self._v("x", (idx.size, *xs.shape[1:])), self._v("y", (idx.size, self.k))
-        np.take(xs, idx, axis=0, out=xb, mode="clip")  # "raise" would buffer the copy
-        np.take(y, idx, axis=0, out=yb, mode="clip")
-        return xb, yb
+        v = self._pass(idx.size)
+        np.take(xs, idx, axis=0, out=v["x"], mode="clip")  # "raise" would buffer the copy
+        np.take(y, idx, axis=0, out=v["y"], mode="clip")
+        return v["x"], v["y"]
 
     # forward
 
     def forward(self, x) -> np.ndarray:
         """Heads of the scaled input rows ``x``, as a (b, k, 2) view."""
-        b, k = x.shape[0], self.k
+        v = self._pass(x.shape[0])
         if self.arch.kind == "feedforward":
-            return self._mlp_fwd(x, "m", self.mlp).reshape(b, 1, 2)
-        t1 = self._attention_fwd(1, x, self.proj1)
-        e = self._mlp_fwd(t1, "m1_", self.mlp1)
-        t2 = self._attention_fwd(2, e.reshape(b, k, self.arch.d_e).transpose(0, 2, 1), self.proj2)
-        self.mlp_inputs = t1, t2  # for the backward pass
-        return self._mlp_fwd(t2, "m2_", self.mlp2).reshape(b, k, 2)
+            self._mlp_fwd(x, self.mlp, v["m"])
+        else:
+            self._mlp_fwd(self._attention_fwd(x, v[1], v), self.mlp1, v["m1_"])
+            self._mlp_fwd(self._attention_fwd(v["e_in"], v[2], v), self.mlp2, v["m2_"])
+        return v["out"]
 
-    def _attention_fwd(self, j: int, x, proj) -> np.ndarray:
-        """Block j on x (b, d, K); returns its output as (b K, d_o) token rows."""
-        arch, k, b = self.arch, self.k, x.shape[0]
+    def _attention_fwd(self, x, blk, v) -> np.ndarray:
+        """Block ``blk`` on x (b, d, K); returns its output as (b K, d_o) token rows."""
         # broadcastable matmuls; einsum dispatch is too slow at these sizes
-        qkv = self._v(f"qkv{j}", (b, self.qkv_rows[-1].stop, k))
-        for w, rows in proj:
-            np.matmul(w, x, out=qkv[:, rows])
-        q, kk, v = (qkv[:, rows] for rows in self.qkv_rows)
-        s = self._v(f"s{j}", (b, k, k))
-        np.matmul(kk.transpose(0, 2, 1), q, out=s)
-        np.divide(s, math.sqrt(arch.d_h), out=s)
-        mx, den = self._v("mx", (b, k, 1)), self._v("den", (b, k, 1))
-        np.max(s, axis=-1, keepdims=True, out=mx)  # row softmax, in place
-        np.subtract(s, mx, out=s)
+        for w, out in blk.proj:
+            np.matmul(w, x, out=out)
+        s = blk.s
+        np.matmul(blk.kT, blk.q, out=s)
+        np.divide(s, self.root_dh, out=s)
+        row_max(s, out=v["mx"])  # row softmax, in place
+        np.subtract(s, v["mx_col"], out=s)
         np.exp(s, out=s)
-        np.sum(s, axis=-1, keepdims=True, out=den)
-        np.divide(s, den, out=s)
-        att = self._v(f"att{j}", (b, arch.d_o, k))
-        np.matmul(v, s, out=att)
-        return _merged(att, (0, 2, 1), self._v(f"t{j}", (b * k, arch.d_o)))
+        np.add.reduce(s, axis=-1, out=v["den"])
+        np.divide(s, v["den_col"], out=s)
+        np.matmul(blk.v, s, out=blk.att)
+        return _merge(blk.merge_t)
 
-    def _mlp_fwd(self, h, prefix: str, layers) -> np.ndarray:
+    def _mlp_fwd(self, h, layers, views) -> np.ndarray:
         """Shared dense stack on (N, d) token rows; ReLU on all but the last layer."""
-        for i, (w, bias, _, _) in enumerate(layers):
-            z = self._v(f"{prefix}{i}", (h.shape[0], w.shape[0]))
-            np.matmul(h, w.T, out=z)
+        last = len(layers) - 1
+        for i, ((_, w_t, bias, _, _), (z, *_)) in enumerate(zip(layers, views)):
+            np.matmul(h, w_t, out=z)
             np.add(z, bias, out=z)
-            if i != len(layers) - 1:
+            if i != last:
                 np.maximum(z, 0.0, out=z)
             h = z
         return h
@@ -403,97 +467,80 @@ class _Workspace:
     def loss_and_grad(self, x, y) -> float:
         """Summed two-head pinball loss of the scaled rows ``x`` against their
         (b, k) targets ``y``; writes its gradient into ``grad``."""
-        b, k = y.shape
-        out = self.forward(x)
-        r, l1, l2, ge = (self._v(name, (b, k)) for name in ("r", "l1", "l2", "ge"))
-        d_out = self._v("d_out", (b * k, 2))
-        sums = []
-        for head, tau in enumerate((self.alpha / 2.0, 1.0 - self.alpha / 2.0)):
-            # one residual gives the head's loss and its output gradient
-            np.subtract(y, out[:, :, head], out=r)
-            np.multiply(tau, r, out=l1)
-            np.multiply(-(1.0 - tau), r, out=l2)
-            np.maximum(l1, l2, out=l1)
-            sums.append(np.sum(l1))
-            np.greater_equal(r, 0.0, out=ge)  # the kink takes the tau-side slope
-            d_head = d_out.reshape(b, k, 2)[:, :, head]
-            d_head[...] = 1.0 - tau
-            np.copyto(d_head, -tau, where=ge)
+        v = self._pass(y.shape[0])
+        self.forward(x)
+        r, l1, l2, ge, d_heads = v["r"], v["l1"], v["l2"], v["ge"], v["d_heads"]
+        # both heads at once, as (2, b, k): one residual gives each head's
+        # loss and its output gradient
+        np.subtract(y, v["heads"], out=r)
+        np.multiply(self.tau, r, out=l1)
+        np.multiply(self.slope_below, r, out=l2)
+        np.maximum(l1, l2, out=l1)
+        loss = float(np.add.reduce(l1[0], axis=None) + np.add.reduce(l1[1], axis=None))
+        np.greater_equal(r, 0.0, out=ge)
+        np.copyto(d_heads, self.d_below)
+        np.copyto(d_heads, self.d_at_or_above, where=ge)
         if self.arch.kind == "feedforward":
-            self._mlp_bwd(d_out, x, "m", self.mlp, input_grad=False)
+            self._mlp_bwd(v["d_out"], x, self.mlp, v["m"], input_grad=False)
         else:
-            n, arch = b * k, self.arch
-            t1, t2 = self.mlp_inputs
-            d_t2 = self._mlp_bwd(d_out, t2, "m2_", self.mlp2)
-            e = self._v(f"m1_{len(self.mlp1) - 1}", (n, arch.d_e))
-            # mlp1's backward pass reads its output gradient from the d buffer
-            # its last layer does not write
-            d_e = self._attention_bwd(2, d_t2, e, self.grads2, dx_to=f"d{len(self.mlp1) % 2}")
-            d_t1 = self._mlp_bwd(d_e, t1, "m1_", self.mlp1)
+            d_t2 = self._mlp_bwd(v["d_out"], v[2].t, self.mlp2, v["m2_"])
+            d_e = self._attention_bwd(d_t2, v["e"], v[2], v, input_grad=True)
+            d_t1 = self._mlp_bwd(d_e, v[1].t, self.mlp1, v["m1_"])
             # x as token rows, once for all three weight dots of block 1
-            x_tokens = _merged(x, (0, 2, 1), self._v("xT", (n, arch.token_dim)))
-            self._attention_bwd(1, d_t1, x_tokens, self.grads1)  # block 1's dx is never formed
+            x_tokens = _merge(_merger(x, (0, 2, 1), v["xT"]))
+            self._attention_bwd(d_t1, x_tokens, v[1], v)  # block 1's dx is never formed
         self.grad += 0.0  # a -0.0 gradient becomes +0.0, as when summed into zeros
-        return float(sums[0] + sums[1])
+        return loss
 
-    def _mlp_bwd(self, d, h, prefix: str, layers, input_grad: bool = True):
+    def _mlp_bwd(self, d, h, layers, views, input_grad: bool = True):
         """Backward pass of a dense stack whose input was ``h`` and whose output
         gradient is ``d``: writes the layer gradients and returns the input
-        gradient.  The gradient of layer i's input goes to buffer d{i % 2}."""
+        gradient."""
         last = len(layers) - 1
         for i in range(last, -1, -1):
-            w, _, gw, gb = layers[i]
+            w, _, _, gw, gb = layers[i]
+            z, alive, factor, d_in = views[i]
             if i != last:
                 # d * (z > 0) as 1.0 / 0.0 factors, cast without a buffer
-                z = self._v(f"{prefix}{i}", (d.shape[0], w.shape[0]))
-                alive, factor = self._v("alive", z.shape), self._v("factor", z.shape)
                 np.greater(z, 0.0, out=alive)
                 np.copyto(factor, alive)
                 np.multiply(d, factor, out=d)
-            np.matmul(d.T, self._v(f"{prefix}{i - 1}", (d.shape[0], w.shape[1])) if i else h,
-                      out=gw)
-            np.sum(d, axis=0, out=gb)
+            np.matmul(d.T, views[i - 1][0] if i else h, out=gw)
+            np.add.reduce(d, axis=0, out=gb)
             if i or input_grad:
-                d_in = self._v(f"d{i % 2}", (d.shape[0], w.shape[1]))
                 np.matmul(d, w, out=d_in)
                 d = d_in
         return d
 
-    def _attention_bwd(self, j: int, d_t, tokens, grads, dx_to=None):
-        """Backward pass of block j from the gradient of its output token rows
-        ``d_t``; ``tokens`` is its input as (b K, d) rows.  Writes the three
-        projection gradients.  With ``dx_to``, also returns the input gradient
-        as (b K, d_e) rows in that buffer."""
-        arch, k = self.arch, self.k
-        n = d_t.shape[0]
-        b = n // k
-        qkv, s = self._v(f"qkv{j}", (b, self.qkv_rows[-1].stop, k)), self._v(f"s{j}", (b, k, k))
-        q, kk, v = (qkv[:, rows] for rows in self.qkv_rows)
-        d_att = d_t.reshape(b, k, arch.d_o).transpose(0, 2, 1)
-        dq, dk, dv = (self._v(name, (b, rows.stop - rows.start, k))
-                      for name, rows in zip(("dq", "dk", "dv"), self.qkv_rows))
-        np.matmul(d_att, s.transpose(0, 2, 1), out=dv)
-        ds, prod, rowsum = self._v("ds", (b, k, k)), self._v("prod", (b, k, k)), self._v("rowsum", (b, k))
-        np.matmul(v.transpose(0, 2, 1), d_att, out=ds)
-        np.multiply(ds, s, out=prod)
-        np.sum(prod, axis=-1, out=rowsum)
-        np.subtract(ds, rowsum[:, :, None], out=ds)
-        np.multiply(s, ds, out=ds)
-        np.divide(ds, math.sqrt(arch.d_h), out=ds)
-        np.matmul(kk, ds, out=dq)
-        np.matmul(q, ds.transpose(0, 2, 1), out=dk)
-        for g, d in zip(grads, (dq, dk, dv)):
-            np.dot(_merged(d, (1, 0, 2), self._v("at", (d.shape[1], n))), tokens, out=g)
-        if dx_to is None:
+    def _attention_bwd(self, d_t, tokens, blk, v, input_grad: bool = False):
+        """Backward pass of block ``blk`` from the gradient of its output token
+        rows ``d_t``; ``tokens`` is its input as (b K, d) rows.  Writes the
+        three projection gradients.  With ``input_grad``, also returns the
+        input gradient as (b K, d_e) rows."""
+        b, k = blk.s.shape[:2]
+        d_att = d_t.reshape(b, k, self.arch.d_o).transpose(0, 2, 1)
+        (dq, dk, dv), ds = v["dqkv"], v["ds"]
+        np.matmul(d_att, blk.sT, out=dv)
+        np.matmul(blk.vT, d_att, out=ds)
+        np.multiply(ds, blk.s, out=v["prod"])
+        np.add.reduce(v["prod"], axis=-1, out=v["rowsum"])
+        np.subtract(ds, v["rowsum_col"], out=ds)
+        np.multiply(blk.s, ds, out=ds)
+        np.divide(ds, self.root_dh, out=ds)
+        np.matmul(blk.kk, ds, out=dq)
+        np.matmul(blk.q, v["dsT"], out=dk)
+        for g, at in zip(blk.grads, v["at"]):
+            np.dot(_merge(at), tokens, out=g)
+        if not input_grad:
             return None
-        dx, tmp = self._v("dx", (b, arch.d_e, k)), self._v("dx_tmp", (b, arch.d_e, k))
+        dx, tmp = v["dx"], v["dx_tmp"]
         wq, wk, wv = self.dx_weights
         np.matmul(wq, dq, out=dx)
         np.matmul(wk, dk, out=tmp)
         dx += tmp
         np.matmul(wv, dv, out=tmp)
         dx += tmp
-        return _merged(dx, (0, 2, 1), self._v(dx_to, (n, arch.d_e)))
+        return _merge(v["d_e"])
 
 
 def _loss_and_grad(model: QuantileModel, x, y, grad=None):
@@ -596,9 +643,10 @@ def train(data, arch, alpha: float, cfg: TrainConfig) -> QuantileModel:
     ``e + 1`` is epoch ``e``'s mean minibatch loss: the summed losses of
     its minibatches, each taken before that batch's update, in batch
     order, over n.  No epoch makes a full-data pass; call ``batch_loss``
-    for the loss of the final model.  Raises ``TrainingDivergedError``
-    on a non-finite minibatch loss or non-finite parameters at an epoch's
-    end.
+    for the loss of the final model.  Raises ``ContractViolationError``,
+    before any step, on a row with a non-finite feature or target, and
+    ``TrainingDivergedError`` on a non-finite minibatch loss or non-finite
+    parameters at an epoch's end.
     """
     x, y = data
     x = np.asarray(x, dtype=float)
@@ -608,12 +656,15 @@ def train(data, arch, alpha: float, cfg: TrainConfig) -> QuantileModel:
         raise ContractViolationError("training split must be nonempty")
     if not 0.0 < alpha < 1.0:
         raise ContractViolationError(f"alpha must lie in (0, 1), got {alpha}")
-    model = init_model(arch, alpha, cfg.seed)
-    rng = np.random.Generator(np.random.PCG64(cfg.seed + 1))
-    model.loss_history.append(batch_loss(model, x, y))
     xs = _scale(arch, x)  # row by row, so gathering scaled rows equals scaling gathered ones
     k = _tokens(arch, xs)
     y = _targets(y, n, k)
+    bad = np.flatnonzero(~(np.isfinite(x.reshape(n, -1)).all(axis=1) & np.isfinite(y).all(axis=1)))
+    if bad.size:
+        raise ContractViolationError(f"training row {bad[0]} has a non-finite feature or target")
+    model = init_model(arch, alpha, cfg.seed)
+    rng = np.random.Generator(np.random.PCG64(cfg.seed + 1))
+    model.loss_history.append(batch_loss(model, x, y))
     velocity = np.zeros_like(model.params)
     grad = np.empty_like(model.params)
     ws = _Workspace(model, min(cfg.batch_size, n), k, grad)

@@ -206,15 +206,42 @@ def test_train_deterministic_bit_identical():
 
 
 def test_train_divergence_reports_epoch():
-    # the piecewise-linear loss never overflows on its own, so drive the
-    # non-finite guard with a corrupted target
+    # the piecewise-linear loss never overflows on its own, and train rejects
+    # non-finite data, so drive the non-finite guard with a step so large
+    # that the first update overflows the next batch's heads
     rng = np.random.default_rng(5)
     x = rng.uniform(-1, 1, (64, 2))
     y = rng.uniform(-1, 1, 64)
-    y[10] = np.inf
-    with pytest.raises(TrainingDivergedError) as err:
-        train((x, y), FeedforwardArch(), 0.2, TrainConfig(epochs=5, seed=6))
+    with pytest.raises(TrainingDivergedError) as err, np.errstate(over="ignore", invalid="ignore"):
+        train((x, y), FeedforwardArch(), 0.2,
+              TrainConfig(epochs=5, batch_size=16, step_size=1e300, seed=6))
     assert err.value.epoch == 0
+
+
+@pytest.mark.parametrize("where", ["feature", "target"])
+def test_train_rejects_non_finite_rows_before_any_step(where, monkeypatch):
+    def refuse(ws, x, y):
+        raise AssertionError("train must not step on non-finite data")
+
+    monkeypatch.setattr(quantile_net._Workspace, "loss_and_grad", refuse)
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-1, 1, (64, 2))
+    y = rng.uniform(-1, 1, 64)
+    if where == "feature":
+        x[17, 1] = np.nan
+    else:
+        y[10] = np.inf
+    with pytest.raises(ContractViolationError, match=f"row {17 if where == 'feature' else 10} "):
+        train((x, y), FeedforwardArch(), 0.2, TrainConfig(epochs=5, seed=6))
+
+
+def test_attention_input_without_tokens_rejected():
+    model = init_model(AttentionArch(), 0.2, 0)
+    x, y = np.zeros((3, 2, 0)), np.zeros((3, 0))
+    with pytest.raises(ContractViolationError):
+        batch_loss(model, x, y)
+    with pytest.raises(ContractViolationError):
+        train((x, y), AttentionArch(), 0.2, TrainConfig(epochs=1))
 
 
 def test_train_divergence_on_final_update_reports_last_epoch(monkeypatch):
@@ -450,11 +477,14 @@ DEAD_ATT = AttentionArch(feature_scale=(0.02, 0.02))
 
 
 # n is not a multiple of the batch size 64, and spans several batch_loss chunks;
-# n = 129 leaves a last batch (and a last batch_loss chunk at K = 32) of one row
+# n = 129 leaves a last batch (and a last batch_loss chunk at K = 32) of one row.
+# At K = 3 and K = 33 the full batches take the softmax's column-wise row max
+# and the one-row batch (and, at K = 33, the last batch_loss chunk) np.max
 @pytest.mark.parametrize("arch,k,n", [(FeedforwardArch(), 1, 2100), (AttentionArch(), 1, 2100),
                                       (AttentionArch(), 8, 600), (AttentionArch(), 32, 129),
                                       (FeedforwardArch(), 1, 129), (AttentionArch(), 8, 129),
-                                      (DEAD_FF, 1, 300), (DEAD_ATT, 8, 300)])
+                                      (DEAD_FF, 1, 300), (DEAD_ATT, 8, 300),
+                                      (AttentionArch(), 3, 129), (AttentionArch(), 33, 129)])
 @pytest.mark.parametrize("epochs", [0, 3])
 @pytest.mark.parametrize("momentum", [0.0, 0.9])
 def test_train_matches_reference_bytes(arch, k, n, epochs, momentum):
@@ -469,11 +499,13 @@ def test_train_matches_reference_bytes(arch, k, n, epochs, momentum):
 
 @pytest.mark.parametrize("arch,k", [(FeedforwardArch(), 1), (AttentionArch(), 1),
                                     (AttentionArch(), 2), (AttentionArch(), 8),
-                                    (AttentionArch(), 32)])
+                                    (AttentionArch(), 32), (AttentionArch(), 3),
+                                    (AttentionArch(), 33)])
 @pytest.mark.parametrize("b", [1, 2, 64])
 def test_step_and_predict_match_reference_bytes(arch, k, b):
     # b = 1 and K = 1 are where numpy's reshapes return views, whose memory
-    # layout the BLAS products and pairwise sums round by
+    # layout the BLAS products and pairwise sums round by; at K = 3 and
+    # K = 33, b = 64 takes the softmax's column-wise row max and b < K np.max
     x, y = _training_data(arch, b, k, seed=15)
     model = init_model(arch, 0.2, seed=6)
     loss, grad = _loss_and_grad(model, x, y)
