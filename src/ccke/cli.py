@@ -3,7 +3,8 @@
 Subcommands:
   ser-table   build and persist the link-level SER grid
   run         execute an experiment configuration, emit report CSVs and
-              print the wall seconds of each experiment stage
+              print the wall seconds of each experiment stage and of
+              writing the report
   report      aggregate one or more per-trial CSVs into box statistics
 
 ``run`` reads a plain-text key-value config file (``key = value`` per
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import time
 
 from . import harness, phy_sim, reporting
 from .harness import ExperimentConfig, NoiseSpec
@@ -74,12 +76,15 @@ def _cmd_ser_table(args) -> int:
 def _cmd_run(args) -> int:
     cfg = load_config(args.config, args.set or [])
     report = harness.run_experiment(cfg, progress=args.progress)
+    start = time.perf_counter()
     trials_path, agg_path = reporting.emit_report(report, args.out_dir)
+    report_seconds = time.perf_counter() - start
     for method in cfg.methods:
         print(f"{method}: coverage {report.mean_coverage(method):.4f}, "
               f"inefficiency {report.mean_inefficiency(method):.4f}")
     print("stage seconds: " + ", ".join(f"{stage} {seconds:.3f}"
                                         for stage, seconds in report.stage_seconds.items()))
+    print(f"report seconds: {report_seconds:.3f}")
     print(f"wrote {trials_path} and {agg_path}")
     return 0
 

@@ -266,10 +266,12 @@ def clipped_exp(z) -> np.ndarray:
     """Density ratios exp(z) from (n,) log ratios, each exponent clipped to
     [-700, 700] so the ratio stays finite.
 
-    ``math.exp`` per element: numpy's vectorized exp differs from it in
-    the last bit on some inputs, which would move the CCKE corrections.
+    ``math.exp`` per element, mapped straight into the result with
+    ``np.fromiter``: numpy's vectorized exp differs from it in the last
+    bit on some inputs, which would move the CCKE corrections.
     """
-    return np.array([math.exp(v) for v in np.clip(z, -700.0, 700.0).tolist()], dtype=float)
+    z = np.clip(z, -700.0, 700.0)
+    return np.fromiter(map(math.exp, z.tolist()), dtype=float, count=z.size)
 
 
 def rng_segments(rng, n: int) -> list:

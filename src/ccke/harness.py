@@ -122,13 +122,25 @@ class NoiseSpec:
 # rollout call while each keeps its own generators.
 
 
+def _row_count(n) -> int:
+    """``n`` as a number of contexts to draw; a negative count raises."""
+    if n < 0:
+        raise ContractViolationError(f"cannot draw {n} contexts")
+    return n
+
+
 def _rejection_sample(draw, accept_prob, n: int, rng: np.random.Generator, app):
-    """n rows from p(x | app) by rejection: ``draw(batch)`` returns a tuple
-    of candidate arrays (rows along axis 0), and row i is kept when a
+    """n >= 1 rows from p(x | app) by rejection: ``draw(batch)`` returns a
+    tuple of candidate arrays (rows along axis 0), and row i is kept when a
     uniform from ``rng`` falls below ``accept_prob(*candidates)[i]``.
 
-    Each round draws the candidates first, then ``rng.random(batch)``; the
-    first n kept rows, in draw order, are returned as a tuple of arrays.
+    Rounds are drawn whole: the candidates first, then ``rng.random(batch)``,
+    so the draws never depend on how many rows a round keeps.  Acceptance is
+    evaluated only as far as needed: over a head of the round sized from the
+    rows still needed, and over the rest of the round only if the head keeps
+    too few.  ``accept_prob`` is row-wise, so its value on a slice of rows is
+    that slice of its value on the round.  The first n kept rows, in draw
+    order, are returned as a tuple of arrays.
     """
     parts, have, total = [], 0, 0
     batch = max(1024, 2 * n)
@@ -138,8 +150,16 @@ def _rejection_sample(draw, accept_prob, n: int, rng: np.random.Generator, app):
                 f"app {app!r} too rare under the selection policy "
                 f"({have}/{n} contexts after {total} draws)")
         candidates = draw(batch)
-        accept = rng.random(batch) < accept_prob(*candidates)
-        keep = np.flatnonzero(accept)[: n - have]
+        u = rng.random(batch)
+        need = n - have
+        # at an acceptance rate of a third or more the head all but surely
+        # keeps the rows needed; the default mac and synthetic policies
+        # accept 35-65% of candidates
+        head = min(batch, 4 * need + 64)
+        keep = np.flatnonzero(u[:head] < accept_prob(*(c[:head] for c in candidates)))[:need]
+        if keep.size < need and head < batch:
+            rest = np.flatnonzero(u[head:] < accept_prob(*(c[head:] for c in candidates)))
+            keep = np.concatenate([keep, head + rest[:need - keep.size]])
         parts.append([c[keep] for c in candidates])
         have += keep.size
         total += batch
@@ -164,16 +184,23 @@ class MacEnvironment:
         return label
 
     def sample_contexts_given_app(self, app, n, rng) -> mac_sim.MacContexts:
-        """Rejection sampling from p(x | app): backlogs, then CQIs, per round."""
+        """Rejection sampling from p(x | app): backlogs, then CQIs, per
+        round.  ``n = 0`` gives an empty batch and draws nothing."""
+        if _row_count(n) == 0:
+            empty = np.empty((0, self.n_users), dtype=np.int64)
+            return mac_sim.MacContexts(empty, empty)
+
         def draw(batch):
             size = (batch, self.n_users)
             return (rng.integers(mac_sim.BACKLOG_MIN, mac_sim.BACKLOG_MAX + 1, size=size),
                     rng.integers(1, 16, size=size))
 
-        def accept_prob(b, c):
-            return self.policy.app_probability(mac_sim.MacContexts(b, c), app)
+        return mac_sim.MacContexts(*_rejection_sample(
+            draw, lambda b, c: self._accept_prob(app, b, c), n, rng, app))
 
-        return mac_sim.MacContexts(*_rejection_sample(draw, accept_prob, n, rng, app))
+    def _accept_prob(self, app, backlogs, cqis) -> np.ndarray:
+        """p(app | x) of candidate rows, row by row."""
+        return self.policy.app_probability(mac_sim.MacContexts(backlogs, cqis), app)
 
     def weight(self, ctx, numer_app, denom_app) -> np.ndarray:
         return self.policy.weight(ctx, numer_app, denom_app)
@@ -262,8 +289,10 @@ class PhyEnvironment:
         Within the cell, the SNR is the inverse normal CDF
         (``_normal.ndtri``, scipy's ``ndtri`` bit for bit) of a uniform
         between the CDFs of the bin's edges, which ``__init__`` computes
-        once per bin (``_normal.ndtr``).
+        once per bin (``_normal.ndtr``).  ``n = 0`` gives an empty batch
+        and draws nothing.
         """
+        _row_count(n)
         table = self.policy.ser_table
         post = self._cell_posteriors[app]
         cells = rng.choice(post.size, size=n, p=post)
@@ -337,14 +366,18 @@ class SyntheticEnvironment:
         return (self.offsets[app] + ctx + noise)[:, None]
 
     def sample_contexts_given_app(self, app, n, rng) -> np.ndarray:
-        """Rejection sampling from p(x | app)."""
-        def accept_prob(x):
-            p = self._p_alt(x)
-            return 1.0 - p if app == "base" else p
-
-        (x,) = _rejection_sample(lambda batch: (rng.normal(size=batch),), accept_prob,
-                                 n, rng, app)
+        """Rejection sampling from p(x | app).  ``n = 0`` gives an empty
+        batch and draws nothing."""
+        if _row_count(n) == 0:
+            return np.empty(0)
+        (x,) = _rejection_sample(lambda batch: (rng.normal(size=batch),),
+                                 lambda x: self._accept_prob(app, x), n, rng, app)
         return x
+
+    def _accept_prob(self, app, x) -> np.ndarray:
+        """p(app | x) of candidate rows, row by row."""
+        p = self._p_alt(x)
+        return 1.0 - p if app == "base" else p
 
     def exact_bounds(self, contexts, app, alpha: float):
         """True (alpha/2, 1-alpha/2) conditional quantiles of the KPI, as
@@ -561,16 +594,6 @@ def _train_model(env, cfg: ExperimentConfig, contexts, kpis: np.ndarray, seed: i
                               train_cfg)
 
 
-def _draw_labeled(env, app, n, rng, noise: Optional[NoiseSpec], noise_rng):
-    """Contexts from p(x | app) and their (n, K) KPIs under ``app``, with
-    observation noise added if ``noise`` is set."""
-    contexts = env.sample_contexts_given_app(app, n, rng)
-    kpis = env.rollout(app, contexts, rng)
-    if noise is not None:
-        kpis = kpis + noise.draw(noise_rng, kpis.shape)
-    return contexts, kpis
-
-
 TRIAL_BLOCK = 25  # trials per block of run_experiment: bounds its (T, n_test, n_cal) masses
 STAGES = ("train", "draw", "predict", "calibrate", "metrics")
 
@@ -605,16 +628,19 @@ def _draw_block(env, cfg: ExperimentConfig, target, actual, block: range,
 
     Per trial: the calibration contexts, then their rollouts (``rng_cal``);
     the test contexts, then their truths (``rng_test``); the KPI noise on
-    the calibration KPIs, then the weight perturbation (``rng_noise``).
+    the calibration KPIs, then the weight perturbation (``rng_noise``,
+    made only when ``kpi_noise`` or ``weight_perturbation`` is set).
     The block's rollouts are one call with one generator segment per set.
     Returns the block's contexts as one batch, every trial's calibration
     set and then every trial's test set; their (rows, K) KPIs (noisy
     calibration KPIs, then the test truths); and the (T, n_cal + n_test)
     weight perturbation factors, or None.
     """
+    noisy = cfg.kpi_noise is not None or cfg.weight_perturbation is not None
     gens = [(rng_for(cfg.base_seed, _STREAM_TRIAL_CAL, t),
              rng_for(cfg.base_seed, _STREAM_TRIAL_TEST, t),
-             rng_for(cfg.base_seed, _STREAM_TRIAL_NOISE, t + 1)) for t in block]
+             rng_for(cfg.base_seed, _STREAM_TRIAL_NOISE, t + 1) if noisy else None)
+            for t in block]
     cal = [env.sample_contexts_given_app(target, cfg.n_cal, rng_cal) for rng_cal, _, _ in gens]
     test = [env.sample_contexts_given_app(actual, cfg.n_test, rng_test) for _, rng_test, _ in gens]
     segments = ([(rng_cal, cfg.n_cal) for rng_cal, _, _ in gens]
@@ -688,9 +714,10 @@ def run_experiment(cfg: ExperimentConfig, environment=None,
     model = None
     if not env.has_exact_model:
         rng_tr = rng_for(cfg.base_seed, _STREAM_TRAIN_DATA)
-        noise_rng = rng_for(cfg.base_seed, _STREAM_TRIAL_NOISE)
-        contexts, kpis = _draw_labeled(env, target, cfg.n_train, rng_tr,
-                                       cfg.kpi_noise, noise_rng)
+        contexts = env.sample_contexts_given_app(target, cfg.n_train, rng_tr)
+        kpis = env.rollout(target, contexts, rng_tr)
+        if cfg.kpi_noise is not None:
+            kpis += cfg.kpi_noise.draw(rng_for(cfg.base_seed, _STREAM_TRIAL_NOISE), kpis.shape)
         model = _train_model(env, cfg, contexts, kpis, seed=cfg.base_seed)
     clock.lap("train")
 

@@ -66,19 +66,17 @@ def emit_report(report: ExperimentReport, out_dir) -> tuple:
     run never leaves a partial report behind.
     """
     cfg = report.config
-    rows = [dict(zip(TRIAL_COLUMNS, (
-        cfg.environment, t.method, float(cfg.temperature), _kpi_count(cfg), float(cfg.alpha),
-        t.trial, float(t.coverage), float(t.inefficiency_raw), float(t.inefficiency_clipped),
-        t.n_unbounded, t.seed))) for t in report.trials]
-    agg_rows = aggregate_rows(rows)
+    env, temp, k, alpha = (cfg.environment, float(cfg.temperature), _kpi_count(cfg),
+                           float(cfg.alpha))
+    rows = [(env, t.method, temp, k, alpha, t.trial, float(t.coverage),
+             float(t.inefficiency_raw), float(t.inefficiency_clipped), t.n_unbounded, t.seed)
+            for t in report.trials]
+    agg_rows = _aggregate(rows)
     os.makedirs(out_dir, exist_ok=True)
     trials_path = os.path.join(out_dir, "trials.csv")
     agg_path = os.path.join(out_dir, "aggregate.csv")
-    with open(trials_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, TRIAL_COLUMNS)  # floats go out as repr
-        writer.writeheader()
-        writer.writerows(rows)
-    _write_rows(agg_path, agg_rows)
+    _write_rows(trials_path, TRIAL_COLUMNS, rows)
+    _write_rows(agg_path, AGGREGATE_COLUMNS, agg_rows)
     return trials_path, agg_path
 
 
@@ -104,16 +102,22 @@ def read_trial_rows(path) -> list:
 
 def aggregate_rows(rows: Sequence[dict]) -> list:
     """Box statistics per (environment, method, T, K, alpha) and metric."""
+    return _aggregate([[r[c] for c in TRIAL_COLUMNS] for r in rows])
+
+
+def _aggregate(rows) -> list:
+    """``aggregate_rows`` of rows held as sequences in ``TRIAL_COLUMNS``
+    order, whose first five columns are the group key."""
     groups = {}
     for r in rows:
-        groups.setdefault(
-            (r["environment"], r["method"], r["T"], r["K"], r["alpha"]), []).append(r)
+        groups.setdefault(tuple(r[:5]), []).append(r)
     out = []
     for key in sorted(groups):
         env, method, temp, k, alpha = key
         members = groups[key]
         for metric in ("coverage", "inefficiency_clipped", "inefficiency_raw"):
-            values = [m[metric] for m in members]
+            col = TRIAL_COLUMNS.index(metric)
+            values = [m[col] for m in members]
             if metric == "inefficiency_raw":
                 finite = [v for v in values if math.isfinite(v)]
                 values = finite if finite else [math.inf]
@@ -126,11 +130,12 @@ def aggregate_rows(rows: Sequence[dict]) -> list:
 
 
 def write_aggregate(rows: Sequence[dict], path) -> None:
-    _write_rows(path, aggregate_rows(rows))
+    _write_rows(path, AGGREGATE_COLUMNS, aggregate_rows(rows))
 
 
-def _write_rows(path, agg_rows) -> None:
+def _write_rows(path, columns, rows) -> None:
+    """A header of ``columns``, then ``rows``; floats go out as ``repr``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(AGGREGATE_COLUMNS)
-        writer.writerows(agg_rows)
+        writer.writerow(columns)
+        writer.writerows(rows)

@@ -24,16 +24,24 @@ from ccke.conformal import (
 )
 from ccke.harness import (
     ExperimentConfig,
+    ExperimentReport,
     MacEnvironment,
     NoiseSpec,
     PhyEnvironment,
     SyntheticEnvironment,
+    TrialResult,
     evaluate_coverage,
     evaluate_inefficiency,
     rng_for,
     run_experiment,
 )
-from ccke.reporting import aggregate_rows, emit_report, read_trial_rows
+from ccke.reporting import (
+    TRIAL_COLUMNS,
+    aggregate_rows,
+    emit_report,
+    read_trial_rows,
+    write_aggregate,
+)
 
 
 def interval(lo, hi, q=0.0):
@@ -134,56 +142,137 @@ def test_selection_logistic_stable_at_sharp_temperature():
 
 def reference_mac_contexts_given_app(env, app, n, rng):
     """The MAC rejection sampler with its original two-branch logistic,
-    whose discarded branch may overflow."""
+    whose discarded branch may overflow; returns the kept rows and the
+    rounds."""
     table, temp = env.policy.payload_table, env.policy.temperature
-    out, batch = [], max(1024, 2 * n)
+    out, batch, rounds = [], max(1024, 2 * n), 0
     while len(out) < n:
+        rounds += 1
         b = rng.integers(mac_sim.BACKLOG_MIN, mac_sim.BACKLOG_MAX + 1, size=(batch, env.n_users))
         c = rng.integers(1, 16, size=(batch, env.n_users))
         z = -np.max(b - table[c - 1] / env.n_users, axis=1) / temp
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             p_rr = np.where(z >= 0.0, 1.0 / (1.0 + np.exp(-np.minimum(z, 700.0))),
                             np.exp(np.maximum(z, -700.0))
                             / (1.0 + np.exp(np.maximum(z, -700.0))))
         p_app = p_rr if app == mac_sim.RR else 1.0 - p_rr
         accept = rng.random(batch) < p_app
         out += [(b[i], c[i]) for i in np.flatnonzero(accept)][: n - len(out)]
-    return out
+    return out, rounds
 
 
-def reference_synthetic_contexts_given_app(env, app, n, rng):
+def reference_synthetic_contexts_given_app(env, app, n, rng, reshape=None):
     """The synthetic rejection sampler as a per-draw loop: each round draws
     the candidates, then one uniform per candidate, and keeps candidates in
-    draw order until n are kept."""
-    out, batch = [], max(1024, 2 * n)
+    draw order until n are kept.  ``reshape`` maps the (n,) p(alt | x) of a
+    round to the p(alt | x) used; returns the kept rows and the rounds."""
+    out, batch, rounds = [], max(1024, 2 * n), 0
     while len(out) < n:
+        rounds += 1
         x = rng.normal(size=batch)
         z = x / env.selection_temperature
         with np.errstate(over="ignore"):
             p_alt = np.where(z >= 0.0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+        if reshape is not None:
+            p_alt = reshape(p_alt)
         u = rng.random(batch)
         for xi, pi, ui in zip(x.tolist(), p_alt.tolist(), u.tolist()):
             if len(out) < n and ui < (pi if app == "alt" else 1.0 - pi):
                 out.append(xi)
-    return out
+    return out, rounds
+
+
+def rare_app_policy(app, n_users=8):
+    """A MAC policy that selects ``app`` for about 2% of contexts."""
+    balance = 0.02 if app == mac_sim.RR else 0.98
+    return mac_sim.MacPolicy.default(n_users, 0.05, sign_balance=balance)
+
+
+def record_accept_rows(monkeypatch, env):
+    """Wrap ``env._accept_prob``; returns the list of row counts it is asked for."""
+    sizes, accept_prob = [], env._accept_prob
+
+    def recording(app, *rows):
+        sizes.append(len(rows[0]))
+        return accept_prob(app, *rows)
+
+    monkeypatch.setattr(env, "_accept_prob", recording)
+    return sizes
 
 
 @pytest.mark.parametrize("app", mac_sim.MAC_APPS + ("base", "alt"))
-def test_mac_sampler_matches_two_branch_logistic(app):
+def test_mac_sampler_matches_two_branch_logistic(app, monkeypatch):
+    # each case draws from one generator through the sampler and through
+    # the reference; the rows and the generator's final state must agree
     if app in mac_sim.MAC_APPS:
-        env = MacEnvironment(n_users=8, temperature=1.0)
-        got = env.sample_contexts_given_app(app, 300, rng_for(12, 1))
-        want = reference_mac_contexts_given_app(env, app, 300, rng_for(12, 1))
-        assert len(got) == len(want) == 300
-        for b, c, (wb, wc) in zip(got.backlogs, got.cqis, want):
-            assert np.array_equal(b, wb) and np.array_equal(c, wc)
+        reference = reference_mac_contexts_given_app
+        cases = [("one round", MacEnvironment(n_users=8, temperature=1.0), 300),
+                 ("one row", MacEnvironment(n_users=8, temperature=1.0), 1),
+                 ("many rounds", MacEnvironment(n_users=32, policy=rare_app_policy(app, 32)),
+                  300),
+                 ("short head", MacEnvironment(n_users=8, policy=rare_app_policy(app)), 50)]
     else:
-        # n sits near one round's acceptances: "alt" takes a second round,
-        # "base" keeps the first n of one
-        env = SyntheticEnvironment(selection_temperature=0.3)
-        got = env.sample_contexts_given_app(app, 1500, rng_for(12, 1))
-        want = reference_synthetic_contexts_given_app(env, app, 1500, rng_for(12, 1))
-        assert got.dtype == float and got.tolist() == want
+        reference = reference_synthetic_contexts_given_app
+        # n sits near one round's acceptances at 1500: "alt" takes a second
+        # round, "base" keeps the first n of one
+        # the synthetic policy accepts half of all candidates, so the last
+        # two cases squeeze p(app | x) 3- and 25-fold, in the sampler and
+        # the reference alike
+        cases = [("one round", SyntheticEnvironment(selection_temperature=0.3), 1500),
+                 ("one row", SyntheticEnvironment(selection_temperature=0.3), 1),
+                 ("many rounds", SyntheticEnvironment(selection_temperature=1.0), 300),
+                 ("short head", SyntheticEnvironment(selection_temperature=0.3), 200)]
+    for label, env, n in cases:
+        sizes = record_accept_rows(monkeypatch, env)
+        kwargs = {}
+        if app in ("base", "alt") and label in ("many rounds", "short head"):
+            f = 3.0 if label == "many rounds" else 25.0
+            squeeze = {"alt": lambda p: p / f, "base": lambda p: 1.0 - (1.0 - p) / f}[app]
+            p_alt = env._p_alt
+            monkeypatch.setattr(env, "_p_alt", lambda x: squeeze(p_alt(x)))
+            kwargs["reshape"] = squeeze
+        rng, ref_rng = rng_for(12, 1), rng_for(12, 1)
+        got = env.sample_contexts_given_app(app, n, rng)
+        want, rounds = reference(env, app, n, ref_rng, **kwargs)
+        assert len(got) == len(want) == n, label
+        if app in mac_sim.MAC_APPS:
+            assert got.backlogs.dtype == got.cqis.dtype == np.int64
+            for b, c, (wb, wc) in zip(got.backlogs, got.cqis, want):
+                assert np.array_equal(b, wb) and np.array_equal(c, wc), label
+        else:
+            assert got.dtype == float and got.tolist() == want, label
+        assert rng.bit_generator.state == ref_rng.bit_generator.state, label
+        assert len(sizes) >= rounds
+        if label == "many rounds":
+            assert rounds > 1
+        if label == "short head":
+            # some round evaluated a head and then the rest of the round
+            assert len(sizes) > rounds and sum(sizes) % max(1024, 2 * n) == 0
+        monkeypatch.undo()
+
+
+def accept_prob_cases():
+    rng = rng_for(12, 3)
+    for k in (8, 32):
+        env = MacEnvironment(n_users=k, temperature=1.0)
+        rows = (rng.integers(mac_sim.BACKLOG_MIN, mac_sim.BACKLOG_MAX + 1, size=(1024, k)),
+                rng.integers(1, 16, size=(1024, k)))
+        for app in mac_sim.MAC_APPS:
+            yield f"mac-k{k}-{app}", env, app, rows
+    env = SyntheticEnvironment(selection_temperature=0.3)
+    for app in ("base", "alt"):
+        yield f"synthetic-{app}", env, app, (rng.normal(size=1024),)
+
+
+@pytest.mark.parametrize("case", list(accept_prob_cases()), ids=lambda case: case[0])
+def test_accept_prob_of_a_prefix_is_that_prefix_bitwise(case):
+    # the sampler evaluates a round's head first and its rest only when
+    # the head keeps too few rows, so a prefix must give the same bits
+    _, env, app, rows = case
+    full = env._accept_prob(app, *rows)
+    assert full.shape == (1024,)
+    for m in range(1, 1025):
+        assert env._accept_prob(app, *(r[:m] for r in rows)).tobytes() == full[:m].tobytes(), m
 
 
 @pytest.mark.parametrize("app", mac_sim.MAC_APPS)
@@ -193,6 +282,25 @@ def test_mac_sampler_no_overflow_at_sharp_temperature(app):
         warnings.simplefilter("error")
         contexts = env.sample_contexts_given_app(app, 50, rng_for(12, 2))
     assert len(contexts) == 50
+
+
+@pytest.mark.parametrize("name", sorted(ENVIRONMENTS))
+def test_sampler_draws_nothing_for_no_rows_and_rejects_negative_counts(name):
+    make, apps = ENVIRONMENTS[name]
+    env = make()
+    full = env.sample_contexts_given_app(apps[0], 3, rng_for(15, 1))
+    rng = rng_for(15, 1)
+    state = rng.bit_generator.state
+    empty = env.sample_contexts_given_app(apps[0], 0, rng)
+    assert type(empty) is type(full) and len(empty) == 0
+    assert rng.bit_generator.state == state
+    pairs = ([(empty, full)] if isinstance(full, np.ndarray)
+             else [(vars(empty)[f], a) for f, a in vars(full).items()])
+    for got, want in pairs:  # each array empty, of the dtype and row shape of a draw
+        assert got.dtype == want.dtype and got.shape == (0,) + want.shape[1:]
+    with pytest.raises(ContractViolationError, match="cannot draw -1 contexts"):
+        env.sample_contexts_given_app(apps[0], -1, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_conditional_sampler_matches_rejection_frequencies():
@@ -414,6 +522,25 @@ def test_report_times_its_stages():
     exact = run_experiment(ExperimentConfig(environment="synthetic", actual_app="alt",
                                             target_app="base", n_trials=3))
     assert exact.stage_seconds["train"] < exact.stage_seconds["draw"]  # nothing to train
+
+
+def test_noise_generators_made_only_when_drawn_from(monkeypatch):
+    made, rng_for_ = [], harness.rng_for
+
+    def recording(base_seed, stream, index=0):
+        made.append(stream)
+        return rng_for_(base_seed, stream, index)
+
+    monkeypatch.setattr(harness, "rng_for", recording)
+    base = dict(environment="mac", n_users=3, n_train=60, n_cal=20, n_test=5, n_trials=3,
+                train_epochs=1, base_seed=22)
+    # no noise: none; KPI noise: training's and one per trial; weight
+    # perturbation alone: one per trial
+    for extra, count in (({}, 0), ({"kpi_noise": NoiseSpec(sigma=0.5)}, 4),
+                         ({"weight_perturbation": 0.1}, 3)):
+        made.clear()
+        run_experiment(ExperimentConfig(**base, **extra))
+        assert made.count(harness._STREAM_TRIAL_NOISE) == count, extra
 
 
 def test_synthetic_exact_weights_cover():
@@ -707,6 +834,38 @@ def small_report():
     return run_experiment(cfg)
 
 
+def reference_trials_csv(report, path):
+    """``trials.csv`` as written with ``csv.DictWriter``, one dict per row."""
+    cfg = report.config
+    k = cfg.n_users if cfg.environment == "mac" else 1
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, TRIAL_COLUMNS)
+        writer.writeheader()
+        writer.writerows(dict(zip(TRIAL_COLUMNS, (
+            cfg.environment, t.method, float(cfg.temperature), k, float(cfg.alpha), t.trial,
+            float(t.coverage), float(t.inefficiency_raw), float(t.inefficiency_clipped),
+            t.n_unbounded, t.seed))) for t in report.trials)
+
+
+def test_trials_csv_matches_dictwriter_reference_bytes(tmp_path):
+    cfg = ExperimentConfig(environment="mac", n_users=4, temperature=0.5, alpha=0.1,
+                           n_cal=30, methods=("CCKE", "CKE"), base_seed=3)
+    # (coverage, raw, clipped, unbounded): an unbounded set's inf, -0.0, a
+    # subnormal, NaN coverage and a numpy float
+    values = [(np.float64(0.7), math.inf, 2.5, 3), (-0.0, 0.0, -0.0, 0),
+              (5e-324, 1e-310, 2.2250738585072014e-308 / 3, 0), (math.nan, 1e300, 0.1, 7)]
+    trials = tuple(TrialResult(method=method, trial=i, coverage=c, inefficiency_raw=raw,
+                               inefficiency_clipped=clipped, n_unbounded=u, seed=3)
+                   for i, (c, raw, clipped, u) in enumerate(values) for method in cfg.methods)
+    report = ExperimentReport(config=cfg, trials=trials)
+    trials_path, agg_path = emit_report(report, tmp_path / "out")
+    reference_trials_csv(report, tmp_path / "want.csv")
+    assert (tmp_path / "out" / "trials.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    # the aggregate of the rows read back is the emitted one, byte for byte
+    write_aggregate(read_trial_rows(trials_path), tmp_path / "agg.csv")
+    assert (tmp_path / "agg.csv").read_bytes() == (tmp_path / "out" / "aggregate.csv").read_bytes()
+
+
 def test_report_roundtrip_bit_exact(small_report, tmp_path):
     trials_path, _ = emit_report(small_report, tmp_path)
     rows = read_trial_rows(trials_path)
@@ -789,6 +948,7 @@ def test_cli_run_and_report(tmp_path):
     assert re.search(r"^stage seconds: train \d+\.\d{3}, draw \d+\.\d{3}, predict "
                      r"\d+\.\d{3}, calibrate \d+\.\d{3}, metrics \d+\.\d{3}$",
                      out.stdout, re.M), out.stdout
+    assert re.search(r"^report seconds: \d+\.\d{3}$", out.stdout, re.M), out.stdout
     rows = read_trial_rows(tmp_path / "rep" / "trials.csv")
     assert len(rows) == 3 * 6  # override applied
     agg_out = run_cli("report", str(tmp_path / "rep" / "trials.csv"),
