@@ -17,6 +17,18 @@ inefficiency of all trials as stacked (T, n) arrays.  A trial's numbers
 do not depend on its block, and the report carries each stage's wall
 seconds.
 
+No trial's draws depend on the trained model.  So on Linux, when there
+is a model to train, more than one block, a second CPU in the process's
+affinity mask and no other thread, one forked child draws every block
+after the first while the parent trains and then draws the first block;
+the parent reads the child's blocks from a pipe when it reaches them.
+If the fork fails, and on every other platform, the parent draws every
+block itself after training.  Both paths give the same bytes.  On the
+forked path the draw stage's seconds hold the first block plus the wait
+for the child, and the parent holds the draws of all later blocks at
+once (for the benchmark's phy workload, 35 trials of 150 rows of 24
+bytes, about 126 KB).
+
 A fully synthetic scalar environment with analytically known quantiles
 and exact density ratios backs the coverage-guarantee test suites
 (exact weights, perturbed weights, noisy KPI observations).
@@ -28,6 +40,10 @@ any trial is reproducible in isolation and full runs are byte-stable.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import sys
+import threading
 import time
 from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
@@ -333,8 +349,10 @@ class SyntheticEnvironment:
 
     def __init__(self, selection_temperature: float = 1.0,
                  offsets=(0.0, 0.5), half_width: float = 1.0):
-        if selection_temperature <= 0.0 or half_width <= 0.0:
-            raise ContractViolationError("temperature and half_width must be positive")
+        if not (selection_temperature > 0.0 and half_width > 0.0):  # NaN fails too
+            raise ContractViolationError(
+                f"temperature and half_width must be positive, got "
+                f"{selection_temperature!r} and {half_width!r}")
         self.selection_temperature = selection_temperature
         self.offsets = {"base": float(offsets[0]), "alt": float(offsets[1])}
         self.half_width = float(half_width)
@@ -530,6 +548,10 @@ class ExperimentConfig:
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ContractViolationError(f"unknown methods {sorted(unknown)}")
+        if not self.methods:
+            raise ContractViolationError("methods must name at least one method")
+        if len(set(self.methods)) < len(self.methods):  # would write its rows twice
+            raise ContractViolationError(f"methods {tuple(self.methods)} name a method twice")
         if self.weight_perturbation is not None and not 0.0 <= self.weight_perturbation <= 1.0:
             raise ContractViolationError("weight_perturbation must lie in [0, 1]")
         # bad training fields fail here, not after the training rollouts
@@ -596,6 +618,9 @@ def _train_model(env, cfg: ExperimentConfig, contexts, kpis: np.ndarray, seed: i
 
 TRIAL_BLOCK = 25  # trials per block of run_experiment: bounds its (T, n_test, n_cal) masses
 STAGES = ("train", "draw", "predict", "calibrate", "metrics")
+# run_experiment draws the blocks after its first in a forked child on
+# Linux only: macOS system libraries are not fork-safe, and Windows has no fork
+_CAN_FORK = sys.platform.startswith("linux")
 
 
 class _StageClock:
@@ -621,8 +646,7 @@ def _batch(parts):
                          for f in fields(first)))
 
 
-def _draw_block(env, cfg: ExperimentConfig, target, actual, block: range,
-                progress: bool, start: float):
+def _draw_block(env, cfg: ExperimentConfig, target, actual, block: range):
     """Phase 1 of a block of trials: every draw, each from its trial's own
     generators, in the order a trial run alone makes them.
 
@@ -648,7 +672,7 @@ def _draw_block(env, cfg: ExperimentConfig, target, actual, block: range,
     ctx = _batch(cal + test)
     kpis = env.rollout(target, ctx, segments)  # on the test rows: the counterfactual truths
     factors = []
-    for i, (t, (_, _, rng_noise)) in enumerate(zip(block, gens)):
+    for i, (_, _, rng_noise) in enumerate(gens):
         if cfg.kpi_noise is not None:
             cal_kpis = kpis[i * cfg.n_cal:(i + 1) * cfg.n_cal]
             cal_kpis += cfg.kpi_noise.draw(rng_noise, cal_kpis.shape)
@@ -656,9 +680,6 @@ def _draw_block(env, cfg: ExperimentConfig, target, actual, block: range,
             # one factor per point, calibration points first, then test points
             delta = cfg.weight_perturbation
             factors.append(1.0 + rng_noise.uniform(-delta, delta, size=cfg.n_cal + cfg.n_test))
-        if progress and (t + 1) % 25 == 0:
-            rate = (t + 1) / (time.perf_counter() - start)
-            print(f"  trial {t + 1}/{cfg.n_trials} ({rate:.1f} trials/s)")
     return ctx, kpis, np.array(factors) if factors else None
 
 
@@ -676,6 +697,102 @@ def _bounds(env, cfg: ExperimentConfig, model, target, ctx, sets: int):
     edges = np.cumsum([0] + [cfg.n_cal] * sets + [cfg.n_test] * sets)
     parts = [model.predict(x[a:b]) for a, b in zip(edges[:-1], edges[1:])]
     return np.concatenate([lo for lo, _ in parts]), np.concatenate([hi for _, hi in parts])
+
+
+class _ChildTraceback(Exception):
+    """The formatted traceback of an exception raised in a forked child,
+    set as the ``__cause__`` of the exception the parent re-raises."""
+
+    def __str__(self):
+        return "\n" + self.args[0]
+
+
+def _picklable(exc):
+    """``exc`` if it survives a pickle round trip, else None."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return None
+    return exc
+
+
+class _ForkedDraws:
+    """``draw(block)`` of each of ``blocks``, run in a forked child while
+    the parent goes on.
+
+    The child closes the pipe's read end, sends the list of results, or a
+    failure as its exception and formatted traceback, as one pickle
+    through the pipe, and always leaves through ``os._exit``: status 0
+    after sending results, 1 otherwise.  ``collect`` reads and reaps;
+    ``close`` kills and reaps a child that ``collect`` has not, and closes
+    the pipe.  An ``OSError`` of ``os.pipe`` or ``os.fork`` propagates,
+    with no descriptor left open.
+    """
+
+    def __init__(self, draw, blocks):
+        sys.stdout.flush()  # else the child would write the parent's buffered output again
+        sys.stderr.flush()
+        read_fd, write_fd = os.pipe()
+        try:
+            self._pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if self._pid == 0:
+            self._child(draw, blocks, read_fd, write_fd)
+        os.close(write_fd)
+        self._pipe = os.fdopen(read_fd, "rb")
+
+    @staticmethod
+    def _child(draw, blocks, read_fd, write_fd):
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                payload, sent_status = [draw(block) for block in blocks], 0
+            except Exception as exc:
+                import traceback  # here, not at the top: importing ccke should not pay for it
+
+                payload, sent_status = (_picklable(exc), traceback.format_exc()), 1
+            with os.fdopen(write_fd, "wb") as pipe:
+                pickle.dump(payload, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+            status = sent_status
+        finally:
+            try:  # os._exit skips the flush that a normal exit makes
+                sys.stdout.flush()
+                sys.stderr.flush()
+            finally:
+                os._exit(status)
+
+    def collect(self) -> list:
+        """The child's results; a failure in the child is re-raised here,
+        its traceback as the cause."""
+        data = self._pipe.read()
+        self._pipe.close()
+        _, wait_status = os.waitpid(self._pid, 0)
+        self._pid = None
+        code = os.waitstatus_to_exitcode(wait_status)
+        if code == 0:
+            return pickle.loads(data)
+        try:
+            exc, child_traceback = pickle.loads(data)
+        except (EOFError, pickle.UnpicklingError):
+            raise RuntimeError(f"trial-draw child exited with status {code}") from None
+        if exc is None:
+            exc = RuntimeError(child_traceback.strip().splitlines()[-1])
+        raise exc from _ChildTraceback(child_traceback)
+
+    def close(self) -> None:
+        import signal  # here, not at the top: importing ccke should not pay for it
+
+        try:
+            if self._pid is not None:
+                os.kill(self._pid, signal.SIGKILL)
+                os.waitpid(self._pid, 0)
+                self._pid = None
+        finally:
+            self._pipe.close()
 
 
 def run_experiment(cfg: ExperimentConfig, environment=None,
@@ -703,6 +820,20 @@ def run_experiment(cfg: ExperimentConfig, environment=None,
     the wall seconds of training (with its rollouts) and of each phase,
     summed over the blocks.  With ``progress``, the draw phase prints the
     trial count and rate every 25 trials.
+
+    The draws do not depend on the model.  So on Linux, with a model to
+    train, more than one block, more than one CPU in
+    ``os.sched_getaffinity`` and ``threading.active_count() == 1`` (a
+    child forked beside another thread could inherit a lock it holds),
+    one forked child (``_ForkedDraws``) draws every block after the first
+    while the parent trains and draws the first block.  The parent reads
+    the child's blocks when it reaches the second, and then holds all of
+    their draws at once (about 126 KB for the benchmark's phy workload:
+    35 trials of 150 rows of 24 bytes); the draw stage counts the first
+    block plus that wait.  If ``os.pipe`` or ``os.fork`` fails, and on
+    every other platform, the parent draws every block itself.  A failure
+    in the child is raised here with the child's traceback as its cause;
+    a failure in the parent kills and reaps the child first.
     """
     clock = _StageClock()
     env = environment if environment is not None else build_environment(cfg)
@@ -711,6 +842,28 @@ def run_experiment(cfg: ExperimentConfig, environment=None,
     if target == actual:
         raise ContractViolationError("target and actual app must differ")
 
+    blocks = [range(first, min(first + TRIAL_BLOCK, cfg.n_trials))
+              for first in range(0, cfg.n_trials, TRIAL_BLOCK)]
+    child = None
+    if (not env.has_exact_model and len(blocks) > 1 and _CAN_FORK
+            and len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1):
+        try:
+            child = _ForkedDraws(lambda block: _draw_block(env, cfg, target, actual, block),
+                                 blocks[1:])
+        except OSError:  # no process or memory to spare: draw every block here
+            pass
+    try:
+        return _run_blocks(env, cfg, target, actual, blocks, child, clock, progress)
+    finally:
+        if child is not None:
+            child.close()
+
+
+def _run_blocks(env, cfg: ExperimentConfig, target, actual, blocks, child,
+                clock: _StageClock, progress: bool) -> ExperimentReport:
+    """``run_experiment`` after the environment is built: training, then
+    the three phases of each block; ``child``, if not None, draws
+    ``blocks[1:]``."""
     model = None
     if not env.has_exact_model:
         rng_tr = rng_for(cfg.base_seed, _STREAM_TRAIN_DATA)
@@ -722,11 +875,18 @@ def run_experiment(cfg: ExperimentConfig, environment=None,
     clock.lap("train")
 
     n_cal, n_test = cfg.n_cal, cfg.n_test
-    trials, weight_errors = [], []
+    trials, weight_errors, drawn = [], [], []  # drawn: the child's blocks, not yet used
     start = time.perf_counter()
-    for first in range(0, cfg.n_trials, TRIAL_BLOCK):
-        block = range(first, min(first + TRIAL_BLOCK, cfg.n_trials))
-        ctx, kpis, factors = _draw_block(env, cfg, target, actual, block, progress, start)
+    for i, block in enumerate(blocks):
+        if i == 1 and child is not None:
+            drawn = child.collect()
+        if drawn:
+            ctx, kpis, factors = drawn.pop(0)
+        else:
+            ctx, kpis, factors = _draw_block(env, cfg, target, actual, block)
+        if progress and len(block) == TRIAL_BLOCK:  # every 25 trials
+            rate = (block[-1] + 1) / (time.perf_counter() - start)
+            print(f"  trial {block[-1] + 1}/{cfg.n_trials} ({rate:.1f} trials/s)")
         clock.lap("draw")
 
         n_sets, c = len(block), len(block) * n_cal  # c: the block's calibration rows
@@ -742,7 +902,7 @@ def run_experiment(cfg: ExperimentConfig, environment=None,
             w_test = w_test * factors[:, n_cal:]
             weight_errors.append(np.abs(w_cal - w_exact).ravel())
         corrections = {}
-        for method in dict.fromkeys(cfg.methods):
+        for method in cfg.methods:
             if method == "CCKE":
                 corrections[method] = weighted_corrections(cal_scores, w_cal, w_test, cfg.alpha)
             elif method == "NCCKE":

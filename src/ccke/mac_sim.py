@@ -127,8 +127,9 @@ class MacPolicy:
     payload_table: np.ndarray
 
     def __post_init__(self):
-        if self.temperature <= 0.0:
-            raise ContractViolationError("temperature must be positive")
+        if not self.temperature > 0.0:  # NaN fails too; +inf selects uniformly
+            raise ContractViolationError(
+                f"temperature must be positive, got {self.temperature!r}")
         g = np.asarray(self.payload_table, dtype=float)
         if g.shape != (15,):
             raise ContractViolationError("payload_table must have 15 CQI entries")

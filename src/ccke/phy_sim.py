@@ -712,8 +712,9 @@ class PhyPolicy:
     ser_table: SerTable
 
     def __post_init__(self):
-        if self.temperature <= 0.0:
-            raise ContractViolationError("temperature must be positive")
+        if not self.temperature > 0.0:  # NaN fails too; +inf selects uniformly
+            raise ContractViolationError(
+                f"temperature must be positive, got {self.temperature!r}")
 
     def _utilities(self, ctx: PhyContexts) -> np.ndarray:
         """(n, apps) utilities 1/(ser*T)."""

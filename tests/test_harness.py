@@ -2,18 +2,23 @@
 truth, metrics, experiment execution, report emission, and the
 command-line interface."""
 
+import contextlib
 import csv
+import errno
 import math
+import os
 import re
 import subprocess
 import sys
+import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from ccke import harness, mac_sim, phy_sim
+from ccke import cli, harness, mac_sim, phy_sim
 from ccke.conformal import (
     ContractViolationError,
     CorrectionQuantile,
@@ -284,6 +289,35 @@ def test_mac_sampler_no_overflow_at_sharp_temperature(app):
     assert len(contexts) == 50
 
 
+SELECTION_BUILDERS = {
+    "mac": lambda t: MacEnvironment(n_users=4, temperature=t),
+    "phy": lambda t: PhyEnvironment(temperature=t),
+    "synthetic": lambda t: SyntheticEnvironment(selection_temperature=t),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SELECTION_BUILDERS))
+def test_nan_selection_temperature_rejected_when_built(name):
+    # NaN passed `temperature <= 0`: mac and synthetic then rejection-sampled
+    # 50M candidates before a misleading "too rare", phy raised numpy's
+    # "Probabilities contain NaN"
+    with pytest.raises(ContractViolationError, match="temperature"):
+        SELECTION_BUILDERS[name](math.nan)
+
+
+@pytest.mark.parametrize("name", sorted(SELECTION_BUILDERS))
+def test_infinite_selection_temperature_selects_uniformly(name):
+    env = SELECTION_BUILDERS[name](math.inf)
+    apps = ENVIRONMENTS[name][1]
+    ctx = env.sample_contexts_given_app(apps[0], 20, rng_for(16, 1))
+    assert np.array_equal(env.weight(ctx, apps[1], apps[0]), np.ones(20))
+
+
+def test_synthetic_rejects_nan_half_width():
+    with pytest.raises(ContractViolationError, match="half_width"):
+        SyntheticEnvironment(half_width=math.nan)
+
+
 @pytest.mark.parametrize("name", sorted(ENVIRONMENTS))
 def test_sampler_draws_nothing_for_no_rows_and_rejects_negative_counts(name):
     make, apps = ENVIRONMENTS[name]
@@ -470,8 +504,9 @@ def test_methods_filter():
 def test_config_validation():
     with pytest.raises(ContractViolationError):
         ExperimentConfig(alpha=0.005, n_cal=50)  # below 1/(n_cal+1)
-    with pytest.raises(ContractViolationError):
-        ExperimentConfig(methods=("CCKE", "XYZ"))
+    for methods in (("CCKE", "XYZ"), (), ("CCKE", "CCKE")):
+        with pytest.raises(ContractViolationError, match="method"):
+            ExperimentConfig(methods=methods)
     with pytest.raises(ContractViolationError):
         ExperimentConfig(n_trials=0)
 
@@ -522,6 +557,155 @@ def test_report_times_its_stages():
     exact = run_experiment(ExperimentConfig(environment="synthetic", actual_app="alt",
                                             target_app="base", n_trials=3))
     assert exact.stage_seconds["train"] < exact.stage_seconds["draw"]  # nothing to train
+
+
+# ---------------------------------------------------------------------------
+# trial draws in a forked child while the model trains
+
+OVERLAP_CASES = {
+    "phy": dict(environment="phy", actual_app="multiplexing_qpsk",
+                target_app="alamouti_qpsk", n_train=200),
+    "mac": dict(environment="mac", n_users=3, n_train=60, weight_perturbation=0.1,
+                kpi_noise=NoiseSpec(sigma=0.5)),
+}
+
+
+def overlap_config(name):
+    """Three trial blocks: the parent draws the first, a child the other two."""
+    return ExperimentConfig(**OVERLAP_CASES[name], n_cal=20, n_test=5,
+                            n_trials=2 * harness.TRIAL_BLOCK + 1, train_epochs=1,
+                            base_seed=23)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The number of blocks of each child run_experiment forks, with two
+    CPUs in the affinity mask whatever the box has.  After the test no
+    child is left, live or zombie, and no descriptor is left open."""
+    if not harness._CAN_FORK:
+        pytest.skip("run_experiment forks on Linux only")
+    assert threading.active_count() == 1  # else run_experiment would never fork
+    fds = set(os.listdir("/proc/self/fd"))
+    made = []
+
+    class Counting(harness._ForkedDraws):
+        def __init__(self, draw, blocks):
+            made.append(len(blocks))
+            super().__init__(draw, blocks)
+
+    monkeypatch.setattr(harness, "_ForkedDraws", Counting)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    yield made
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert set(os.listdir("/proc/self/fd")) == fds
+
+
+def in_child_only(monkeypatch, action):
+    """Make phy rollouts run ``action()`` first in any process but this one."""
+    parent, rollout = os.getpid(), harness.PhyEnvironment.rollout
+
+    def child_rollout(self, app, ctx, rng):
+        if os.getpid() != parent:
+            action()
+        return rollout(self, app, ctx, rng)
+
+    monkeypatch.setattr(harness.PhyEnvironment, "rollout", child_rollout)
+
+
+def inline_bytes(cfg, monkeypatch, out_dir):
+    """``trials.csv`` and ``aggregate.csv`` of ``cfg`` with every block
+    drawn in this process, as off Linux."""
+    with monkeypatch.context() as m:
+        m.setattr(harness, "_CAN_FORK", False)
+        emit_report(run_experiment(cfg), out_dir)
+    return [(out_dir / name).read_bytes() for name in ("trials.csv", "aggregate.csv")]
+
+
+@pytest.mark.parametrize("name", sorted(OVERLAP_CASES))
+def test_overlap_forked_draws_give_the_same_bytes(name, forks, monkeypatch, tmp_path):
+    cfg = overlap_config(name)
+    emit_report(run_experiment(cfg), tmp_path / "forked")
+    forked = [(tmp_path / "forked" / n).read_bytes() for n in ("trials.csv", "aggregate.csv")]
+    assert forked == inline_bytes(cfg, monkeypatch, tmp_path / "inline")
+    assert forks == [2]
+
+
+def _refuse_fork():
+    raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
+@pytest.mark.parametrize("case", ["fork fails", "one CPU", "another thread"])
+def test_overlap_draws_inline_when_it_cannot_or_should_not_fork(case, forks, monkeypatch,
+                                                                 tmp_path):
+    cfg = overlap_config("mac")
+    expected = inline_bytes(cfg, monkeypatch, tmp_path / "inline")
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    if case == "fork fails":
+        monkeypatch.setattr(os, "fork", _refuse_fork)
+    elif case == "one CPU":  # the child would only compete with training
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    else:  # a child forked beside it could inherit a lock it holds
+        other.start()
+    try:
+        emit_report(run_experiment(cfg), tmp_path / "run")
+    finally:
+        release.set()
+        if other.is_alive():
+            other.join()
+    assert forks == ([2] if case == "fork fails" else [])  # tried, then drew inline
+    assert [(tmp_path / "run" / n).read_bytes()
+            for n in ("trials.csv", "aggregate.csv")] == expected
+
+
+@pytest.mark.parametrize("picklable", [True, False])
+def test_overlap_child_failure_raises_with_its_traceback(picklable, forks, monkeypatch):
+    class LocalError(Exception):  # pickles by a name no process can import
+        pass
+
+    error = FloatingPointError if picklable else LocalError
+
+    def fail():
+        raise error("rollout failed in the child")
+
+    in_child_only(monkeypatch, fail)
+    with pytest.raises(FloatingPointError if picklable else RuntimeError,
+                       match="rollout failed in the child") as info:
+        run_experiment(overlap_config("phy"))
+    assert forks == [2]
+    child_traceback = str(info.value.__cause__)
+    assert "in fail" in child_traceback and "in _draw_block" in child_traceback
+
+
+@pytest.mark.parametrize("stage", ["_train_model", "_bounds"])
+def test_overlap_parent_failure_kills_and_reaps_the_child(stage, forks, monkeypatch):
+    # the parent fails in training, or in the first block's predict phase
+    def fail(*args, **kwargs):
+        raise ArithmeticError("the parent failed")
+
+    in_child_only(monkeypatch, lambda: time.sleep(60.0))
+    monkeypatch.setattr(harness, stage, fail)
+    start = time.perf_counter()
+    with pytest.raises(ArithmeticError, match="the parent failed"):
+        run_experiment(overlap_config("phy"))
+    assert forks == [2]
+    assert time.perf_counter() - start < 30.0  # killed, not waited for
+
+
+def test_overlap_progress_prints_each_line_once(capfd, forks):
+    # stdout is block-buffered, as when it goes to a file or a pipe, and the
+    # child flushes it before it leaves: the parent must flush its buffered
+    # lines before the fork, or the child writes them again to fd 1, which
+    # capsys would not see.  The parent prints the child's blocks' lines
+    # when it reads them, in order
+    with open(os.dup(1), "w") as stdout, contextlib.redirect_stdout(stdout):
+        print("before the run")
+        run_experiment(overlap_config("mac"), progress=True)
+    lines = capfd.readouterr().out.splitlines()
+    assert forks == [2]
+    assert [line.split("(")[0] for line in lines] == \
+           ["before the run", "  trial 25/51 ", "  trial 50/51 "]
 
 
 def test_noise_generators_made_only_when_drawn_from(monkeypatch):
@@ -971,6 +1155,18 @@ def test_cli_ser_table_rejects_one_symbol_per_cell(tmp_path):
     assert out.returncode == 1
     assert "n_symbols" in out.stderr
     assert not (tmp_path / "ser.csv").exists()
+
+
+@pytest.mark.parametrize("methods", ["", "CCKE,ccke"])
+def test_cli_rejects_empty_or_repeated_methods(methods, tmp_path, capsys):
+    # both ran every draw and exited 0: header-only CSVs, or every CCKE row twice
+    argv = ["run", "--set", f"methods={methods}", "--set", "environment=synthetic",
+            "--set", "actual_app=base", "--set", "target_app=alt",
+            "--out-dir", str(tmp_path / "rep")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "method" in err
+    assert not (tmp_path / "rep").exists()
 
 
 def test_cli_bad_config_fails_cleanly(tmp_path):
