@@ -17,9 +17,11 @@ The controller selects apps through a softmax over inverse symbol error
 rates; the SER estimates come from a Monte-Carlo table on a (1 dB SNR
 bin) x (m) grid, persisted as delimited text.  The default table ships
 with the package (``SerTable.default``); ``SerTable.build`` makes it, or
-any other grid, afresh.  Receivers
-assume perfect CSI: orthogonal combining for Alamouti, zero-forcing for
-multiplexing (the 2x2 inverse, or the pseudo-inverse of a rank-1 channel).
+any other grid, afresh.  One link kernel (``_attempt_decodes``) serves
+both the table and the ARQ rollouts: fresh channels, noise, detection
+with perfect CSI (orthogonal combining for Alamouti, zero-forcing for
+multiplexing: the 2x2 inverse, or the pseudo-inverse of a rank-1
+channel) and per-symbol decisions, in which a tie is an error.
 """
 
 from __future__ import annotations
@@ -175,93 +177,9 @@ def snr_bin_masses(snr_lo: float, bin_width: float, n_bins: int) -> np.ndarray:
     return masses / masses.sum()
 
 
-_STEER_PHASE = -2j * math.pi * ANTENNA_SEPARATION
-
-
-def _steering_second(phi: np.ndarray) -> np.ndarray:
-    """Second entry of the unit-norm two-element array response at angle
-    phi; the first entry is 1/sqrt(2) at every angle.
-
-    Scaling in place by 1/sqrt(2) gives the bits of z / sqrt(2): numpy
-    divides a complex by a real s as z * (1/s), and the two agree wherever
-    neither part of z is zero, which cos and exp never give here.
-    """
-    second = np.exp(_STEER_PHASE * np.cos(phi))
-    second *= 1.0 / math.sqrt(2.0)
-    return second
-
-
-def _channel_batch(snr_db: float, paths: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n i.i.d. channel draws sqrt(SNR) * sum_i a_i e_r(phi_r,i) e_t(phi_t,i)^H,
-    shape (n, 2, 2).
-
-    Per-component gain variance is 1/m, so E|a_i|^2 = 2/m and
-    E||H||_F^2 = 2*SNR.  Generator use is fixed: the gains are one
-    ``standard_normal((2, n, m))`` draw (real parts, then imaginary), the
-    angles one ``uniform(0, 2*pi, (2, n, m))`` draw (receive, then
-    transmit).  The sum over paths is the complex multiply-accumulate
-    ``(a * e_r) * conj(e_t)`` of a plain einsum, written out in real
-    arithmetic with separate multiplies and adds, summed over paths in
-    order from zero, so the bits do not depend on whether numpy fuses
-    multiply-adds in its complex multiply.
-    """
-    # work path-major, (.., m, n), so the sum over paths adds whole rows
-    gains = np.empty((2, paths, n))
-    np.multiply(rng.standard_normal((2, n, paths)).transpose(0, 2, 1),
-                1.0 / math.sqrt(paths), out=gains)  # complex gains / sqrt(m), bit for bit
-    gr, gi = gains
-    phi = rng.uniform(0.0, 2.0 * math.pi, size=(2, n, paths))
-    second = _steering_second(np.ascontiguousarray(phi.transpose(0, 2, 1)))
-    rr, ri = second[0].real, second[0].imag
-    tr, ti = second[1].real, second[1].imag
-    s = 1.0 / math.sqrt(2.0)  # the first steering entry, (s, +0)
-    # a = gain * e_r[i]; each product below is a * conj(e_t[j])
-    a0r, a0i = gr * s, gi * s
-    a1r, a1i = gr * rr - gi * ri, gr * ri + gi * rr
-    prods = np.empty((8, paths, n))
-    np.multiply(a0r, s, out=prods[0])  # h00
-    np.multiply(a0i, s, out=prods[1])
-    np.add(a0r * tr, a0i * ti, out=prods[2])  # h01
-    np.subtract(a0i * tr, a0r * ti, out=prods[3])
-    np.multiply(a1r, s, out=prods[4])  # h10
-    np.multiply(a1i, s, out=prods[5])
-    np.add(a1r * tr, a1i * ti, out=prods[6])  # h11
-    np.subtract(a1i * tr, a1r * ti, out=prods[7])
-    acc = np.zeros((8, n))
-    for k in range(paths):
-        acc += prods[:, k]
-    acc *= math.sqrt(10.0 ** (snr_db / 10.0))
-    return np.ascontiguousarray(acc.T).view(complex).reshape(n, 2, 2)
-
-
 # ---------------------------------------------------------------------------
-# modulation and detection (batched over blocks of 2 symbols)
-
-
-def _draw_noise(shape, rng, noise_std):
-    if noise_std == 0.0:
-        return np.zeros(shape, dtype=complex)
-    scale = noise_std / math.sqrt(2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-
-
-def _decode_nearest(estimates, constellation):
-    d = np.abs(estimates[..., None] - constellation)
-    return np.argmin(d, axis=-1)
-
-
-def _alamouti_block(h, s, rng, noise_std):
-    """(n,2,2) channels x (n,2) symbol values -> (n,2) soft estimates."""
-    tx1 = s / math.sqrt(2.0)
-    tx2 = np.stack([-np.conj(s[:, 1]), np.conj(s[:, 0])], axis=1) / math.sqrt(2.0)
-    r1 = np.einsum("nij,nj->ni", h, tx1) + _draw_noise(s.shape, rng, noise_std)
-    r2 = np.einsum("nij,nj->ni", h, tx2) + _draw_noise(s.shape, rng, noise_std)
-    h1, h2 = h[:, :, 0], h[:, :, 1]
-    z1 = np.sum(np.conj(h1) * r1, axis=1) + np.conj(np.sum(np.conj(h2) * r2, axis=1))
-    z2 = np.sum(np.conj(h2) * r1, axis=1) - np.conj(np.sum(np.conj(h1) * r2, axis=1))
-    gain = np.sum(np.abs(h) ** 2, axis=(1, 2))
-    gain = np.where(gain > 0.0, gain, np.inf)  # dead channel decodes arbitrarily
-    return math.sqrt(2.0) * np.stack([z1, z2], axis=1) / gain[:, None]
+# the link kernel: one attempt's draws, channels, detection and decisions,
+# which serve both the ARQ rollouts and the SER table
 
 
 # Zero-forcing takes adj(H) / det H only where that is clearly the inverse
@@ -293,25 +211,8 @@ def _zero_forcing(h: np.ndarray) -> np.ndarray:
     return out
 
 
-def _multiplexing_block(h, s, rng, noise_std):
-    """One slot, one independent symbol per antenna, zero-forcing receive."""
-    r = np.einsum("nij,nj->ni", h, s / math.sqrt(2.0)) + _draw_noise(s.shape, rng, noise_std)
-    return math.sqrt(2.0) * np.einsum("nij,nj->ni", _zero_forcing(h), r)
-
-
-def _send_blocks(app: TransmissionApp, h, sym_idx, rng, noise_std=1.0):
-    """Decode symbol-index pairs through batched channels; returns indices."""
-    constellation = _CONSTELLATIONS[app.constellation]
-    s = constellation[sym_idx]
-    if app.code == ALAMOUTI:
-        est = _alamouti_block(h, s, rng, noise_std)
-    else:
-        est = _multiplexing_block(h, s, rng, noise_std)
-    return _decode_nearest(est, constellation)
-
-
 ARQ_BLOCK_ROWS = 512  # rows per block of arq_latencies
-ARQ_CHUNK_ROWS = 128  # rows decoded at a time: bounds the working arrays
+DECODE_CHUNK_BLOCKS = 512  # 2-symbol blocks decoded at a time: bounds the working arrays
 
 
 def _mirror_images(points: np.ndarray) -> np.ndarray:
@@ -340,9 +241,9 @@ _ARQ_TABLES = {app: _arq_tables(app) for app in PHY_APPS}
 # entries that are 1/sqrt(2) at every angle, with 0.5 exact for h_00
 _H_SCALE = np.array([[0.5, 1.0 / math.sqrt(2.0)],
                      [1.0 / math.sqrt(2.0), 1.0]])[:, :, None, None]
-# -pi for the receive phases; +pi for the transmit ones: cos is even and sin
-# odd, bit for bit, so their steering comes out conjugated
-_CONJ_PHASE = np.array([-math.pi, math.pi])[:, None, None]
+# -2 pi d = -pi for the receive phases, +pi for the transmit ones: cos is
+# even and sin odd, bit for bit, so their steering comes out conjugated
+_CONJ_PHASE = 2.0 * math.pi * ANTENNA_SEPARATION * np.array([-1.0, 1.0])[:, None, None]
 
 
 def _sent_is_nearest(est: np.ndarray, cand: np.ndarray) -> np.ndarray:
@@ -354,14 +255,15 @@ def _sent_is_nearest(est: np.ndarray, cand: np.ndarray) -> np.ndarray:
     return d[0] < functools.reduce(np.minimum, d[1:])
 
 
-def _attempt_draws(app: TransmissionApp, n: int, blocks: int, rng, noise_std) -> tuple:
-    """One ARQ attempt's draws for n rows, in the order ``arq_latencies``
-    lists them: gains and angles, (2, n, PATHS_MAX); symbol indices, (n,
-    blocks, 2); and the noise, (slots, 2, n, blocks, 2) and scaled, or
-    None when ``noise_std`` is 0."""
+def _attempt_draws(app: TransmissionApp, n: int, paths: int, blocks: int, rng,
+                   noise_std) -> tuple:
+    """One attempt's draws for n rows of ``paths`` path slots, in the order
+    ``arq_latencies`` lists them: gains and angles, (2, n, paths); symbol
+    indices, (n, blocks, 2); and the noise, (slots, 2, n, blocks, 2) and
+    scaled, or None when ``noise_std`` is 0."""
     tx_table, mirrors = _ARQ_TABLES[app]
-    g = rng.standard_normal((2, n, PATHS_MAX))
-    phi = rng.uniform(0.0, 2.0 * math.pi, size=(2, n, PATHS_MAX))
+    g = rng.standard_normal((2, n, paths))
+    phi = rng.uniform(0.0, 2.0 * math.pi, size=(2, n, paths))
     sym = rng.integers(0, mirrors.shape[1], size=(n, blocks, 2))
     w = None
     if noise_std != 0.0:
@@ -371,68 +273,81 @@ def _attempt_draws(app: TransmissionApp, n: int, blocks: int, rng, noise_std) ->
 
 
 def _attempt_decodes(app: TransmissionApp, amp, live, blocks: int, rng, noise_std) -> np.ndarray:
-    """One ARQ attempt of every row: whether its packet of ``blocks``
-    2-symbol blocks on one fresh channel decodes error free, (n,) bool.
+    """One attempt of every row: whether each symbol of its packet of
+    ``blocks`` 2-symbol blocks on one fresh channel decodes, (2 * blocks,
+    n) bool, symbol i of block b in row ``i * blocks + b``.
 
-    ``live`` (n, PATHS_MAX) marks each row's first m paths and ``amp``
+    ``live`` (n, paths) marks each row's first m path slots and ``amp``
     holds sqrt(SNR/m) on them, 0 beyond.  ``rng`` is a generator or a
     list of (generator, row count) segments: each segment makes the
-    round's draws for its rows, as ``arq_latencies`` lists them, segment
-    after segment.  Then all rows are decoded ``ARQ_CHUNK_ROWS`` at a
-    time, which keeps the working arrays small; a row's result does not
-    depend on its chunk.  A tie, a NaN estimate or a dead channel is a
-    symbol error."""
-    n = amp.shape[0]
-    draws = [_attempt_draws(app, rows, blocks, g, noise_std) for g, rows in rng_segments(rng, n)]
+    draws for its rows, as ``arq_latencies`` lists them at ``paths``
+    slots, segment after segment.  Then the rows are decoded
+    ``DECODE_CHUNK_BLOCKS`` blocks (at least one row) at a time, which
+    keeps the working arrays small; a row's result does not depend on its
+    chunk.  A tie, a NaN estimate or a dead channel is a symbol error."""
+    n, paths = live.shape
+    draws = [_attempt_draws(app, rows, paths, blocks, g, noise_std)
+             for g, rows in rng_segments(rng, n)]
     g, phi, sym, w = (parts[0] if len(parts) == 1 or parts[0] is None
                       else np.concatenate(parts, axis=axis)
                       for axis, parts in zip((1, 1, 0, 2), zip(*draws)))
-    ok = np.empty(n, dtype=bool)
-    for lo in range(0, n, ARQ_CHUNK_ROWS):
-        rows = slice(lo, lo + ARQ_CHUNK_ROWS)
-        ok[rows] = _packet_decodes(app, amp[rows], live[rows], g[:, rows], phi[:, rows],
-                                   sym[rows], None if w is None else w[:, :, rows])
+    ok = np.empty((2 * blocks, n), dtype=bool)
+    step = max(1, DECODE_CHUNK_BLOCKS // blocks)
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        ok[:, rows] = _packet_decodes(app, amp[rows], live[rows], g[:, rows], phi[:, rows],
+                                      sym[rows], None if w is None else w[:, :, rows])
     return ok
 
 
-def _packet_decodes(app: TransmissionApp, amp, live, g, phi, sym, w) -> np.ndarray:
-    """Whether each row's packet decodes error free, (n,) bool, given its
-    gains ``g`` and angles ``phi``, (2, n, PATHS_MAX); symbol indices
-    ``sym``, (n, blocks, 2); and noise ``w``, (slots, 2, n, blocks, 2),
-    already scaled, or None.
-
-    Each row's 2x2 channel is formed once, from its live paths only, and
-    serves every block.  The estimates are, bit for bit (but for the sign
-    of a zero on an exactly zero channel), those of the masked
-    PATHS_MAX-wide channel repeated per block through ``_alamouti_block``
-    or ``_multiplexing_block``.  So sums keep numpy's order, the received
-    signal is a plain complex einsum, and every other complex product is a
-    numpy complex multiply into an output that overlaps no input (numpy
-    fuses its multiply-adds except in the scalar loop it takes for
-    overlaps).  Arrays run (.., block, row), rows innermost.  A dead
-    channel (||H|| = 0) estimates 0, where every distance ties."""
-    n = amp.shape[0]
-    tx_table, mirrors = _ARQ_TABLES[app]
-    sym = np.ascontiguousarray(sym.transpose(2, 1, 0))
-
+def _channels(amp, live, g, phi) -> np.ndarray:
+    """Each row's 2x2 channel sum_i a_i e_r(phi_r,i) e_t(phi_t,i)^H over
+    its live paths, (2, 2, n) complex, ``[j, i]`` the entry h_ij: gains
+    a_i = (g_re + i g_im) sqrt(SNR/m) from ``g`` and ``amp``, receive then
+    transmit angles ``phi``, (2, n, paths), and the unit-norm array
+    response e(phi) = (1, exp(-2 pi i d cos phi)) / sqrt(2), d =
+    ``ANTENNA_SEPARATION``.  So E||H||_F^2 = 2 SNR."""
+    n, paths = live.shape
     # the steering e_r and conj(e_t) of live paths only, as cos and sin of
     # the phase -pi cos(phi), and of its negation for conj(e_t); dead paths
     # keep e = 0 and gains a = 0
     phase = np.cos(phi, out=np.zeros_like(phi), where=live)
     phase *= _CONJ_PHASE
-    e = np.zeros((2, n, PATHS_MAX, 2))
+    e = np.zeros((2, n, paths, 2))
     np.cos(phase, out=e[..., 0], where=live)
     np.sin(phase, out=e[..., 1], where=live)
     e *= 1.0 / math.sqrt(2.0)
     er, et = e.view(complex)[..., 0]
-    # path terms [[a, a e_r], [a conj(e_t), a e_r conj(e_t)]], a = (g_re + i g_im) sqrt(SNR/m)
-    terms = np.empty((2, 2, n, PATHS_MAX), dtype=complex)
+    # path terms [[a, a e_r], [a conj(e_t), a e_r conj(e_t)]]
+    terms = np.empty((2, 2, n, paths), dtype=complex)
     np.multiply(g[0], amp, out=terms[0, 0].real)
     np.multiply(g[1], amp, out=terms[0, 0].imag)
     np.multiply(terms[0, 0], er, out=terms[0, 1])
     np.multiply(terms[0], et, out=terms[1])
-    h = terms.sum(axis=-1)  # h[j, i] is channel entry h_ij of every row
+    h = terms.sum(axis=-1)
     h.view(float).reshape(2, 2, n, 2)[...] *= _H_SCALE
+    return h
+
+
+def _packet_decodes(app: TransmissionApp, amp, live, g, phi, sym, w) -> np.ndarray:
+    """Whether each symbol of each row's packet decodes, laid out as
+    ``_attempt_decodes`` returns it, given the gains ``g`` and angles
+    ``phi``, (2, n, paths); symbol indices ``sym``, (n, blocks, 2); and
+    noise ``w``, (slots, 2, n, blocks, 2), already scaled, or None.
+
+    Each row's channel (``_channels``) is formed once and serves every
+    block.  The estimates are, bit for bit (but for the sign of a zero on
+    an exactly zero channel), those of textbook detection of each block on
+    that channel.  So sums keep numpy's order, the received signal is a
+    plain complex einsum, and every other complex product is a numpy
+    complex multiply into an output that overlaps no input (numpy fuses
+    its multiply-adds except in the scalar loop it takes for overlaps).
+    Arrays run (.., block, row), rows innermost.  A dead channel (||H||
+    = 0) estimates 0, where every distance ties."""
+    n = live.shape[0]
+    tx_table, mirrors = _ARQ_TABLES[app]
+    sym = np.ascontiguousarray(sym.transpose(2, 1, 0))
+    h = _channels(amp, live, g, phi)
 
     tx = np.take(tx_table, sym[0] * mirrors.shape[1] + sym[1], axis=2)
     r = np.empty(tx.shape, dtype=complex)
@@ -459,7 +374,14 @@ def _packet_decodes(app: TransmissionApp, amp, live, g, phi, sym, w) -> np.ndarr
         est = np.empty(r.shape[1:], dtype=complex)
         np.einsum("jin,jbn->ibn", zf, r[0], out=est)
         est.view(float)[...] *= math.sqrt(2.0)
-    return _sent_is_nearest(est, np.take(mirrors, sym, axis=1)).reshape(-1, n).all(axis=0)
+    return _sent_is_nearest(est, np.take(mirrors, sym, axis=1)).reshape(-1, n)
+
+
+def _path_amplitudes(ctx: PhyContexts, paths: int) -> tuple:
+    """``_attempt_decodes``'s (n, paths) ``amp`` and ``live`` of ``ctx``."""
+    scale = np.sqrt(10.0 ** (ctx.snr_db / 10.0)) / np.sqrt(ctx.paths)
+    live = np.arange(paths) < ctx.paths[:, None]
+    return np.where(live, scale[:, None], 0.0), live
 
 
 def arq_latencies(app: TransmissionApp, ctx: PhyContexts, arq: ArqConfig,
@@ -495,25 +417,21 @@ def arq_latencies(app: TransmissionApp, ctx: PhyContexts, arq: ArqConfig,
     one after another; so a segment's blocks still run one after another,
     and a pool's rounds serve several small segments at once.  In each
     round of a pool, every block draws for its live rows, in segment
-    order, before all live rows are decoded together, ``ARQ_CHUNK_ROWS``
-    at a time.
+    order, before all live rows are decoded together by the link kernel
+    that also estimates the SER table (``_attempt_decodes``).
 
     An attempt forms each row's 2x2 channel once, from its first m paths,
-    and sends every block of the packet through it.  Alamouti combines
-    orthogonally; multiplexing zero-forces through ``_zero_forcing``,
-    which keeps pinv for every rank-1 single-path channel.  A symbol
-    decodes only when its sent point is the only point no farther from
-    the estimate than itself, so a tie, a NaN estimate or a dead channel
-    (||H|| = 0, every distance tied) is a symbol error.  Each row's
-    latency has the law of attempts drawn one row after another, so only
-    the stream, not the law, depends on the segment.
+    and sends every block of the packet through it.  Its packet decodes
+    when every symbol does: when each sent point is the only point no
+    farther from its estimate than itself, so a tie, a NaN estimate or a
+    dead channel (||H|| = 0, every distance tied) is a symbol error.  Each
+    row's latency has the law of attempts drawn one row after another, so
+    only the stream, not the law, depends on the segment.
     """
     if not (math.isfinite(noise_std) and noise_std >= 0.0):
         raise ContractViolationError(f"noise_std must be finite and >= 0, got {noise_std!r}")
     blocks = arq.symbols_per_packet // 2
-    scale = np.sqrt(10.0 ** (ctx.snr_db / 10.0)) / np.sqrt(ctx.paths)  # sqrt(SNR/m)
-    live = np.arange(PATHS_MAX) < ctx.paths[:, None]  # each row's first m paths
-    amp = np.where(live, scale[:, None], 0.0)
+    amp, live = _path_amplitudes(ctx, PATHS_MAX)
     latency = np.full(len(ctx), arq.max_retx, dtype=np.int64)
     # pools of (generator, rows) lanes, one lane per segment block
     pools, pooled, first = [], ARQ_BLOCK_ROWS, 0
@@ -530,7 +448,7 @@ def arq_latencies(app: TransmissionApp, ctx: PhyContexts, arq: ArqConfig,
         for attempt in range(1, arq.max_retx + 1):
             rows = np.concatenate([lane for _, lane in lanes])
             ok = _attempt_decodes(app, amp[rows], live[rows], blocks,
-                                  [(g, lane.size) for g, lane in lanes], noise_std)
+                                  [(g, lane.size) for g, lane in lanes], noise_std).all(axis=0)
             latency[rows[ok]] = attempt
             split = np.cumsum([lane.size for _, lane in lanes])[:-1]
             lanes = [(g, lane[~lane_ok]) for (g, lane), lane_ok in zip(lanes, np.split(ok, split))]
@@ -556,22 +474,22 @@ def estimate_ser(app: TransmissionApp, snr_db: float, paths: int,
                  rng: np.random.Generator, n_symbols: int = 10_000) -> float:
     """Symbol-error frequency over fresh channels, clamped into (0, 1).
 
-    One channel draw per 2-symbol block; the clamp keeps the softmax
-    selection's exp(1/(ser*T)) finite on error-free cells.
+    One attempt of the ARQ rollouts' link kernel (``_attempt_decodes``)
+    over ``n_symbols // 2`` one-block rows at m path slots, so one channel
+    per 2-symbol block, drawn as ``arq_latencies`` lists at width m.  A
+    tie is a symbol error, so a dead or hopeless channel reads ``1 -
+    SER_CLAMP``; the clamp keeps the softmax selection's exp(1/(ser*T))
+    finite on error-free cells.
     """
     if n_symbols < 2:
         raise ContractViolationError(
             f"n_symbols must be >= 2 (one 2-symbol block), got {n_symbols!r}")
-    if not (math.isfinite(snr_db) and snr_db <= SNR_DB_CEILING):
-        raise ContractViolationError(
-            f"snr_db must be finite and at most {SNR_DB_CEILING} dB, got {snr_db!r}")
-    constellation = _CONSTELLATIONS[app.constellation]
-    blocks = n_symbols // 2
-    h = _channel_batch(snr_db, paths, blocks, rng)
-    sym = rng.integers(0, constellation.size, size=(blocks, 2))
-    decoded = _send_blocks(app, h, sym, rng)
-    ser = np.mean(decoded != sym)
-    return float(np.clip(ser, SER_CLAMP, 1.0 - SER_CLAMP))
+    ctx = PhyContexts(snr_db=[snr_db], paths=[paths])
+    amp, live = _path_amplitudes(ctx, int(ctx.paths[0]))
+    rows = (n_symbols // 2, live.shape[1])
+    ok = _attempt_decodes(app, np.broadcast_to(amp, rows), np.broadcast_to(live, rows), 1,
+                          rng, 1.0)
+    return float(np.clip(np.mean(~ok), SER_CLAMP, 1.0 - SER_CLAMP))
 
 
 @dataclass(frozen=True)
@@ -653,6 +571,16 @@ class SerTable:
             return cls.load(path)
 
     def save(self, path) -> None:
+        """Write the table as delimited text, one row per cell.  ``load``
+        takes the bin width as the difference of the two lowest bin lows
+        (1 dB for a single bin), so a grid whose lows would not give back
+        ``bin_width`` exactly is refused, before the file is opened."""
+        lows = [self.snr_lo + b * self.bin_width for b in range(min(self.n_bins, 2))]
+        width = lows[1] - lows[0] if len(lows) > 1 else 1.0
+        if width != self.bin_width:
+            raise ContractViolationError(
+                f"bin_width {self.bin_width!r} would load back as {width!r} from the bin "
+                f"lows {', '.join(map(repr, lows))}; choose a width the lows give back exactly")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["app", "snr_bin_low_db", "m", "ser", "n_mc", "seed"])

@@ -947,7 +947,7 @@ REFERENCE_CASES = {
                               target_app="alamouti_qpsk", n_train=60, n_cal=20, n_test=10,
                               n_trials=5, train_epochs=1),
 }
-assert 5 * 30 > phy_sim.ARQ_CHUNK_ROWS
+assert 5 * 30 * (phy_sim.ArqConfig().symbols_per_packet // 2) > phy_sim.DECODE_CHUNK_BLOCKS
 
 
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))

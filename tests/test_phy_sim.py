@@ -36,15 +36,11 @@ from ccke.phy_sim import (
 )
 from ccke.phy_sim import (
     _CONSTELLATIONS,
-    _alamouti_block,
     _attempt_decodes,
-    _channel_batch,
-    _decode_nearest,
-    _draw_noise,
+    _channels,
     _mirror_images,
-    _multiplexing_block,
+    _path_amplitudes,
     _sent_is_nearest,
-    _steering_second,
     _zero_forcing,
 )
 
@@ -93,26 +89,51 @@ def test_ndtr_ndtri_match_norm_bitwise():
 
 
 # ---------------------------------------------------------------------------
-# channel model
+# channel model: the link kernel's channels
+
+
+def kernel_channels(snr_db, paths, n, rng, width=None):
+    """n channels of the link kernel, (n, 2, 2), from gains and angles
+    drawn at ``width`` path slots (default m; ``PATHS_MAX`` masks the
+    slots beyond m, as the ARQ rollouts do)."""
+    width = paths if width is None else width
+    ctx = PhyContexts(snr_db=np.full(n, snr_db), paths=np.full(n, paths))
+    amp, live = _path_amplitudes(ctx, width)
+    g = rng.standard_normal((2, n, width))
+    phi = rng.uniform(0.0, 2.0 * math.pi, size=(2, n, width))
+    return _channels(amp, live, g, phi).transpose(2, 1, 0)
+
+
+def unit_gain_channels(phi):
+    """Single-path channels e_r(phi_r) e_t(phi_t)^H of gain 1, (n, 2, 2),
+    for (2, n) receive and transmit angles."""
+    n = phi.shape[1]
+    g = np.stack([np.ones((n, 1)), np.zeros((n, 1))])
+    return _channels(np.ones((n, 1)), np.ones((n, 1), dtype=bool), g,
+                     phi[:, :, None]).transpose(2, 1, 0)
 
 
 def test_steering_vector_broadside():
-    # the first entry is 1/sqrt(2) at every angle
-    v = _steering_second(np.array([math.pi / 2.0]))
-    np.testing.assert_allclose(v, [1.0 / math.sqrt(2.0)], atol=1e-12)
+    # the first entry is 1/sqrt(2) at every angle, so h_00 is a / 2 exactly;
+    # at broadside the second entry is 1/sqrt(2) as well
+    rng = np.random.default_rng(3)
+    h = unit_gain_channels(rng.uniform(0, 2 * math.pi, (2, 64)))
+    assert np.all(h[:, 0, 0] == 0.5)
+    h = unit_gain_channels(np.full((2, 1), math.pi / 2.0))
+    np.testing.assert_allclose(h[0], np.full((2, 2), 0.5), atol=1e-12)
 
 
 def test_steering_vector_unit_norm():
     rng = np.random.default_rng(3)
-    phis = rng.uniform(0, 2 * math.pi, 64)
-    v = _steering_second(phis)
-    np.testing.assert_allclose(0.5 + np.abs(v) ** 2, 1.0, atol=1e-12)
+    h = unit_gain_channels(rng.uniform(0, 2 * math.pi, (2, 64)))
+    np.testing.assert_allclose(np.sum(np.abs(h) ** 2, axis=(1, 2)), 1.0, atol=1e-12)
 
 
 def test_single_path_channel_rank_one():
     rng = np.random.default_rng(4)
-    s = np.linalg.svd(_channel_batch(10.0, 1, 50, rng), compute_uv=False)
-    assert np.all(s[:, 1] <= 1e-10 * np.maximum(s[:, 0], 1.0))
+    for width in (1, PATHS_MAX):
+        s = np.linalg.svd(kernel_channels(10.0, 1, 50, rng, width), compute_uv=False)
+        assert np.all(s[:, 1] <= 1e-10 * np.maximum(s[:, 0], 1.0))
 
 
 def test_channel_second_moment():
@@ -120,8 +141,10 @@ def test_channel_second_moment():
     snr_db = 7.0
     snr_lin = 10.0 ** (snr_db / 10.0)
     for m in (1, 4, 10):
-        sq = np.sum(np.abs(_channel_batch(snr_db, m, 10_000, rng)) ** 2, axis=(1, 2))
-        assert np.mean(sq) == pytest.approx(2.0 * snr_lin, rel=0.05)
+        for width in (m, PATHS_MAX):
+            h = kernel_channels(snr_db, m, 10_000, rng, width)
+            sq = np.sum(np.abs(h) ** 2, axis=(1, 2))
+            assert np.mean(sq) == pytest.approx(2.0 * snr_lin, rel=0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +325,53 @@ def test_context_accepts_grid_edges_and_dead_channel():
 
 # ---------------------------------------------------------------------------
 # reference oracles: separate draws, stacked steering vectors, one complex
-# einsum over paths, and zero-forcing through pinv of every channel
+# einsum over paths, and zero-forcing through pinv of every channel; and
+# textbook detection of one 2-symbol block on each channel, whose
+# arithmetic the link kernel must keep bit for bit
+
+
+def frozen_steering_second(phi):
+    """Second entry of the unit-norm two-element array response, as
+    numpy's complex exp (the first entry is 1/sqrt(2) at every angle)."""
+    second = np.exp(-2j * math.pi * ANTENNA_SEPARATION * np.cos(phi))
+    second *= 1.0 / math.sqrt(2.0)
+    return second
+
+
+def frozen_draw_noise(shape, rng, noise_std):
+    if noise_std == 0.0:
+        return np.zeros(shape, dtype=complex)
+    scale = noise_std / math.sqrt(2.0)
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def frozen_alamouti_block(h, s, rng, noise_std):
+    """(n,2,2) channels x (n,2) symbol values -> (n,2) soft estimates."""
+    tx1 = s / math.sqrt(2.0)
+    tx2 = np.stack([-np.conj(s[:, 1]), np.conj(s[:, 0])], axis=1) / math.sqrt(2.0)
+    r1 = np.einsum("nij,nj->ni", h, tx1) + frozen_draw_noise(s.shape, rng, noise_std)
+    r2 = np.einsum("nij,nj->ni", h, tx2) + frozen_draw_noise(s.shape, rng, noise_std)
+    h1, h2 = h[:, :, 0], h[:, :, 1]
+    z1 = np.sum(np.conj(h1) * r1, axis=1) + np.conj(np.sum(np.conj(h2) * r2, axis=1))
+    z2 = np.sum(np.conj(h2) * r1, axis=1) - np.conj(np.sum(np.conj(h1) * r2, axis=1))
+    gain = np.sum(np.abs(h) ** 2, axis=(1, 2))
+    gain = np.where(gain > 0.0, gain, np.inf)  # dead channel estimates 0
+    return math.sqrt(2.0) * np.stack([z1, z2], axis=1) / gain[:, None]
+
+
+def frozen_multiplexing_block(h, s, rng, noise_std):
+    """One slot, one independent symbol per antenna, zero-forcing receive."""
+    r = (np.einsum("nij,nj->ni", h, s / math.sqrt(2.0))
+         + frozen_draw_noise(s.shape, rng, noise_std))
+    return math.sqrt(2.0) * np.einsum("nij,nj->ni", _zero_forcing(h), r)
+
+
+def reference_decodes(est, sym, points):
+    """The decode rule over every point: the sent point must be the only
+    point no farther from the estimate than itself."""
+    d = np.abs(est[..., None] - points)
+    d_sent = np.take_along_axis(d, sym[..., None], axis=-1)
+    return np.sum(d <= d_sent, axis=-1) == 1
 
 
 def reference_steering(phi):
@@ -330,24 +399,20 @@ def reference_estimates(app, h, sym, rng, noise_std=1.0):
     batched-SVD pseudo-inverse of every channel."""
     s = _CONSTELLATIONS[app.constellation][sym]
     if app.code == ALAMOUTI:
-        return _alamouti_block(h, s, rng, noise_std)
-    r = np.einsum("nij,nj->ni", h, s / math.sqrt(2.0)) + _draw_noise(s.shape, rng, noise_std)
+        return frozen_alamouti_block(h, s, rng, noise_std)
+    r = (np.einsum("nij,nj->ni", h, s / math.sqrt(2.0))
+         + frozen_draw_noise(s.shape, rng, noise_std))
     return math.sqrt(2.0) * np.einsum("nij,nj->ni", np.linalg.pinv(h), r)
 
 
-def reference_send_blocks(app, h, sym, rng, noise_std=1.0):
-    """Batched detection, ties to the first point (np.argmin)."""
-    return _decode_nearest(reference_estimates(app, h, sym, rng, noise_std),
-                           _CONSTELLATIONS[app.constellation])
-
-
 def reference_estimate_ser(app, snr_db, paths, rng, n_symbols):
-    """SER over reference channels and reference detection."""
-    constellation = _CONSTELLATIONS[app.constellation]
+    """SER over reference channels and reference detection; a tie is a
+    symbol error."""
+    points = _CONSTELLATIONS[app.constellation]
     blocks = n_symbols // 2
     h = reference_channel_batch(snr_db, paths, blocks, rng)
-    sym = rng.integers(0, constellation.size, size=(blocks, 2))
-    ser = np.mean(reference_send_blocks(app, h, sym, rng) != sym)
+    sym = rng.integers(0, points.size, size=(blocks, 2))
+    ser = np.mean(~reference_decodes(reference_estimates(app, h, sym, rng), sym, points))
     return float(np.clip(ser, SER_CLAMP, 1.0 - SER_CLAMP))
 
 
@@ -432,14 +497,6 @@ def reference_arq_latencies(app, ctx, arq, rng, noise_std=1.0):
     return latency
 
 
-def reference_decodes(est, sym, points):
-    """The decode rule over every point: the sent point must be the only
-    point no farther from the estimate than itself."""
-    d = np.abs(est[..., None] - points)
-    d_sent = np.take_along_axis(d, sym[..., None], axis=-1)
-    return np.sum(d <= d_sent, axis=-1) == 1
-
-
 @pytest.mark.parametrize("constellation", [BPSK, QPSK])
 def test_mirror_point_decode_matches_reference_rule(constellation):
     # estimates at scales 1..1e20 around the points, on the axes (where
@@ -471,15 +528,16 @@ def test_mirror_point_decode_matches_reference_rule(constellation):
 def reference_attempt_decodes(app, amp, paths, blocks, rng, noise_std):
     """One ARQ attempt as the round-major rollouts first wrote it: the
     PATHS_MAX-wide channel with masked gains, repeated over the blocks,
-    ``_alamouti_block`` or ``_multiplexing_block``, and the decode rule
-    over every point.  Returns the (n,) decisions and the (n * blocks, 2)
-    estimates."""
+    ``frozen_alamouti_block`` or ``frozen_multiplexing_block``, and the
+    decode rule over every point.  Returns the (2 * blocks, n) per-symbol
+    decisions, laid out as ``_attempt_decodes`` lays them out, and the (n
+    * blocks, 2) estimates."""
     points = _CONSTELLATIONS[app.constellation]
     g = rng.standard_normal((2, amp.size, PATHS_MAX))
     phi = rng.uniform(0.0, 2.0 * math.pi, size=(2, amp.size, PATHS_MAX))
     live = np.arange(PATHS_MAX) < paths[:, None]
     a = (g[0] + 1j * g[1]) * np.where(live, (amp / np.sqrt(paths))[:, None], 0.0)
-    er, et = _steering_second(phi)
+    er, et = frozen_steering_second(phi)
     et = np.conj(et)
     ar = a * er
     s = 1.0 / math.sqrt(2.0)
@@ -487,9 +545,10 @@ def reference_attempt_decodes(app, amp, paths, blocks, rng, noise_std):
                   s * ar.sum(axis=1), (ar * et).sum(axis=1)], axis=1)
     h = np.repeat(h.reshape(-1, 2, 2), blocks, axis=0)
     sym = rng.integers(0, points.size, size=(h.shape[0], 2))
-    block = _alamouti_block if app.code == ALAMOUTI else _multiplexing_block
+    block = frozen_alamouti_block if app.code == ALAMOUTI else frozen_multiplexing_block
     est = block(h, points[sym], rng, noise_std)
-    return reference_decodes(est, sym, points).reshape(amp.size, -1).all(axis=1), est
+    ok = reference_decodes(est, sym, points).reshape(amp.size, blocks, 2)
+    return ok.transpose(2, 1, 0).reshape(-1, amp.size), est
 
 
 @pytest.mark.parametrize("app", PHY_APPS, ids=lambda a: a.key)
@@ -525,7 +584,7 @@ def test_attempt_decodes_match_repeated_channel_reference(app, monkeypatch):
                 assert np.array_equal(a, b, equal_nan=True), (n, blocks, noise_std, part)
             assert np.array_equal(got, want), (n, blocks, noise_std, np.flatnonzero(got != want))
             assert got_rng.bit_generator.state == ref_rng.bit_generator.state
-            assert 0 < want.sum() < n or n < 83
+            assert 0 < want.all(axis=0).sum() < n or n < 83
 
 
 @pytest.mark.parametrize("app", PHY_APPS, ids=lambda a: a.key)
@@ -579,22 +638,10 @@ def test_arq_latencies_law_matches_reference(app):
 
 
 # ---------------------------------------------------------------------------
-# SER-table fast path against the reference
+# SER estimates of the link kernel against the reference
 
 
 SER_SNRS_DB = (-400.0, -5.0, 5.0, 15.0, 40.0)
-
-
-def test_channel_batch_matches_reference_bytes():
-    for seed, m, snr_db, n in itertools.product(range(3), range(1, PATHS_MAX + 1),
-                                                SER_SNRS_DB, (1, 7, 64)):
-        ref_rng = np.random.default_rng([seed, m, n])
-        rng = np.random.default_rng([seed, m, n])
-        want = reference_channel_batch(snr_db, m, n, ref_rng)
-        got = _channel_batch(snr_db, m, n, rng)
-        assert got.shape == want.shape and got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes(), (seed, m, snr_db, n)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("app", PHY_APPS, ids=lambda a: a.key)
@@ -609,10 +656,20 @@ def test_estimate_ser_matches_pinv_reference(app):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+def test_estimate_ser_across_decode_chunks_matches_reference():
+    # 515 one-block rows: a full decode chunk of DECODE_CHUNK_BLOCKS rows and 3
+    n_symbols = 2 * (phy_sim.DECODE_CHUNK_BLOCKS + 3)
+    for app, m in itertools.product(PHY_APPS, (1, PATHS_MAX)):
+        ref_rng, rng = np.random.default_rng([17, m]), np.random.default_rng([17, m])
+        want = reference_estimate_ser(app, 3.0, m, ref_rng, n_symbols)
+        assert repr(estimate_ser(app, 3.0, m, rng, n_symbols)) == repr(want), (app, m)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_zero_forcing_pinv_where_in_doubt_inverse_where_clear():
     rng = np.random.default_rng(16)
-    single = _channel_batch(10.0, 1, 300, rng)   # rank-1: all in doubt
-    multi = np.concatenate([_channel_batch(snr_db, m, 200, rng)
+    single = kernel_channels(10.0, 1, 300, rng)   # rank-1: all in doubt
+    multi = np.concatenate([kernel_channels(snr_db, m, 200, rng)
                             for m in range(2, PATHS_MAX + 1) for snr_db in (-400.0, 5.0)])
     edge = np.array([np.zeros((2, 2)),
                      [[1.0 + 2.0j, 2.0 - 1.0j], [2.0 + 4.0j, 4.0 - 2.0j]],  # det exactly 0
@@ -678,6 +735,23 @@ def test_estimate_ser_accepts_the_ceiling():
     for app in PHY_APPS:
         ser = estimate_ser(app, SNR_DB_CEILING, 2, np.random.default_rng(0), 2000)
         assert SER_CLAMP <= ser <= 1.0 - SER_CLAMP
+
+
+@pytest.mark.parametrize("paths", [0, 11, 2.5])
+def test_estimate_ser_rejects_invalid_paths(paths):
+    # paths=0 raised a bare ZeroDivisionError and paths=11 simulated an
+    # 11-path channel
+    for app in PHY_APPS:
+        with pytest.raises(ContractViolationError, match="paths"):
+            estimate_ser(app, 5.0, paths, np.random.default_rng(0), 2000)
+
+
+def test_ser_of_dead_and_hopeless_channels_reads_the_clamp():
+    # at -8000 dB H = 0 and every estimate is 0; at -400 dB the estimate is
+    # so large that every distance rounds to a tie.  A tie is a symbol error
+    for snr_db, app, m in itertools.product((-8000.0, -400.0), PHY_APPS, (1, 4, PATHS_MAX)):
+        ser = estimate_ser(app, snr_db, m, np.random.default_rng([18, m]), 2000)
+        assert ser == 1.0 - SER_CLAMP, (snr_db, app, m, ser)
 
 
 def test_table_build_rejects_snr_hi_above_ceiling():
@@ -765,23 +839,52 @@ def test_table_roundtrip(tmp_path, small_table):
     assert header == "app,snr_bin_low_db,m,ser,n_mc,seed"
 
 
-@pytest.mark.parametrize("snr_lo, bin_width, n_bins", [(-10.0, 0.1, 300), (-9.7, 0.3, 40),
-                                                        (2.5, 0.7, 2), (-5.0, 1.0, 20)])
-def test_table_load_accepts_every_grid_save_writes(tmp_path, snr_lo, bin_width, n_bins):
-    # a bin width that is no binary fraction comes back off by an ulp
-    table = SerTable(values=np.full((len(PHY_APPS), n_bins, PATHS_MAX), 0.25), snr_lo=snr_lo,
-                     bin_width=bin_width, n_mc=1, seed=0)
-    table.save(tmp_path / "ser.csv")
-    loaded = SerTable.load(tmp_path / "ser.csv")
-    assert np.array_equal(loaded.values, table.values)
-    assert loaded.bin_width == pytest.approx(bin_width, rel=1e-12)
-
-
 def write_ser_rows(path, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["app", "snr_bin_low_db", "m", "ser", "n_mc", "seed"])
         writer.writerows([key, repr(low), m, 0.25, 1, 0] for key, low, m in rows)
+
+
+@pytest.mark.parametrize("snr_lo, bin_width, n_bins", [(-10.0, 0.1, 300), (-9.7, 0.3, 40),
+                                                        (2.5, 0.7, 2), (-5.0, 1.0, 20)])
+def test_table_load_accepts_every_grid_save_writes(tmp_path, snr_lo, bin_width, n_bins):
+    # the lows snr_lo + b * bin_width, as save writes them (and wrote them
+    # before it refused widths that do not survive a reload); a bin width
+    # that is no binary fraction comes back off by an ulp
+    path = tmp_path / "ser.csv"
+    write_ser_rows(path, [(app.key, snr_lo + b * bin_width, m) for app in PHY_APPS
+                          for b in range(n_bins) for m in range(1, PATHS_MAX + 1)])
+    loaded = SerTable.load(path)
+    assert np.array_equal(loaded.values, np.full((len(PHY_APPS), n_bins, PATHS_MAX), 0.25))
+    assert loaded.snr_lo == snr_lo
+    assert loaded.bin_width == pytest.approx(bin_width, rel=1e-12)
+
+
+@pytest.mark.parametrize("snr_lo, bin_width, n_bins", [(-10.0, 0.1, 300), (2.5, 0.7, 2),
+                                                        (-5.0, 0.5, 1)])
+def test_table_save_refuses_a_grid_load_cannot_reproduce(tmp_path, snr_lo, bin_width, n_bins):
+    # -10 + 0.1 = -9.9 reloads the width as 0.09999999999999964; a single
+    # bin reloads as 1 dB wide
+    table = SerTable(values=np.full((len(PHY_APPS), n_bins, PATHS_MAX), 0.25), snr_lo=snr_lo,
+                     bin_width=bin_width, n_mc=1, seed=0)
+    with pytest.raises(ContractViolationError, match=rf"bin_width {bin_width!r}"):
+        table.save(tmp_path / "ser.csv")
+    assert not (tmp_path / "ser.csv").exists()
+
+
+@pytest.mark.parametrize("snr_lo, bin_width, n_bins", [(-5.0, 1.0, 20), (-10.0, 0.25, 80),
+                                                        (3.0, 1.0, 1)])
+def test_table_save_load_round_trips_bit_for_bit(tmp_path, snr_lo, bin_width, n_bins):
+    values = np.random.default_rng(19).uniform(SER_CLAMP, 1.0 - SER_CLAMP,
+                                               (len(PHY_APPS), n_bins, PATHS_MAX))
+    table = SerTable(values=values, snr_lo=snr_lo, bin_width=bin_width, n_mc=7, seed=3)
+    table.save(tmp_path / "a.csv")
+    loaded = SerTable.load(tmp_path / "a.csv")
+    assert loaded.values.tobytes() == values.tobytes()
+    assert (loaded.snr_lo, loaded.bin_width, loaded.n_mc, loaded.seed) == (snr_lo, bin_width, 7, 3)
+    loaded.save(tmp_path / "b.csv")
+    assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
 
 
 @pytest.mark.parametrize("lows", [(-5.0, -4.0, -3.5), (-5.0, -4.0, -2.0),
