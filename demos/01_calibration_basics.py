@@ -10,61 +10,56 @@ Run:  python demos/01_calibration_basics.py
 
 import numpy as np
 
-from ccke.conformal import (
-    CalibrationScores,
-    IntervalSet,
-    ccke_prediction_set,
-    cke_prediction_set,
-    compute_score,
-    nccke_prediction_set,
-)
+from ccke import weighted_corrections
 
 rng = np.random.default_rng(0)
 
 # A scalar KPI whose true law is y = x + Uniform(-1, 1).  Pretend the
 # model's 10%/90% quantile estimates are slightly too narrow and biased.
 def model_interval(x):
-    return IntervalSet(lo=[x - 0.55], hi=[x + 0.45])
+    return x - 0.55, x + 0.45
+
+# The score: how far y falls outside the interval (negative inside).  A
+# set widened by a correction q contains y iff its score is at most q.
+def score(x, y):
+    lo, hi = model_interval(x)
+    return np.maximum(lo - y, y - hi)
 
 # Calibration contexts lean negative (they were logged under the target
 # app); the test context leans positive (the other app ran there).
 cal_x = rng.normal(-0.5, 0.8, size=40)
 cal_y = cal_x + rng.uniform(-1, 1, size=40)
-scores = [compute_score(model_interval(x), [y]) for x, y in zip(cal_x, cal_y)]
-cal = CalibrationScores(scores=scores, contexts=cal_x.tolist())
+scores = score(cal_x, cal_y)
 
 print("calibration scores: min %.3f  median %.3f  max %.3f"
       % (np.min(scores), np.median(scores), np.max(scores)))
 
 # Weights mimic a logistic selection policy: contexts near the test
 # point count more.  (In the simulators this ratio comes straight from
-# the controller's selection probabilities.)
+# the controller's selection probabilities.)  Unit weights ignore the
+# shift; no correction at all is the uncalibrated baseline.
 test_x = 0.9
-weight = lambda x: float(np.exp(x))
-
 alpha = 0.2
-naive = cke_prediction_set(model_interval(test_x))
-unweighted = nccke_prediction_set(model_interval(test_x), cal, alpha)
-weighted = ccke_prediction_set(model_interval(test_x), cal, weight, test_x, alpha)
+corrections = {
+    "CKE": 0.0,
+    "NCCKE": weighted_corrections(scores, np.ones(scores.size), [1.0], alpha)[0],
+    "CCKE": weighted_corrections(scores, np.exp(cal_x), [np.exp(test_x)], alpha)[0],
+}
 
-for name, ps in (("CKE (no calibration)", naive),
-                 ("NCCKE (unweighted)", unweighted),
-                 ("CCKE (weighted)", weighted)):
-    if ps.unbounded:
-        print(f"{name:22s} -> unbounded set (correction +inf)")
+lo, hi = model_interval(test_x)
+for name, label in (("CKE", "CKE (no calibration)"),
+                    ("NCCKE", "NCCKE (unweighted)"),
+                    ("CCKE", "CCKE (weighted)")):
+    q = corrections[name]
+    if np.isinf(q):
+        print(f"{label:22s} -> unbounded set (correction +inf)")
     else:
-        print(f"{name:22s} -> [{ps.lo[0]:+.3f}, {ps.hi[0]:+.3f}]"
-              f"  correction {ps.correction.value:+.3f}")
+        print(f"{label:22s} -> [{lo - q:+.3f}, {hi + q:+.3f}]  correction {q:+.3f}")
 
 # Empirical check: how often does each set contain the true KPI at the
 # test context?
-hits = {name: 0 for name in ("CKE", "NCCKE", "CCKE")}
 n = 20_000
-for _ in range(n):
-    y = test_x + rng.uniform(-1, 1)
-    hits["CKE"] += naive.contains([y])
-    hits["NCCKE"] += unweighted.contains([y])
-    hits["CCKE"] += weighted.contains([y])
+test_scores = score(test_x, test_x + rng.uniform(-1, 1, size=n))
 print("\nempirical coverage at the test context over %d draws:" % n)
-for name, h in hits.items():
-    print(f"  {name:6s} {h / n:.3f}   (target {1 - alpha})")
+for name, q in corrections.items():
+    print(f"  {name:6s} {np.count_nonzero(test_scores <= q) / n:.3f}   (target {1 - alpha})")

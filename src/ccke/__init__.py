@@ -7,19 +7,9 @@ prediction sets with a finite-sample coverage guarantee.
 """
 
 from .conformal import (
-    CalibrationScores,
     ContractViolationError,
-    CorrectionQuantile,
     DegeneratePolicyError,
-    IntervalSet,
-    PredictionSet,
     PreconditionError,
-    WeightedScoreDistribution,
-    ccke_prediction_set,
-    cke_prediction_set,
-    compute_score,
-    compute_weight_probabilities,
-    nccke_prediction_set,
     weighted_corrections,
     weighted_quantile,
 )
@@ -31,8 +21,6 @@ from .harness import (
     PhyEnvironment,
     SyntheticEnvironment,
     build_environment,
-    evaluate_coverage,
-    evaluate_inefficiency,
     rng_for,
     run_experiment,
 )

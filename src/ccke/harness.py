@@ -46,7 +46,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field, fields
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -56,14 +56,15 @@ from ._rowmax import row_max
 from .conformal import (
     ContractViolationError,
     DegeneratePolicyError,
-    PredictionSet,
     clipped_exp,
-    compute_score,
     rng_segments,
     weighted_corrections,
 )
-# unused here, but bound: perfbench/tracer.py wraps these names in this module's namespace
-from .conformal import ccke_prediction_set, cke_prediction_set, nccke_prediction_set  # noqa: F401
+
+# placeholders for perfbench/layers.py, whose tracer wraps these names in this
+# module; ROADMAP item 1 re-points its spans at the array path and removes them
+ccke_prediction_set = nccke_prediction_set = cke_prediction_set = None
+compute_score = evaluate_coverage = evaluate_inefficiency = None
 
 __all__ = [
     "NoiseSpec",
@@ -75,9 +76,6 @@ __all__ = [
     "SyntheticEnvironment",
     "build_environment",
     "rng_for",
-    "evaluate_coverage",
-    "evaluate_inefficiency",
-    "InefficiencyReport",
     "run_experiment",
     "METHODS",
     "STAGES",
@@ -114,8 +112,8 @@ class NoiseSpec:
     skew_bound: float = 0.5
 
     def __post_init__(self):
-        if self.sigma < 0.0 or not 0.0 < self.skew_bound <= 0.5:
-            raise ContractViolationError("sigma >= 0 and 0 < skew_bound <= 0.5 required")
+        if not 0.0 <= self.sigma < math.inf or not 0.0 < self.skew_bound <= 0.5:
+            raise ContractViolationError("0 <= sigma < inf and 0 < skew_bound <= 0.5 required")
 
     def draw(self, rng: np.random.Generator, size) -> np.ndarray:
         return rng.normal(0.0, self.sigma, size=size)
@@ -419,12 +417,11 @@ class SyntheticEnvironment:
 
 
 def _scores(lo: np.ndarray, hi: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``compute_score`` of every row of (..., K) bounds against (..., K) KPIs."""
+    """Nonconformity scores of every row of (..., K) bounds against (..., K)
+    KPIs: the worst-case signed interval violation
+    ``max_k max(lo[k] - y[k], y[k] - hi[k])``, positive iff some KPI lies
+    outside its interval."""
     return row_max(np.maximum(lo - y, y - hi))
-
-
-def _corrections(sets: Sequence[PredictionSet]) -> np.ndarray:
-    return np.array([s.correction.value for s in sets], dtype=float)
 
 
 def _coverage(scores: np.ndarray, corrections: np.ndarray) -> list:
@@ -437,29 +434,15 @@ def _coverage(scores: np.ndarray, corrections: np.ndarray) -> list:
     return [c / n for c in covered.tolist()]
 
 
-def evaluate_coverage(sets: Sequence[PredictionSet], truths: Sequence) -> float:
-    """Fraction of test samples whose every KPI lies in its interval."""
-    if len(sets) != len(truths):
-        raise ContractViolationError(f"{len(sets)} sets against {len(truths)} truths")
-    scores = [compute_score(s.naive, y) for s, y in zip(sets, truths)]
-    return _coverage(np.array([scores], dtype=float), _corrections(sets)[None])[0]
-
-
-@dataclass(frozen=True)
-class InefficiencyReport:
-    """Mean normalized widths.  ``clipped`` replaces unbounded sets with
-    the KPI-domain width; ``raw`` averages the bounded sets only."""
-
-    clipped: float
-    raw: float
-    n_unbounded: int
-
-
 def _inefficiency(lo: np.ndarray, hi: np.ndarray, corrections: np.ndarray,
-                  normalizers: np.ndarray, domains: Optional[np.ndarray]) -> tuple:
-    """:func:`evaluate_inefficiency` of each of T sets, from (T, n, K)
-    bounds, (T, n) corrections and normalizers and (T, n, 2) domains;
-    returns the lists of T clipped and raw means and unbounded counts."""
+                  normalizers: np.ndarray, domains: np.ndarray) -> tuple:
+    """Mean normalized width ``(1/K) sum_k |interval_k| / normalizer`` of
+    each of T sets, from (T, n, K) bounds, (T, n) corrections and
+    normalizers and (T, n, 2) KPI domains.  An interval widened by ``q``
+    spans ``(hi + q) - (lo - q)``, 0 when crossed; an unbounded set counts
+    its domain's width.  Returns the lists of T clipped means, raw means
+    (of the bounded sets only; +inf if there are none) and unbounded
+    counts."""
     if corrections.shape[-1] == 0:
         raise ContractViolationError("no prediction sets to evaluate")
     ok = np.isfinite(normalizers) & (normalizers > 0.0)
@@ -469,8 +452,6 @@ def _inefficiency(lo: np.ndarray, hi: np.ndarray, corrections: np.ndarray,
     q = corrections[..., None]
     widths = np.maximum((hi + q) - (lo - q), 0.0)
     if unbounded.any():
-        if domains is None:
-            raise ContractViolationError("unbounded prediction set needs a clipping domain")
         dom = domains[unbounded]
         span = dom[:, 1] - dom[:, 0]
         if np.any(span < 0.0):
@@ -486,26 +467,6 @@ def _inefficiency(lo: np.ndarray, hi: np.ndarray, corrections: np.ndarray,
         bounded = terms[t][~unbounded[t]]
         raw[t] = float(np.mean(bounded)) if bounded.size else math.inf
     return clipped, raw, n_unbounded
-
-
-def evaluate_inefficiency(sets: Sequence[PredictionSet], normalizers: Sequence[float],
-                          domains: Optional[Sequence] = None) -> InefficiencyReport:
-    """Mean over samples of (1/K) sum_k |interval_k| / normalizer.
-
-    ``domains`` supplies per-sample (lo, hi) KPI bounds; required as soon
-    as any set is unbounded.
-    """
-    if len(sets) != len(normalizers):
-        raise ContractViolationError("one normalizer per prediction set required")
-    if not sets:
-        raise ContractViolationError("no prediction sets to evaluate")
-    lo = np.stack([s.naive.lo for s in sets])
-    hi = np.stack([s.naive.hi for s in sets])
-    dom = None if domains is None else np.asarray(domains, dtype=float)[None]
-    clipped, raw, n_unbounded = _inefficiency(
-        lo[None], hi[None], _corrections(sets)[None],
-        np.asarray(normalizers, dtype=float)[None], dom)
-    return InefficiencyReport(clipped=clipped[0], raw=raw[0], n_unbounded=n_unbounded[0])
 
 
 # ---------------------------------------------------------------------------
@@ -583,6 +544,9 @@ class ExperimentReport:
     stage_seconds: dict = field(default_factory=dict, compare=False)
 
     def trials_for(self, method: str):
+        if method not in self.config.methods:
+            raise ContractViolationError(
+                f"method {method!r} did not run; the report holds {self.config.methods}")
         return [t for t in self.trials if t.method == method]
 
     def mean_coverage(self, method: str) -> float:

@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from ccke import mac_sim, phy_sim
-from ccke.conformal import WeightedScoreDistribution, weighted_quantile
+from ccke.conformal import _denominators, weighted_quantile
 from ccke.harness import (
     ExperimentConfig,
     MacEnvironment,
@@ -271,9 +271,7 @@ def test_criterion_9a_weighted_quantile_oracle():
             w = rng.uniform(0, 1, size=n + 1)
             w /= w.sum()
             alpha = float(rng.uniform(1.0 / (n + 1), 0.95))
-            dist = WeightedScoreDistribution(scores=scores, point_probs=w[:-1],
-                                             infinity_prob=w[-1])
-            assert weighted_quantile(dist, alpha).value == \
+            assert weighted_quantile(scores, w[:-1], alpha) == \
                 oracle(scores.tolist(), w[:-1].tolist(), w[-1], alpha)
             checked += 1
     check("criterion 9 (quantile oracle)", True,
@@ -333,12 +331,11 @@ def test_criterion_9d_probability_normalization(ser_table):
     for _ in range(200):
         ctx = phy_sim.sample_context(rng)
         worst = max(worst, abs(float(pol.app_probabilities(ctx)[0].sum()) - 1.0))
-    from ccke.conformal import compute_weight_probabilities
-
     for _ in range(200):
-        w = {i: float(rng.uniform(0, 5)) for i in range(11)}
-        dist = compute_weight_probabilities(lambda c: w[c], list(range(10)), 10)
-        worst = max(worst, abs(float(dist.point_probs.sum()) + dist.infinity_prob - 1.0))
+        w = [float(rng.uniform(0, 5)) for _ in range(11)]
+        w_cal, w_test, denom = _denominators(w[:10], [w[10]])
+        total = float((w_cal / denom).sum()) + float(w_test[0] / denom[0])
+        worst = max(worst, abs(total - 1.0))
     check("criterion 9 (normalization)", worst <= 1e-9,
           f"max |sum - 1| = {worst:.2e}")
 

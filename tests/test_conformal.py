@@ -1,4 +1,5 @@
-"""Calibration-layer unit and property tests.
+"""Calibration-layer unit and property tests: scores, weight
+normalization, the weighted quantile and the corrections built on it.
 
 The weighted quantile is checked against an exhaustive cumulative-sum
 oracle that re-evaluates the defining indicator inequality from scratch
@@ -14,21 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccke.conformal import (
-    CalibrationScores,
     ContractViolationError,
-    CorrectionQuantile,
     DegeneratePolicyError,
-    IntervalSet,
     PreconditionError,
-    WeightedScoreDistribution,
-    ccke_prediction_set,
-    cke_prediction_set,
-    compute_score,
-    compute_weight_probabilities,
-    nccke_prediction_set,
+    _denominators,
     weighted_corrections,
     weighted_quantile,
 )
+from ccke.harness import _coverage, _inefficiency, _scores
+from test_harness import reference_ccke_correction
 
 
 def oracle_quantile(scores, probs, p_inf, alpha):
@@ -42,27 +37,31 @@ def oracle_quantile(scores, probs, p_inf, alpha):
     return math.inf
 
 
-def uniform_dist(scores):
-    n = len(scores)
-    return WeightedScoreDistribution(scores=np.asarray(scores, dtype=float),
-                                     point_probs=np.full(n, 1.0 / (n + 1)),
-                                     infinity_prob=1.0 / (n + 1))
+def uniform_probs(n):
+    """NCCKE's masses: 1 / (N + 1) on every score and on the atom at +inf."""
+    return np.full(n, 1.0 / (n + 1))
+
+
+def score(lo, hi, y):
+    """The score of one KPI vector against one interval set."""
+    rows = [np.asarray(v, dtype=float)[None] for v in (lo, hi, y)]
+    return float(_scores(*rows)[0])
 
 
 # ---------------------------------------------------------------------------
-# compute_score
+# scores
 
 
 def test_score_outside_above():
-    assert compute_score(IntervalSet(lo=[2.0], hi=[5.0]), [6.0]) == 1.0
+    assert score([2.0], [5.0], [6.0]) == 1.0
 
 
 def test_score_degenerate_interval():
-    assert compute_score(IntervalSet(lo=[3.0], hi=[3.0]), [3.0]) == 0.0
+    assert score([3.0], [3.0], [3.0]) == 0.0
 
 
 def test_score_max_over_kpis():
-    assert compute_score(IntervalSet(lo=[0, 1], hi=[4, 3]), [2, 2]) == -1.0
+    assert score([0, 1], [4, 3], [2, 2]) == -1.0
 
 
 def test_score_positive_iff_outside():
@@ -73,53 +72,47 @@ def test_score_positive_iff_outside():
         hi = lo + rng.uniform(0, 2, size=k)
         y = rng.normal(scale=2, size=k)
         outside = np.any((y < lo) | (y > hi))
-        assert (compute_score(IntervalSet(lo=lo, hi=hi), y) > 0) == outside
-
-
-def test_score_length_mismatch():
-    with pytest.raises(ContractViolationError):
-        compute_score(IntervalSet(lo=[0.0], hi=[1.0]), [1.0, 2.0])
+        assert (score(lo, hi, y) > 0) == outside
 
 
 # ---------------------------------------------------------------------------
-# compute_weight_probabilities
+# weight normalization
+
+
+def masses(w_cal, w_test):
+    """The calibration masses and the +inf atom's mass of one test point."""
+    w_cal, w_test, denom = _denominators(w_cal, [w_test])
+    return w_cal / denom, float(w_test[0] / denom[0])
 
 
 def test_weights_uniform_policy():
-    dist = compute_weight_probabilities(lambda c: 1.0, [0, 1, 2, 3], 9)
-    assert np.allclose(dist.point_probs, 0.2)
-    assert dist.infinity_prob == pytest.approx(0.2)
+    probs, p_inf = masses([1.0] * 4, 1.0)
+    assert np.allclose(probs, 0.2)
+    assert p_inf == pytest.approx(0.2)
 
 
 def test_weights_all_mass_on_test_point():
-    dist = compute_weight_probabilities(lambda c: 1.0 if c == "test" else 0.0,
-                                        ["a", "b"], "test")
-    assert dist.infinity_prob == 1.0
-    assert np.all(dist.point_probs == 0.0)
+    probs, p_inf = masses([0.0, 0.0], 1.0)
+    assert p_inf == 1.0
+    assert np.all(probs == 0.0)
 
 
 def test_weights_hand_normalization():
-    values = {"a": 1.0, "b": 3.0, "t": 1.0}
-    dist = compute_weight_probabilities(lambda c: values[c], ["a", "b"], "t")
-    assert np.allclose(dist.point_probs, [0.2, 0.6])
-    assert dist.infinity_prob == pytest.approx(0.2)
+    probs, p_inf = masses([1.0, 3.0], 1.0)
+    assert np.allclose(probs, [0.2, 0.6])
+    assert p_inf == pytest.approx(0.2)
 
 
 def test_weights_degenerate_policy():
     with pytest.raises(DegeneratePolicyError):
-        compute_weight_probabilities(lambda c: 0.0, [1, 2, 3], 4)
+        masses([0.0] * 3, 0.0)
 
 
 def test_weights_reject_negative_and_nonfinite():
     with pytest.raises(ContractViolationError):
-        compute_weight_probabilities(lambda c: -1.0, [1], 2)
+        masses([-1.0], -1.0)
     with pytest.raises(ContractViolationError):
-        compute_weight_probabilities(lambda c: math.inf, [1], 2)
-
-
-def test_distribution_normalization_validated():
-    with pytest.raises(ContractViolationError):
-        WeightedScoreDistribution(scores=[1.0], point_probs=[0.5], infinity_prob=0.4)
+        masses([math.inf], math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -128,33 +121,36 @@ def test_distribution_normalization_validated():
 
 def test_quantile_uniform_example():
     # threshold 0.8 * 10 / 9 ~ 0.888; reached at the 9th smallest score
-    assert weighted_quantile(uniform_dist(range(1, 10)), 0.2).value == 9.0
+    assert weighted_quantile(range(1, 10), uniform_probs(9), 0.2) == 9.0
 
 
 def test_quantile_all_mass_at_infinity():
-    dist = WeightedScoreDistribution(scores=[7.0], point_probs=[0.0], infinity_prob=1.0)
-    assert weighted_quantile(dist, 0.5).is_infinite
+    assert weighted_quantile([7.0], [0.0], 0.5) == math.inf
 
 
 def test_quantile_single_score_frozen_by_oracle():
-    # oracle sweep: cumulative mass at s=5 is 0.9 < threshold 1.0 -> INFINITE
-    dist = WeightedScoreDistribution(scores=[5.0], point_probs=[0.9], infinity_prob=0.1)
+    # oracle sweep: cumulative mass at s=5 is 0.9 < threshold 1.0 -> +inf
     assert oracle_quantile([5.0], [0.9], 0.1, 0.5) == math.inf
-    assert weighted_quantile(dist, 0.5).is_infinite
+    assert weighted_quantile([5.0], [0.9], 0.5) == math.inf
 
 
 def test_quantile_alpha_precondition_message():
-    dist = uniform_dist([1.0, 2.0, 3.0])
     with pytest.raises(PreconditionError) as err:
-        weighted_quantile(dist, 0.1)
+        weighted_quantile([1.0, 2.0, 3.0], uniform_probs(3), 0.1)
     assert str(1.0 / 4.0) in str(err.value)
     # boundary alpha is feasible
-    weighted_quantile(dist, 0.25)
+    weighted_quantile([1.0, 2.0, 3.0], uniform_probs(3), 0.25)
 
 
 def test_quantile_nan_alpha_rejected():
     with pytest.raises(PreconditionError):
-        weighted_quantile(uniform_dist([1.0, 2.0, 3.0]), math.nan)
+        weighted_quantile([1.0, 2.0, 3.0], uniform_probs(3), math.nan)
+
+
+def test_quantile_rejects_a_mass_vector_of_another_length():
+    # all N + 1 masses, the +inf atom's included, is a caller's slip
+    with pytest.raises(ContractViolationError):
+        weighted_quantile([1.0, 2.0], [0.3, 0.3, 0.4], 0.5)
 
 
 def test_quantile_order_statistic_readings_differ():
@@ -164,7 +160,7 @@ def test_quantile_order_statistic_readings_differ():
     scores = list(range(1, 10))
     ceil_rank = math.ceil((1 - 0.2) * (9 + 1))
     assert ceil_rank == 8 and sorted(scores)[ceil_rank - 1] == 8.0
-    assert weighted_quantile(uniform_dist(scores), 0.2).value == 9.0
+    assert weighted_quantile(scores, uniform_probs(9), 0.2) == 9.0
 
 
 @settings(max_examples=400, deadline=None)
@@ -184,9 +180,7 @@ def test_quantile_matches_bruteforce_oracle(n, seed, tie_scores):
     probs = raw[:-1] / raw.sum()
     p_inf = raw[-1] / raw.sum()
     alpha = float(rng.uniform(1.0 / (n + 1), 0.95))
-    dist = WeightedScoreDistribution(scores=scores, point_probs=probs,
-                                     infinity_prob=p_inf)
-    got = weighted_quantile(dist, alpha).value
+    got = weighted_quantile(scores, probs, alpha)
     assert got == oracle_quantile(scores.tolist(), probs.tolist(), p_inf, alpha)
 
 
@@ -197,10 +191,8 @@ def test_quantile_monotone_in_coverage_level():
         scores = rng.normal(size=n)
         w = rng.uniform(0, 1, size=n + 1)
         w /= w.sum()
-        dist = WeightedScoreDistribution(scores=scores, point_probs=w[:-1],
-                                         infinity_prob=w[-1])
         alphas = np.sort(rng.uniform(1.0 / (n + 1), 0.9, size=5))[::-1]
-        values = [weighted_quantile(dist, a).value for a in alphas]
+        values = [weighted_quantile(scores, w[:-1], a) for a in alphas]
         assert all(v2 >= v1 for v1, v2 in zip(values, values[1:]))
 
 
@@ -209,21 +201,22 @@ def test_quantile_monotone_in_coverage_level():
 
 
 def test_batch_corrections_equal_per_point_sets():
+    # each test point's correction is the one its own score distribution
+    # gives, against the sort/cumsum/searchsorted reference bit for bit and
+    # the brute-force oracle for NCCKE's uniform masses
     rng = np.random.default_rng(6)
     for _ in range(60):
         n = int(rng.integers(1, 30))
-        cal = cal_from(rng.normal(size=n))
+        scores = rng.normal(size=n)
         w_cal = rng.lognormal(size=n)
         w_test = rng.lognormal(size=7)
         alpha = float(rng.uniform(1.0 / (n + 1), 0.9))
-        iv = IntervalSet(lo=[0.0], hi=[1.0])
-        got = weighted_corrections(cal.scores, w_cal, w_test, alpha)
-        want = [ccke_prediction_set(iv, cal, lambda c: w_cal[c] if c != "t" else w, "t",
-                                    alpha).correction.value for w in w_test]
+        got = weighted_corrections(scores, w_cal, w_test, alpha)
+        want = [reference_ccke_correction(scores, w_cal, float(w), alpha) for w in w_test]
         assert got.tobytes() == np.array(want).tobytes()
-        unit = weighted_corrections(cal.scores, np.ones(n), np.ones(3), alpha)
-        assert unit.tobytes() == np.full(3, nccke_prediction_set(iv, cal, alpha)
-                                         .correction.value).tobytes()
+        unit = weighted_corrections(scores, np.ones(n), np.ones(3), alpha)
+        nccke = oracle_quantile(scores.tolist(), uniform_probs(n).tolist(), 1.0 / (n + 1), alpha)
+        assert unit.tobytes() == np.full(3, nccke).tobytes()
 
 
 def test_stacked_corrections_equal_per_set_calls():
@@ -271,102 +264,90 @@ def test_batch_corrections_reject_bad_scores(scores):
 
 
 # ---------------------------------------------------------------------------
-# prediction sets
-
-
-def cal_from(scores):
-    return CalibrationScores(scores=np.asarray(scores, dtype=float),
-                             contexts=list(range(len(scores))))
+# prediction sets: bounds (lo, hi) widened by a correction q
 
 
 def test_ccke_zero_correction_equals_naive():
-    iv = IntervalSet(lo=[2.0], hi=[5.0])
-    cal = cal_from([0.0] * 9)
-    ps = ccke_prediction_set(iv, cal, lambda c: 1.0, "x", alpha=0.2)
-    assert ps.correction.value == 0.0
-    assert np.array_equal(ps.lo, iv.lo) and np.array_equal(ps.hi, iv.hi)
+    q = weighted_corrections(np.zeros(9), np.ones(9), [1.0], alpha=0.2)
+    assert q.tolist() == [0.0]
 
 
 def test_ccke_infinite_correction_unbounded():
-    iv = IntervalSet(lo=[2.0], hi=[5.0])
-    cal = cal_from([1.0])
-    ps = ccke_prediction_set(iv, cal, lambda c: 1.0, "x", alpha=0.5)
-    assert ps.unbounded and ps.contains([1e12])
+    q = weighted_corrections([1.0], [1.0], [1.0], alpha=0.5)
+    assert q.tolist() == [math.inf]
+    far = _scores(np.array([[2.0]]), np.array([[5.0]]), np.array([[1e12]]))
+    assert _coverage(far[None], q[None]) == [1.0]
 
 
 def test_ccke_hand_widening():
-    iv = IntervalSet(lo=[2.0], hi=[5.0])
-    cal = cal_from([1.5] * 9)
-    ps = ccke_prediction_set(iv, cal, lambda c: 1.0, "x", alpha=0.2)
-    assert ps.correction.value == 1.5
-    assert ps.lo[0] == 0.5 and ps.hi[0] == 6.5
+    q = float(weighted_corrections(np.full(9, 1.5), np.ones(9), [1.0], alpha=0.2)[0])
+    assert q == 1.5
+    # [2, 5] widens to [0.5, 6.5]
+    width = _inefficiency(np.full((1, 1, 1), 2.0), np.full((1, 1, 1), 5.0), np.array([[q]]),
+                          np.ones((1, 1)), np.zeros((1, 1, 2)))[0]
+    assert width == [6.0]
 
 
 def test_nccke_equals_ccke_under_uniform_weights():
+    # unit density ratios give every mass, the +inf atom's too, 1 / (N + 1)
     rng = np.random.default_rng(2)
     for _ in range(25):
         n = int(rng.integers(1, 40))
-        cal = cal_from(rng.normal(size=n))
-        iv = IntervalSet(lo=rng.normal(size=3), hi=rng.normal(size=3))
+        scores = rng.normal(size=n)
         alpha = float(rng.uniform(1.0 / (n + 1), 0.9))
-        a = ccke_prediction_set(iv, cal, lambda c: 1.0, "t", alpha)
-        b = nccke_prediction_set(iv, cal, alpha)
-        assert a.correction.value == b.correction.value
-        if not a.unbounded:
-            assert np.array_equal(a.lo, b.lo) and np.array_equal(a.hi, b.hi)
+        got = weighted_corrections(scores, np.ones(n), [1.0], alpha)
+        assert got.tolist() == [weighted_quantile(scores, uniform_probs(n), alpha)]
 
 
 def test_nccke_uniform_quantile_example():
-    iv = IntervalSet(lo=[0.0], hi=[0.0])
-    ps = nccke_prediction_set(iv, cal_from(range(1, 10)), alpha=0.2)
-    assert ps.correction.value == 9.0
+    assert weighted_corrections(np.arange(1.0, 10.0), np.ones(9), [1.0], 0.2).tolist() == [9.0]
 
 
 def test_empty_calibration_rejected():
-    with pytest.raises(ContractViolationError):
-        cal_from([])
+    # no alpha is feasible for an empty calibration set
+    with pytest.raises(PreconditionError):
+        weighted_quantile([], [], 0.5)
 
 
 def test_cke_identity_and_shapes():
-    ps = cke_prediction_set(IntervalSet(lo=[2.0], hi=[5.0]))
-    assert ps.lo[0] == 2.0 and ps.hi[0] == 5.0 and ps.correction.value == 0.0
-    ps3 = cke_prediction_set(IntervalSet(lo=[0, 0, 0], hi=[1, 2, 3]))
-    assert ps3.kpi_count == 3 and ps3.widths().shape == (3,)
+    # CKE's zero correction keeps the bounds: coverage is plain membership
+    lo, hi = np.array([[0.0, 0.0, 0.0]]), np.array([[1.0, 2.0, 3.0]])
+    inside, outside = np.array([[0.5, 2.0, 3.0]]), np.array([[0.5, 2.5, 3.0]])
+    assert _scores(lo, hi, inside).shape == (1,)
+    assert _coverage(_scores(lo, hi, np.concatenate([inside, outside]))[None],
+                     np.zeros((1, 2))) == [0.5]
 
 
 def test_cke_crossed_interval_is_empty():
-    ps = cke_prediction_set(IntervalSet(lo=[5.0], hi=[2.0]))
-    assert ps.widths()[0] == 0.0
-    assert not ps.contains([3.5])  # nothing is inside an empty interval
+    s = _scores(np.array([[5.0]]), np.array([[2.0]]), np.array([[3.5]]))
+    assert s[0] > 0.0  # nothing is inside an empty interval
+    assert _coverage(s[None], np.zeros((1, 1))) == [0.0]
 
 
 def test_widening_monotonicity():
-    from ccke.conformal import PredictionSet
-
     rng = np.random.default_rng(3)
     for _ in range(50):
-        iv = IntervalSet(lo=rng.normal(size=4), hi=rng.normal(size=4))
+        lo, hi = rng.normal(size=(1, 1, 4)), rng.normal(size=(1, 1, 4))
         q1, q2 = np.sort(rng.uniform(-1, 3, size=2))
-        a = PredictionSet(naive=iv, correction=CorrectionQuantile(float(q1)))
-        b = PredictionSet(naive=iv, correction=CorrectionQuantile(float(q2)))
-        assert np.all(b.lo <= a.lo) and np.all(b.hi >= a.hi)
-        y = rng.normal(size=4)
-        assert not a.contains(y) or b.contains(y)  # containment nests
+        widths = [_inefficiency(lo, hi, np.array([[q]]), np.ones((1, 1)),
+                                 np.zeros((1, 1, 2)))[0][0]
+                  for q in (q1, q2)]
+        assert widths[0] <= widths[1]
+        s = _scores(lo[0], hi[0], rng.normal(size=(1, 4)))[None]
+        covered = [_coverage(s, np.array([[q]]))[0] for q in (q1, q2)]
+        assert covered[0] <= covered[1]  # containment nests
 
 
 def test_score_coverage_duality():
-    from ccke.conformal import PredictionSet
-
     rng = np.random.default_rng(4)
     for _ in range(300):
         k = int(rng.integers(1, 4))
-        iv = IntervalSet(lo=rng.normal(size=k), hi=rng.normal(size=k))
+        lo, hi = rng.normal(size=k), rng.normal(size=k)
         q = float(rng.uniform(-0.5, 2.0))
-        ps = PredictionSet(naive=iv, correction=CorrectionQuantile(q))
         y = rng.normal(scale=1.5, size=k)
-        member = bool(np.all((iv.lo - q <= y) & (y <= iv.hi + q)))
-        assert ps.contains(y) == member
-        assert (compute_score(iv, y) <= q) == member
+        member = bool(np.all((lo - q <= y) & (y <= hi + q)))
+        s = _scores(lo[None], hi[None], y[None])
+        assert _coverage(s[None], np.array([[q]])) == [float(member)]
 
 
 def test_correction_at_least_min_score_when_finite():
@@ -376,8 +357,6 @@ def test_correction_at_least_min_score_when_finite():
         scores = rng.normal(size=n)
         w = rng.uniform(0.05, 1, size=n + 1)
         w /= w.sum()
-        dist = WeightedScoreDistribution(scores=scores, point_probs=w[:-1],
-                                         infinity_prob=w[-1])
-        q = weighted_quantile(dist, float(rng.uniform(1.0 / (n + 1), 0.9)))
-        if not q.is_infinite:
-            assert q.value >= scores.min()
+        q = weighted_quantile(scores, w[:-1], float(rng.uniform(1.0 / (n + 1), 0.9)))
+        if not math.isinf(q):
+            assert q >= scores.min()

@@ -1,0 +1,42 @@
+"""The README's code runs, and demo 01 prints what it printed when written."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import ccke
+
+ROOT = Path(__file__).resolve().parent.parent
+
+DEMO_01_STDOUT = """\
+calibration scores: min -0.470  median -0.020  max 0.540
+CKE (no calibration)   -> [+0.350, +1.350]  correction +0.000
+NCCKE (unweighted)     -> [+0.017, +1.683]  correction +0.333
+CCKE (weighted)        -> [-0.054, +1.754]  correction +0.404
+
+empirical coverage at the test context over 20000 draws:
+  CKE    0.504   (target 0.8)
+  NCCKE  0.836   (target 0.8)
+  CCKE   0.906   (target 0.8)
+"""
+
+
+def test_readme_python_blocks_run_in_order():
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                        re.S | re.M)
+    assert blocks
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+
+
+def test_demo_01_prints_its_documented_output(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(ccke.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning",
+         str(ROOT / "demos" / "01_calibration_basics.py")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == DEMO_01_STDOUT

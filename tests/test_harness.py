@@ -19,14 +19,7 @@ import pytest
 from scipy import stats
 
 from ccke import cli, harness, mac_sim, phy_sim
-from ccke.conformal import (
-    ContractViolationError,
-    CorrectionQuantile,
-    IntervalSet,
-    PredictionSet,
-    compute_score,
-    weighted_corrections,
-)
+from ccke.conformal import ContractViolationError, weighted_corrections
 from ccke.harness import (
     ExperimentConfig,
     ExperimentReport,
@@ -35,8 +28,6 @@ from ccke.harness import (
     PhyEnvironment,
     SyntheticEnvironment,
     TrialResult,
-    evaluate_coverage,
-    evaluate_inefficiency,
     rng_for,
     run_experiment,
 )
@@ -47,15 +38,6 @@ from ccke.reporting import (
     read_trial_rows,
     write_aggregate,
 )
-
-
-def interval(lo, hi, q=0.0):
-    return PredictionSet(naive=IntervalSet(lo=lo, hi=hi),
-                         correction=CorrectionQuantile(q))
-
-
-UNBOUNDED = PredictionSet(naive=IntervalSet(lo=[0.0], hi=[0.0]),
-                          correction=CorrectionQuantile.infinite())
 
 
 # ---------------------------------------------------------------------------
@@ -429,64 +411,74 @@ def test_synthetic_rollout_segments_equal_per_segment_calls():
 # metrics
 
 
+def coverage(lo, hi, q, truths):
+    """``harness._coverage`` of one set: (n, K) bounds, (n,) corrections
+    and (n, K) truths."""
+    lo, hi, truths = (np.asarray(a, dtype=float) for a in (lo, hi, truths))
+    return harness._coverage(harness._scores(lo, hi, truths)[None],
+                             np.asarray(q, dtype=float)[None])[0]
+
+
+def inefficiency(lo, hi, q, normalizers, domains=None):
+    """``harness._inefficiency`` of one set: (n, K) bounds, (n,) corrections
+    and normalizers and (n, 2) domains (default (0, 10)); returns
+    ``(clipped, raw, n_unbounded)``."""
+    if domains is None:
+        domains = [(0.0, 10.0)] * len(q)
+    arrays = [np.asarray(a, dtype=float)[None] for a in (lo, hi, q, normalizers, domains)]
+    return tuple(v[0] for v in harness._inefficiency(*arrays))
+
+
 def test_coverage_unbounded_and_empty():
-    assert evaluate_coverage([UNBOUNDED] * 4, [np.array([v]) for v in (1, 2, 3, 4)]) == 1.0
-    empty = interval([5.0], [2.0])  # crossed: empty set
-    assert evaluate_coverage([empty] * 4, [np.array([3.0])] * 4) == 0.0
+    assert coverage([[0.0]] * 4, [[0.0]] * 4, [math.inf] * 4, [[1], [2], [3], [4]]) == 1.0
+    # crossed: the empty set
+    assert coverage([[5.0]] * 4, [[2.0]] * 4, [0.0] * 4, [[3.0]] * 4) == 0.0
 
 
 def test_coverage_requires_all_kpis():
-    ps = interval([0.0, 0.0], [1.0, 1.0])
-    truths = [np.array([0.5, 5.0])] * 3  # second KPI always outside
-    assert evaluate_coverage([ps] * 3, truths) == 0.0
-
-
-def test_coverage_length_mismatch():
-    with pytest.raises(ContractViolationError):
-        evaluate_coverage([UNBOUNDED], [np.array([1.0]), np.array([2.0])])
+    truths = [[0.5, 5.0]] * 3  # second KPI always outside
+    assert coverage([[0.0, 0.0]] * 3, [[1.0, 1.0]] * 3, [0.0] * 3, truths) == 0.0
 
 
 def test_inefficiency_examples():
-    zero = interval([1.0], [1.0])
-    assert evaluate_inefficiency([zero, zero], [1.0, 1.0]).clipped == 0.0
-    wide = interval([0.0], [4.0])
-    r = evaluate_inefficiency([wide], [2.0])
-    assert r.clipped == 2.0 and r.raw == 2.0 and r.n_unbounded == 0
-    halved = evaluate_inefficiency([wide], [4.0])
-    assert halved.clipped == pytest.approx(r.clipped / 2.0)
+    assert inefficiency([[1.0]] * 2, [[1.0]] * 2, [0.0, 0.0], [1.0, 1.0])[0] == 0.0
+    clipped, raw, n_unbounded = inefficiency([[0.0]], [[4.0]], [0.0], [2.0])
+    assert clipped == 2.0 and raw == 2.0 and n_unbounded == 0
+    halved = inefficiency([[0.0]], [[4.0]], [0.0], [4.0])
+    assert halved[0] == pytest.approx(clipped / 2.0)
 
 
 def test_inefficiency_unbounded_handling():
-    wide = interval([0.0], [4.0])
-    r = evaluate_inefficiency([wide, UNBOUNDED], [1.0, 1.0], domains=[(0, 10), (0, 10)])
-    assert r.n_unbounded == 1
-    assert r.raw == 4.0            # bounded sets only
-    assert r.clipped == pytest.approx((4.0 + 10.0) / 2.0)
+    clipped, raw, n_unbounded = inefficiency([[0.0], [0.0]], [[4.0], [0.0]], [0.0, math.inf],
+                                             [1.0, 1.0], domains=[(0, 10), (0, 10)])
+    assert n_unbounded == 1
+    assert raw == 4.0            # bounded sets only
+    assert clipped == pytest.approx((4.0 + 10.0) / 2.0)
     with pytest.raises(ContractViolationError):
-        evaluate_inefficiency([UNBOUNDED], [1.0])  # domain required
+        inefficiency([[0.0]], [[0.0]], [math.inf], [1.0], domains=[(10, 0)])  # empty domain
 
 
 def test_inefficiency_rejects_nonpositive_normalizer():
     with pytest.raises(ContractViolationError):
-        evaluate_inefficiency([interval([0.0], [1.0])], [0.0])
+        inefficiency([[0.0]], [[1.0]], [0.0], [0.0])
 
 
 @pytest.mark.parametrize("eps", [math.nan, math.inf])
 def test_inefficiency_rejects_nonfinite_normalizer(eps):
     with pytest.raises(ContractViolationError):
-        evaluate_inefficiency([interval([0.0], [1.0])], [eps])
+        inefficiency([[0.0]], [[1.0]], [0.0], [eps])
 
 
 def test_coverage_rejects_empty():
     with pytest.raises(ContractViolationError):
-        evaluate_coverage([], [])
+        coverage(np.zeros((0, 1)), np.zeros((0, 1)), [], np.zeros((0, 1)))
 
 
 def test_inefficiency_rejects_empty():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ContractViolationError):
-            evaluate_inefficiency([], [])
+            inefficiency(np.zeros((0, 1)), np.zeros((0, 1)), [], [], np.zeros((0, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +491,23 @@ def test_methods_filter():
     rep = run_experiment(cfg)
     assert {t.method for t in rep.trials} == {"CKE"}
     assert len(rep.trials) == 5
+
+
+@pytest.mark.parametrize("accessor", ["trials_for", "mean_coverage", "mean_inefficiency"])
+def test_report_rejects_a_method_it_did_not_run(accessor):
+    # this read NaN, with numpy's "Mean of empty slice" warning
+    cfg = ExperimentConfig(environment="synthetic", actual_app="alt", target_app="base",
+                           n_cal=30, n_test=2, n_trials=2, base_seed=1, methods=("CKE",))
+    rep = run_experiment(cfg)
+    with pytest.raises(ContractViolationError, match=r"'CCKE'.*\('CKE',\)"):
+        getattr(rep, accessor)("CCKE")
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+def test_noise_spec_rejects_non_finite_sigma(sigma):
+    # these failed only after the draws or the training rollouts
+    with pytest.raises(ContractViolationError, match="sigma"):
+        NoiseSpec(sigma=sigma)
 
 
 def test_config_validation():
@@ -793,7 +802,8 @@ def test_nccke_approaches_ccke_at_large_temperature():
 
 
 def reference_quantile(scores, probs, alpha):
-    """weighted_quantile on one point-mass vector: sort, cumsum, searchsorted."""
+    """The weighted quantile of one point-mass vector: sort, cumsum,
+    searchsorted."""
     n = scores.size
     threshold = (1.0 - alpha) * (n + 1) / n
     order = np.argsort(scores, kind="stable")
@@ -803,24 +813,32 @@ def reference_quantile(scores, probs, alpha):
 
 
 def reference_ccke_correction(scores, w_cal, w_test, alpha):
-    """compute_weight_probabilities + weighted_quantile for one test weight."""
+    """The weighted quantile of one test weight's score distribution."""
     denom = float(w_cal.sum()) + w_test
     return reference_quantile(scores, w_cal / denom, alpha)
 
 
-def reference_coverage(sets, truths):
-    return sum(1 for s, y in zip(sets, truths) if s.contains(y)) / len(sets)
+def reference_score(lo, hi, y):
+    """The worst-case signed interval violation of one KPI vector."""
+    return float(np.max(np.maximum(lo - y, y - hi)))
 
 
-def reference_inefficiency(sets, normalizers, domains):
+def reference_coverage(bounds, corrections, truths):
+    """Share of test points whose set, the (lo, hi) bounds widened by the
+    correction, holds every KPI: unbounded, or score within the correction."""
+    covered = [math.isinf(q) or reference_score(lo, hi, y) <= q
+               for (lo, hi), q, y in zip(bounds, corrections, truths)]
+    return sum(covered) / len(covered)
+
+
+def reference_inefficiency(bounds, corrections, normalizers, domains):
     raw_terms, clipped_terms, n_unbounded = [], [], 0
-    for i, (s, eps) in enumerate(zip(sets, normalizers)):
-        if s.unbounded:
+    for (lo, hi), q, eps, (d_lo, d_hi) in zip(bounds, corrections, normalizers, domains):
+        if math.isinf(q):
             n_unbounded += 1
-            lo, hi = domains[i]
-            clipped_terms.append(float(np.mean(s.clipped_widths(lo, hi))) / eps)
+            clipped_terms.append(float(np.mean(np.full(lo.size, d_hi - d_lo))) / eps)
         else:
-            term = float(np.mean(s.widths())) / eps
+            term = float(np.mean(np.maximum((hi + q) - (lo - q), 0.0))) / eps
             raw_terms.append(term)
             clipped_terms.append(term)
     raw = float(np.mean(raw_terms)) if raw_terms else math.inf
@@ -847,7 +865,7 @@ def reference_draw_labeled(env, app, n, rng, noise, noise_rng):
 
 def reference_run(cfg):
     """run_experiment with the per-point trial body: one rollout, weight,
-    prediction set and metric input per context.  Returns
+    interval, correction and metric input per context.  Returns
     ``(trials, weight_error_mean)`` with trials as
     ``(method, trial, coverage, raw, clipped, n_unbounded, corrections)``."""
     env = harness.build_environment(cfg)
@@ -859,12 +877,13 @@ def reference_run(cfg):
         model = harness._train_model(env, cfg, contexts, np.stack(kpis), seed=cfg.base_seed)
 
     def intervals_for_batch(contexts):
+        """Each context's (lo, hi) bounds, as two (K,) arrays."""
         if env.has_exact_model:
             spread = (1.0 - cfg.alpha) * env.half_width
             mids = [env.offsets[target] + float(c) for c in contexts]
-            return [IntervalSet(lo=[m - spread], hi=[m + spread]) for m in mids]
+            return [(np.array([m - spread]), np.array([m + spread])) for m in mids]
         lo, hi = model.predict(np.concatenate([env.features(r) for r in rows_of(contexts)]))
-        return [IntervalSet(lo=lo[i], hi=hi[i]) for i in range(len(contexts))]
+        return [(lo[i], hi[i]) for i in range(len(contexts))]
 
     trials, weight_errors = [], []
     for t in range(cfg.n_trials):
@@ -873,8 +892,8 @@ def reference_run(cfg):
         rng_noise = rng_for(cfg.base_seed, harness._STREAM_TRIAL_NOISE, t + 1)
         cal_ctx, cal_kpi = reference_draw_labeled(env, target, cfg.n_cal, rng_cal,
                                                   cfg.kpi_noise, rng_noise)
-        scores = np.array([compute_score(iv, y)
-                           for iv, y in zip(intervals_for_batch(cal_ctx), cal_kpi)])
+        scores = np.array([reference_score(lo, hi, y)
+                           for (lo, hi), y in zip(intervals_for_batch(cal_ctx), cal_kpi)])
         test_ctx = env.sample_contexts_given_app(actual, cfg.n_test, rng_test)
         test_rows = rows_of(test_ctx)
         truths = reference_rollouts(env, target, test_ctx, rng_test)
@@ -894,7 +913,7 @@ def reference_run(cfg):
         normalizers = [float(env.normalizers(r)[0]) for r in test_rows]
         domains = [tuple(env.domains(r)[0]) for r in test_rows]
         for method in cfg.methods:
-            sets = []
+            corrections = []
             for i in range(len(test_rows)):
                 if method == "CCKE":
                     q = reference_ccke_correction(scores, w_cal, w_used[cfg.n_cal + i],
@@ -904,11 +923,11 @@ def reference_run(cfg):
                                            cfg.alpha)
                 else:
                     q = 0.0
-                sets.append(PredictionSet(naive=test_intervals[i],
-                                          correction=CorrectionQuantile(q)))
-            clipped, raw, n_unbounded = reference_inefficiency(sets, normalizers, domains)
-            trials.append((method, t, reference_coverage(sets, truths), raw, clipped,
-                           n_unbounded, np.array([s.correction.value for s in sets])))
+                corrections.append(q)
+            clipped, raw, n_unbounded = reference_inefficiency(test_intervals, corrections,
+                                                               normalizers, domains)
+            trials.append((method, t, reference_coverage(test_intervals, corrections, truths),
+                           raw, clipped, n_unbounded, np.array(corrections)))
     return trials, (float(np.mean(weight_errors)) if weight_errors else None)
 
 
