@@ -10,38 +10,40 @@ Subcommands:
 ``run`` reads a plain-text key-value config file (``key = value`` per
 line, ``#`` comments) whose keys mirror the experiment configuration
 fields; every field can also be overridden with a ``--set key=value``
-flag.  Exit status is 0 on success, 1 with a one-line diagnostic
-otherwise.
+flag, and ``none`` or an empty value clears an optional field.  Exit
+status is 0 on success, 1 with a one-line diagnostic otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import time
+import typing
 
 from . import harness, phy_sim, reporting
 from .harness import ExperimentConfig, NoiseSpec
 
 
-def _parse_value(name: str, raw: str, current):
+def _parse_value(name: str, raw: str, kind):
+    """``raw`` as a value of the field ``name`` of type ``kind``; ``none``
+    or nothing clears an ``Optional`` field."""
     if name == "methods":
         return tuple(m.strip().upper() for m in raw.split(",") if m.strip())
-    if name == "kpi_noise":
-        return None if raw.lower() in ("", "none") else NoiseSpec(sigma=float(raw))
-    if name == "weight_perturbation":
-        return None if raw.lower() in ("", "none") else float(raw)
-    if isinstance(current, int):
-        return int(raw)
-    if isinstance(current, float):
-        return float(raw)
+    args = typing.get_args(kind)
+    if type(None) in args:
+        if raw.lower() in ("", "none"):
+            return None
+        (kind,) = (arg for arg in args if arg is not type(None))
+    if kind is NoiseSpec:
+        return NoiseSpec(sigma=float(raw))
+    if kind in (int, float):
+        return kind(raw)
     return raw
 
 
 def load_config(path=None, overrides=()) -> ExperimentConfig:
-    fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
-    defaults = ExperimentConfig()
+    fields = typing.get_type_hints(ExperimentConfig)
     values = {}
     pairs = []
     if path:
@@ -62,7 +64,7 @@ def load_config(path=None, overrides=()) -> ExperimentConfig:
     for key, raw in pairs:
         if key not in fields:
             raise ValueError(f"unknown configuration field {key!r}")
-        values[key] = _parse_value(key, raw, getattr(defaults, key))
+        values[key] = _parse_value(key, raw, fields[key])
     return ExperimentConfig(**values)
 
 

@@ -59,6 +59,12 @@ def _kpi_count(cfg) -> int:
     return cfg.n_users if cfg.environment == "mac" else 1
 
 
+def _temperature(cfg) -> float:
+    """The selection temperature the environment ran at: synthetic's policy
+    reads ``selection_temperature``, mac's and phy's ``temperature``."""
+    return cfg.selection_temperature if cfg.environment == "synthetic" else cfg.temperature
+
+
 def emit_report(report: ExperimentReport, out_dir) -> tuple:
     """Write ``trials.csv`` and ``aggregate.csv`` under ``out_dir``.
 
@@ -66,7 +72,7 @@ def emit_report(report: ExperimentReport, out_dir) -> tuple:
     run never leaves a partial report behind.
     """
     cfg = report.config
-    env, temp, k, alpha = (cfg.environment, float(cfg.temperature), _kpi_count(cfg),
+    env, temp, k, alpha = (cfg.environment, float(_temperature(cfg)), _kpi_count(cfg),
                            float(cfg.alpha))
     rows = [(env, t.method, temp, k, alpha, t.trial, float(t.coverage),
              float(t.inefficiency_raw), float(t.inefficiency_clipped), t.n_unbounded, t.seed)

@@ -12,7 +12,9 @@ import subprocess
 import sys
 import threading
 import time
+import typing
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -580,17 +582,18 @@ OVERLAP_CASES = {
 
 
 def overlap_config(name):
-    """Three trial blocks: the parent draws the first, a child the other two."""
+    """Three trial blocks: a child draws the first two, the parent the last."""
     return ExperimentConfig(**OVERLAP_CASES[name], n_cal=20, n_test=5,
                             n_trials=2 * harness.TRIAL_BLOCK + 1, train_epochs=1,
                             base_seed=23)
 
 
 @pytest.fixture
-def forks(monkeypatch):
+def forks(monkeypatch, tmp_path):
     """The number of blocks of each child run_experiment forks, with two
-    CPUs in the affinity mask whatever the box has.  After the test no
-    child is left, live or zombie, and no descriptor is left open."""
+    CPUs in the affinity mask and no cgroup CPU quota whatever the box
+    has.  After the test no child is left, live or zombie, and no
+    descriptor is left open."""
     if not harness._CAN_FORK:
         pytest.skip("run_experiment forks on Linux only")
     assert threading.active_count() == 1  # else run_experiment would never fork
@@ -604,6 +607,7 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(harness, "_ForkedDraws", Counting)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(harness, "_CGROUP", str(tmp_path / "no-cgroup"))
     yield made
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -640,11 +644,72 @@ def test_overlap_forked_draws_give_the_same_bytes(name, forks, monkeypatch, tmp_
     assert forks == [2]
 
 
+def test_overlap_child_draws_every_block_but_the_last(forks, monkeypatch, tmp_path):
+    log, parent, draw_block = tmp_path / "draws.log", os.getpid(), harness._draw_block
+
+    def recording(env, cfg, target, actual, block):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {block.start} {block.stop}\n")
+        return draw_block(env, cfg, target, actual, block)
+
+    monkeypatch.setattr(harness, "_draw_block", recording)
+    run_experiment(overlap_config("phy"))
+    assert forks == [2]
+    draws = [[int(v) for v in line.split()] for line in log.read_text().splitlines()]
+    assert len({pid for pid, _, _ in draws if pid != parent}) == 1
+    assert [range(a, b) for pid, a, b in draws if pid != parent] == [range(0, 25),
+                                                                     range(25, 50)]
+    assert [range(a, b) for pid, a, b in draws if pid == parent] == [range(50, 51)]
+
+
+def write_cgroup(root, files):
+    """Files under ``root``, from a map of relative path to text."""
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+
+
+V1 = ("cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us")
+
+
+@pytest.mark.parametrize("files, cpus", [
+    ({"cpu.max": "max 100000\n"}, math.inf),
+    ({"cpu.max": "150000 100000\n"}, 1.5),
+    ({"cpu.max": "200000 100000\n"}, 2.0),
+    (dict(zip(V1, ["-1\n", "100000\n"])), math.inf),
+    (dict(zip(V1, ["150000\n", "100000\n"])), 1.5),
+    ({}, math.inf),
+    ({"cpu.max": "150000\n"}, math.inf),
+    ({"cpu.max": "1.5 cpus\n"}, math.inf),
+    (dict(zip(V1, ["150000\n", "0\n"])), math.inf),
+    ({"cpu.max/unreadable": ""}, math.inf),  # a directory: open raises
+], ids=["v2 max", "v2 1.5", "v2 2", "v1 -1", "v1 1.5", "missing", "v2 one field",
+        "v2 malformed", "v1 zero period", "unreadable"])
+def test_overlap_cpu_quota_reads_the_cgroup_files(files, cpus, monkeypatch, tmp_path):
+    write_cgroup(tmp_path, files)
+    monkeypatch.setattr(harness, "_CGROUP", str(tmp_path))
+    assert harness._cpu_quota() == cpus
+
+
+def test_overlap_reads_the_quota_only_when_it_could_fork(forks, monkeypatch):
+    reads = []
+    monkeypatch.setattr(harness, "_cpu_quota", lambda: reads.append(1) or math.inf)
+    run_experiment(ExperimentConfig(environment="synthetic", actual_app="alt",
+                                    target_app="base", n_cal=30, n_test=2,
+                                    n_trials=2 * harness.TRIAL_BLOCK))  # no model
+    run_experiment(replace(overlap_config("mac"), n_trials=harness.TRIAL_BLOCK))
+    assert reads == [] and forks == []
+    run_experiment(overlap_config("mac"))
+    assert reads == [1] and forks == [2]
+
+
 def _refuse_fork():
     raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
 
-@pytest.mark.parametrize("case", ["fork fails", "one CPU", "another thread"])
+@pytest.mark.parametrize("case", ["fork fails", "one CPU", "quota of 1.5 CPUs",
+                                  "another thread"])
 def test_overlap_draws_inline_when_it_cannot_or_should_not_fork(case, forks, monkeypatch,
                                                                  tmp_path):
     cfg = overlap_config("mac")
@@ -655,6 +720,9 @@ def test_overlap_draws_inline_when_it_cannot_or_should_not_fork(case, forks, mon
         monkeypatch.setattr(os, "fork", _refuse_fork)
     elif case == "one CPU":  # the child would only compete with training
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    elif case == "quota of 1.5 CPUs":  # likewise
+        write_cgroup(tmp_path / "cgroup", {"cpu.max": "150000 100000\n"})
+        monkeypatch.setattr(harness, "_CGROUP", str(tmp_path / "cgroup"))
     else:  # a child forked beside it could inherit a lock it holds
         other.start()
     try:
@@ -687,10 +755,15 @@ def test_overlap_child_failure_raises_with_its_traceback(picklable, forks, monke
     assert "in fail" in child_traceback and "in _draw_block" in child_traceback
 
 
-@pytest.mark.parametrize("stage", ["_train_model", "_bounds"])
+@pytest.mark.parametrize("stage", ["_train_model", "_draw_block"])
 def test_overlap_parent_failure_kills_and_reaps_the_child(stage, forks, monkeypatch):
-    # the parent fails in training, or in the first block's predict phase
+    # the parent fails in training, or in its draw of the last block: the
+    # two stages it runs while the child draws
+    parent, original = os.getpid(), getattr(harness, stage)
+
     def fail(*args, **kwargs):
+        if os.getpid() != parent:
+            return original(*args, **kwargs)
         raise ArithmeticError("the parent failed")
 
     in_child_only(monkeypatch, lambda: time.sleep(60.0))
@@ -1081,6 +1154,24 @@ def test_report_roundtrip_bit_exact(small_report, tmp_path):
         assert r["n_unbounded"] == t.n_unbounded and r["seed"] == t.seed
 
 
+def test_report_writes_the_temperature_the_environment_ran_at(tmp_path):
+    # synthetic's policy reads selection_temperature; T read 1.0 for both, and
+    # `ccke report` merged the two sweeps into one group
+    rows = []
+    for t in (0.3, 3.0):
+        cfg = ExperimentConfig(environment="synthetic", actual_app="alt", target_app="base",
+                               n_cal=30, n_test=2, n_trials=2, selection_temperature=t)
+        trials_path, _ = emit_report(run_experiment(cfg), tmp_path / str(t))
+        rows += read_trial_rows(trials_path)
+    assert sorted({r["T"] for r in rows}) == [0.3, 3.0]
+    assert len(aggregate_rows(rows)) == 2 * 3 * 3  # temperatures x methods x metrics
+    mac = ExperimentConfig(environment="mac", n_users=3, temperature=0.5, n_train=60,
+                           n_cal=20, n_test=5, n_trials=1, train_epochs=1,
+                           selection_temperature=3.0)
+    trials_path, _ = emit_report(run_experiment(mac), tmp_path / "mac")
+    assert {r["T"] for r in read_trial_rows(trials_path)} == {0.5}
+
+
 def test_aggregate_median_matches_oracle(small_report, tmp_path):
     trials_path, agg_path = emit_report(small_report, tmp_path)
     rows = read_trial_rows(trials_path)
@@ -1192,3 +1283,25 @@ def test_cli_bad_config_fails_cleanly(tmp_path):
     out = run_cli("run", "--set", "environment=marsrover", "--out-dir", str(tmp_path))
     assert out.returncode == 1
     assert "error:" in out.stderr
+
+
+OPTIONAL_FIELDS = {"kpi_noise": ("0.5", NoiseSpec(sigma=0.5)),
+                   "weight_perturbation": ("0.1", 0.1),
+                   "ser_table_path": ("table.csv", "table.csv")}
+
+
+def test_cli_optional_fields_are_the_ones_tested():
+    hints = typing.get_type_hints(ExperimentConfig)
+    assert {name for name, kind in hints.items()
+            if type(None) in typing.get_args(kind)} == set(OPTIONAL_FIELDS)
+
+
+@pytest.mark.parametrize("raw", ["none", "None", ""])
+@pytest.mark.parametrize("name", sorted(OPTIONAL_FIELDS))
+def test_cli_none_clears_every_optional_field(name, raw, tmp_path):
+    # `--set ser_table_path=none` tried to open a file named "none"
+    text, value = OPTIONAL_FIELDS[name]
+    assert getattr(cli.load_config(overrides=[f"{name}={text}"]), name) == value
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text(f"{name} = {text}\n")
+    assert getattr(cli.load_config(cfgfile, [f"{name}={raw}"]), name) is None
