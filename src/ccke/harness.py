@@ -17,17 +17,8 @@ inefficiency of all trials as stacked (T, n) arrays.  A trial's numbers
 do not depend on its block, and the report carries each stage's wall
 seconds.
 
-No trial's draws depend on the trained model.  So on Linux, when there
-is a model to train, more than one block, a second CPU in the process's
-affinity mask, no other thread and no cgroup CPU quota below 2 CPUs, one
-forked child draws every block but the last while the parent trains and
-then draws the last block; the parent reads the child's blocks from a
-pipe once it has drawn its own.  If the fork fails, and on every other
-platform, the parent draws every block itself after training.  Both
-paths give the same bytes.  On the forked path the draw stage's seconds
-hold the last block plus the wait for the child, and the parent holds
-the draws of every block but the last at once (for the benchmark's phy
-workload, 50 trials of 150 rows of 24 bytes, about 180 KB).
+On Linux a forked child draws most trial blocks while the model trains;
+``run_experiment`` says when it forks and what that costs.
 
 A fully synthetic scalar environment with analytically known quantiles
 and exact density ratios backs the coverage-guarantee test suites
@@ -585,27 +576,6 @@ STAGES = ("train", "draw", "predict", "calibrate", "metrics")
 # run_experiment draws every block but its last in a forked child on Linux
 # only: macOS system libraries are not fork-safe, and Windows has no fork
 _CAN_FORK = sys.platform.startswith("linux")
-_CGROUP = "/sys/fs/cgroup"
-
-
-def _cpu_quota() -> float:
-    """The CPUs a cgroup quota lets this process use: quota over period of
-    cgroup v2's ``cpu.max`` or, where that file is missing, of cgroup v1's
-    ``cpu/cpu.cfs_quota_us`` and ``cpu/cpu.cfs_period_us`` under
-    ``_CGROUP``.  No quota reads as ``math.inf``: a missing, unreadable or
-    malformed file, or an unlimited quota (v2 ``max``, v1 ``-1``)."""
-    try:
-        try:
-            with open(os.path.join(_CGROUP, "cpu.max")) as fh:
-                quota, period = fh.read().split()
-        except FileNotFoundError:
-            v1 = os.path.join(_CGROUP, "cpu", "cpu.cfs_{}_us")
-            with open(v1.format("quota")) as fq, open(v1.format("period")) as fp:
-                quota, period = fq.read(), fp.read()
-        quota = int(quota)  # v2's "max" raises ValueError: no quota
-        return quota / int(period) if quota > 0 else math.inf
-    except (OSError, ValueError, ZeroDivisionError):
-        return math.inf
 
 
 class _StageClock:
@@ -808,17 +778,15 @@ def run_experiment(cfg: ExperimentConfig, environment=None,
 
     The draws do not depend on the model.  So on Linux, with a model to
     train, more than one block, more than one CPU in
-    ``os.sched_getaffinity``, ``threading.active_count() == 1`` (a child
-    forked beside another thread could inherit a lock it holds) and a
-    cgroup CPU quota (``_cpu_quota``) of at least 2 CPUs, one forked child
-    (``_ForkedDraws``) draws every block but the last while the parent
-    trains.  Below 2 CPUs the child would only compete with training.
-    The quota is read last, so runs without a model to train or with one
-    block read no file.  After training the parent draws the last block,
-    then reads the child's blocks, and holds all of their draws at once
-    (about 180 KB for the benchmark's phy workload: 50 trials of 150 rows
-    of 24 bytes); the draw stage counts the last block plus the wait for
-    the child.  If ``os.pipe`` or ``os.fork`` fails, and on every other
+    ``os.sched_getaffinity`` and ``threading.active_count() == 1`` (a
+    child forked beside another thread could inherit a lock it holds),
+    one forked child (``_ForkedDraws``) draws every block but the last
+    while the parent trains; on one CPU the child would only compete with
+    training.  A cgroup CPU quota is not read.  After training the parent
+    draws the last block, then reads the child's blocks, and holds all of
+    their draws at once (about 180 KB for the benchmark's phy workload:
+    50 trials of 150 rows of 24 bytes); the draw stage counts the last
+    block plus the wait for the child.  If ``os.pipe`` or ``os.fork`` fails, and on every other
     platform, the parent draws every block itself.  A failure in the child
     is raised here with the child's traceback as its cause; a failure in
     the parent kills and reaps the child first.
@@ -834,8 +802,7 @@ def run_experiment(cfg: ExperimentConfig, environment=None,
               for first in range(0, cfg.n_trials, TRIAL_BLOCK)]
     child = None
     if (not env.has_exact_model and len(blocks) > 1 and _CAN_FORK
-            and len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1
-            and _cpu_quota() >= 2.0):
+            and len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1):
         try:
             child = _ForkedDraws(lambda block: _draw_block(env, cfg, target, actual, block),
                                  blocks[:-1])

@@ -14,7 +14,6 @@ import threading
 import time
 import typing
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -589,11 +588,10 @@ def overlap_config(name):
 
 
 @pytest.fixture
-def forks(monkeypatch, tmp_path):
+def forks(monkeypatch):
     """The number of blocks of each child run_experiment forks, with two
-    CPUs in the affinity mask and no cgroup CPU quota whatever the box
-    has.  After the test no child is left, live or zombie, and no
-    descriptor is left open."""
+    CPUs in the affinity mask whatever the box has.  After the test no
+    child is left, live or zombie, and no descriptor is left open."""
     if not harness._CAN_FORK:
         pytest.skip("run_experiment forks on Linux only")
     assert threading.active_count() == 1  # else run_experiment would never fork
@@ -607,7 +605,6 @@ def forks(monkeypatch, tmp_path):
 
     monkeypatch.setattr(harness, "_ForkedDraws", Counting)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(harness, "_CGROUP", str(tmp_path / "no-cgroup"))
     yield made
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -662,54 +659,11 @@ def test_overlap_child_draws_every_block_but_the_last(forks, monkeypatch, tmp_pa
     assert [range(a, b) for pid, a, b in draws if pid == parent] == [range(50, 51)]
 
 
-def write_cgroup(root, files):
-    """Files under ``root``, from a map of relative path to text."""
-    for name, text in files.items():
-        path = root / name
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
-
-
-V1 = ("cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us")
-
-
-@pytest.mark.parametrize("files, cpus", [
-    ({"cpu.max": "max 100000\n"}, math.inf),
-    ({"cpu.max": "150000 100000\n"}, 1.5),
-    ({"cpu.max": "200000 100000\n"}, 2.0),
-    (dict(zip(V1, ["-1\n", "100000\n"])), math.inf),
-    (dict(zip(V1, ["150000\n", "100000\n"])), 1.5),
-    ({}, math.inf),
-    ({"cpu.max": "150000\n"}, math.inf),
-    ({"cpu.max": "1.5 cpus\n"}, math.inf),
-    (dict(zip(V1, ["150000\n", "0\n"])), math.inf),
-    ({"cpu.max/unreadable": ""}, math.inf),  # a directory: open raises
-], ids=["v2 max", "v2 1.5", "v2 2", "v1 -1", "v1 1.5", "missing", "v2 one field",
-        "v2 malformed", "v1 zero period", "unreadable"])
-def test_overlap_cpu_quota_reads_the_cgroup_files(files, cpus, monkeypatch, tmp_path):
-    write_cgroup(tmp_path, files)
-    monkeypatch.setattr(harness, "_CGROUP", str(tmp_path))
-    assert harness._cpu_quota() == cpus
-
-
-def test_overlap_reads_the_quota_only_when_it_could_fork(forks, monkeypatch):
-    reads = []
-    monkeypatch.setattr(harness, "_cpu_quota", lambda: reads.append(1) or math.inf)
-    run_experiment(ExperimentConfig(environment="synthetic", actual_app="alt",
-                                    target_app="base", n_cal=30, n_test=2,
-                                    n_trials=2 * harness.TRIAL_BLOCK))  # no model
-    run_experiment(replace(overlap_config("mac"), n_trials=harness.TRIAL_BLOCK))
-    assert reads == [] and forks == []
-    run_experiment(overlap_config("mac"))
-    assert reads == [1] and forks == [2]
-
-
 def _refuse_fork():
     raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
 
-@pytest.mark.parametrize("case", ["fork fails", "one CPU", "quota of 1.5 CPUs",
-                                  "another thread"])
+@pytest.mark.parametrize("case", ["fork fails", "one CPU", "another thread"])
 def test_overlap_draws_inline_when_it_cannot_or_should_not_fork(case, forks, monkeypatch,
                                                                  tmp_path):
     cfg = overlap_config("mac")
@@ -720,9 +674,6 @@ def test_overlap_draws_inline_when_it_cannot_or_should_not_fork(case, forks, mon
         monkeypatch.setattr(os, "fork", _refuse_fork)
     elif case == "one CPU":  # the child would only compete with training
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    elif case == "quota of 1.5 CPUs":  # likewise
-        write_cgroup(tmp_path / "cgroup", {"cpu.max": "150000 100000\n"})
-        monkeypatch.setattr(harness, "_CGROUP", str(tmp_path / "cgroup"))
     else:  # a child forked beside it could inherit a lock it holds
         other.start()
     try:
