@@ -4,7 +4,7 @@ The transmitter used spatial multiplexing with QPSK; we estimate the
 retransmission latency Alamouti/QPSK would have achieved under the same
 channel context.  The app-selection softmax runs on the default
 Monte-Carlo SER grid, which ships with the package (``ccke ser-table``
-rebuilds it, or a grid of another size, on request).
+rebuilds it, at another Monte-Carlo size or seed, on request).
 
 Run:  python demos/03_link_level_whatif.py
 """

@@ -92,19 +92,13 @@ def rng_for(base_seed: int, stream: int, index: int = 0) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Additive zero-mean Gaussian KPI observation noise.
-
-    ``skew_bound`` is min(P(eps >= 0), P(eps <= 0)); 0.5 for any
-    symmetric distribution, and the coverage floor degrades to
-    1 - alpha / skew_bound.
-    """
+    """Additive zero-mean Gaussian KPI observation noise, standard deviation ``sigma``."""
 
     sigma: float = 1.0
-    skew_bound: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 <= self.sigma < math.inf or not 0.0 < self.skew_bound <= 0.5:
-            raise ContractViolationError("0 <= sigma < inf and 0 < skew_bound <= 0.5 required")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ContractViolationError(f"0 <= sigma < inf required, got {self.sigma!r}")
 
     def draw(self, rng: np.random.Generator, size) -> np.ndarray:
         return rng.normal(0.0, self.sigma, size=size)
@@ -249,11 +243,9 @@ class PhyEnvironment:
         self.policy = phy_sim.PhyPolicy(temperature=temperature, ser_table=ser_table)
         self.arq = arq or phy_sim.ArqConfig()
         self._cell_posteriors = {app: self._cell_posterior(app) for app in phy_sim.PHY_APPS}
-        # per SNR bin: its low edge and the normal CDF at both of its edges
-        self._bin_lo = ser_table.snr_lo + np.arange(ser_table.n_bins) * ser_table.bin_width
-        mu, sd = phy_sim.SNR_DB_MEAN, phy_sim.SNR_DB_SIGMA
-        self._bin_cdf = (ndtr((self._bin_lo - mu) / sd),
-                         ndtr((self._bin_lo + ser_table.bin_width - mu) / sd))
+        # per SNR bin: the normal CDF at both of its edges
+        lows, mu, sd = phy_sim.SNR_BIN_LOWS, phy_sim.SNR_DB_MEAN, phy_sim.SNR_DB_SIGMA
+        self._bin_cdf = (ndtr((lows - mu) / sd), ndtr((lows + 1.0 - mu) / sd))
 
     def _cell_posterior(self, app) -> np.ndarray:
         """Flattened p(cell | app) over the table's (SNR bin, m) cells,
@@ -263,7 +255,7 @@ class PhyEnvironment:
         a = phy_sim.PHY_APPS.index(app)
         u = 1.0 / (table.values * self.policy.temperature)  # (4, bins, m)
         log_p_app = u[a] - logsumexp(u, axis=0)              # (bins, m)
-        bin_mass = phy_sim.snr_bin_masses(table.snr_lo, table.bin_width, table.n_bins)
+        bin_mass = phy_sim.snr_bin_masses()
         log_post = np.log(bin_mass)[:, None] - math.log(phy_sim.PATHS_MAX) + log_p_app
         flat = log_post.ravel()
         flat = flat - logsumexp(flat)
@@ -298,14 +290,13 @@ class PhyEnvironment:
         and draws nothing.
         """
         _row_count(n)
-        table = self.policy.ser_table
         post = self._cell_posteriors[app]
         cells = rng.choice(post.size, size=n, p=post)
-        bins, m_idx = np.unravel_index(cells, table.values.shape[1:])
-        lo_edges = self._bin_lo[bins]
+        bins, m_idx = np.unravel_index(cells, (phy_sim.N_SNR_BINS, phy_sim.PATHS_MAX))
+        lo_edges = phy_sim.SNR_BIN_LOWS[bins]
         mu, sd = phy_sim.SNR_DB_MEAN, phy_sim.SNR_DB_SIGMA
         snrs = mu + sd * ndtri(rng.uniform(self._bin_cdf[0][bins], self._bin_cdf[1][bins]))
-        snrs = np.clip(snrs, lo_edges, np.nextafter(lo_edges + table.bin_width, -np.inf))
+        snrs = np.clip(snrs, lo_edges, np.nextafter(lo_edges + 1.0, -np.inf))
         return phy_sim.PhyContexts(snr_db=snrs, paths=m_idx + 1)
 
     def features(self, ctx) -> np.ndarray:
@@ -329,25 +320,23 @@ class SyntheticEnvironment:
 
     Context x ~ N(0, 1), held as an (n,) float array; the "alt" app is
     chosen with logistic probability sigma(x / selection_temperature); KPI
-    under app a is ``offset_a + x + Uniform(-half_width, half_width)``.
+    under app a is ``OFFSETS[a] + x + Uniform(-HALF_WIDTH, HALF_WIDTH)``.
     Because every conditional quantile is known in closed form, the
     calibration layer can be exercised with zero model error.
     """
 
     has_exact_model = True
+    OFFSETS = {"base": 0.0, "alt": 0.5}
+    HALF_WIDTH = 1.0
 
-    def __init__(self, selection_temperature: float = 1.0,
-                 offsets=(0.0, 0.5), half_width: float = 1.0):
-        if not (selection_temperature > 0.0 and half_width > 0.0):  # NaN fails too
+    def __init__(self, selection_temperature: float = 1.0):
+        if not selection_temperature > 0.0:  # NaN fails too
             raise ContractViolationError(
-                f"temperature and half_width must be positive, got "
-                f"{selection_temperature!r} and {half_width!r}")
+                f"temperature must be positive, got {selection_temperature!r}")
         self.selection_temperature = selection_temperature
-        self.offsets = {"base": float(offsets[0]), "alt": float(offsets[1])}
-        self.half_width = float(half_width)
 
     def parse_app(self, label: str) -> str:
-        if label not in self.offsets:
+        if label not in self.OFFSETS:
             raise ContractViolationError(f"unknown synthetic app {label!r}")
         return label
 
@@ -368,9 +357,9 @@ class SyntheticEnvironment:
         """(n, 1) KPIs of ``app`` under each context (the counterfactual
         truth when ``app`` did not run; see ``MacEnvironment.rollout``):
         one uniform per row, each segment's from its own generator."""
-        noise = np.concatenate([g.uniform(-self.half_width, self.half_width, size=rows)
+        noise = np.concatenate([g.uniform(-self.HALF_WIDTH, self.HALF_WIDTH, size=rows)
                                 for g, rows in rng_segments(rng, len(ctx))])
-        return (self.offsets[app] + ctx + noise)[:, None]
+        return (self.OFFSETS[app] + ctx + noise)[:, None]
 
     def sample_contexts_given_app(self, app, n, rng) -> np.ndarray:
         """Rejection sampling from p(x | app).  ``n = 0`` gives an empty
@@ -389,8 +378,8 @@ class SyntheticEnvironment:
     def exact_bounds(self, contexts, app, alpha: float):
         """True (alpha/2, 1-alpha/2) conditional quantiles of the KPI, as
         (n, 1) lower and upper bounds."""
-        mid = self.offsets[app] + np.asarray(contexts, dtype=float)[:, None]
-        spread = (1.0 - alpha) * self.half_width
+        mid = self.OFFSETS[app] + np.asarray(contexts, dtype=float)[:, None]
+        spread = (1.0 - alpha) * self.HALF_WIDTH
         return mid - spread, mid + spread
 
     def features(self, ctx) -> np.ndarray:

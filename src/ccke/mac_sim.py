@@ -50,6 +50,7 @@ CQI_EFFICIENCY = np.array([
 
 BACKLOG_MIN = 10
 BACKLOG_MAX = 100
+PACKETS_PER_EFFICIENCY = 3.0  # per-user payload slope in spectral efficiency
 
 
 @dataclass(frozen=True)
@@ -76,15 +77,11 @@ class MacContexts:
         return self.backlogs.shape[0]
 
 
-def default_payload_table(
-    n_users: int,
-    packets_per_efficiency: float = 3.0,
-    sign_balance: float = 0.35,
-) -> np.ndarray:
+def default_payload_table(n_users: int, sign_balance: float = 0.35) -> np.ndarray:
     """Expected full-frame payload g(c) in packets per CQI index.
 
     Per-user payload share is affine in spectral efficiency,
-    ``g(c)/K = base + packets_per_efficiency * eff(c)``, with the base
+    ``g(c)/K = base + PACKETS_PER_EFFICIENCY * eff(c)``, with the base
     solved so that the RR residual-backlog estimate is negative for
     roughly ``sign_balance`` of random contexts at this K.  Keeping both
     signs populated at O(10) magnitudes is what makes every selection
@@ -93,17 +90,15 @@ def default_payload_table(
     """
     if n_users < 1:
         raise ContractViolationError("n_users must be >= 1")
-    if packets_per_efficiency < 0.0:
-        raise ContractViolationError("packets_per_efficiency must be >= 0")
     target_single = sign_balance ** (1.0 / n_users)
     n_levels = BACKLOG_MAX - BACKLOG_MIN + 1
 
     def below_fraction(base):
-        thresholds = base + packets_per_efficiency * CQI_EFFICIENCY
+        thresholds = base + PACKETS_PER_EFFICIENCY * CQI_EFFICIENCY
         counts = np.clip(np.floor(thresholds) - BACKLOG_MIN + 1, 0, n_levels)
         return float(np.mean(counts / n_levels))
 
-    lo, hi = 0.0, BACKLOG_MAX + packets_per_efficiency * CQI_EFFICIENCY[-1]
+    lo, hi = 0.0, BACKLOG_MAX + PACKETS_PER_EFFICIENCY * CQI_EFFICIENCY[-1]
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if below_fraction(mid) < target_single:
@@ -111,7 +106,7 @@ def default_payload_table(
         else:
             hi = mid
     base = 0.5 * (lo + hi)
-    return n_users * (base + packets_per_efficiency * CQI_EFFICIENCY)
+    return n_users * (base + PACKETS_PER_EFFICIENCY * CQI_EFFICIENCY)
 
 
 @dataclass(frozen=True)
@@ -144,11 +139,9 @@ class MacPolicy:
 
     @classmethod
     def default(cls, n_users: int, temperature: float,
-                packets_per_efficiency: float = 3.0,
                 sign_balance: float = 0.35) -> "MacPolicy":
         return cls(temperature=temperature,
-                   payload_table=default_payload_table(
-                       n_users, packets_per_efficiency, sign_balance))
+                   payload_table=default_payload_table(n_users, sign_balance))
 
     def payload(self, cqis) -> np.ndarray:
         return self.payload_table[np.asarray(cqis, dtype=np.int64) - 1]
@@ -213,14 +206,12 @@ def default_rb_success_prob(cqi: int) -> float:
     return 0.9 + 0.1 * (cqi - 1) / 14.0
 
 
-def generate_context(n_users: int, rng: np.random.Generator,
-                     backlog_range=(BACKLOG_MIN, BACKLOG_MAX)) -> MacContexts:
+def generate_context(n_users: int, rng: np.random.Generator) -> MacContexts:
     """One context, as a batch of one: backlogs i.i.d. uniform integers
-    over ``backlog_range``; CQIs i.i.d. uniform over 1..15."""
+    over ``BACKLOG_MIN``..``BACKLOG_MAX``; CQIs i.i.d. uniform over 1..15."""
     if n_users < 1:
         raise ContractViolationError("n_users must be >= 1")
-    lo, hi = backlog_range
-    return MacContexts(backlogs=rng.integers(lo, hi + 1, size=(1, n_users)),
+    return MacContexts(backlogs=rng.integers(BACKLOG_MIN, BACKLOG_MAX + 1, size=(1, n_users)),
                        cqis=rng.integers(1, 16, size=(1, n_users)))
 
 

@@ -14,14 +14,15 @@ with its own generator: every segment draws as a batch of its own would,
 and the rounds of all segments are decoded together.
 
 The controller selects apps through a softmax over inverse symbol error
-rates; the SER estimates come from a Monte-Carlo table on a (1 dB SNR
-bin) x (m) grid, persisted as delimited text.  The default table ships
-with the package (``SerTable.default``); ``SerTable.build`` makes it, or
-any other grid, afresh.  One link kernel (``_attempt_decodes``) serves
-both the table and the ARQ rollouts: fresh channels, noise, detection
-with perfect CSI (orthogonal combining for Alamouti, zero-forcing for
-multiplexing: the 2x2 inverse, or the pseudo-inverse of a rank-1
-channel) and per-symbol decisions, in which a tie is an error.
+rates; the SER estimates come from a Monte-Carlo table on one fixed
+grid, ``N_SNR_BINS`` 1-dB SNR bins from ``SNR_DB_MIN`` by the path
+counts m, persisted as delimited text.  The default table ships with the
+package (``SerTable.default``); ``SerTable.build`` makes it afresh, at
+any Monte-Carlo size and seed.  One link kernel (``_attempt_decodes``)
+serves both the table and the ARQ rollouts: fresh channels, unit-power
+noise, detection with perfect CSI (orthogonal combining for Alamouti,
+zero-forcing for multiplexing: the 2x2 inverse, or the pseudo-inverse of
+a rank-1 channel) and per-symbol decisions, in which a tie is an error.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ __all__ = [
     "SerTable",
     "PhyPolicy",
     "ConfigurationError",
-    "sample_context",
     "arq_latencies",
     "transmit_arq",
     "estimate_ser",
@@ -70,6 +70,8 @@ SNR_DB_MEAN = 5.0
 SNR_DB_SIGMA = 5.0
 SNR_DB_CEILING = 1000.0  # channel power about 1e100, far from float64 overflow
 PATHS_MAX = 10
+N_SNR_BINS = 20
+SNR_BIN_LOWS = SNR_DB_MIN + np.arange(float(N_SNR_BINS))  # the SER table's 1-dB bins
 ANTENNA_SEPARATION = 0.5
 SER_CLAMP = 1e-6
 DEFAULT_SER_TABLE = "ser_table_default.csv"  # package data, see SerTable.default
@@ -159,19 +161,9 @@ class ArqConfig:
             raise ContractViolationError("symbols_per_packet must be even (2 symbols per block)")
 
 
-def sample_context(rng: np.random.Generator) -> PhyContexts:
-    """One context, as a batch of one: SNR from a rejection-sampled
-    truncated Gaussian, m uniform on 1..10."""
-    while True:
-        snr = rng.normal(SNR_DB_MEAN, SNR_DB_SIGMA)
-        if SNR_DB_MIN <= snr <= SNR_DB_MAX:
-            break
-    return PhyContexts(snr_db=[float(snr)], paths=[int(rng.integers(1, PATHS_MAX + 1))])
-
-
-def snr_bin_masses(snr_lo: float, bin_width: float, n_bins: int) -> np.ndarray:
+def snr_bin_masses() -> np.ndarray:
     """Context-law probability of each SNR bin under the truncated Gaussian."""
-    edges = snr_lo + bin_width * np.arange(n_bins + 1)
+    edges = SNR_DB_MIN + np.arange(N_SNR_BINS + 1)
     cdf = ndtr((edges - SNR_DB_MEAN) / SNR_DB_SIGMA)
     masses = np.diff(cdf)
     return masses / masses.sum()
@@ -255,24 +247,21 @@ def _sent_is_nearest(est: np.ndarray, cand: np.ndarray) -> np.ndarray:
     return d[0] < functools.reduce(np.minimum, d[1:])
 
 
-def _attempt_draws(app: TransmissionApp, n: int, paths: int, blocks: int, rng,
-                   noise_std) -> tuple:
+def _attempt_draws(app: TransmissionApp, n: int, paths: int, blocks: int, rng) -> tuple:
     """One attempt's draws for n rows of ``paths`` path slots, in the order
     ``arq_latencies`` lists them: gains and angles, (2, n, paths); symbol
-    indices, (n, blocks, 2); and the noise, (slots, 2, n, blocks, 2) and
-    scaled, or None when ``noise_std`` is 0."""
+    indices, (n, blocks, 2); and the unit-power noise, (slots, 2, n,
+    blocks, 2), scaled to 1/sqrt(2) per part."""
     tx_table, mirrors = _ARQ_TABLES[app]
     g = rng.standard_normal((2, n, paths))
     phi = rng.uniform(0.0, 2.0 * math.pi, size=(2, n, paths))
     sym = rng.integers(0, mirrors.shape[1], size=(n, blocks, 2))
-    w = None
-    if noise_std != 0.0:
-        w = rng.standard_normal((tx_table.shape[0], 2, n, blocks, 2))
-        w *= noise_std / math.sqrt(2.0)
+    w = rng.standard_normal((tx_table.shape[0], 2, n, blocks, 2))
+    w *= 1.0 / math.sqrt(2.0)
     return g, phi, sym, w
 
 
-def _attempt_decodes(app: TransmissionApp, amp, live, blocks: int, rng, noise_std) -> np.ndarray:
+def _attempt_decodes(app: TransmissionApp, amp, live, blocks: int, rng) -> np.ndarray:
     """One attempt of every row: whether each symbol of its packet of
     ``blocks`` 2-symbol blocks on one fresh channel decodes, (2 * blocks,
     n) bool, symbol i of block b in row ``i * blocks + b``.
@@ -286,17 +275,15 @@ def _attempt_decodes(app: TransmissionApp, amp, live, blocks: int, rng, noise_st
     keeps the working arrays small; a row's result does not depend on its
     chunk.  A tie, a NaN estimate or a dead channel is a symbol error."""
     n, paths = live.shape
-    draws = [_attempt_draws(app, rows, paths, blocks, g, noise_std)
-             for g, rows in rng_segments(rng, n)]
-    g, phi, sym, w = (parts[0] if len(parts) == 1 or parts[0] is None
-                      else np.concatenate(parts, axis=axis)
+    draws = [_attempt_draws(app, rows, paths, blocks, g) for g, rows in rng_segments(rng, n)]
+    g, phi, sym, w = (parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
                       for axis, parts in zip((1, 1, 0, 2), zip(*draws)))
     ok = np.empty((2 * blocks, n), dtype=bool)
     step = max(1, DECODE_CHUNK_BLOCKS // blocks)
     for lo in range(0, n, step):
         rows = slice(lo, lo + step)
         ok[:, rows] = _packet_decodes(app, amp[rows], live[rows], g[:, rows], phi[:, rows],
-                                      sym[rows], None if w is None else w[:, :, rows])
+                                      sym[rows], w[:, :, rows])
     return ok
 
 
@@ -333,7 +320,7 @@ def _packet_decodes(app: TransmissionApp, amp, live, g, phi, sym, w) -> np.ndarr
     """Whether each symbol of each row's packet decodes, laid out as
     ``_attempt_decodes`` returns it, given the gains ``g`` and angles
     ``phi``, (2, n, paths); symbol indices ``sym``, (n, blocks, 2); and
-    noise ``w``, (slots, 2, n, blocks, 2), already scaled, or None.
+    noise ``w``, (slots, 2, n, blocks, 2), already scaled.
 
     Each row's channel (``_channels``) is formed once and serves every
     block.  The estimates are, bit for bit (but for the sign of a zero on
@@ -352,9 +339,8 @@ def _packet_decodes(app: TransmissionApp, amp, live, g, phi, sym, w) -> np.ndarr
     tx = np.take(tx_table, sym[0] * mirrors.shape[1] + sym[1], axis=2)
     r = np.empty(tx.shape, dtype=complex)
     np.einsum("jin,sjbn->sibn", h, tx, out=r)  # einsum picks a slow layout without out=
-    if w is not None:
-        r.real += w[:, 0].transpose(0, 3, 2, 1)
-        r.imag += w[:, 1].transpose(0, 3, 2, 1)
+    r.real += w[:, 0].transpose(0, 3, 2, 1)
+    r.imag += w[:, 1].transpose(0, 3, 2, 1)
     if app.code == ALAMOUTI:
         # z_0 = sum_i conj(h_i0) r1_i + conj(sum_i conj(h_i1) r2_i),
         # z_1 = sum_i conj(h_i1) r1_i - conj(sum_i conj(h_i0) r2_i)
@@ -384,8 +370,7 @@ def _path_amplitudes(ctx: PhyContexts, paths: int) -> tuple:
     return np.where(live, scale[:, None], 0.0), live
 
 
-def arq_latencies(app: TransmissionApp, ctx: PhyContexts, arq: ArqConfig,
-                  rng, noise_std: float = 1.0) -> np.ndarray:
+def arq_latencies(app: TransmissionApp, ctx: PhyContexts, arq: ArqConfig, rng) -> np.ndarray:
     """ARQ latency KPI of every context, (n,) int64: attempts until one
     packet decodes error free, capped at ``max_retx`` (persistent failure
     saturates the KPI).  ``rng`` is a ``Generator`` or a sequence of
@@ -406,9 +391,9 @@ def arq_latencies(app: TransmissionApp, ctx: PhyContexts, arq: ArqConfig,
     2. angles ``uniform(0, 2*pi, (2, n_active, PATHS_MAX))``: receive,
        then transmit;
     3. symbol indices ``integers(0, M, (n_active, blocks, 2))``;
-    4. unless ``noise_std == 0``, noise ``standard_normal((k, n_active,
-       blocks, 2))``, real then imaginary parts of each slot: k = 4 for
-       Alamouti's two slots, k = 2 for multiplexing's one.
+    4. unit-power noise ``standard_normal((k, n_active, blocks, 2))``,
+       real then imaginary parts of each slot, each scaled by 1/sqrt(2):
+       k = 4 for Alamouti's two slots, k = 2 for multiplexing's one.
 
     A block whose rows have all decoded draws no further round, and an
     empty segment draws nothing, so each segment's draws are those of a
@@ -428,8 +413,6 @@ def arq_latencies(app: TransmissionApp, ctx: PhyContexts, arq: ArqConfig,
     row's latency has the law of attempts drawn one row after another, so
     only the stream, not the law, depends on the segment.
     """
-    if not (math.isfinite(noise_std) and noise_std >= 0.0):
-        raise ContractViolationError(f"noise_std must be finite and >= 0, got {noise_std!r}")
     blocks = arq.symbols_per_packet // 2
     amp, live = _path_amplitudes(ctx, PATHS_MAX)
     latency = np.full(len(ctx), arq.max_retx, dtype=np.int64)
@@ -448,7 +431,7 @@ def arq_latencies(app: TransmissionApp, ctx: PhyContexts, arq: ArqConfig,
         for attempt in range(1, arq.max_retx + 1):
             rows = np.concatenate([lane for _, lane in lanes])
             ok = _attempt_decodes(app, amp[rows], live[rows], blocks,
-                                  [(g, lane.size) for g, lane in lanes], noise_std).all(axis=0)
+                                  [(g, lane.size) for g, lane in lanes]).all(axis=0)
             latency[rows[ok]] = attempt
             split = np.cumsum([lane.size for _, lane in lanes])[:-1]
             lanes = [(g, lane[~lane_ok]) for (g, lane), lane_ok in zip(lanes, np.split(ok, split))]
@@ -459,11 +442,11 @@ def arq_latencies(app: TransmissionApp, ctx: PhyContexts, arq: ArqConfig,
 
 
 def transmit_arq(app: TransmissionApp, snr_db: float, paths: int, arq: ArqConfig,
-                 rng: np.random.Generator, noise_std: float = 1.0) -> int:
+                 rng: np.random.Generator) -> int:
     """ARQ latency KPI of one context, given as its SNR and path count:
     ``arq_latencies`` of a batch of one."""
     ctx = PhyContexts(snr_db=[snr_db], paths=[paths])
-    return int(arq_latencies(app, ctx, arq, rng, noise_std)[0])
+    return int(arq_latencies(app, ctx, arq, rng)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -487,78 +470,54 @@ def estimate_ser(app: TransmissionApp, snr_db: float, paths: int,
     ctx = PhyContexts(snr_db=[snr_db], paths=[paths])
     amp, live = _path_amplitudes(ctx, int(ctx.paths[0]))
     rows = (n_symbols // 2, live.shape[1])
-    ok = _attempt_decodes(app, np.broadcast_to(amp, rows), np.broadcast_to(live, rows), 1,
-                          rng, 1.0)
+    ok = _attempt_decodes(app, np.broadcast_to(amp, rows), np.broadcast_to(live, rows), 1, rng)
     return float(np.clip(np.mean(~ok), SER_CLAMP, 1.0 - SER_CLAMP))
 
 
 @dataclass(frozen=True)
 class SerTable:
-    """Dense SER grid: apps x 1-dB SNR bins x path counts.
+    """Dense SER grid: apps x ``N_SNR_BINS`` 1-dB SNR bins x path counts
+    1..``PATHS_MAX``, every cell in (0, 1), checked once at construction.
 
     Cells are estimated at bin centers with a per-cell seeded stream, so
     the table is reproducible and independent of build order.
     """
 
-    values: np.ndarray  # (n_apps, n_bins, PATHS_MAX)
-    snr_lo: float
-    bin_width: float
+    values: np.ndarray  # (n_apps, N_SNR_BINS, PATHS_MAX)
     n_mc: int
     seed: int
 
-    @property
-    def n_bins(self) -> int:
-        return self.values.shape[1]
+    def __post_init__(self):
+        shape = (len(PHY_APPS), N_SNR_BINS, PATHS_MAX)
+        if self.values.shape != shape:
+            raise ConfigurationError(f"SER table must have shape {shape}, got {self.values.shape}")
+        bad = ~((self.values > 0.0) & (self.values < 1.0))  # NaN is bad too
+        if bad.any():
+            a, b, m = np.argwhere(bad)[0]
+            raise ConfigurationError(
+                f"SER table cell ({PHY_APPS[a].key}, {float(SNR_BIN_LOWS[b])!r}, "
+                f"m={m + 1}) is {float(self.values[a, b, m])!r}, not in (0, 1)")
 
-    def bin_index(self, snr_db) -> np.ndarray:
-        """SNR bin of each entry of ``snr_db``; values off the grid clamp to
-        the edge bins."""
-        idx = np.floor((np.asarray(snr_db, dtype=float) - self.snr_lo) / self.bin_width)
-        return np.clip(idx, 0, self.n_bins - 1).astype(np.int64)
-
-    def lookup(self, app: TransmissionApp, snr_db, paths) -> np.ndarray:
-        """SER of ``app`` at each (snr_db, paths) pair, as an (n,) array."""
+    def lookup(self, app: TransmissionApp, ctx: PhyContexts) -> np.ndarray:
+        """SER of ``app`` at each context of ``ctx``, as an (n,) array;
+        SNRs off the grid clamp to the edge bins."""
         try:
             a = PHY_APPS.index(app)
         except ValueError:
-            raise ConfigurationError(f"SER table has no app {app!r}")
-        snr, m = np.atleast_1d(snr_db), np.atleast_1d(paths)
-        off_grid = (m < 1) | (m > self.values.shape[2])
-        if off_grid.any():
-            raise ConfigurationError(f"SER table has no entry for m={m[off_grid][0]}")
-        v = self.values[a, self.bin_index(snr), m - 1]
-        unset = ~np.isfinite(v)
-        if unset.any():
-            i = np.flatnonzero(unset)[0]
-            raise ConfigurationError(f"SER table cell ({app.key}, snr={snr[i]}, m={m[i]}) is unset")
-        return v
+            raise ConfigurationError(f"SER table has no app {app!r}") from None
+        bins = np.clip(np.floor(ctx.snr_db - SNR_DB_MIN), 0, N_SNR_BINS - 1).astype(np.int64)
+        return self.values[a, bins, ctx.paths - 1]
 
     @classmethod
-    def build(cls, n_mc: int = 10_000, seed: int = 20139,
-              snr_lo: float = SNR_DB_MIN, snr_hi: float = SNR_DB_MAX,
-              bin_width: float = 1.0) -> "SerTable":
-        if not (math.isfinite(bin_width) and bin_width > 0.0):
-            raise ContractViolationError(
-                f"bin_width must be finite and positive, got {bin_width!r}")
-        if not (math.isfinite(snr_lo) and math.isfinite(snr_hi) and snr_hi > snr_lo):
-            raise ContractViolationError(
-                f"need finite snr_lo < snr_hi, got {snr_lo!r}, {snr_hi!r}")
-        if snr_hi > SNR_DB_CEILING:
-            raise ContractViolationError(
-                f"snr_hi must be at most {SNR_DB_CEILING} dB, got {snr_hi!r}")
-        n_bins = int(round((snr_hi - snr_lo) / bin_width))
-        if n_bins < 1:
-            raise ContractViolationError(
-                f"[{snr_lo!r}, {snr_hi!r}] holds no bin of width {bin_width!r}")
-        values = np.full((len(PHY_APPS), n_bins, PATHS_MAX), np.nan)
+    def build(cls, n_mc: int = 10_000, seed: int = 20139) -> "SerTable":
+        values = np.empty((len(PHY_APPS), N_SNR_BINS, PATHS_MAX))
         for a, app in enumerate(PHY_APPS):
-            for b in range(n_bins):
-                center = snr_lo + (b + 0.5) * bin_width
+            for b, low in enumerate(SNR_BIN_LOWS.tolist()):
                 for m in range(1, PATHS_MAX + 1):
                     rng = np.random.Generator(np.random.PCG64(
                         np.random.SeedSequence([seed, a, b, m])))
-                    values[a, b, m - 1] = estimate_ser(app, center, m, rng, n_mc)
-        return cls(values=values, snr_lo=snr_lo, bin_width=bin_width, n_mc=n_mc, seed=seed)
+                    values[a, b, m - 1] = estimate_ser(app, low + 0.5, m, rng, n_mc)
+        return cls(values=values, n_mc=n_mc, seed=seed)
 
     @classmethod
     def default(cls) -> "SerTable":
@@ -571,22 +530,12 @@ class SerTable:
             return cls.load(path)
 
     def save(self, path) -> None:
-        """Write the table as delimited text, one row per cell.  ``load``
-        takes the bin width as the difference of the two lowest bin lows
-        (1 dB for a single bin), so a grid whose lows would not give back
-        ``bin_width`` exactly is refused, before the file is opened."""
-        lows = [self.snr_lo + b * self.bin_width for b in range(min(self.n_bins, 2))]
-        width = lows[1] - lows[0] if len(lows) > 1 else 1.0
-        if width != self.bin_width:
-            raise ContractViolationError(
-                f"bin_width {self.bin_width!r} would load back as {width!r} from the bin "
-                f"lows {', '.join(map(repr, lows))}; choose a width the lows give back exactly")
+        """Write the table as delimited text, one row per cell."""
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["app", "snr_bin_low_db", "m", "ser", "n_mc", "seed"])
             for a, app in enumerate(PHY_APPS):
-                for b in range(self.n_bins):
-                    low = self.snr_lo + b * self.bin_width
+                for b, low in enumerate(SNR_BIN_LOWS.tolist()):
                     for m in range(1, PATHS_MAX + 1):
                         writer.writerow([app.key, repr(low), m,
                                          repr(float(self.values[a, b, m - 1])),
@@ -594,38 +543,44 @@ class SerTable:
 
     @classmethod
     def load(cls, path) -> "SerTable":
-        rows = []
+        """Read a table ``save`` wrote: a header, then one row per cell of
+        the grid, in any order, with an SER in (0, 1).  A bad row raises
+        ``ConfigurationError`` naming its line, a missing one naming its
+        cell; ``n_mc`` and ``seed`` come from the first row."""
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            for row in reader:
-                rows.append(row)
-        if not rows:
-            raise ConfigurationError(f"empty SER table file {path}")
-        lows = sorted({float(r[1]) for r in rows})
-        snr_lo = lows[0]
-        bin_width = lows[1] - lows[0] if len(lows) > 1 else 1.0
-        n_bins = len(lows)
-        values = np.full((len(PHY_APPS), n_bins, PATHS_MAX), np.nan)
-        n_mc, seed = int(rows[0][4]), int(rows[0][5])
-        keys = [app.key for app in PHY_APPS]
-        for line, (app_key, low, m, ser, _, _) in enumerate(rows, start=2):
-            if app_key not in keys:
-                raise ConfigurationError(f"{path}, line {line}: unknown app {app_key!r}")
-            low = float(low)
-            b = int(round((low - snr_lo) / bin_width))
-            # save writes snr_lo + b * w; bin_width, a difference of two
-            # lows, may miss w by an ulp, which b products can multiply
-            slack = 2 * (b + 2) * math.ulp(abs(snr_lo) + abs(low) + bin_width)
-            if not (b < n_bins and abs(low - (snr_lo + b * bin_width)) <= slack):
+            rows = list(csv.reader(fh))[1:]
+        values = np.full((len(PHY_APPS), N_SNR_BINS, PATHS_MAX), np.nan)
+        apps = {app.key: a for a, app in enumerate(PHY_APPS)}
+        bins = {low: b for b, low in enumerate(SNR_BIN_LOWS.tolist())}
+        for line, row in enumerate(rows, start=2):
+            try:
+                key, low, m, ser, n_mc, seed = row
+                low, m, ser, n_mc, seed = float(low), int(m), float(ser), int(n_mc), int(seed)
+            except ValueError as exc:
+                raise ConfigurationError(f"{path}, line {line}: {exc}") from None
+            if key not in apps:
+                raise ConfigurationError(f"{path}, line {line}: unknown app {key!r}")
+            if low not in bins:
                 raise ConfigurationError(
-                    f"{path}, line {line}: SNR bin low {low!r} is not on the grid "
-                    f"{snr_lo!r} + b * {bin_width!r}, b < {n_bins}")
-            if not 1 <= int(m) <= PATHS_MAX:
+                    f"{path}, line {line}: SNR bin low {low!r} is not on the grid of 1-dB "
+                    f"bin lows {SNR_DB_MIN!r}..{SNR_DB_MAX - 1.0!r}")
+            if not 1 <= m <= PATHS_MAX:
                 raise ConfigurationError(
                     f"{path}, line {line}: path count {m} is not in 1..{PATHS_MAX}")
-            values[keys.index(app_key), b, int(m) - 1] = float(ser)
-        return cls(values=values, snr_lo=snr_lo, bin_width=bin_width, n_mc=n_mc, seed=seed)
+            if not 0.0 < ser < 1.0:
+                raise ConfigurationError(f"{path}, line {line}: SER {ser!r} is not in (0, 1)")
+            cell = (apps[key], bins[low], m - 1)
+            if not math.isnan(values[cell]):
+                raise ConfigurationError(
+                    f"{path}, line {line}: a second row for cell ({key}, {low!r}, m={m})")
+            values[cell] = ser
+        missing = np.argwhere(np.isnan(values))
+        if missing.size:
+            a, b, m = missing[0]
+            raise ConfigurationError(
+                f"{path}: no row for cell ({PHY_APPS[a].key}, {float(SNR_BIN_LOWS[b])!r}, "
+                f"m={m + 1}), one of {len(missing)} missing")
+        return cls(values=values, n_mc=int(rows[0][4]), seed=int(rows[0][5]))
 
 
 # ---------------------------------------------------------------------------
@@ -646,8 +601,7 @@ class PhyPolicy:
 
     def _utilities(self, ctx: PhyContexts) -> np.ndarray:
         """(n, apps) utilities 1/(ser*T)."""
-        ser = np.stack([self.ser_table.lookup(app, ctx.snr_db, ctx.paths) for app in PHY_APPS],
-                       axis=1)
+        ser = np.stack([self.ser_table.lookup(app, ctx) for app in PHY_APPS], axis=1)
         return 1.0 / (ser * self.temperature)
 
     def app_probabilities(self, ctx: PhyContexts) -> np.ndarray:

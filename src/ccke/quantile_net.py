@@ -607,12 +607,16 @@ def batch_loss(model: QuantileModel, x, y) -> float:
 # training
 
 
+MOMENTUM = 0.9  # heavy-ball momentum of every training step
+
+
 @dataclass(frozen=True)
 class TrainConfig:
+    """Settings of ``train``; every step uses the momentum ``MOMENTUM``."""
+
     epochs: int = 200
     batch_size: int = 64
     step_size: float = 1e-2
-    momentum: float = 0.9
     seed: int = 0
 
     def __post_init__(self):
@@ -620,8 +624,6 @@ class TrainConfig:
             raise ContractViolationError("epochs >= 0 and batch_size >= 1 required")
         if not (math.isfinite(self.step_size) and self.step_size > 0.0):
             raise ContractViolationError(f"step_size must be finite and > 0, got {self.step_size!r}")
-        if not (math.isfinite(self.momentum) and 0.0 <= self.momentum < 1.0):
-            raise ContractViolationError(f"momentum must lie in [0, 1), got {self.momentum!r}")
 
 
 def train(data, arch, alpha: float, cfg: TrainConfig) -> QuantileModel:
@@ -680,7 +682,7 @@ def train(data, arch, alpha: float, cfg: TrainConfig) -> QuantileModel:
             # velocity = momentum * velocity - step_size * (grad / batch), in place
             grad /= idx.size
             grad *= cfg.step_size
-            velocity *= cfg.momentum
+            velocity *= MOMENTUM
             velocity -= grad
             model.params += velocity
         if not np.isfinite(model.params).all():  # the last update overflowed

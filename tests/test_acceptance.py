@@ -324,12 +324,22 @@ def test_criterion_9c_equivariance():
           f"max deviation under token permutation {worst:.2e}")
 
 
+def sample_phy_context(rng):
+    """One phy context, as a batch of one: SNR from a rejection-sampled
+    truncated Gaussian, m uniform on 1..10."""
+    while True:
+        snr = rng.normal(phy_sim.SNR_DB_MEAN, phy_sim.SNR_DB_SIGMA)
+        if phy_sim.SNR_DB_MIN <= snr <= phy_sim.SNR_DB_MAX:
+            return phy_sim.PhyContexts(snr_db=[float(snr)],
+                                       paths=[int(rng.integers(1, phy_sim.PATHS_MAX + 1))])
+
+
 def test_criterion_9d_probability_normalization(ser_table):
     rng = np.random.default_rng(93)
     pol = phy_sim.PhyPolicy(temperature=2.0, ser_table=ser_table)
     worst = 0.0
     for _ in range(200):
-        ctx = phy_sim.sample_context(rng)
+        ctx = sample_phy_context(rng)
         worst = max(worst, abs(float(pol.app_probabilities(ctx)[0].sum()) - 1.0))
     for _ in range(200):
         w = [float(rng.uniform(0, 5)) for _ in range(11)]
@@ -349,7 +359,7 @@ def test_criterion_9e_weight_reciprocity(ser_table):
         ctx = mac_sim.generate_context(8, rng)
         worst = max(worst, abs(float(mac_pol.weight(ctx, mac_sim.RR, mac_sim.PFCA)[0])
                                * float(mac_pol.weight(ctx, mac_sim.PFCA, mac_sim.RR)[0]) - 1.0))
-        pctx = phy_sim.sample_context(rng)
+        pctx = sample_phy_context(rng)
         for a in phy_sim.PHY_APPS:
             for b in phy_sim.PHY_APPS:
                 worst = max(worst, abs(float(phy_pol.weight(pctx, a, b)[0])
@@ -363,7 +373,7 @@ def test_criterion_9f_kpi_bounds_and_conservation(ser_table):
     arq = phy_sim.ArqConfig(max_retx=10)
     ok_phy = True
     for _ in range(150):
-        ctx = phy_sim.sample_context(rng)
+        ctx = sample_phy_context(rng)
         app = phy_sim.PHY_APPS[int(rng.integers(0, 4))]
         y = phy_sim.transmit_arq(app, float(ctx.snr_db[0]), int(ctx.paths[0]), arq, rng)
         ok_phy &= 1 <= y <= 10

@@ -296,11 +296,6 @@ def test_infinite_selection_temperature_selects_uniformly(name):
     assert np.array_equal(env.weight(ctx, apps[1], apps[0]), np.ones(20))
 
 
-def test_synthetic_rejects_nan_half_width():
-    with pytest.raises(ContractViolationError, match="half_width"):
-        SyntheticEnvironment(half_width=math.nan)
-
-
 @pytest.mark.parametrize("name", sorted(ENVIRONMENTS))
 def test_sampler_draws_nothing_for_no_rows_and_rejects_negative_counts(name):
     make, apps = ENVIRONMENTS[name]
@@ -333,7 +328,7 @@ def test_conditional_sampler_matches_rejection_frequencies():
 
 def assert_same_table(a, b):
     assert np.array_equal(a.values, b.values)
-    assert (a.snr_lo, a.bin_width, a.n_mc, a.seed) == (b.snr_lo, b.bin_width, b.n_mc, b.seed)
+    assert (a.n_mc, a.seed) == (b.n_mc, b.seed)
 
 
 def test_phy_default_table_loads_shipped_copy(monkeypatch, tmp_path):
@@ -343,8 +338,7 @@ def test_phy_default_table_loads_shipped_copy(monkeypatch, tmp_path):
     monkeypatch.setattr(phy_sim.SerTable, "build", no_build)
     shipped = phy_sim.SerTable.default()
     assert shipped.values.shape == (len(phy_sim.PHY_APPS), 20, phy_sim.PATHS_MAX)
-    assert (shipped.snr_lo, shipped.bin_width, shipped.n_mc, shipped.seed) == (-5.0, 1.0,
-                                                                            10_000, 20139)
+    assert (shipped.n_mc, shipped.seed) == (10_000, 20139)
     assert np.isfinite(shipped.values).all()
     assert_same_table(harness.build_environment(ExperimentConfig(environment="phy"))
                       .policy.ser_table, shipped)
@@ -382,7 +376,7 @@ cfg = harness.ExperimentConfig(environment="phy", actual_app="multiplexing_qpsk"
                                target_app="alamouti_qpsk", n_train=200, train_epochs=1,
                                n_trials=2)
 env = harness.build_environment(cfg)
-phy_sim.snr_bin_masses(-5.0, 1.0, 20)
+phy_sim.snr_bin_masses()
 harness.run_experiment(cfg, env)
 print(sorted(name for name, mod in sys.modules.items() if name.startswith("scipy") and mod))
 """
@@ -903,8 +897,8 @@ def reference_run(cfg):
     def intervals_for_batch(contexts):
         """Each context's (lo, hi) bounds, as two (K,) arrays."""
         if env.has_exact_model:
-            spread = (1.0 - cfg.alpha) * env.half_width
-            mids = [env.offsets[target] + float(c) for c in contexts]
+            spread = (1.0 - cfg.alpha) * env.HALF_WIDTH
+            mids = [env.OFFSETS[target] + float(c) for c in contexts]
             return [(np.array([m - spread]), np.array([m + spread])) for m in mids]
         lo, hi = model.predict(np.concatenate([env.features(r) for r in rows_of(contexts)]))
         return [(lo[i], hi[i]) for i in range(len(contexts))]
