@@ -25,12 +25,11 @@ from .harness import (
     run_experiment,
 )
 from .quantile_net import (
-    AttentionArch,
-    FeedforwardArch,
+    ATTENTION,
+    FEEDFORWARD,
     QuantileModel,
     TrainConfig,
     TrainingDivergedError,
-    pinball_gradient,
     pinball_loss,
     train,
 )

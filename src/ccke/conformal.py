@@ -31,6 +31,7 @@ __all__ = [
     "PreconditionError",
     "DegeneratePolicyError",
     "clipped_exp",
+    "require_integers",
     "rng_segments",
     "weighted_quantile",
     "weighted_corrections",
@@ -41,6 +42,15 @@ PROB_TOL = 1e-9
 
 class ContractViolationError(ValueError):
     """An argument violates an operation's stated contract."""
+
+
+def require_integers(obj, *names) -> None:
+    """Raise unless each field ``names`` of ``obj`` is an ``int`` or numpy
+    integer; a ``bool`` is refused."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ContractViolationError(f"{name} must be an integer, got {value!r}")
 
 
 class PreconditionError(ValueError):

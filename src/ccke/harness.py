@@ -48,6 +48,7 @@ from .conformal import (
     ContractViolationError,
     DegeneratePolicyError,
     clipped_exp,
+    require_integers,
     rng_segments,
     weighted_corrections,
 )
@@ -114,11 +115,15 @@ class NoiseSpec:
 # rng) -> (n, K)``, ``weight(ctx, numer, denom) -> (n,)``, and the model
 # and metric inputs ``features(ctx)``, ``normalizers(ctx) -> (n,)`` and
 # ``domains(ctx) -> (n, 2)``.  ``has_exact_model`` says whether the
-# environment supplies ``exact_bounds`` in place of a trained model.  A
-# rollout's ``rng`` is a generator or a sequence of (generator, row count)
-# segments (``conformal.rng_segments``); each segment draws exactly as a
-# rollout of its rows alone would, so the trials of a block share one
-# rollout call while each keeps its own generators.
+# environment supplies ``exact_bounds`` in place of a trained model; if
+# not, its class attribute ``arch`` names the quantile network
+# (``quantile_net.ATTENTION`` or ``FEEDFORWARD``), and ``features(ctx)``
+# returns that network's inputs already scaled, each context field over
+# its range.  A rollout's ``rng`` is a generator or a sequence of
+# (generator, row count) segments (``conformal.rng_segments``); each
+# segment draws exactly as a rollout of its rows alone would, so the
+# trials of a block share one rollout call while each keeps its own
+# generators.
 
 
 def _row_count(n) -> int:
@@ -169,6 +174,7 @@ class MacEnvironment:
     """Scheduling simulator bundle: K users, logistic policy, frame config."""
 
     has_exact_model = False
+    arch = quantile_net.ATTENTION
 
     def __init__(self, n_users: int = 8, temperature: float = 1.0,
                  policy: Optional[mac_sim.MacPolicy] = None,
@@ -212,11 +218,9 @@ class MacEnvironment:
         return mac_sim.run_frame(app, ctx, self.policy, self.frame_cfg, rng).astype(float)
 
     def features(self, ctx) -> np.ndarray:
-        """(n, 2, K) token matrices (backlog, CQI) fed to the quantile model."""
-        return np.stack([ctx.backlogs, ctx.cqis], axis=1).astype(float)
-
-    def make_arch(self):
-        return quantile_net.AttentionArch(feature_scale=(float(mac_sim.BACKLOG_MAX), 15.0))
+        """(n, 2, K) token matrices, the quantile model's inputs: backlogs
+        over ``BACKLOG_MAX`` and CQIs over 15."""
+        return np.stack([ctx.backlogs / mac_sim.BACKLOG_MAX, ctx.cqis / 15.0], axis=1)
 
     def normalizers(self, ctx) -> np.ndarray:
         return row_max(ctx.backlogs).astype(float)
@@ -234,6 +238,7 @@ class PhyEnvironment:
     """
 
     has_exact_model = False
+    arch = quantile_net.FEEDFORWARD
 
     def __init__(self, temperature: float = 1.0,
                  ser_table: Optional[phy_sim.SerTable] = None,
@@ -300,13 +305,9 @@ class PhyEnvironment:
         return phy_sim.PhyContexts(snr_db=snrs, paths=m_idx + 1)
 
     def features(self, ctx) -> np.ndarray:
-        """(n, 2) rows (SNR in dB, path count)."""
-        return np.stack([ctx.snr_db, ctx.paths.astype(float)], axis=1)
-
-    def make_arch(self):
-        return quantile_net.FeedforwardArch(
-            widths=(2, 10, 10, 5, 2),
-            feature_scale=(phy_sim.SNR_DB_MAX, float(phy_sim.PATHS_MAX)))
+        """(n, 2) rows, the quantile model's inputs: SNR in dB over
+        ``SNR_DB_MAX`` and path count over ``PATHS_MAX``."""
+        return np.stack([ctx.snr_db / phy_sim.SNR_DB_MAX, ctx.paths / phy_sim.PATHS_MAX], axis=1)
 
     def normalizers(self, ctx) -> np.ndarray:
         return np.ones(len(ctx))
@@ -478,6 +479,10 @@ class ExperimentConfig:
     selection_temperature: float = 1.0  # synthetic environment only
 
     def __post_init__(self):
+        # counts and seeds are whole numbers, or a run fails after its
+        # training rollouts (a count) or runs as another seed (a seed)
+        require_integers(self, "n_train", "n_cal", "n_test", "n_trials", "n_users", "y_max",
+                         "symbols_per_packet", "train_epochs", "train_batch", "base_seed")
         if not 0.0 < self.alpha < 1.0:
             raise ContractViolationError("alpha must lie in (0, 1)")
         if min(self.n_train, self.n_cal, self.n_test, self.n_trials) < 1:
@@ -556,8 +561,7 @@ def _train_model(env, cfg: ExperimentConfig, contexts, kpis: np.ndarray, seed: i
     train_cfg = quantile_net.TrainConfig(epochs=cfg.train_epochs,
                                          batch_size=cfg.train_batch,
                                          step_size=cfg.train_step, seed=seed)
-    return quantile_net.train((env.features(contexts), y), env.make_arch(), cfg.alpha,
-                              train_cfg)
+    return quantile_net.train((env.features(contexts), y), env.arch, cfg.alpha, train_cfg)
 
 
 TRIAL_BLOCK = 25  # trials per block of run_experiment: bounds its (T, n_test, n_cal) masses

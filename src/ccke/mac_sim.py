@@ -31,7 +31,6 @@ __all__ = [
     "MacPolicy",
     "FrameConfig",
     "default_payload_table",
-    "generate_context",
     "estimate_rr_residual",
     "run_frame",
 ]
@@ -204,15 +203,6 @@ class FrameConfig:
 
 def default_rb_success_prob(cqi: int) -> float:
     return 0.9 + 0.1 * (cqi - 1) / 14.0
-
-
-def generate_context(n_users: int, rng: np.random.Generator) -> MacContexts:
-    """One context, as a batch of one: backlogs i.i.d. uniform integers
-    over ``BACKLOG_MIN``..``BACKLOG_MAX``; CQIs i.i.d. uniform over 1..15."""
-    if n_users < 1:
-        raise ContractViolationError("n_users must be >= 1")
-    return MacContexts(backlogs=rng.integers(BACKLOG_MIN, BACKLOG_MAX + 1, size=(1, n_users)),
-                       cqis=rng.integers(1, 16, size=(1, n_users)))
 
 
 def estimate_rr_residual(ctx: MacContexts, policy: MacPolicy) -> np.ndarray:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._normal import ndtr
-from .conformal import ContractViolationError, clipped_exp, rng_segments
+from .conformal import ContractViolationError, clipped_exp, require_integers, rng_segments
 
 __all__ = [
     "ALAMOUTI",
@@ -151,10 +151,7 @@ class ArqConfig:
     symbols_per_packet: int = 8
 
     def __post_init__(self):
-        for name in ("max_retx", "symbols_per_packet"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ContractViolationError(f"{name} must be an integer, got {value!r}")
+        require_integers(self, "max_retx", "symbols_per_packet")
         if self.max_retx < 1 or self.symbols_per_packet < 1:
             raise ContractViolationError("max_retx and symbols_per_packet must be >= 1")
         if self.symbols_per_packet % 2 != 0:

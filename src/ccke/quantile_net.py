@@ -1,11 +1,16 @@
 """Pinball-loss quantile regression on small numpy networks.
 
-Two architectures cover the two simulators: a plain feedforward net for
-scalar-KPI link-level contexts, and a permutation-equivariant two-block
-self-attention net for per-user scheduling contexts (shared token-wise
-MLPs keep the user ordering irrelevant).  Gradients are computed by hand
-so that training is bit-reproducible from a seed and the whole parameter
-state is a single flat vector.
+Two fixed networks cover the two simulators: ``FEEDFORWARD``, a plain
+dense net (2 inputs, hidden widths 10, 10 and 5) for scalar-KPI
+link-level contexts, and ``ATTENTION``, a permutation-equivariant
+two-block self-attention net (tokens of 2 features, query, key and value
+width 10, shared token-wise MLPs of widths (10, 10, 10) and (10, 10, 2))
+for per-user scheduling contexts; the shared MLPs keep the user ordering
+irrelevant.  Each network's parameter layout is built once, at import.
+The inputs arrive scaled: each environment's ``features(ctx)`` divides
+its raw contexts by their ranges, and the nets take them as given.
+Gradients are computed by hand so that training is bit-reproducible from
+a seed and the whole parameter state is a single flat vector.
 
 Both networks emit a pair of quantile estimates (lower, upper) per KPI;
 nothing constrains the pair against crossing - downstream calibration
@@ -30,25 +35,24 @@ wrapper.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
 from ._rowmax import row_max
-from .conformal import ContractViolationError
+from .conformal import ContractViolationError, require_integers
 
 __all__ = [
-    "FeedforwardArch",
-    "AttentionArch",
+    "ATTENTION",
+    "FEEDFORWARD",
     "TrainConfig",
     "QuantileModel",
     "TrainingDivergedError",
     "pinball_loss",
     "pinball_output_grad",
-    "pinball_gradient",
     "batch_loss",
     "init_model",
     "train",
@@ -65,113 +69,71 @@ class TrainingDivergedError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# architectures and parameter layout
+# the two networks and their parameter layouts
+
+# the attention net: tokens of TOKEN_DIM features (one token per user),
+# query/key width D_H, value width D_O, and the layer output widths of the
+# two shared token-wise MLPs; MLP1 ends at the block-1 embedding width D_E,
+# MLP2 at the two quantile heads
+D_H = D_O = D_E = 10
+TOKEN_DIM = 2
+MLP1 = (10, 10, 10)
+MLP2 = (10, 10, 2)
+# the feedforward net: input 2 -> hidden (10, 10, 5) -> the two quantile heads
+FEEDFORWARD_WIDTHS = (2, 10, 10, 5, 2)
 
 
-@dataclass(frozen=True)
-class FeedforwardArch:
-    """Dense network; ``widths`` runs input -> hidden... -> output.
+class _Net(NamedTuple):
+    """One of the two networks: its kind, and its parameter layout as
+    (name, shape, start, stop) slices of a flat vector of ``size`` entries."""
 
-    The default instance is the link-level regressor: input 2, hidden
-    (10, 10, 5), output 2 (the two quantile heads of the scalar KPI).
-    ``feature_scale`` divides the raw inputs before the first layer.
-    """
-
-    widths: tuple = (2, 10, 10, 5, 2)
-    feature_scale: tuple = (1.0, 1.0)
-
-    def __post_init__(self):
-        _freeze(self, "widths", "feature_scale")
-
-    @property
-    def kind(self) -> str:
-        return "feedforward"
-
-    def param_shapes(self):
-        shapes = []
-        for i in range(len(self.widths) - 1):
-            shapes.append((f"W{i}", (self.widths[i + 1], self.widths[i])))
-            shapes.append((f"b{i}", (self.widths[i + 1],)))
-        return shapes
+    kind: str
+    layout: tuple
+    size: int
 
 
-@dataclass(frozen=True)
-class AttentionArch:
-    """Two self-attention blocks with shared token-wise MLPs in between.
-
-    Tokens are ``token_dim``-vectors (one per user); the net maps a
-    ``token_dim x K`` context to a ``2 x K`` output, equivariantly in K.
-    ``mlp1``/``mlp2`` list the layer output widths of the shared MLPs.
-    """
-
-    d_h: int = 10
-    d_o: int = 10
-    d_e: int = 10
-    mlp1: tuple = (10, 10, 10)
-    mlp2: tuple = (10, 10, 2)
-    token_dim: int = 2
-    feature_scale: tuple = (1.0, 1.0)
-
-    def __post_init__(self):
-        _freeze(self, "mlp1", "mlp2", "feature_scale")
-
-    @property
-    def kind(self) -> str:
-        return "attention"
-
-    def param_shapes(self):
-        shapes = [("Wq", (self.d_h, self.token_dim)), ("Wk", (self.d_h, self.token_dim)),
-                  ("Wv", (self.d_o, self.token_dim))]
-        w_in = self.d_o
-        for i, w_out in enumerate(self.mlp1):
-            shapes.append((f"m1W{i}", (w_out, w_in)))
-            shapes.append((f"m1b{i}", (w_out,)))
-            w_in = w_out
-        if w_in != self.d_e:
-            raise ContractViolationError("mlp1 must end at width d_e")
-        shapes += [("Wq2", (self.d_h, self.d_e)), ("Wk2", (self.d_h, self.d_e)),
-                   ("Wv2", (self.d_o, self.d_e))]
-        w_in = self.d_o
-        for i, w_out in enumerate(self.mlp2):
-            shapes.append((f"m2W{i}", (w_out, w_in)))
-            shapes.append((f"m2b{i}", (w_out,)))
-            w_in = w_out
-        if w_in != 2:
-            raise ContractViolationError("mlp2 must end at width 2 (two quantile heads)")
-        return shapes
-
-
-def _freeze(arch, *names):
-    """Store sequence fields as tuples, so that archs hash and compare by value."""
-    for name in names:
-        object.__setattr__(arch, name, tuple(getattr(arch, name)))
-
-
-@functools.lru_cache(maxsize=64)
-def _layout(arch):
-    """Slice table of (name, shape, start, stop) rows and the flat length, once per arch."""
+def _net(kind: str, shapes: list) -> _Net:
     table, stop = [], 0
-    for name, shape in arch.param_shapes():
+    for name, shape in shapes:
         start, stop = stop, stop + math.prod(shape)
         table.append((name, shape, start, stop))
-    return tuple(table), stop
+    return _Net(kind, tuple(table), stop)
+
+
+def _dense(prefix: str, widths: tuple) -> list:
+    """(name, shape) of each weight and bias of a dense stack over ``widths``."""
+    shapes = []
+    for i in range(len(widths) - 1):
+        shapes += [(f"{prefix}W{i}", (widths[i + 1], widths[i])), (f"{prefix}b{i}", (widths[i + 1],))]
+    return shapes
+
+
+# two self-attention blocks with the shared MLPs after each: maps a
+# TOKEN_DIM x K context to a 2 x K output, equivariantly in K
+ATTENTION = _net("attention",
+                 [("Wq", (D_H, TOKEN_DIM)), ("Wk", (D_H, TOKEN_DIM)), ("Wv", (D_O, TOKEN_DIM))]
+                 + _dense("m1", (D_O,) + MLP1)
+                 + [("Wq2", (D_H, D_E)), ("Wk2", (D_H, D_E)), ("Wv2", (D_O, D_E))]
+                 + _dense("m2", (D_O,) + MLP2))
+# the link-level regressor of a scalar KPI
+FEEDFORWARD = _net("feedforward", _dense("", FEEDFORWARD_WIDTHS))
 
 
 @dataclass
 class QuantileModel:
-    """Architecture descriptor + flat parameter vector + trained level."""
+    """Network (``ATTENTION`` or ``FEEDFORWARD``) + flat parameter vector +
+    trained level."""
 
-    arch: object
+    arch: _Net
     alpha: float
     params: np.ndarray
     loss_history: list = field(default_factory=list)
 
     def __post_init__(self):
         self.params = np.asarray(self.params, dtype=float)
-        _, n = _layout(self.arch)
-        if self.params.shape != (n,):
+        if self.params.shape != (self.arch.size,):
             raise ContractViolationError(
-                f"parameter vector of length {self.params.size}, arch wants {n}")
+                f"parameter vector of length {self.params.size}, arch wants {self.arch.size}")
 
     def view(self, name: str) -> np.ndarray:
         return self.views()[name]
@@ -185,21 +147,19 @@ class QuantileModel:
         The rows run through one workspace in passes of about
         ``PREDICT_ROWS`` rows, which keeps its (b, K, K) buffers small; a
         row's heads do not depend on the rows around it."""
-        xs = _scale(self.arch, np.asarray(x, dtype=float))
-        return _heads(self, xs, PREDICT_ROWS)
+        return _heads(self, _inputs(self.arch, x), PREDICT_ROWS)
 
 
 def _views(flat: np.ndarray, arch) -> dict:
     """Each named tensor of ``arch`` as a view into the flat vector ``flat``."""
-    return {nm: flat[a:b].reshape(shape) for nm, shape, a, b in _layout(arch)[0]}
+    return {nm: flat[a:b].reshape(shape) for nm, shape, a, b in arch.layout}
 
 
 def init_model(arch, alpha: float, seed: int) -> QuantileModel:
     """Seeded uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)] per tensor."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    table, n = _layout(arch)
-    flat = np.empty(n)
-    for _, shape, a, b in table:
+    flat = np.empty(arch.size)
+    for _, shape, a, b in arch.layout:
         bound = 1.0 / math.sqrt(shape[-1])  # fan-in: columns of a weight, length of a bias
         flat[a:b] = rng.uniform(-bound, bound, b - a)
     return QuantileModel(arch=arch, alpha=alpha, params=flat)
@@ -227,19 +187,18 @@ def pinball_output_grad(y, q, tau: float):
 # forward / backward
 
 
-def _scale(arch, x):
-    s = np.asarray(arch.feature_scale, dtype=float)
+def _inputs(arch, x) -> np.ndarray:
+    """``x`` as a float array, once its shape fits the net.  The inputs come
+    scaled: each environment's ``features`` divides by its own ranges."""
+    x = np.asarray(x, dtype=float)
     if arch.kind == "feedforward":
-        if x.ndim != 2 or x.shape[1] != len(s):
-            raise ContractViolationError(
-                f"feedforward input must be (B, {len(s)}), got {x.shape}"
-            )
-        return x / s
-    if x.ndim != 3 or x.shape[1] != arch.token_dim or x.shape[2] == 0:
+        width = FEEDFORWARD_WIDTHS[0]
+        if x.ndim != 2 or x.shape[1] != width:
+            raise ContractViolationError(f"feedforward input must be (B, {width}), got {x.shape}")
+    elif x.ndim != 3 or x.shape[1] != TOKEN_DIM or x.shape[2] == 0:
         raise ContractViolationError(
-            f"attention input must be (B, {arch.token_dim}, K) with K >= 1, got {x.shape}"
-        )
-    return x / s[None, :, None]
+            f"attention input must be (B, {TOKEN_DIM}, K) with K >= 1, got {x.shape}")
+    return x
 
 
 def _tokens(arch, xs) -> int:
@@ -321,21 +280,19 @@ class _Workspace:
                      g[f"{prefix}W{i}"], g[f"{prefix}b{i}"]) for i in range(count)]
 
         if arch.kind == "feedforward":
-            self.mlp = mlp("", len(arch.widths) - 1)
+            self.mlp = mlp("", len(FEEDFORWARD_WIDTHS) - 1)
         else:
-            h, o = arch.d_h, arch.d_o
-            self.qkv_rows = (slice(0, h), slice(h, 2 * h), slice(2 * h, 2 * h + o))
-            self.root_dh = math.sqrt(arch.d_h)
+            self.qkv_rows = (slice(0, D_H), slice(D_H, 2 * D_H), slice(2 * D_H, 2 * D_H + D_O))
+            self.root_dh = math.sqrt(D_H)
             # Wq, Wk and Wv sit next to each other in the layout, so block 1
-            # projects with one (2 d_h + d_o, token_dim) view.  Block 2 keeps
+            # projects with one (2 D_H + D_O, TOKEN_DIM) view.  Block 2 keeps
             # three matmuls: at K = 1 they are BLAS gemv calls, and a taller
             # gemv rounds some rows differently.
-            table = {nm: (a, b) for nm, _, a, b in _layout(arch)[0]}
-            wqkv = model.params[table["Wq"][0]:table["Wv"][1]].reshape(-1, arch.token_dim)
+            wqkv = model.params[:(2 * D_H + D_O) * TOKEN_DIM].reshape(-1, TOKEN_DIM)
             self.proj = ([wqkv], [p["Wq2"], p["Wk2"], p["Wv2"]])
             self.grads = ((g["Wq"], g["Wk"], g["Wv"]), (g["Wq2"], g["Wk2"], g["Wv2"]))
             self.dx_weights = (p["Wq2"].T, p["Wk2"].T, p["Wv2"].T)
-            self.mlp1, self.mlp2 = mlp("m1", len(arch.mlp1)), mlp("m2", len(arch.mlp2))
+            self.mlp1, self.mlp2 = mlp("m1", len(MLP1)), mlp("m2", len(MLP2))
         self._flat, self._sizes, self._passes = {}, {}, {}
         self._bind(rows)  # a dry run of the largest pass sizes every buffer
         self._flat = {name: np.empty(size, dtype=bool if name in ("ge", "alive") else float)
@@ -365,9 +322,9 @@ class _Workspace:
         if arch.kind == "feedforward":
             v["m"] = self._mlp_views("m", self.mlp, n, backward)
             out = v["m"][-1][0].reshape(b, 1, 2)
-            v["x"] = buf("x", (b, arch.widths[0])) if backward else None
+            v["x"] = buf("x", (b, FEEDFORWARD_WIDTHS[0])) if backward else None
         else:
-            p, d_o, d_e = self.qkv_rows[-1].stop, arch.d_o, arch.d_e
+            p, d_o, d_e = self.qkv_rows[-1].stop, D_O, D_E
             mx, den = buf("mx", (b, k)), buf("den", (b, k))
             v.update(mx=mx, mx_col=mx[:, :, None], den=den, den_col=den[:, :, None])
             for j, prefix, layers in ((1, "m1_", self.mlp1), (2, "m2_", self.mlp2)):
@@ -391,7 +348,7 @@ class _Workspace:
                 # buffer its last layer does not write
                 d_e_buf = buf(f"d{len(self.mlp1) % 2}", (n, d_e))
                 at = [_merger(d, (1, 0, 2), buf("at", (d.shape[1], n))) for d in dqkv]
-                v.update(x=buf("x", (b, arch.token_dim, k)), xT=buf("xT", (n, arch.token_dim)),
+                v.update(x=buf("x", (b, TOKEN_DIM, k)), xT=buf("xT", (n, TOKEN_DIM)),
                          dqkv=dqkv, at=at,
                          ds=ds, dsT=ds.transpose(0, 2, 1), prod=buf("prod", (b, k, k)),
                          rowsum_col=rowsum[:, :, None], rowsum=rowsum, dx=dx,
@@ -417,7 +374,7 @@ class _Workspace:
         return views
 
     def gather(self, xs, y, idx):
-        """Rows ``idx`` of the scaled inputs and (n, k) targets, copied into the workspace."""
+        """Rows ``idx`` of the inputs and (n, k) targets, copied into the workspace."""
         v = self._pass(idx.size)
         np.take(xs, idx, axis=0, out=v["x"], mode="clip")  # "raise" would buffer the copy
         np.take(y, idx, axis=0, out=v["y"], mode="clip")
@@ -426,7 +383,7 @@ class _Workspace:
     # forward
 
     def forward(self, x) -> np.ndarray:
-        """Heads of the scaled input rows ``x``, as a (b, k, 2) view."""
+        """Heads of the input rows ``x``, as a (b, k, 2) view."""
         v = self._pass(x.shape[0])
         if self.arch.kind == "feedforward":
             self._mlp_fwd(x, self.mlp, v["m"])
@@ -465,7 +422,7 @@ class _Workspace:
     # loss and backward
 
     def loss_and_grad(self, x, y) -> float:
-        """Summed two-head pinball loss of the scaled rows ``x`` against their
+        """Summed two-head pinball loss of the input rows ``x`` against their
         (b, k) targets ``y``; writes its gradient into ``grad``."""
         v = self._pass(y.shape[0])
         self.forward(x)
@@ -518,7 +475,7 @@ class _Workspace:
         three projection gradients.  With ``input_grad``, also returns the
         input gradient as (b K, d_e) rows."""
         b, k = blk.s.shape[:2]
-        d_att = d_t.reshape(b, k, self.arch.d_o).transpose(0, 2, 1)
+        d_att = d_t.reshape(b, k, D_O).transpose(0, 2, 1)
         (dq, dk, dv), ds = v["dqkv"], v["ds"]
         np.matmul(d_att, blk.sT, out=dv)
         np.matmul(blk.vT, d_att, out=ds)
@@ -543,34 +500,23 @@ class _Workspace:
         return _merge(v["d_e"])
 
 
-def _loss_and_grad(model: QuantileModel, x, y, grad=None):
-    """Summed two-head pinball loss over the batch, plus its gradient with respect
-    to the flat parameter vector (written into ``grad`` when a buffer is given)."""
-    xs = _scale(model.arch, np.asarray(x, dtype=float))
-    k = _tokens(model.arch, xs)
-    grad = np.empty_like(model.params) if grad is None else grad
-    loss = _Workspace(model, xs.shape[0], k, grad).loss_and_grad(xs, _targets(y, xs.shape[0], k))
-    return loss, grad
-
-
-def pinball_gradient(model: QuantileModel, batch) -> np.ndarray:
-    """Gradient of the summed two-head pinball loss over a batch.
-
-    ``batch`` is an ``(x, y)`` pair.  At kink points the tau-side slope
-    is used (fixed subgradient convention; the event has measure zero).
-    """
-    x, y = batch
-    if np.asarray(x).shape[0] == 0:
+def _loss_and_grad(model: QuantileModel, x, y):
+    """Summed two-head pinball loss over a nonempty batch, plus its gradient
+    with respect to the flat parameter vector.  At kink points the tau-side
+    slope is used (fixed subgradient convention; the event has measure zero)."""
+    x = _inputs(model.arch, x)
+    n, k = x.shape[0], _tokens(model.arch, x)
+    if n == 0:
         raise ContractViolationError("batch must be nonempty")
-    _, grad = _loss_and_grad(model, x, y)
-    return grad
+    grad = np.empty_like(model.params)
+    return _Workspace(model, n, k, grad).loss_and_grad(x, _targets(y, n, k)), grad
 
 
 PREDICT_ROWS = 128  # rows per forward pass of QuantileModel.predict
 
 
 def _heads(model: QuantileModel, xs, rows: int):
-    """(lo, hi) heads, each (n, K), of the scaled rows ``xs``, run through
+    """(lo, hi) heads, each (n, K), of the input rows ``xs``, run through
     one workspace in passes of ``rows`` >= 2 rows, each a leading slice of
     the same buffers.  No pass has 1 row unless ``xs`` has: a 1-row pass
     takes BLAS gemv, which rounds differently, so a last row left alone
@@ -593,13 +539,12 @@ def batch_loss(model: QuantileModel, x, y) -> float:
     cache-sized passes of about 2048 tokens (rows x KPIs) through one workspace
     (``_heads``).  A row's heads do not depend on its pass, and the loss is
     summed over the whole batch at once."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] == 0:
+    x = _inputs(model.arch, x)
+    n, k = x.shape[0], _tokens(model.arch, x)
+    if n == 0:
         raise ContractViolationError("batch must be nonempty")
-    xs = _scale(model.arch, x)
-    n, k = xs.shape[0], _tokens(model.arch, xs)
     y = _targets(y, n, k)
-    lo, hi = _heads(model, xs, max(2, 2048 // k))
+    lo, hi = _heads(model, x, max(2, 2048 // k))
     return _pinball_sum(model.alpha, y, lo, hi) / n
 
 
@@ -620,6 +565,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_integers(self, "epochs", "batch_size", "seed")
         if self.epochs < 0 or self.batch_size < 1:
             raise ContractViolationError("epochs >= 0 and batch_size >= 1 required")
         if not (math.isfinite(self.step_size) and self.step_size > 0.0):
@@ -633,12 +579,12 @@ def train(data, arch, alpha: float, cfg: TrainConfig) -> QuantileModel:
     The update uses the batch-mean gradient; identical data, arch, alpha
     and config reproduce the parameter vector bit for bit.
 
-    The features are scaled once.  One workspace, sized for a full batch,
-    holds every cache, activation and backward buffer of the step; each
-    batch is gathered into it, the last partial batch uses leading slices
-    of the same buffers, and the gradient is written straight into views
-    of one flat vector.  So no step after the first allocates an array.
-    Block 1's input gradient is never formed, because nothing reads it.
+    One workspace, sized for a full batch, holds every cache, activation
+    and backward buffer of the step; each batch is gathered into it, the
+    last partial batch uses leading slices of the same buffers, and the
+    gradient is written straight into views of one flat vector.  So no
+    step after the first allocates an array.  Block 1's input gradient is
+    never formed, because nothing reads it.
 
     ``loss_history`` holds ``epochs + 1`` entries.  Entry 0 is
     ``batch_loss`` of the initial model over the whole split; entry
@@ -651,15 +597,12 @@ def train(data, arch, alpha: float, cfg: TrainConfig) -> QuantileModel:
     parameters at an epoch's end.
     """
     x, y = data
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = x.shape[0]
+    x = _inputs(arch, x)
+    n, k = x.shape[0], _tokens(arch, x)
     if n == 0:
         raise ContractViolationError("training split must be nonempty")
     if not 0.0 < alpha < 1.0:
         raise ContractViolationError(f"alpha must lie in (0, 1), got {alpha}")
-    xs = _scale(arch, x)  # row by row, so gathering scaled rows equals scaling gathered ones
-    k = _tokens(arch, xs)
     y = _targets(y, n, k)
     bad = np.flatnonzero(~(np.isfinite(x.reshape(n, -1)).all(axis=1) & np.isfinite(y).all(axis=1)))
     if bad.size:
@@ -675,7 +618,7 @@ def train(data, arch, alpha: float, cfg: TrainConfig) -> QuantileModel:
         epoch_sum = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            loss = ws.loss_and_grad(*ws.gather(xs, y, idx))
+            loss = ws.loss_and_grad(*ws.gather(x, y, idx))
             if not math.isfinite(loss):
                 raise TrainingDivergedError(epoch)
             epoch_sum += loss

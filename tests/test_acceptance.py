@@ -279,12 +279,12 @@ def test_criterion_9a_weighted_quantile_oracle():
 
 
 def test_criterion_9b_gradient_check():
-    from ccke.quantile_net import AttentionArch, FeedforwardArch, init_model
+    from ccke.quantile_net import ATTENTION, FEEDFORWARD, init_model
     from ccke.quantile_net import _loss_and_grad
 
     rng = np.random.default_rng(91)
     worst = 0.0
-    for arch, shape in ((FeedforwardArch(), (6, 2)), (AttentionArch(), (3, 2, 5))):
+    for arch, shape in ((FEEDFORWARD, (6, 2)), (ATTENTION, (3, 2, 5))):
         x = rng.uniform(-1, 1, shape)
         y = rng.uniform(-1, 1, (shape[0],) if arch.kind == "feedforward"
                         else (shape[0], shape[2]))
@@ -306,13 +306,13 @@ def test_criterion_9b_gradient_check():
 
 
 def test_criterion_9c_equivariance():
-    from ccke.quantile_net import AttentionArch, init_model
+    from ccke.quantile_net import ATTENTION, init_model
 
     rng = np.random.default_rng(92)
     worst = 0.0
     for k in (2, 8, 16, 32):
         for trial in range(25):
-            model = init_model(AttentionArch(), ALPHA, seed=7000 + 100 * k + trial)
+            model = init_model(ATTENTION, ALPHA, seed=7000 + 100 * k + trial)
             x = rng.uniform(-2, 2, (1, 2, k))
             perm = rng.permutation(k)
             lo, hi = model.predict(x)
@@ -332,6 +332,14 @@ def sample_phy_context(rng):
         if phy_sim.SNR_DB_MIN <= snr <= phy_sim.SNR_DB_MAX:
             return phy_sim.PhyContexts(snr_db=[float(snr)],
                                        paths=[int(rng.integers(1, phy_sim.PATHS_MAX + 1))])
+
+
+def sample_mac_context(n_users, rng):
+    """One mac context, as a batch of one: backlogs i.i.d. uniform over
+    BACKLOG_MIN..BACKLOG_MAX, then CQIs i.i.d. uniform over 1..15."""
+    return mac_sim.MacContexts(
+        backlogs=rng.integers(mac_sim.BACKLOG_MIN, mac_sim.BACKLOG_MAX + 1, size=(1, n_users)),
+        cqis=rng.integers(1, 16, size=(1, n_users)))
 
 
 def test_criterion_9d_probability_normalization(ser_table):
@@ -356,7 +364,7 @@ def test_criterion_9e_weight_reciprocity(ser_table):
     phy_pol = phy_sim.PhyPolicy(temperature=1.0, ser_table=ser_table)
     worst = 0.0
     for _ in range(100):
-        ctx = mac_sim.generate_context(8, rng)
+        ctx = sample_mac_context(8, rng)
         worst = max(worst, abs(float(mac_pol.weight(ctx, mac_sim.RR, mac_sim.PFCA)[0])
                                * float(mac_pol.weight(ctx, mac_sim.PFCA, mac_sim.RR)[0]) - 1.0))
         pctx = sample_phy_context(rng)
@@ -380,7 +388,7 @@ def test_criterion_9f_kpi_bounds_and_conservation(ser_table):
     env = MacEnvironment(n_users=8, temperature=1.0)
     ok_mac = True
     for _ in range(150):
-        ctx = mac_sim.generate_context(env.n_users, rng)
+        ctx = sample_mac_context(env.n_users, rng)
         for app in mac_sim.MAC_APPS:
             out = env.rollout(app, ctx, rng)
             ok_mac &= bool(np.all(out >= 0) and np.all(out <= ctx.backlogs))

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ccke import cli, harness, mac_sim, phy_sim
+from ccke import cli, harness, mac_sim, phy_sim, quantile_net
 from ccke.conformal import ContractViolationError, weighted_corrections
 from ccke.harness import (
     ExperimentConfig,
@@ -522,6 +522,24 @@ def test_config_rejects_bad_training_fields_when_built(field, value):
     # these failed only inside run_experiment, after the training rollouts
     with pytest.raises(ContractViolationError):
         ExperimentConfig(**{field: value})
+
+
+INTEGER_FIELDS = {ExperimentConfig: ("n_train", "n_cal", "n_test", "n_trials", "n_users", "y_max",
+                                     "symbols_per_packet", "train_epochs", "train_batch",
+                                     "base_seed"),
+                  quantile_net.TrainConfig: ("epochs", "batch_size", "seed")}
+
+
+@pytest.mark.parametrize("cls,field,value", [(cls, field, value)
+                                             for cls, names in INTEGER_FIELDS.items()
+                                             for field in names for value in (1.5, 64.0, True)])
+def test_configs_reject_non_integer_counts_and_seeds(cls, field, value):
+    # a float count failed only after the training rollouts, and a float
+    # seed ran as its integer part; a bool is no count either
+    with pytest.raises(ContractViolationError, match=f"^{field} must be an integer"):
+        cls(**{field: value})
+    default = getattr(cls(), field)
+    assert getattr(cls(**{field: np.int64(default)}), field) == default  # numpy integers pass
 
 
 def test_experiment_deterministic_bytes(tmp_path):

@@ -15,13 +15,15 @@ from ccke.mac_sim import (
     PFCA,
     RR,
     FrameConfig,
+    BACKLOG_MAX,
+    BACKLOG_MIN,
     MacContexts,
     MacPolicy,
     default_payload_table,
     estimate_rr_residual,
-    generate_context,
     run_frame,
 )
+from ccke.harness import MacEnvironment
 
 
 def flat_policy(payload, temperature=1.0):
@@ -33,31 +35,47 @@ def one(backlogs, cqis):
     return MacContexts(backlogs=[backlogs], cqis=[cqis])
 
 
+def generate_context(n_users, rng):
+    """One context, as a batch of one: backlogs i.i.d. uniform over
+    BACKLOG_MIN..BACKLOG_MAX, then CQIs i.i.d. uniform over 1..15."""
+    return MacContexts(backlogs=rng.integers(BACKLOG_MIN, BACKLOG_MAX + 1, size=(1, n_users)),
+                       cqis=rng.integers(1, 16, size=(1, n_users)))
+
+
 # ---------------------------------------------------------------------------
 # contexts
 
 
+# the three tests below check the contexts a run draws:
+# MacEnvironment.sample_contexts_given_app, under each app
+
+
 def test_context_replay_deterministic():
-    a = generate_context(8, np.random.default_rng(42))
-    b = generate_context(8, np.random.default_rng(42))
-    assert np.array_equal(a.backlogs, b.backlogs)
-    assert np.array_equal(a.cqis, b.cqis)
+    env = MacEnvironment(n_users=8)
+    for app in (RR, PFCA):
+        a = env.sample_contexts_given_app(app, 5, np.random.default_rng(42))
+        b = env.sample_contexts_given_app(app, 5, np.random.default_rng(42))
+        assert np.array_equal(a.backlogs, b.backlogs)
+        assert np.array_equal(a.cqis, b.cqis)
 
 
 def test_context_shapes():
-    ctx = generate_context(8, np.random.default_rng(0))
-    assert len(ctx) == 1
-    assert ctx.backlogs.shape == (1, 8) and ctx.cqis.shape == (1, 8)
+    env = MacEnvironment(n_users=8)
+    for app in (RR, PFCA):
+        ctx = env.sample_contexts_given_app(app, 1, np.random.default_rng(0))
+        assert len(ctx) == 1
+        assert ctx.backlogs.shape == (1, 8) and ctx.cqis.shape == (1, 8)
 
 
 def test_context_distribution_bounds():
-    rng = np.random.default_rng(1)
-    b = np.concatenate([generate_context(4, rng).backlogs for _ in range(2500)])
-    c = np.concatenate([generate_context(4, rng).cqis for _ in range(2500)])
-    assert b.min() >= 10 and b.max() <= 100
-    assert c.min() >= 1 and c.max() <= 15
-    # all levels actually hit
-    assert set(np.unique(c)) == set(range(1, 16))
+    env, rng = MacEnvironment(n_users=4), np.random.default_rng(1)
+    for app in (RR, PFCA):
+        ctx = env.sample_contexts_given_app(app, 2500, rng)
+        b, c = ctx.backlogs, ctx.cqis
+        assert b.min() >= 10 and b.max() <= 100
+        assert c.min() >= 1 and c.max() <= 15
+        # all levels actually hit
+        assert set(np.unique(c)) == set(range(1, 16))
 
 
 def test_context_validation():
