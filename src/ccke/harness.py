@@ -483,6 +483,8 @@ class ExperimentConfig:
         # training rollouts (a count) or runs as another seed (a seed)
         require_integers(self, "n_train", "n_cal", "n_test", "n_trials", "n_users", "y_max",
                          "symbols_per_packet", "train_epochs", "train_batch", "base_seed")
+        if self.base_seed < 0:  # numpy seeds no generator from it
+            raise ContractViolationError(f"base_seed must be >= 0, got {self.base_seed}")
         if not 0.0 < self.alpha < 1.0:
             raise ContractViolationError("alpha must lie in (0, 1)")
         if min(self.n_train, self.n_cal, self.n_test, self.n_trials) < 1:

@@ -22,6 +22,9 @@ is allocated up front and written through ``out=``, so a training step
 after the first allocates no array.  The backward pass writes each
 gradient straight into its view of one flat vector, and it never forms
 the first attention block's input gradient, which nothing reads.
+Training makes no full-data pass: every entry of its loss history is a
+minibatch loss, entry 0 the initial model's on the first minibatch,
+which the first step computes anyway.
 
 A step issues as few numpy calls as keep every bit.  The views of each
 pass size are bound once.  Both pinball heads take their residual, loss
@@ -134,9 +137,6 @@ class QuantileModel:
         if self.params.shape != (self.arch.size,):
             raise ContractViolationError(
                 f"parameter vector of length {self.params.size}, arch wants {self.arch.size}")
-
-    def view(self, name: str) -> np.ndarray:
-        return self.views()[name]
 
     def views(self) -> dict:
         return _views(self.params, self.arch)
@@ -568,6 +568,8 @@ class TrainConfig:
         require_integers(self, "epochs", "batch_size", "seed")
         if self.epochs < 0 or self.batch_size < 1:
             raise ContractViolationError("epochs >= 0 and batch_size >= 1 required")
+        if self.seed < 0:  # numpy seeds no generator from it
+            raise ContractViolationError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.step_size) and self.step_size > 0.0):
             raise ContractViolationError(f"step_size must be finite and > 0, got {self.step_size!r}")
 
@@ -586,13 +588,15 @@ def train(data, arch, alpha: float, cfg: TrainConfig) -> QuantileModel:
     step after the first allocates an array.  Block 1's input gradient is
     never formed, because nothing reads it.
 
-    ``loss_history`` holds ``epochs + 1`` entries.  Entry 0 is
-    ``batch_loss`` of the initial model over the whole split; entry
-    ``e + 1`` is epoch ``e``'s mean minibatch loss: the summed losses of
-    its minibatches, each taken before that batch's update, in batch
-    order, over n.  No epoch makes a full-data pass; call ``batch_loss``
-    for the loss of the final model.  Raises ``ContractViolationError``,
-    before any step, on a row with a non-finite feature or target, and
+    ``loss_history`` holds ``epochs + 1`` entries, each a minibatch
+    estimate; training makes no full-data pass (``batch_loss`` gives a
+    model's loss over a whole split).  Entry 0 is the initial model's
+    mean loss on epoch 0's first minibatch, which the first step takes
+    anyway; with ``epochs=0`` it is still taken, and no step follows.
+    Entry ``e + 1`` is epoch ``e``'s mean minibatch loss: the summed
+    losses of its minibatches, each taken before that batch's update, in
+    batch order, over n.  Raises ``ContractViolationError``, before any
+    step, on a row with a non-finite feature or target, and
     ``TrainingDivergedError`` on a non-finite minibatch loss or non-finite
     parameters at an epoch's end.
     """
@@ -609,16 +613,23 @@ def train(data, arch, alpha: float, cfg: TrainConfig) -> QuantileModel:
         raise ContractViolationError(f"training row {bad[0]} has a non-finite feature or target")
     model = init_model(arch, alpha, cfg.seed)
     rng = np.random.Generator(np.random.PCG64(cfg.seed + 1))
-    model.loss_history.append(batch_loss(model, x, y))
     velocity = np.zeros_like(model.params)
     grad = np.empty_like(model.params)
     ws = _Workspace(model, min(cfg.batch_size, n), k, grad)
+    # the first step's loss and gradient, at the initial parameters; that
+    # loss over the batch's rows is entry 0 of the history
+    order = rng.permutation(n)
+    idx = order[: cfg.batch_size]
+    loss = ws.loss_and_grad(*ws.gather(x, y, idx))
+    model.loss_history.append(loss / idx.size)
     for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
+        if epoch:
+            order = rng.permutation(n)
         epoch_sum = 0.0
         for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            loss = ws.loss_and_grad(*ws.gather(x, y, idx))
+            if epoch or start:  # epoch 0's first loss and gradient are in hand
+                idx = order[start : start + cfg.batch_size]
+                loss = ws.loss_and_grad(*ws.gather(x, y, idx))
             if not math.isfinite(loss):
                 raise TrainingDivergedError(epoch)
             epoch_sum += loss

@@ -542,6 +542,27 @@ def test_configs_reject_non_integer_counts_and_seeds(cls, field, value):
     assert getattr(cls(**{field: np.int64(default)}), field) == default  # numpy integers pass
 
 
+@pytest.mark.parametrize("cls,field", [(ExperimentConfig, "base_seed"),
+                                       (quantile_net.TrainConfig, "seed")])
+def test_configs_reject_negative_seeds(cls, field):
+    # a negative seed constructed and then failed inside the run, with
+    # numpy's message, which names no field
+    with pytest.raises(ContractViolationError, match=f"^{field} must be >= 0, got -1$"):
+        cls(**{field: -1})
+    assert getattr(cls(**{field: 0}), field) == 0
+
+
+def test_experiment_makes_no_full_data_loss_pass(monkeypatch):
+    # training records its initial loss from the first step's minibatch,
+    # and nothing else on the run path evaluates a loss over a whole split
+    calls = []
+    monkeypatch.setattr(quantile_net, "batch_loss", lambda *args: calls.append(args))
+    cfg = ExperimentConfig(environment="mac", n_users=4, n_train=300, n_cal=20, n_test=5,
+                           n_trials=2, train_epochs=1, base_seed=24)
+    assert len(run_experiment(cfg).trials) == 2 * len(cfg.methods)
+    assert calls == []
+
+
 def test_experiment_deterministic_bytes(tmp_path):
     cfg = ExperimentConfig(environment="synthetic", actual_app="alt", target_app="base",
                            n_cal=40, n_test=3, n_trials=8, base_seed=21)

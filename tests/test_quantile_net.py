@@ -271,22 +271,24 @@ def test_train_divergence_on_final_update_reports_last_epoch(monkeypatch):
 
 @pytest.mark.parametrize("arch,k", [(FEEDFORWARD, 1), (ATTENTION, 8)])
 def test_initial_loss_is_batch_loss_of_init(arch, k):
+    # entry 0 is the initial model's loss on epoch 0's first minibatch, over
+    # its rows, also when no step follows
     x, y = _training_data(arch, 300, k, seed=13)
-    model = train((x, y), arch, 0.2, TrainConfig(epochs=2, seed=5))
-    assert model.loss_history[0].hex() == batch_loss(init_model(arch, 0.2, 5), x, y).hex()
+    first = np.random.Generator(np.random.PCG64(5 + 1)).permutation(300)[:64]
+    want = reference_loss_and_grad(init_model(arch, 0.2, 5), x[first], y[first])[0] / first.size
+    for epochs in (0, 3):
+        model = train((x, y), arch, 0.2, TrainConfig(epochs=epochs, batch_size=64, seed=5))
+        assert model.loss_history[0].hex() == want.hex()
+        assert len(model.loss_history) == epochs + 1
 
 
-def test_train_makes_one_full_data_pass(monkeypatch):
-    real, calls = quantile_net.batch_loss, []
-
-    def counting(model, x, y):
-        calls.append(np.asarray(x).shape[0])
-        return real(model, x, y)
-
-    monkeypatch.setattr(quantile_net, "batch_loss", counting)
+def test_train_makes_no_full_data_pass(monkeypatch):
+    calls = []
+    monkeypatch.setattr(quantile_net, "batch_loss", lambda *args: calls.append(args))
     x, y = _training_data(FEEDFORWARD, 200, 1, seed=14)
-    model = train((x, y), FEEDFORWARD, 0.2, TrainConfig(epochs=4, seed=1))
-    assert calls == [200] and len(model.loss_history) == 4 + 1
+    for epochs in (0, 4):
+        model = train((x, y), FEEDFORWARD, 0.2, TrainConfig(epochs=epochs, seed=1))
+        assert calls == [] and len(model.loss_history) == epochs + 1
 
 
 def test_final_loss_not_above_initial():
@@ -435,23 +437,23 @@ def reference_loss_and_grad(model, x, y):
     return loss, grad
 
 
-def reference_batch_loss(model, x, y):
-    loss, _ = reference_loss_and_grad(model, x, y)
-    return loss / np.asarray(x).shape[0]
-
-
 def reference_train(data, arch, alpha, cfg):
     """The original training loop on the oracle: a fresh gradient array per
-    step and an out-of-place momentum update.  Each epoch's loss is the sum
-    of its minibatch losses, taken before each update in batch order, over n."""
+    step and an out-of-place momentum update.  Entry 0 of the loss history
+    is the initial model's loss on epoch 0's first minibatch, over its rows;
+    each epoch's loss is the sum of its minibatch losses, taken before each
+    update in batch order, over n."""
     x, y = (np.asarray(a, dtype=float) for a in data)
     n = x.shape[0]
     model = init_model(arch, alpha, cfg.seed)
     rng = np.random.Generator(np.random.PCG64(cfg.seed + 1))
-    model.loss_history.append(reference_batch_loss(model, x, y))
+    order = rng.permutation(n)
+    first = order[: cfg.batch_size]
+    model.loss_history.append(reference_loss_and_grad(model, x[first], y[first])[0] / first.size)
     velocity = np.zeros_like(model.params)
     for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
+        if epoch:
+            order = rng.permutation(n)
         epoch_sum = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
