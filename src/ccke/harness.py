@@ -17,8 +17,9 @@ inefficiency of all trials as stacked (T, n) arrays.  A trial's numbers
 do not depend on its block, and the report carries each stage's wall
 seconds.
 
-On Linux a forked child draws most trial blocks while the model trains;
-``run_experiment`` says when it forks and what that costs.
+On Linux a forked child draws most trial blocks while the model trains,
+and large attention models train in two processes; ``run_experiment``
+says when it forks and what that costs.
 
 A fully synthetic scalar environment with analytically known quantiles
 and exact density ratios backs the coverage-guarantee test suites
@@ -31,17 +32,13 @@ any trial is reproducible in isolation and full runs are byte-stable.
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import sys
-import threading
 import time
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
-from . import mac_sim, phy_sim, quantile_net
+from . import _fork, mac_sim, phy_sim, quantile_net
 from ._normal import logsumexp, ndtr, ndtri
 from ._rowmax import row_max
 from .conformal import (
@@ -568,9 +565,6 @@ def _train_model(env, cfg: ExperimentConfig, contexts, kpis: np.ndarray, seed: i
 
 TRIAL_BLOCK = 25  # trials per block of run_experiment: bounds its (T, n_test, n_cal) masses
 STAGES = ("train", "draw", "predict", "calibrate", "metrics")
-# run_experiment draws every block but its last in a forked child on Linux
-# only: macOS system libraries are not fork-safe, and Windows has no fork
-_CAN_FORK = sys.platform.startswith("linux")
 
 
 class _StageClock:
@@ -649,100 +643,12 @@ def _bounds(env, cfg: ExperimentConfig, model, target, ctx, sets: int):
     return np.concatenate([lo for lo, _ in parts]), np.concatenate([hi for _, hi in parts])
 
 
-class _ChildTraceback(Exception):
-    """The formatted traceback of an exception raised in a forked child,
-    set as the ``__cause__`` of the exception the parent re-raises."""
-
-    def __str__(self):
-        return "\n" + self.args[0]
-
-
-def _picklable(exc):
-    """``exc`` if it survives a pickle round trip, else None."""
-    try:
-        pickle.loads(pickle.dumps(exc))
-    except Exception:
-        return None
-    return exc
-
-
-class _ForkedDraws:
+class _ForkedDraws(_fork.Child):
     """``draw(block)`` of each of ``blocks``, run in a forked child while
-    the parent goes on.
-
-    The child closes the pipe's read end, sends the list of results, or a
-    failure as its exception and formatted traceback, as one pickle
-    through the pipe, and always leaves through ``os._exit``: status 0
-    after sending results, 1 otherwise.  ``collect`` reads and reaps;
-    ``close`` kills and reaps a child that ``collect`` has not, and closes
-    the pipe.  An ``OSError`` of ``os.pipe`` or ``os.fork`` propagates,
-    with no descriptor left open.
-    """
+    the parent goes on; ``result()`` returns the list of their results."""
 
     def __init__(self, draw, blocks):
-        sys.stdout.flush()  # else the child would write the parent's buffered output again
-        sys.stderr.flush()
-        read_fd, write_fd = os.pipe()
-        try:
-            self._pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-            raise
-        if self._pid == 0:
-            self._child(draw, blocks, read_fd, write_fd)
-        os.close(write_fd)
-        self._pipe = os.fdopen(read_fd, "rb")
-
-    @staticmethod
-    def _child(draw, blocks, read_fd, write_fd):
-        status = 1
-        try:
-            os.close(read_fd)
-            try:
-                payload, sent_status = [draw(block) for block in blocks], 0
-            except Exception as exc:
-                import traceback  # here, not at the top: importing ccke should not pay for it
-
-                payload, sent_status = (_picklable(exc), traceback.format_exc()), 1
-            with os.fdopen(write_fd, "wb") as pipe:
-                pickle.dump(payload, pipe, protocol=pickle.HIGHEST_PROTOCOL)
-            status = sent_status
-        finally:
-            try:  # os._exit skips the flush that a normal exit makes
-                sys.stdout.flush()
-                sys.stderr.flush()
-            finally:
-                os._exit(status)
-
-    def collect(self) -> list:
-        """The child's results; a failure in the child is re-raised here,
-        its traceback as the cause."""
-        data = self._pipe.read()
-        self._pipe.close()
-        _, wait_status = os.waitpid(self._pid, 0)
-        self._pid = None
-        code = os.waitstatus_to_exitcode(wait_status)
-        if code == 0:
-            return pickle.loads(data)
-        try:
-            exc, child_traceback = pickle.loads(data)
-        except (EOFError, pickle.UnpicklingError):
-            raise RuntimeError(f"trial-draw child exited with status {code}") from None
-        if exc is None:
-            exc = RuntimeError(child_traceback.strip().splitlines()[-1])
-        raise exc from _ChildTraceback(child_traceback)
-
-    def close(self) -> None:
-        import signal  # here, not at the top: importing ccke should not pay for it
-
-        try:
-            if self._pid is not None:
-                os.kill(self._pid, signal.SIGKILL)
-                os.waitpid(self._pid, 0)
-                self._pid = None
-        finally:
-            self._pipe.close()
+        super().__init__(lambda link: [draw(block) for block in blocks])
 
 
 def run_experiment(cfg: ExperimentConfig, environment=None,
@@ -771,20 +677,23 @@ def run_experiment(cfg: ExperimentConfig, environment=None,
     summed over the blocks.  With ``progress``, the draw phase prints the
     trial count and rate every 25 trials.
 
-    The draws do not depend on the model.  So on Linux, with a model to
-    train, more than one block, more than one CPU in
-    ``os.sched_getaffinity`` and ``threading.active_count() == 1`` (a
-    child forked beside another thread could inherit a lock it holds),
-    one forked child (``_ForkedDraws``) draws every block but the last
-    while the parent trains; on one CPU the child would only compete with
-    training.  A cgroup CPU quota is not read.  After training the parent
-    draws the last block, then reads the child's blocks, and holds all of
-    their draws at once (about 180 KB for the benchmark's phy workload:
-    50 trials of 150 rows of 24 bytes); the draw stage counts the last
-    block plus the wait for the child.  If ``os.pipe`` or ``os.fork`` fails, and on every other
-    platform, the parent draws every block itself.  A failure in the child
-    is raised here with the child's traceback as its cause; a failure in
-    the parent kills and reaps the child first.
+    The draws do not depend on the model.  So, with a model to train and
+    more than one block, one forked child (``_ForkedDraws``) draws every
+    block but the last while the parent trains, where the package's fork
+    rule allows it (``_fork``: Linux, more than one CPU in
+    ``os.sched_getaffinity`` and no other thread; a cgroup CPU quota is
+    not read).  After training the parent draws the last block, then
+    reads the child's blocks, and holds all of their draws at once (about
+    180 KB for the benchmark's phy workload: 50 trials of 150 rows of 24
+    bytes); the draw stage counts the last block plus the wait for the
+    child.  If ``os.pipe`` or ``os.fork`` fails, and where the rule does
+    not allow a fork, the parent draws every block itself.  Training may
+    fork a second kind of child under the same rule: for an attention
+    model of at least ``quantile_net.SPLIT_TOKENS`` tokens, a worker that
+    runs half of each training step's rows (see ``quantile_net.train``),
+    and that leaves before ``train`` returns.  A failure in a child is
+    raised here with the child's traceback as its cause; a failure in the
+    parent kills and reaps every child first.
     """
     clock = _StageClock()
     env = environment if environment is not None else build_environment(cfg)
@@ -796,13 +705,9 @@ def run_experiment(cfg: ExperimentConfig, environment=None,
     blocks = [range(first, min(first + TRIAL_BLOCK, cfg.n_trials))
               for first in range(0, cfg.n_trials, TRIAL_BLOCK)]
     child = None
-    if (not env.has_exact_model and len(blocks) > 1 and _CAN_FORK
-            and len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1):
-        try:
-            child = _ForkedDraws(lambda block: _draw_block(env, cfg, target, actual, block),
-                                 blocks[:-1])
-        except OSError:  # no process or memory to spare: draw every block here
-            pass
+    if not env.has_exact_model and len(blocks) > 1:
+        child = _fork.start(lambda: _ForkedDraws(
+            lambda block: _draw_block(env, cfg, target, actual, block), blocks[:-1]))
     try:
         return _run_blocks(env, cfg, target, actual, blocks, child, clock, progress)
     finally:
@@ -830,7 +735,7 @@ def _run_blocks(env, cfg: ExperimentConfig, target, actual, blocks, child,
     start = time.perf_counter()
     if child is not None:
         last = _draw_block(env, cfg, target, actual, blocks[-1])
-        drawn = child.collect() + [last]
+        drawn = child.result() + [last]
     for block in blocks:
         ctx, kpis, factors = (drawn.pop(0) if drawn
                               else _draw_block(env, cfg, target, actual, block))

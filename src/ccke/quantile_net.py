@@ -16,15 +16,38 @@ Both networks emit a pair of quantile estimates (lower, upper) per KPI;
 nothing constrains the pair against crossing - downstream calibration
 tolerates it.
 
-Training, ``batch_loss`` and ``predict`` run one forward code path in a
-workspace made once per call: every cache, activation and backward buffer
-is allocated up front and written through ``out=``, so a training step
-after the first allocates no array.  The backward pass writes each
-gradient straight into its view of one flat vector, and it never forms
-the first attention block's input gradient, which nothing reads.
-Training makes no full-data pass: every entry of its loss history is a
-minibatch loss, entry 0 the initial model's on the first minibatch,
-which the first step computes anyway.
+Training and ``predict`` run one forward code path in a workspace made
+once per call: every cache, activation and backward buffer is allocated
+up front and written through ``out=``, so a training step after the
+first allocates no array.  The backward pass writes each gradient
+straight into its view of one flat vector, and it never forms the first
+attention block's input gradient, which nothing reads.  Training makes
+no full-data pass: every entry of its loss history is a minibatch loss,
+entry 0 the initial model's on the first minibatch, which the first step
+computes anyway.
+
+A training step runs in two phases.  The row phase does all that is done
+row by row: the forward pass, the residuals and output gradient, the
+ReLU masks, every ``d @ W``, the attention backward pass and the
+token-row merges.  The sum phase does every reduction over the batch's
+rows: the loss sums, each ``d.T @ h``, each projection gradient's dot
+and each bias gradient's sum, on the full arrays in the same layouts as
+in one pass.  In one process each reduction runs as soon as the row
+phase has formed its operands, while they are in cache.  A row's values
+do not depend on the rows beside it in its pass (a pass of one row
+aside, which takes BLAS gemv), so the row phase may run in parts.
+
+``train`` runs an attention model of at least ``SPLIT_TOKENS`` tokens in
+two processes: a forked worker runs the row phase of half of each batch,
+in a workspace in shared memory, and the parent runs the other half, the
+sum phase and the update.  The rule is set by the step's cost per row.
+With fewer tokens a step is bound by per-call overhead (a 32-row step
+costs 64% of a 64-row one at K = 8, 52% at K = 32), so the pipe round
+trip and the serial sum phase cost about what half the rows save.
+Training alone, two processes over one (1500 rows, 2 epochs, best of 3,
+three runs, on a 2-core Xeon with one BLAS thread): K = 8 1.15-1.24,
+K = 12 0.98-0.99, K = 16 0.92-0.96, K = 24 0.76-0.77, K = 32 0.70-0.73.
+The feedforward net's step (about 60 µs) stays in one process.
 
 A step issues as few numpy calls as keep every bit.  The views of each
 pass size are bound once.  Both pinball heads take their residual, loss
@@ -39,12 +62,14 @@ wrapper.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
+from . import _fork
 from ._rowmax import row_max
 from .conformal import ContractViolationError, require_integers
 
@@ -56,7 +81,6 @@ __all__ = [
     "TrainingDivergedError",
     "pinball_loss",
     "pinball_output_grad",
-    "batch_loss",
     "init_model",
     "train",
     "PREDICT_ROWS",
@@ -216,12 +240,6 @@ def _targets(y, n: int, k: int) -> np.ndarray:
     return y
 
 
-def _pinball_sum(alpha: float, y, lo, hi) -> float:
-    """Summed two-head pinball loss of (n, k) heads against (n, k) targets."""
-    return float(np.sum(pinball_loss(y, lo, alpha / 2.0))
-                 + np.sum(pinball_loss(y, hi, 1.0 - alpha / 2.0)))
-
-
 def _merger(a, axes, out) -> tuple:
     """``a.transpose(axes).reshape(out.shape)`` for a C-contiguous (b, d, K)
     ``a``, without a temporary, as a (result, copy) pair that ``_merge``
@@ -243,28 +261,52 @@ def _merge(merger) -> np.ndarray:
     return result
 
 
+def _shared(sizes: dict) -> dict:
+    """Empty flat arrays, ``name -> (size, dtype)``, in one anonymous
+    shared mapping, which a forked worker reads and writes too.  Each
+    starts on a 64-byte boundary."""
+    starts, stop = {}, 0
+    for name, (size, dtype) in sizes.items():
+        starts[name] = stop
+        stop += -(-size * np.dtype(dtype).itemsize // 64) * 64
+    memory = mmap.mmap(-1, max(stop, 1))
+    return {name: np.frombuffer(memory, dtype=dtype, count=size, offset=starts[name])
+            for name, (size, dtype) in sizes.items()}
+
+
 class _Workspace:
     """Every buffer of a pass over at most ``rows`` rows of ``k`` tokens, made once.
 
     A pass over b <= rows rows works in leading slices of the same flat
     buffers, and every write goes through ``out=``, so no pass after the
-    first allocates an array.  The first pass of each size binds those
-    slices, and the transposes and merges the step takes of them, once
-    (``_pass``), so a step looks up no view.  Forward caches are kept per
-    block and per layer, because the backward pass reads them.  The
-    (b, K, K) backward temporaries, the projection gradients and the MLP
-    backward buffers are shared by the two blocks, because block 2's
-    backward pass ends before block 1's starts.  Every operand of a BLAS
-    product or a sum keeps the memory layout it had when each step
-    allocated its temporaries, so every value keeps its bits.  With
-    ``grad`` given, the workspace also holds the loss and backward buffers
-    and writes each parameter's gradient straight into its view of
-    ``grad``.
+    first allocates an array.  The first pass over rows [lo, hi) of a
+    batch of b rows binds those rows' slices, and the transposes and
+    merges the pass takes of them, once (``_pass``), so a step looks up no
+    view.  Every operand of a BLAS product or a sum keeps the memory
+    layout it had when each step allocated its temporaries, so every value
+    keeps its bits.
+
+    With ``grad`` given, the workspace also holds the loss and backward
+    buffers, and a step (``loss_and_grad``) has two phases.  The row
+    phase (``rows``) does all that is done row by row: the forward pass,
+    the residuals and output gradient, the ReLU masks, every ``d @ W``,
+    the attention backward pass and the token-row merges.  The sum phase
+    (``sums``) does every reduction over the batch's rows, on the full
+    arrays: the loss sums, the weight and bias gradients, and the
+    transpose copies the projection gradients read.  It writes each
+    parameter's gradient straight into its view of ``grad``.  Since the
+    sum phase may run after the whole row phase, each layer's masked
+    output gradient and each block's query, key and value gradients have
+    buffers of their own; the (b, K, K) backward temporaries, the ReLU
+    masks and the attention blocks' output gradients, which only the row
+    phase reads, are shared.  With ``shared``, the buffers live in
+    anonymous shared memory, where a forked worker (``worker``, see
+    ``train``) runs the row phase of part of each batch.
     """
 
-    def __init__(self, model: QuantileModel, rows: int, k: int, grad=None):
+    def __init__(self, model: QuantileModel, rows: int, k: int, grad=None, shared=False):
         arch = self.arch = model.arch
-        self.k, self.grad = k, grad
+        self.k, self.grad, self.worker = k, grad, None
         # per head, as (2, 1, 1) columns against (2, b, k) arrays: the level
         # tau, the loss slope below the quantile, and the output gradient at
         # or above it (the kink takes the tau side) and below it
@@ -294,9 +336,11 @@ class _Workspace:
             self.dx_weights = (p["Wq2"].T, p["Wk2"].T, p["Wv2"].T)
             self.mlp1, self.mlp2 = mlp("m1", len(MLP1)), mlp("m2", len(MLP2))
         self._flat, self._sizes, self._passes = {}, {}, {}
-        self._bind(rows)  # a dry run of the largest pass sizes every buffer
-        self._flat = {name: np.empty(size, dtype=bool if name in ("ge", "alive") else float)
-                      for name, size in self._sizes.items()}
+        self._bind(rows, 0, rows)  # a dry run of the largest pass sizes every buffer
+        sizes = {name: (size, bool if name in ("ge", "alive") else float)
+                 for name, size in self._sizes.items()}
+        self._flat = (_shared(sizes) if shared else
+                      {name: np.empty(size, dtype=dtype) for name, (size, dtype) in sizes.items()})
 
     def _buf(self, name: str, shape: tuple) -> np.ndarray:
         """Leading slice of buffer ``name``, as an array of ``shape``.  Before
@@ -307,69 +351,86 @@ class _Workspace:
             return np.empty(shape)
         return self._flat[name][:size].reshape(shape)
 
-    def _pass(self, b: int) -> dict:
-        """The views of a pass over b rows, bound on the first pass of that size."""
-        if b not in self._passes:
-            self._passes[b] = self._bind(b)
-        return self._passes[b]
+    def _pass(self, b: int, lo: int = 0, hi: int = None) -> dict:
+        """The views of rows [lo, hi) (by default all) of a pass over b
+        rows, bound on the first pass over them."""
+        key = (b, lo, b if hi is None else hi)
+        if key not in self._passes:
+            self._passes[key] = self._bind(*key)
+        return self._passes[key]
 
-    def _bind(self, b: int) -> dict:
-        """Every buffer of a pass over b rows, and the slices, transposes and
-        merges the pass takes of them."""
-        arch, k, buf = self.arch, self.k, self._buf
-        n, backward = b * k, self.grad is not None
+    def _bind(self, b: int, lo: int, hi: int) -> dict:
+        """Every buffer's slice of rows [lo, hi) of a pass over b rows, and
+        the slices, transposes and merges the pass takes of them.  The sum
+        phase reads the views of a pass over all b rows."""
+        arch, k = self.arch, self.k
+        m, backward = hi - lo, self.grad is not None
+
+        def buf(name, *shape, tokens=False):
+            # rows [lo, hi) of buffer ``name`` as b rows of ``shape``, or
+            # as b K token rows
+            per = k if tokens else 1
+            return self._buf(name, (b * per, *shape))[lo * per:hi * per]
+
         v = {}
         if arch.kind == "feedforward":
-            v["m"] = self._mlp_views("m", self.mlp, n, backward)
-            out = v["m"][-1][0].reshape(b, 1, 2)
-            v["x"] = buf("x", (b, FEEDFORWARD_WIDTHS[0])) if backward else None
+            v["m"] = self._mlp_views("m", self.mlp, buf, backward, input_grad=False)
+            out = v["m"][-1][0].reshape(m, 1, 2)
+            v["x"] = buf("x", FEEDFORWARD_WIDTHS[0]) if backward else None
         else:
-            p, d_o, d_e = self.qkv_rows[-1].stop, D_O, D_E
-            mx, den = buf("mx", (b, k)), buf("den", (b, k))
+            mx, den = buf("mx", k), buf("den", k)
             v.update(mx=mx, mx_col=mx[:, :, None], den=den, den_col=den[:, :, None])
             for j, prefix, layers in ((1, "m1_", self.mlp1), (2, "m2_", self.mlp2)):
-                qkv, s = buf(f"qkv{j}", (b, p, k)), buf(f"s{j}", (b, k, k))
+                qkv, s = buf(f"qkv{j}", self.qkv_rows[-1].stop, k), buf(f"s{j}", k, k)
                 q, kk, vv = (qkv[:, rows] for rows in self.qkv_rows)
-                att = buf(f"att{j}", (b, d_o, k))
-                t = _merger(att, (0, 2, 1), buf(f"t{j}", (n, d_o)))
+                att = buf(f"att{j}", D_O, k)
+                t = _merger(att, (0, 2, 1), buf(f"t{j}", D_O, tokens=True))
                 proj = list(zip(self.proj[j - 1], [qkv] if j == 1 else [q, kk, vv]))
                 v[j] = SimpleNamespace(proj=proj, q=q, kk=kk, kT=kk.transpose(0, 2, 1), v=vv,
                                        vT=vv.transpose(0, 2, 1), s=s, sT=s.transpose(0, 2, 1),
                                        att=att, merge_t=t, t=t[0], grads=self.grads[j - 1])
-                v[prefix] = self._mlp_views(prefix, layers, n, backward)
+                if backward:
+                    dqkv = tuple(buf(f"{name}{j}", rows.stop - rows.start, k)
+                                 for name, rows in zip(("dq", "dk", "dv"), self.qkv_rows))
+                    v[j].dqkv = dqkv
+                    v[j].at = [_merger(d, (1, 0, 2), self._buf("at", (d.shape[1], m * k)))
+                               for d in dqkv]
+                v[prefix] = self._mlp_views(prefix, layers, buf, backward, input_grad=True)
             v["e"] = v["m1_"][-1][0]
-            v["e_in"] = v["e"].reshape(b, k, d_e).transpose(0, 2, 1)  # block 2's input
-            out = v["m2_"][-1][0].reshape(b, k, 2)
+            v["e_in"] = v["e"].reshape(m, k, D_E).transpose(0, 2, 1)  # block 2's input
+            out = v["m2_"][-1][0].reshape(m, k, 2)
             if backward:
-                dqkv = tuple(buf(name, (b, rows.stop - rows.start, k))
-                             for name, rows in zip(("dq", "dk", "dv"), self.qkv_rows))
-                ds, rowsum, dx = buf("ds", (b, k, k)), buf("rowsum", (b, k)), buf("dx", (b, d_e, k))
-                # mlp1's backward pass reads its output gradient from the d
-                # buffer its last layer does not write
-                d_e_buf = buf(f"d{len(self.mlp1) % 2}", (n, d_e))
-                at = [_merger(d, (1, 0, 2), buf("at", (d.shape[1], n))) for d in dqkv]
-                v.update(x=buf("x", (b, TOKEN_DIM, k)), xT=buf("xT", (n, TOKEN_DIM)),
-                         dqkv=dqkv, at=at,
-                         ds=ds, dsT=ds.transpose(0, 2, 1), prod=buf("prod", (b, k, k)),
+                ds, rowsum, dx = buf("ds", k, k), buf("rowsum", k), buf("dx", D_E, k)
+                # block 2's input gradient terms go to the buffer of its
+                # output gradient, which only its dv and ds read
+                v.update(x=buf("x", TOKEN_DIM, k), xT=buf("xT", TOKEN_DIM, tokens=True),
+                         ds=ds, dsT=ds.transpose(0, 2, 1), prod=buf("prod", k, k),
                          rowsum_col=rowsum[:, :, None], rowsum=rowsum, dx=dx,
-                         dx_tmp=buf("dx_tmp", (b, d_e, k)), d_e=_merger(dx, (0, 2, 1), d_e_buf))
+                         dx_tmp=buf("d_att", D_O, tokens=True).reshape(m, D_E, k),
+                         d_e=_merger(dx, (0, 2, 1), buf("d_e", D_E, tokens=True)))
         v["out"] = out
         if backward:
-            v.update((name, buf(name, (2, b, k))) for name in ("r", "l1", "l2", "ge"))
-            v.update(y=buf("y", (b, k)), heads=out.transpose(2, 0, 1), d_out=buf("d_out", (n, 2)))
-            v["d_heads"] = v["d_out"].reshape(b, k, 2).transpose(2, 0, 1)
+            v.update((name, self._buf(name, (2, b, k))[:, lo:hi]) for name in ("r", "l1", "l2", "ge"))
+            v.update(y=buf("y", k), heads=out.transpose(2, 0, 1), d_out=buf("d_out", 2, tokens=True))
+            v["d_heads"] = v["d_out"].reshape(m, k, 2).transpose(2, 0, 1)
         return v
 
-    def _mlp_views(self, prefix: str, layers, n: int, backward: bool) -> list:
+    def _mlp_views(self, prefix: str, layers, buf, backward: bool, input_grad: bool) -> list:
         """(output, ReLU mask, mask factors, input gradient) views of each
-        layer of a dense stack over n token rows; the gradient of layer i's
-        input goes to buffer d{i % 2}."""
+        layer of a dense stack, as token rows.  The sum phase reads each
+        layer's masked output gradient, the next layer's input gradient, so
+        each layer but the first writes its input gradient to a buffer of
+        its own.  The first layer's, with ``input_grad``, is the gradient
+        of the attention output, which goes to buffer ``d_att``."""
         views, last = [], len(layers) - 1
         for i, (w, *_) in enumerate(layers):
-            z = self._buf(f"{prefix}{i}", (n, w.shape[0]))
-            mask = (self._buf("alive", z.shape), self._buf("factor", z.shape)) \
+            width, fan_in = w.shape
+            z = buf(f"{prefix}{i}", width, tokens=True)
+            mask = (buf("alive", width, tokens=True), buf("factor", width, tokens=True)) \
                 if backward and i != last else (None, None)
-            d_in = self._buf(f"d{i % 2}", (n, w.shape[1])) if backward else None
+            d_in = None
+            if backward and (i or input_grad):
+                d_in = buf(f"{prefix}d{i}" if i else "d_att", fan_in, tokens=True)
             views.append((z, *mask, d_in))
         return views
 
@@ -385,12 +446,15 @@ class _Workspace:
     def forward(self, x) -> np.ndarray:
         """Heads of the input rows ``x``, as a (b, k, 2) view."""
         v = self._pass(x.shape[0])
+        self._forward(x, v)
+        return v["out"]
+
+    def _forward(self, x, v) -> None:
         if self.arch.kind == "feedforward":
             self._mlp_fwd(x, self.mlp, v["m"])
         else:
             self._mlp_fwd(self._attention_fwd(x, v[1], v), self.mlp1, v["m1_"])
             self._mlp_fwd(self._attention_fwd(v["e_in"], v[2], v), self.mlp2, v["m2_"])
-        return v["out"]
 
     def _attention_fwd(self, x, blk, v) -> np.ndarray:
         """Block ``blk`` on x (b, d, K); returns its output as (b K, d_o) token rows."""
@@ -423,60 +487,112 @@ class _Workspace:
 
     def loss_and_grad(self, x, y) -> float:
         """Summed two-head pinball loss of the input rows ``x`` against their
-        (b, k) targets ``y``; writes its gradient into ``grad``."""
-        v = self._pass(y.shape[0])
-        self.forward(x)
+        (b, k) targets ``y``; writes its gradient into ``grad``.
+
+        In one process the sum phase runs inside the row phase, each
+        reduction as soon as its operands are formed, while they are in
+        cache: run after the whole row phase, the same calls made a K = 8
+        step 5% slower.  With a ``worker`` and at least 4 rows, the worker
+        runs the row phase of rows [b // 2, b) while this process runs rows
+        [0, b // 2), and then this process runs the sum phase.  A half of
+        one row would take BLAS gemv, which rounds differently."""
+        b = y.shape[0]
+        if self.worker is None or b < 4:
+            return self.rows(x, y, 0, b, sums=True)
+        self.worker.send(b)
+        self.rows(x, y, 0, b // 2)
+        self.worker.wait()
+        return self.sums(x, b)
+
+    def serve(self, link) -> None:
+        """The worker's loop: the row phase of rows [b // 2, b) of each
+        batch of b rows the parent gathered, until its pipe closes."""
+        while (b := link.receive()) is not None:
+            v = self._pass(b)
+            self.rows(v["x"], v["y"], b // 2, b)
+            link.ack()
+
+    def rows(self, x, y, lo: int, hi: int, sums: bool = False):
+        """The row phase of a step on rows [lo, hi) of the batch ``x`` and
+        its (b, k) targets ``y``.  With ``sums``, on all b rows, the sum
+        phase runs within it, and the loss is returned."""
+        v = self._pass(y.shape[0], lo, hi)
+        x, y = x[lo:hi], y[lo:hi]
+        self._forward(x, v)
         r, l1, l2, ge, d_heads = v["r"], v["l1"], v["l2"], v["ge"], v["d_heads"]
         # both heads at once, as (2, b, k): one residual gives each head's
-        # loss and its output gradient
+        # loss terms and its output gradient
         np.subtract(y, v["heads"], out=r)
         np.multiply(self.tau, r, out=l1)
         np.multiply(self.slope_below, r, out=l2)
         np.maximum(l1, l2, out=l1)
-        loss = float(np.add.reduce(l1[0], axis=None) + np.add.reduce(l1[1], axis=None))
+        loss = _loss(l1) if sums else None
         np.greater_equal(r, 0.0, out=ge)
         np.copyto(d_heads, self.d_below)
         np.copyto(d_heads, self.d_at_or_above, where=ge)
         if self.arch.kind == "feedforward":
-            self._mlp_bwd(v["d_out"], x, self.mlp, v["m"], input_grad=False)
+            self._mlp_rows(v["d_out"], self.mlp, v["m"], x if sums else None)
         else:
-            d_t2 = self._mlp_bwd(v["d_out"], v[2].t, self.mlp2, v["m2_"])
-            d_e = self._attention_bwd(d_t2, v["e"], v[2], v, input_grad=True)
-            d_t1 = self._mlp_bwd(d_e, v[1].t, self.mlp1, v["m1_"])
-            # x as token rows, once for all three weight dots of block 1
-            x_tokens = _merge(_merger(x, (0, 2, 1), v["xT"]))
-            self._attention_bwd(d_t1, x_tokens, v[1], v)  # block 1's dx is never formed
+            d_t2 = self._mlp_rows(v["d_out"], self.mlp2, v["m2_"], v[2].t if sums else None)
+            d_e = self._attention_rows(d_t2, v[2], v, v["e"] if sums else None, input_grad=True)
+            d_t1 = self._mlp_rows(d_e, self.mlp1, v["m1_"], v[1].t if sums else None)
+            x_tokens = _merge(_merger(x, (0, 2, 1), v["xT"]))  # for block 1's weight dots
+            self._attention_rows(d_t1, v[1], v, x_tokens if sums else None)  # no dx: unread
+        if sums:
+            self.grad += 0.0  # a -0.0 gradient becomes +0.0, as when summed into zeros
+        return loss
+
+    def sums(self, x, b: int) -> float:
+        """The sum phase of a step on the b rows ``x``, after the row phase
+        of all of them: returns the loss, and writes the gradient."""
+        v = self._pass(b)
+        loss = _loss(v["l1"])
+        if self.arch.kind == "feedforward":
+            self._mlp_sums(v["d_out"], x, self.mlp, v["m"])
+        else:
+            self._mlp_sums(v["d_out"], v[2].t, self.mlp2, v["m2_"])
+            _attention_sums(v["e"], v[2])
+            self._mlp_sums(v["d_e"][0], v[1].t, self.mlp1, v["m1_"])
+            _attention_sums(_merger(x, (0, 2, 1), v["xT"])[0], v[1])
         self.grad += 0.0  # a -0.0 gradient becomes +0.0, as when summed into zeros
         return loss
 
-    def _mlp_bwd(self, d, h, layers, views, input_grad: bool = True):
-        """Backward pass of a dense stack whose input was ``h`` and whose output
-        gradient is ``d``: writes the layer gradients and returns the input
-        gradient."""
+    def _mlp_rows(self, d, layers, views, h=None):
+        """The row phase of the backward pass of a dense stack from its
+        output gradient ``d``: masks each layer's output gradient in place
+        and forms its input gradient.  Given the stack's input ``h``, also
+        writes each layer's gradients.  Returns the stack's input gradient."""
         last = len(layers) - 1
         for i in range(last, -1, -1):
-            w, _, _, gw, gb = layers[i]
             z, alive, factor, d_in = views[i]
             if i != last:
                 # d * (z > 0) as 1.0 / 0.0 factors, cast without a buffer
                 np.greater(z, 0.0, out=alive)
                 np.copyto(factor, alive)
                 np.multiply(d, factor, out=d)
-            np.matmul(d.T, views[i - 1][0] if i else h, out=gw)
-            np.add.reduce(d, axis=0, out=gb)
-            if i or input_grad:
-                np.matmul(d, w, out=d_in)
+            if h is not None:
+                _layer_sums(layers[i], d, views[i - 1][0] if i else h)
+            if d_in is not None:
+                np.matmul(d, layers[i][0], out=d_in)
                 d = d_in
         return d
 
-    def _attention_bwd(self, d_t, tokens, blk, v, input_grad: bool = False):
-        """Backward pass of block ``blk`` from the gradient of its output token
-        rows ``d_t``; ``tokens`` is its input as (b K, d) rows.  Writes the
-        three projection gradients.  With ``input_grad``, also returns the
-        input gradient as (b K, d_e) rows."""
+    def _mlp_sums(self, d, h, layers, views) -> None:
+        """The sum phase of a dense stack whose input was ``h`` and whose
+        output gradient is ``d``: writes the layer gradients."""
+        for i in range(len(layers) - 1, -1, -1):
+            _layer_sums(layers[i], d, views[i - 1][0] if i else h)
+            d = views[i][3]  # the masked output gradient of layer i - 1
+
+    def _attention_rows(self, d_t, blk, v, tokens=None, input_grad: bool = False):
+        """The row phase of the backward pass of block ``blk`` from the
+        gradient of its output token rows ``d_t``: its query, key and value
+        gradients.  Given its input as (b K, d) rows ``tokens``, also writes
+        its projection gradients.  With ``input_grad``, returns the input
+        gradient as (b K, d_e) rows."""
         b, k = blk.s.shape[:2]
         d_att = d_t.reshape(b, k, D_O).transpose(0, 2, 1)
-        (dq, dk, dv), ds = v["dqkv"], v["ds"]
+        (dq, dk, dv), ds = blk.dqkv, v["ds"]
         np.matmul(d_att, blk.sT, out=dv)
         np.matmul(blk.vT, d_att, out=ds)
         np.multiply(ds, blk.s, out=v["prod"])
@@ -486,8 +602,8 @@ class _Workspace:
         np.divide(ds, self.root_dh, out=ds)
         np.matmul(blk.kk, ds, out=dq)
         np.matmul(blk.q, v["dsT"], out=dk)
-        for g, at in zip(blk.grads, v["at"]):
-            np.dot(_merge(at), tokens, out=g)
+        if tokens is not None:
+            _attention_sums(tokens, blk)
         if not input_grad:
             return None
         dx, tmp = v["dx"], v["dx_tmp"]
@@ -498,6 +614,26 @@ class _Workspace:
         np.matmul(wv, dv, out=tmp)
         dx += tmp
         return _merge(v["d_e"])
+
+
+def _loss(l1) -> float:
+    """The summed loss of both heads' (2, b, k) loss terms."""
+    return float(np.add.reduce(l1[0], axis=None) + np.add.reduce(l1[1], axis=None))
+
+
+def _layer_sums(layer, d, h) -> None:
+    """The weight and bias gradients of a dense layer whose input was the
+    token rows ``h`` and whose masked output gradient is ``d``."""
+    _, _, _, gw, gb = layer
+    np.matmul(d.T, h, out=gw)
+    np.add.reduce(d, axis=0, out=gb)
+
+
+def _attention_sums(tokens, blk) -> None:
+    """The projection gradients of attention block ``blk``, whose input was
+    the (b K, d) rows ``tokens``: one transpose copy and one dot each."""
+    for g, at in zip(blk.grads, blk.at):
+        np.dot(_merge(at), tokens, out=g)
 
 
 def _loss_and_grad(model: QuantileModel, x, y):
@@ -534,25 +670,14 @@ def _heads(model: QuantileModel, xs, rows: int):
     return lo, hi
 
 
-def batch_loss(model: QuantileModel, x, y) -> float:
-    """Mean per-sample two-head pinball loss (summed over KPIs); forward only, in
-    cache-sized passes of about 2048 tokens (rows x KPIs) through one workspace
-    (``_heads``).  A row's heads do not depend on its pass, and the loss is
-    summed over the whole batch at once."""
-    x = _inputs(model.arch, x)
-    n, k = x.shape[0], _tokens(model.arch, x)
-    if n == 0:
-        raise ContractViolationError("batch must be nonempty")
-    y = _targets(y, n, k)
-    lo, hi = _heads(model, x, max(2, 2048 // k))
-    return _pinball_sum(model.alpha, y, lo, hi) / n
-
-
 # ---------------------------------------------------------------------------
 # training
 
 
 MOMENTUM = 0.9  # heavy-ball momentum of every training step
+# the fewest tokens at which ``train`` runs an attention model's steps in
+# two processes (see the module docstring for the timings behind it)
+SPLIT_TOKENS = 16
 
 
 @dataclass(frozen=True)
@@ -588,15 +713,31 @@ def train(data, arch, alpha: float, cfg: TrainConfig) -> QuantileModel:
     step after the first allocates an array.  Block 1's input gradient is
     never formed, because nothing reads it.
 
+    Each step has a row phase, all that is done row by row, and a sum
+    phase, every reduction over the batch's rows (see ``_Workspace``).  An
+    attention model of at least ``SPLIT_TOKENS`` tokens, with batches of
+    at least 4 rows, trains in two processes where the package's fork
+    rule allows it (``_fork``: Linux, more than one CPU and no other
+    thread).  The workspace and the parameter vector then live in
+    anonymous shared memory, and one worker, forked once per call, runs
+    the row phase of rows [b // 2, b) of each batch of b rows while this
+    process runs rows [0, b // 2).  After the worker's acknowledgement
+    this process runs the sum phase, on the same full arrays as in one
+    process, and the update, so every byte stays.  A batch of fewer than
+    4 rows runs both phases here.  The worker leaves when its command pipe
+    closes, before ``train`` returns; a failure in the worker is raised
+    here with the worker's traceback as its cause, and a failure here
+    kills and reaps the worker.  If the fork fails, training runs in this
+    process alone.
+
     ``loss_history`` holds ``epochs + 1`` entries, each a minibatch
-    estimate; training makes no full-data pass (``batch_loss`` gives a
-    model's loss over a whole split).  Entry 0 is the initial model's
-    mean loss on epoch 0's first minibatch, which the first step takes
-    anyway; with ``epochs=0`` it is still taken, and no step follows.
-    Entry ``e + 1`` is epoch ``e``'s mean minibatch loss: the summed
-    losses of its minibatches, each taken before that batch's update, in
-    batch order, over n.  Raises ``ContractViolationError``, before any
-    step, on a row with a non-finite feature or target, and
+    estimate; training makes no full-data pass.  Entry 0 is the initial
+    model's mean loss on epoch 0's first minibatch, which the first step
+    takes anyway; with ``epochs=0`` it is still taken, and no step
+    follows.  Entry ``e + 1`` is epoch ``e``'s mean minibatch loss: the
+    summed losses of its minibatches, each taken before that batch's
+    update, in batch order, over n.  Raises ``ContractViolationError``,
+    before any step, on a row with a non-finite feature or target, and
     ``TrainingDivergedError`` on a non-finite minibatch loss or non-finite
     parameters at an epoch's end.
     """
@@ -612,10 +753,33 @@ def train(data, arch, alpha: float, cfg: TrainConfig) -> QuantileModel:
     if bad.size:
         raise ContractViolationError(f"training row {bad[0]} has a non-finite feature or target")
     model = init_model(arch, alpha, cfg.seed)
+    rows = min(cfg.batch_size, n)
+    split = k >= SPLIT_TOKENS and rows >= 4
+    if split:  # where the worker reads it
+        params = _shared({"params": (arch.size, float)})["params"]
+        params[:] = model.params
+        model.params = params
+    ws = _Workspace(model, rows, k, np.empty(arch.size), shared=split)
+    if split:
+        ws.worker = _fork.start(lambda: _fork.Child(ws.serve, commands=True))
+    try:
+        _descend(model, ws, x, y, cfg)
+        if ws.worker is not None:
+            ws.worker.result()  # the worker leaves once its pipe closes
+    finally:
+        if ws.worker is not None:
+            ws.worker.close()
+    if split:
+        model.params = model.params.copy()  # out of the shared mapping
+    return model
+
+
+def _descend(model: QuantileModel, ws: _Workspace, x, y, cfg: TrainConfig) -> None:
+    """``train``'s steps, on the model's parameters in place, with
+    gradients from ``ws``; appends to the model's loss history."""
+    n, grad = x.shape[0], ws.grad
     rng = np.random.Generator(np.random.PCG64(cfg.seed + 1))
     velocity = np.zeros_like(model.params)
-    grad = np.empty_like(model.params)
-    ws = _Workspace(model, min(cfg.batch_size, n), k, grad)
     # the first step's loss and gradient, at the initial parameters; that
     # loss over the batch's rows is entry 0 of the history
     order = rng.permutation(n)
@@ -642,4 +806,3 @@ def train(data, arch, alpha: float, cfg: TrainConfig) -> QuantileModel:
         if not np.isfinite(model.params).all():  # the last update overflowed
             raise TrainingDivergedError(epoch, f"non-finite parameters after epoch {epoch}")
         model.loss_history.append(epoch_sum / n)
-    return model

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ccke import cli, harness, mac_sim, phy_sim, quantile_net
+from ccke import _fork, cli, harness, mac_sim, phy_sim, quantile_net
 from ccke.conformal import ContractViolationError, weighted_corrections
 from ccke.harness import (
     ExperimentConfig,
@@ -553,14 +553,20 @@ def test_configs_reject_negative_seeds(cls, field):
 
 
 def test_experiment_makes_no_full_data_loss_pass(monkeypatch):
-    # training records its initial loss from the first step's minibatch,
-    # and nothing else on the run path evaluates a loss over a whole split
-    calls = []
-    monkeypatch.setattr(quantile_net, "batch_loss", lambda *args: calls.append(args))
+    # training records its initial loss from the first step's minibatch:
+    # its forward passes cover the one epoch's 300 rows once, in batches
+    rows, forward = [], quantile_net._Workspace._forward
+
+    def recording(ws, x, v):
+        if ws.grad is not None:
+            rows.append(x.shape[0])
+        return forward(ws, x, v)
+
+    monkeypatch.setattr(quantile_net._Workspace, "_forward", recording)
     cfg = ExperimentConfig(environment="mac", n_users=4, n_train=300, n_cal=20, n_test=5,
                            n_trials=2, train_epochs=1, base_seed=24)
     assert len(run_experiment(cfg).trials) == 2 * len(cfg.methods)
-    assert calls == []
+    assert max(rows) <= cfg.train_batch and sum(rows) == cfg.n_train
 
 
 def test_experiment_deterministic_bytes(tmp_path):
@@ -625,7 +631,7 @@ def forks(monkeypatch):
     """The number of blocks of each child run_experiment forks, with two
     CPUs in the affinity mask whatever the box has.  After the test no
     child is left, live or zombie, and no descriptor is left open."""
-    if not harness._CAN_FORK:
+    if not _fork.LINUX:
         pytest.skip("run_experiment forks on Linux only")
     assert threading.active_count() == 1  # else run_experiment would never fork
     fds = set(os.listdir("/proc/self/fd"))
@@ -658,9 +664,9 @@ def in_child_only(monkeypatch, action):
 
 def inline_bytes(cfg, monkeypatch, out_dir):
     """``trials.csv`` and ``aggregate.csv`` of ``cfg`` with every block
-    drawn in this process, as off Linux."""
+    drawn, and the model trained, in this process, as off Linux."""
     with monkeypatch.context() as m:
-        m.setattr(harness, "_CAN_FORK", False)
+        m.setattr(_fork, "LINUX", False)
         emit_report(run_experiment(cfg), out_dir)
     return [(out_dir / name).read_bytes() for name in ("trials.csv", "aggregate.csv")]
 
@@ -772,6 +778,16 @@ def test_overlap_progress_prints_each_line_once(capfd, forks):
     assert forks == [2]
     assert [line.split("(")[0] for line in lines] == \
            ["before the run", "  trial 25/51 ", "  trial 50/51 "]
+
+
+def test_worker_trains_mac_k16_to_the_same_bytes(forked_pids, monkeypatch, tmp_path):
+    # one trial block, so no draw child: the one fork is training's worker
+    cfg = ExperimentConfig(environment="mac", n_users=16, n_train=150, n_cal=20, n_test=5,
+                           n_trials=2, train_epochs=1, base_seed=25)
+    emit_report(run_experiment(cfg), tmp_path / "forked")
+    forked = [(tmp_path / "forked" / n).read_bytes() for n in ("trials.csv", "aggregate.csv")]
+    assert len(forked_pids) == 1
+    assert forked == inline_bytes(cfg, monkeypatch, tmp_path / "inline")
 
 
 def test_noise_generators_made_only_when_drawn_from(monkeypatch):

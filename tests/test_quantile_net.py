@@ -1,9 +1,13 @@
 """Quantile regression tests: loss conventions, hand-checked and
 finite-difference gradients, equivariance, and training behavior."""
 
+import errno
 import itertools
 import math
+import os
 import resource
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -15,13 +19,12 @@ from ccke.quantile_net import (
     QuantileModel,
     TrainConfig,
     TrainingDivergedError,
-    batch_loss,
     init_model,
     pinball_loss,
     pinball_output_grad,
     train,
 )
-from ccke import quantile_net
+from ccke import _fork, quantile_net
 from ccke.quantile_net import _loss_and_grad
 
 
@@ -242,7 +245,7 @@ def test_attention_input_without_tokens_rejected():
     model = init_model(ATTENTION, 0.2, 0)
     x, y = np.zeros((3, 2, 0)), np.zeros((3, 0))
     with pytest.raises(ContractViolationError):
-        batch_loss(model, x, y)
+        model.predict(x)
     with pytest.raises(ContractViolationError):
         train((x, y), ATTENTION, 0.2, TrainConfig(epochs=1))
 
@@ -282,13 +285,29 @@ def test_initial_loss_is_batch_loss_of_init(arch, k):
         assert len(model.loss_history) == epochs + 1
 
 
+def training_forward_rows(monkeypatch):
+    """The row count of every forward pass of a training workspace, as it is made."""
+    rows, forward = [], quantile_net._Workspace._forward
+
+    def recording(ws, x, v):
+        if ws.grad is not None:
+            rows.append(x.shape[0])
+        return forward(ws, x, v)
+
+    monkeypatch.setattr(quantile_net._Workspace, "_forward", recording)
+    return rows
+
+
 def test_train_makes_no_full_data_pass(monkeypatch):
-    calls = []
-    monkeypatch.setattr(quantile_net, "batch_loss", lambda *args: calls.append(args))
+    # the forward passes cover each step's batch once: epoch 0's first
+    # batch, whose loss is entry 0, then every other batch of each epoch
+    rows = training_forward_rows(monkeypatch)
     x, y = _training_data(FEEDFORWARD, 200, 1, seed=14)
     for epochs in (0, 4):
+        rows.clear()
         model = train((x, y), FEEDFORWARD, 0.2, TrainConfig(epochs=epochs, seed=1))
-        assert calls == [] and len(model.loss_history) == epochs + 1
+        assert len(model.loss_history) == epochs + 1
+        assert max(rows) <= 64 and sum(rows) == (epochs * 200 if epochs else 64)
 
 
 def test_final_loss_not_above_initial():
@@ -482,10 +501,9 @@ def _training_data(arch, n, k, seed):
     return x, y
 
 
-# n is not a multiple of the batch size 64, and spans several batch_loss chunks;
-# n = 129 leaves a last batch (and a last batch_loss chunk at K = 32) of one row.
-# At K = 3 and K = 33 the full batches take the softmax's column-wise row max
-# and the one-row batch (and, at K = 33, the last batch_loss chunk) np.max
+# n is not a multiple of the batch size 64; n = 129 leaves a last batch of one
+# row.  At K = 3 and K = 33 the full batches take the softmax's column-wise row
+# max and the one-row batch np.max
 @pytest.mark.parametrize("arch,k,n", [(FEEDFORWARD, 1, 2100), (ATTENTION, 1, 2100),
                                       (ATTENTION, 8, 600), (ATTENTION, 32, 129),
                                       (FEEDFORWARD, 1, 129), (ATTENTION, 8, 129),
@@ -593,20 +611,6 @@ def test_train_rejects_targets_of_another_shape():
         train((x, y[:, :3]), ATTENTION, 0.2, TrainConfig(epochs=1))
 
 
-@pytest.mark.parametrize("arch,k,n", [(FEEDFORWARD, 1, 70), (FEEDFORWARD, 1, 4500),
-                                      (ATTENTION, 8, 600), (ATTENTION, 32, 150)])
-def test_batch_loss_is_forward_loss_over_n(arch, k, n):
-    x, y = _training_data(arch, n, k, seed=9)
-    model = init_model(arch, 0.2, seed=3)
-    assert batch_loss(model, x, y).hex() == (reference_loss_and_grad(model, x, y)[0] / n).hex()
-
-
-def test_batch_loss_empty_batch_rejected():
-    model = init_model(ATTENTION, 0.2, 0)
-    with pytest.raises(ContractViolationError):
-        batch_loss(model, np.zeros((0, 2, 3)), np.zeros((0, 3)))
-
-
 def test_train_never_calls_predict(monkeypatch):
     def refuse(self, x):
         raise AssertionError("train must not call QuantileModel.predict")
@@ -614,3 +618,110 @@ def test_train_never_calls_predict(monkeypatch):
     monkeypatch.setattr(QuantileModel, "predict", refuse)
     for arch, k in ((FEEDFORWARD, 1), (ATTENTION, 4)):
         train(_training_data(arch, 80, k, seed=10), arch, 0.2, TrainConfig(epochs=2, seed=1))
+
+
+# ---------------------------------------------------------------------------
+# training in two processes: a forked worker runs the row phase of half of
+# each batch at K >= SPLIT_TOKENS
+
+
+def train_inline(data, arch, cfg, monkeypatch):
+    """``train`` in this process alone, as off Linux."""
+    with monkeypatch.context() as m:
+        m.setattr(_fork, "LINUX", False)
+        return train(data, arch, 0.2, cfg)
+
+
+def model_bytes(model):
+    return model.params.tobytes(), np.array(model.loss_history).tobytes()
+
+
+@pytest.mark.parametrize("arch", [ATTENTION, DEAD_ATT], ids=["scale 1", "scale 0.02"])
+@pytest.mark.parametrize("k", [16, 17, 32, 33])
+def test_worker_train_matches_inline_and_reference_bytes(arch, k, forked_pids, monkeypatch):
+    # n = 129 to 133 leave last batches of 1 to 5 rows: below 4 rows both
+    # phases run in this process, from 4 the worker takes the larger half
+    cfg = TrainConfig(epochs=2, batch_size=64, step_size=0.05, seed=4)
+    for n in range(129, 134):
+        data = _training_data(arch, n, k, seed=n)
+        got = model_bytes(train(data, arch, 0.2, cfg))
+        assert got == model_bytes(train_inline(data, arch, cfg, monkeypatch)), n
+        assert got == model_bytes(reference_train(data, arch, 0.2, cfg)), n
+    assert len(forked_pids) == 5
+
+
+@pytest.mark.parametrize("k,forks", [(8, 0), (15, 0), (16, 1)])
+def test_worker_forked_once_per_train_call_from_16_tokens(k, forks, forked_pids):
+    data = _training_data(ATTENTION, 100, k, seed=20)
+    for calls in (1, 2):
+        train(data, ATTENTION, 0.2, TrainConfig(epochs=1, seed=2))
+        assert len(forked_pids) == forks * calls
+
+
+def _refuse_fork():
+    raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
+@pytest.mark.parametrize("case", ["fork fails", "one CPU", "another thread"])
+def test_worker_not_forked_when_it_cannot_or_should_not_fork(case, forked_pids, monkeypatch):
+    data, cfg = _training_data(ATTENTION, 130, 16, seed=21), TrainConfig(epochs=2, seed=3)
+    expected = model_bytes(train_inline(data, ATTENTION, cfg, monkeypatch))
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    if case == "fork fails":
+        monkeypatch.setattr(os, "fork", _refuse_fork)
+    elif case == "one CPU":  # the worker would only compete with this process
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    else:  # a worker forked beside it could inherit a lock it holds
+        other.start()
+    try:
+        got = model_bytes(train(data, ATTENTION, 0.2, cfg))
+    finally:
+        release.set()
+        if other.is_alive():
+            other.join()
+    assert forked_pids == [] and got == expected
+
+
+def test_worker_failure_raises_with_its_traceback(forked_pids, monkeypatch):
+    parent, rows, calls = os.getpid(), quantile_net._Workspace.rows, []
+
+    def failing(ws, x, y, lo, hi):
+        if os.getpid() != parent:
+            calls.append(lo)
+            if len(calls) == 3:
+                raise FloatingPointError("row phase failed in the worker")
+        return rows(ws, x, y, lo, hi)
+
+    monkeypatch.setattr(quantile_net._Workspace, "rows", failing)
+    start = time.perf_counter()
+    with pytest.raises(FloatingPointError, match="row phase failed in the worker") as info:
+        train(_training_data(ATTENTION, 300, 16, seed=22), ATTENTION, 0.2,
+              TrainConfig(epochs=2, seed=3))
+    assert time.perf_counter() - start < 30.0
+    assert len(forked_pids) == 1
+    assert isinstance(info.value.__cause__, _fork.ChildTraceback)
+    worker_traceback = str(info.value.__cause__)
+    assert "in failing" in worker_traceback and "in serve" in worker_traceback
+
+
+@pytest.mark.parametrize("failure", ["diverged", "sum phase"])
+def test_worker_killed_and_reaped_when_the_parent_fails(failure, forked_pids, monkeypatch):
+    # the forked_pids fixture checks that no child is left and no descriptor open
+    data = _training_data(ATTENTION, 300, 16, seed=23)
+    if failure == "diverged":  # the first update overflows the next batch's heads
+        cfg, error = TrainConfig(epochs=3, step_size=1e300, seed=3), TrainingDivergedError
+    else:
+        cfg, error, sums, calls = TrainConfig(epochs=3, seed=3), ArithmeticError, \
+            quantile_net._Workspace.sums, []
+
+        def failing(ws, x, b):
+            calls.append(b)
+            if len(calls) == 4:
+                raise ArithmeticError("the parent failed")
+            return sums(ws, x, b)
+
+        monkeypatch.setattr(quantile_net._Workspace, "sums", failing)
+    with pytest.raises(error), np.errstate(over="ignore", invalid="ignore"):
+        train(data, ATTENTION, 0.2, cfg)
+    assert len(forked_pids) == 1
