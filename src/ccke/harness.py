@@ -17,9 +17,9 @@ inefficiency of all trials as stacked (T, n) arrays.  A trial's numbers
 do not depend on its block, and the report carries each stage's wall
 seconds.
 
-On Linux a forked child draws most trial blocks while the model trains,
-and large attention models train in two processes; ``run_experiment``
-says when it forks and what that costs.
+On Linux a forked child draws every trial block but the last, or a lone
+block, while the model trains, and large attention models train in two
+processes; ``run_experiment`` says when it forks and what that costs.
 
 A fully synthetic scalar environment with analytically known quantiles
 and exact density ratios backs the coverage-guarantee test suites
@@ -677,23 +677,27 @@ def run_experiment(cfg: ExperimentConfig, environment=None,
     summed over the blocks.  With ``progress``, the draw phase prints the
     trial count and rate every 25 trials.
 
-    The draws do not depend on the model.  So, with a model to train and
-    more than one block, one forked child (``_ForkedDraws``) draws every
-    block but the last while the parent trains, where the package's fork
-    rule allows it (``_fork``: Linux, more than one CPU in
-    ``os.sched_getaffinity`` and no other thread; a cgroup CPU quota is
-    not read).  After training the parent draws the last block, then
-    reads the child's blocks, and holds all of their draws at once (about
-    180 KB for the benchmark's phy workload: 50 trials of 150 rows of 24
-    bytes); the draw stage counts the last block plus the wait for the
-    child.  If ``os.pipe`` or ``os.fork`` fails, and where the rule does
-    not allow a fork, the parent draws every block itself.  Training may
-    fork a second kind of child under the same rule: for an attention
-    model of at least ``quantile_net.SPLIT_TOKENS`` tokens, a worker that
-    runs half of each training step's rows (see ``quantile_net.train``),
-    and that leaves before ``train`` returns.  A failure in a child is
-    raised here with the child's traceback as its cause; a failure in the
-    parent kills and reaps every child first.
+    The draws do not depend on the model.  So, with a model to train, one
+    forked child (``_ForkedDraws``) draws every block but the last, or
+    the only block if there is one, while the parent samples its
+    training data and trains, where the package's fork rule allows it
+    (``_fork``: Linux, more than one CPU in ``os.sched_getaffinity`` and
+    no other thread; a cgroup CPU quota is not read).  After training
+    the parent draws its last block, then reads the child's blocks, and
+    holds all of their draws at once (about 180 KB for the benchmark's
+    phy workload: 50 trials of 150 rows of 24 bytes); the draw stage
+    counts the last block plus the wait for the child.  With one block
+    the parent draws nothing, and the draw stage counts only the wait for
+    the child and the read of its block (1.1 MB pickled for the
+    benchmark's mac-k32-pfca workload).  If ``os.pipe`` or ``os.fork``
+    fails, and where the rule does not allow a fork, the parent draws
+    every block itself.  Training may fork a second kind of child under
+    the same rule: for an attention model of at least
+    ``quantile_net.SPLIT_TOKENS`` tokens, a worker that runs half of
+    each training step's rows and a share of its sums (see
+    ``quantile_net.train``), and that leaves before ``train`` returns.
+    A failure in a child is raised here with the child's traceback as its
+    cause; a failure in the parent kills and reaps every child first.
     """
     clock = _StageClock()
     env = environment if environment is not None else build_environment(cfg)
@@ -705,9 +709,9 @@ def run_experiment(cfg: ExperimentConfig, environment=None,
     blocks = [range(first, min(first + TRIAL_BLOCK, cfg.n_trials))
               for first in range(0, cfg.n_trials, TRIAL_BLOCK)]
     child = None
-    if not env.has_exact_model and len(blocks) > 1:
+    if not env.has_exact_model:  # every block but the last, or the only one
         child = _fork.start(lambda: _ForkedDraws(
-            lambda block: _draw_block(env, cfg, target, actual, block), blocks[:-1]))
+            lambda block: _draw_block(env, cfg, target, actual, block), blocks[:-1] or blocks))
     try:
         return _run_blocks(env, cfg, target, actual, blocks, child, clock, progress)
     finally:
@@ -719,7 +723,7 @@ def _run_blocks(env, cfg: ExperimentConfig, target, actual, blocks, child,
                 clock: _StageClock, progress: bool) -> ExperimentReport:
     """``run_experiment`` after the environment is built: training, then
     the three phases of each block; ``child``, if not None, draws
-    ``blocks[:-1]``."""
+    ``blocks[:-1]``, or ``blocks`` if there is one."""
     model = None
     if not env.has_exact_model:
         rng_tr = rng_for(cfg.base_seed, _STREAM_TRAIN_DATA)
@@ -733,9 +737,9 @@ def _run_blocks(env, cfg: ExperimentConfig, target, actual, blocks, child,
     n_cal, n_test = cfg.n_cal, cfg.n_test
     trials, weight_errors, drawn = [], [], []  # drawn: every block, when forked, not yet used
     start = time.perf_counter()
-    if child is not None:
-        last = _draw_block(env, cfg, target, actual, blocks[-1])
-        drawn = child.result() + [last]
+    if child is not None:  # the parent's own block first, while the child may still draw
+        last = [_draw_block(env, cfg, target, actual, blocks[-1])] if len(blocks) > 1 else []
+        drawn = child.result() + last
     for block in blocks:
         ctx, kpis, factors = (drawn.pop(0) if drawn
                               else _draw_block(env, cfg, target, actual, block))

@@ -38,16 +38,23 @@ do not depend on the rows beside it in its pass (a pass of one row
 aside, which takes BLAS gemv), so the row phase may run in parts.
 
 ``train`` runs an attention model of at least ``SPLIT_TOKENS`` tokens in
-two processes: a forked worker runs the row phase of half of each batch,
-in a workspace in shared memory, and the parent runs the other half, the
-sum phase and the update.  The rule is set by the step's cost per row.
-With fewer tokens a step is bound by per-call overhead (a 32-row step
-costs 64% of a 64-row one at K = 8, 52% at K = 32), so the pipe round
-trip and the serial sum phase cost about what half the rows save.
+two processes, with the workspace, the parameters and the gradient in
+shared memory.  A forked worker runs the row phase of half of each batch
+and then the input side's share of the sum phase: MLP1's sums and block
+1's projection dots.  The parent runs the other half of the rows, then
+the output side's share (the loss, MLP2's sums and block 2's projection
+dots) and the update.  Each share makes whole reductions on the full
+arrays, so every byte stays; each attention block has transpose buffers
+of its own, as the two blocks' dots run at the same time.  The rule is
+set by the step's cost per row: with few tokens a step is bound by
+per-call overhead (a 32-row step costs 64% of a 64-row one at K = 8, 52%
+at K = 32), so the pipe round trips cost about what half the rows save.
 Training alone, two processes over one (1500 rows, 2 epochs, best of 3,
-three runs, on a 2-core Xeon with one BLAS thread): K = 8 1.15-1.24,
-K = 12 0.98-0.99, K = 16 0.92-0.96, K = 24 0.76-0.77, K = 32 0.70-0.73.
-The feedforward net's step (about 60 µs) stays in one process.
+three runs, on a 2-core Xeon with one BLAS thread): K = 8 0.90-1.05,
+K = 12 0.81-0.83, K = 16 0.79-0.81, K = 24 0.62-0.80, K = 32 0.63-0.74.
+Two more runs read 0.84 and 1.09 at K = 12, so ``SPLIT_TOKENS`` stays at
+16 until more runs settle K = 12.  The feedforward net's step (about
+60 µs) stays in one process.
 
 A step issues as few numpy calls as keep every bit.  The views of each
 pass size are bound once.  Both pinball heads take their residual, loss
@@ -291,17 +298,21 @@ class _Workspace:
     phase (``rows``) does all that is done row by row: the forward pass,
     the residuals and output gradient, the ReLU masks, every ``d @ W``,
     the attention backward pass and the token-row merges.  The sum phase
-    (``sums``) does every reduction over the batch's rows, on the full
-    arrays: the loss sums, the weight and bias gradients, and the
-    transpose copies the projection gradients read.  It writes each
-    parameter's gradient straight into its view of ``grad``.  Since the
-    sum phase may run after the whole row phase, each layer's masked
+    does every reduction over the batch's rows, on the full arrays: the
+    loss sums, the weight and bias gradients, and the transpose copies
+    the projection gradients read.  It writes each parameter's gradient
+    straight into its view of ``grad``.  After the whole row phase it
+    runs in two shares, which may run at the same time: the output
+    side's (``output_sums``: the loss, MLP2 and block 2) and the input
+    side's (``input_sums``: MLP1 and block 1).  So each layer's masked
     output gradient and each block's query, key and value gradients have
-    buffers of their own; the (b, K, K) backward temporaries, the ReLU
-    masks and the attention blocks' output gradients, which only the row
-    phase reads, are shared.  With ``shared``, the buffers live in
-    anonymous shared memory, where a forked worker (``worker``, see
-    ``train``) runs the row phase of part of each batch.
+    buffers of their own, and so does each block's transpose copy; the
+    (b, K, K) backward temporaries, the ReLU masks and the attention
+    blocks' output gradients, which only the row phase reads, are
+    shared.  With ``shared``, the buffers live in anonymous shared
+    memory, where a forked worker (``worker``, see ``train``) runs the
+    row phase of part of each batch and the input side's share of the
+    sum phase.
     """
 
     def __init__(self, model: QuantileModel, rows: int, k: int, grad=None, shared=False):
@@ -393,7 +404,7 @@ class _Workspace:
                     dqkv = tuple(buf(f"{name}{j}", rows.stop - rows.start, k)
                                  for name, rows in zip(("dq", "dk", "dv"), self.qkv_rows))
                     v[j].dqkv = dqkv
-                    v[j].at = [_merger(d, (1, 0, 2), self._buf("at", (d.shape[1], m * k)))
+                    v[j].at = [_merger(d, (1, 0, 2), self._buf(f"at{j}", (d.shape[1], m * k)))
                                for d in dqkv]
                 v[prefix] = self._mlp_views(prefix, layers, buf, backward, input_grad=True)
             v["e"] = v["m1_"][-1][0]
@@ -494,22 +505,34 @@ class _Workspace:
         cache: run after the whole row phase, the same calls made a K = 8
         step 5% slower.  With a ``worker`` and at least 4 rows, the worker
         runs the row phase of rows [b // 2, b) while this process runs rows
-        [0, b // 2), and then this process runs the sum phase.  A half of
-        one row would take BLAS gemv, which rounds differently."""
+        [0, b // 2).  Once both are done, the worker runs the input side's
+        share of the sum phase (``input_sums``) while this process runs
+        the output side's (``output_sums``).  A half of one row would take
+        BLAS gemv, which rounds differently."""
         b = y.shape[0]
         if self.worker is None or b < 4:
             return self.rows(x, y, 0, b, sums=True)
         self.worker.send(b)
         self.rows(x, y, 0, b // 2)
-        self.worker.wait()
-        return self.sums(x, b)
+        self.worker.send(b)  # this half is done: after its own, the worker may sum
+        self.worker.wait()  # the worker's half of the row phase
+        loss = self.output_sums(b)
+        self.worker.wait()  # the worker's share of the sum phase
+        self.grad += 0.0  # a -0.0 gradient becomes +0.0, as when summed into zeros
+        return loss
 
     def serve(self, link) -> None:
-        """The worker's loop: the row phase of rows [b // 2, b) of each
-        batch of b rows the parent gathered, until its pipe closes."""
+        """The worker's loop, until its pipe closes: for each batch of b
+        rows the parent gathered, the row phase of rows [b // 2, b), then,
+        on the parent's second command, which it sends once its own rows
+        are done, the input side's share of the sum phase."""
         while (b := link.receive()) is not None:
             v = self._pass(b)
             self.rows(v["x"], v["y"], b // 2, b)
+            link.ack()
+            if link.receive() is None:
+                return
+            self.input_sums(b)
             link.ack()
 
     def rows(self, x, y, lo: int, hi: int, sums: bool = False):
@@ -542,20 +565,25 @@ class _Workspace:
             self.grad += 0.0  # a -0.0 gradient becomes +0.0, as when summed into zeros
         return loss
 
-    def sums(self, x, b: int) -> float:
-        """The sum phase of a step on the b rows ``x``, after the row phase
-        of all of them: returns the loss, and writes the gradient."""
+    # the sum phase of an attention step in two shares, each on the full
+    # arrays of the b rows, after the row phase of all of them; they write
+    # disjoint views of ``grad`` and each reads its block's own ``at`` buffers
+
+    def output_sums(self, b: int) -> float:
+        """The output side's share: returns the loss, and writes MLP2's
+        weight and bias gradients and block 2's projection gradients."""
         v = self._pass(b)
         loss = _loss(v["l1"])
-        if self.arch.kind == "feedforward":
-            self._mlp_sums(v["d_out"], x, self.mlp, v["m"])
-        else:
-            self._mlp_sums(v["d_out"], v[2].t, self.mlp2, v["m2_"])
-            _attention_sums(v["e"], v[2])
-            self._mlp_sums(v["d_e"][0], v[1].t, self.mlp1, v["m1_"])
-            _attention_sums(_merger(x, (0, 2, 1), v["xT"])[0], v[1])
-        self.grad += 0.0  # a -0.0 gradient becomes +0.0, as when summed into zeros
+        self._mlp_sums(v["d_out"], v[2].t, self.mlp2, v["m2_"])
+        _attention_sums(v["e"], v[2])
         return loss
+
+    def input_sums(self, b: int) -> None:
+        """The input side's share: writes MLP1's weight and bias gradients
+        and block 1's projection gradients."""
+        v = self._pass(b)
+        self._mlp_sums(v["d_e"][0], v[1].t, self.mlp1, v["m1_"])
+        _attention_sums(_merger(v["x"], (0, 2, 1), v["xT"])[0], v[1])
 
     def _mlp_rows(self, d, layers, views, h=None):
         """The row phase of the backward pass of a dense stack from its
@@ -718,17 +746,19 @@ def train(data, arch, alpha: float, cfg: TrainConfig) -> QuantileModel:
     attention model of at least ``SPLIT_TOKENS`` tokens, with batches of
     at least 4 rows, trains in two processes where the package's fork
     rule allows it (``_fork``: Linux, more than one CPU and no other
-    thread).  The workspace and the parameter vector then live in
-    anonymous shared memory, and one worker, forked once per call, runs
-    the row phase of rows [b // 2, b) of each batch of b rows while this
-    process runs rows [0, b // 2).  After the worker's acknowledgement
-    this process runs the sum phase, on the same full arrays as in one
-    process, and the update, so every byte stays.  A batch of fewer than
-    4 rows runs both phases here.  The worker leaves when its command pipe
-    closes, before ``train`` returns; a failure in the worker is raised
-    here with the worker's traceback as its cause, and a failure here
-    kills and reaps the worker.  If the fork fails, training runs in this
-    process alone.
+    thread).  The workspace, the parameter vector and the gradient then
+    live in anonymous shared memory, and one worker, forked once per
+    call, runs the row phase of rows [b // 2, b) of each batch of b rows
+    while this process runs rows [0, b // 2).  Once both halves are done
+    the worker runs the input side's share of the sum phase while this
+    process runs the output side's; after the worker's acknowledgement
+    this process makes the update.  Each share runs on the same full
+    arrays as in one process, so every byte stays.  A batch of fewer
+    than 4 rows runs both phases here.  The worker leaves when its
+    command pipe closes, before ``train`` returns; a failure in the
+    worker is raised here with the worker's traceback as its cause, and a
+    failure here kills and reaps the worker.  If the fork fails, training
+    runs in this process alone.
 
     ``loss_history`` holds ``epochs + 1`` entries, each a minibatch
     estimate; training makes no full-data pass.  Entry 0 is the initial
@@ -755,11 +785,12 @@ def train(data, arch, alpha: float, cfg: TrainConfig) -> QuantileModel:
     model = init_model(arch, alpha, cfg.seed)
     rows = min(cfg.batch_size, n)
     split = k >= SPLIT_TOKENS and rows >= 4
-    if split:  # where the worker reads it
-        params = _shared({"params": (arch.size, float)})["params"]
-        params[:] = model.params
-        model.params = params
-    ws = _Workspace(model, rows, k, np.empty(arch.size), shared=split)
+    grad = np.empty(arch.size)
+    if split:  # where the worker reads them, and writes its share of the gradient
+        shared = _shared({"params": (arch.size, float), "grad": (arch.size, float)})
+        shared["params"][:] = model.params
+        model.params, grad = shared["params"], shared["grad"]
+    ws = _Workspace(model, rows, k, grad, shared=split)
     if split:
         ws.worker = _fork.start(lambda: _fork.Child(ws.serve, commands=True))
     try:

@@ -619,11 +619,11 @@ OVERLAP_CASES = {
 }
 
 
-def overlap_config(name):
-    """Three trial blocks: a child draws the first two, the parent the last."""
-    return ExperimentConfig(**OVERLAP_CASES[name], n_cal=20, n_test=5,
-                            n_trials=2 * harness.TRIAL_BLOCK + 1, train_epochs=1,
-                            base_seed=23)
+def overlap_config(name, n_trials=2 * harness.TRIAL_BLOCK + 1):
+    """By default three trial blocks: a child draws the first two, the
+    parent the last."""
+    return ExperimentConfig(**OVERLAP_CASES[name], n_cal=20, n_test=5, n_trials=n_trials,
+                            train_epochs=1, base_seed=23)
 
 
 @pytest.fixture
@@ -680,8 +680,10 @@ def test_overlap_forked_draws_give_the_same_bytes(name, forks, monkeypatch, tmp_
     assert forks == [2]
 
 
-def test_overlap_child_draws_every_block_but_the_last(forks, monkeypatch, tmp_path):
-    log, parent, draw_block = tmp_path / "draws.log", os.getpid(), harness._draw_block
+def record_draws(monkeypatch, log):
+    """Make ``_draw_block`` log the pid that draws each block, and the
+    block's first and last-plus-one trial, to the file ``log``."""
+    draw_block = harness._draw_block
 
     def recording(env, cfg, target, actual, block):
         with open(log, "a") as fh:
@@ -689,6 +691,11 @@ def test_overlap_child_draws_every_block_but_the_last(forks, monkeypatch, tmp_pa
         return draw_block(env, cfg, target, actual, block)
 
     monkeypatch.setattr(harness, "_draw_block", recording)
+
+
+def test_overlap_child_draws_every_block_but_the_last(forks, monkeypatch, tmp_path):
+    log, parent = tmp_path / "draws.log", os.getpid()
+    record_draws(monkeypatch, log)
     run_experiment(overlap_config("phy"))
     assert forks == [2]
     draws = [[int(v) for v in line.split()] for line in log.read_text().splitlines()]
@@ -696,6 +703,22 @@ def test_overlap_child_draws_every_block_but_the_last(forks, monkeypatch, tmp_pa
     assert [range(a, b) for pid, a, b in draws if pid != parent] == [range(0, 25),
                                                                      range(25, 50)]
     assert [range(a, b) for pid, a, b in draws if pid == parent] == [range(50, 51)]
+
+
+@pytest.mark.parametrize("name", sorted(OVERLAP_CASES))
+def test_overlap_child_draws_a_lone_block(name, forks, monkeypatch, tmp_path):
+    # one block of 10 trials: the child draws it while the model trains,
+    # and the parent draws nothing
+    cfg, log, parent = overlap_config(name, n_trials=10), tmp_path / "draws.log", os.getpid()
+    expected = inline_bytes(cfg, monkeypatch, tmp_path / "inline")
+    record_draws(monkeypatch, log)
+    emit_report(run_experiment(cfg), tmp_path / "forked")
+    assert forks == [1]
+    draws = [[int(v) for v in line.split()] for line in log.read_text().splitlines()]
+    assert len(draws) == 1 and draws[0][0] != parent
+    assert range(*draws[0][1:]) == range(0, 10)
+    assert [(tmp_path / "forked" / n).read_bytes()
+            for n in ("trials.csv", "aggregate.csv")] == expected
 
 
 def _refuse_fork():
@@ -781,12 +804,13 @@ def test_overlap_progress_prints_each_line_once(capfd, forks):
 
 
 def test_worker_trains_mac_k16_to_the_same_bytes(forked_pids, monkeypatch, tmp_path):
-    # one trial block, so no draw child: the one fork is training's worker
+    # two forks: the draw child, which draws the one trial block, and
+    # training's worker
     cfg = ExperimentConfig(environment="mac", n_users=16, n_train=150, n_cal=20, n_test=5,
                            n_trials=2, train_epochs=1, base_seed=25)
     emit_report(run_experiment(cfg), tmp_path / "forked")
     forked = [(tmp_path / "forked" / n).read_bytes() for n in ("trials.csv", "aggregate.csv")]
-    assert len(forked_pids) == 1
+    assert len(forked_pids) == 2
     assert forked == inline_bytes(cfg, monkeypatch, tmp_path / "inline")
 
 
@@ -798,6 +822,7 @@ def test_noise_generators_made_only_when_drawn_from(monkeypatch):
         return rng_for_(base_seed, stream, index)
 
     monkeypatch.setattr(harness, "rng_for", recording)
+    monkeypatch.setattr(_fork, "LINUX", False)  # a forked child would make the trials' own
     base = dict(environment="mac", n_users=3, n_train=60, n_cal=20, n_test=5, n_trials=3,
                 train_epochs=1, base_seed=22)
     # no noise: none; KPI noise: training's and one per trial; weight

@@ -713,15 +713,93 @@ def test_worker_killed_and_reaped_when_the_parent_fails(failure, forked_pids, mo
         cfg, error = TrainConfig(epochs=3, step_size=1e300, seed=3), TrainingDivergedError
     else:
         cfg, error, sums, calls = TrainConfig(epochs=3, seed=3), ArithmeticError, \
-            quantile_net._Workspace.sums, []
+            quantile_net._Workspace.output_sums, []
 
-        def failing(ws, x, b):
+        def failing(ws, b):  # the parent's share of the sum phase
             calls.append(b)
             if len(calls) == 4:
                 raise ArithmeticError("the parent failed")
-            return sums(ws, x, b)
+            return sums(ws, b)
 
-        monkeypatch.setattr(quantile_net._Workspace, "sums", failing)
+        monkeypatch.setattr(quantile_net._Workspace, "output_sums", failing)
     with pytest.raises(error), np.errstate(over="ignore", invalid="ignore"):
         train(data, ATTENTION, 0.2, cfg)
+    assert len(forked_pids) == 1
+
+
+SUM_SHARES = ("input_sums", "output_sums")  # the worker's and the parent's
+
+
+def test_worker_runs_the_input_side_of_the_sum_phase(forked_pids, monkeypatch, tmp_path):
+    # 300 rows in batches of 64 leave a last batch of 44: 5 split steps an
+    # epoch, and the output side's share stays in this process
+    log, parent = tmp_path / "sums.log", os.getpid()
+    shares = {name: getattr(quantile_net._Workspace, name) for name in SUM_SHARES}
+
+    def recording(name):
+        def share(ws, b):
+            with open(log, "a") as fh:
+                fh.write(f"{name} {os.getpid()} {b}\n")
+            return shares[name](ws, b)
+        return share
+
+    for name in shares:
+        monkeypatch.setattr(quantile_net._Workspace, name, recording(name))
+    data, cfg = _training_data(ATTENTION, 300, 16, seed=24), TrainConfig(epochs=2, seed=3)
+    got = model_bytes(train(data, ATTENTION, 0.2, cfg))
+    calls = [line.split() for line in log.read_text().splitlines()]
+    assert len(forked_pids) == 1
+    worker = str(forked_pids[0])
+    for name, pid in (("input_sums", worker), ("output_sums", str(parent))):
+        steps = [(p, int(b)) for n, p, b in calls if n == name]
+        assert steps == ([(pid, 64)] * 4 + [(pid, 44)]) * 2
+    assert got == model_bytes(train_inline(data, ATTENTION, cfg, monkeypatch))
+
+
+def test_worker_failure_in_its_sums_raises_with_its_traceback(forked_pids, monkeypatch):
+    sums, calls = quantile_net._Workspace.input_sums, []
+
+    def failing(ws, b):
+        calls.append(b)
+        if len(calls) == 3:
+            raise FloatingPointError("sum phase failed in the worker")
+        return sums(ws, b)
+
+    monkeypatch.setattr(quantile_net._Workspace, "input_sums", failing)
+    start = time.perf_counter()
+    with pytest.raises(FloatingPointError, match="sum phase failed in the worker") as info:
+        train(_training_data(ATTENTION, 300, 16, seed=22), ATTENTION, 0.2,
+              TrainConfig(epochs=2, seed=3))
+    assert time.perf_counter() - start < 30.0
+    assert len(forked_pids) == 1 and calls == []  # the calls were the worker's
+    assert isinstance(info.value.__cause__, _fork.ChildTraceback)
+    worker_traceback = str(info.value.__cause__)
+    assert "in failing" in worker_traceback and "in serve" in worker_traceback
+
+
+def test_worker_killed_in_its_sums_when_the_parent_fails(forked_pids, monkeypatch):
+    # the worker sleeps in its share of the sum phase of step 2 while the
+    # parent fails in its own: the parent must kill it, not wait for it
+    shares = {name: getattr(quantile_net._Workspace, name) for name in SUM_SHARES}
+    calls = []  # each process counts its own share's calls
+
+    def slow(ws, b):
+        calls.append(b)
+        if len(calls) == 2:
+            time.sleep(60.0)
+        return shares["input_sums"](ws, b)
+
+    def failing(ws, b):
+        calls.append(b)
+        if len(calls) == 2:
+            raise ArithmeticError("the parent failed")
+        return shares["output_sums"](ws, b)
+
+    monkeypatch.setattr(quantile_net._Workspace, "input_sums", slow)
+    monkeypatch.setattr(quantile_net._Workspace, "output_sums", failing)
+    start = time.perf_counter()
+    with pytest.raises(ArithmeticError, match="the parent failed"):
+        train(_training_data(ATTENTION, 300, 16, seed=23), ATTENTION, 0.2,
+              TrainConfig(epochs=3, seed=3))
+    assert time.perf_counter() - start < 30.0  # killed, not waited for
     assert len(forked_pids) == 1
