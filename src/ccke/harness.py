@@ -39,7 +39,6 @@ from typing import Optional
 import numpy as np
 
 from . import _fork, mac_sim, phy_sim, quantile_net
-from ._normal import logsumexp, ndtr, ndtri
 from ._rowmax import row_max
 from .conformal import (
     ContractViolationError,
@@ -231,7 +230,9 @@ class PhyEnvironment:
     """Link simulator bundle: SER-softmax policy plus ARQ configuration.
 
     Without a ``ser_table`` the policy uses the shipped default grid
-    (``SerTable.default``).
+    (``SerTable.default``).  The exact draw from p(x | app) takes p(app |
+    x) from the policy (``PhyPolicy.log_app_probabilities``) and the SNR
+    law from ``phy_sim.SNR_LAW``, so each law has one definition.
     """
 
     has_exact_model = False
@@ -244,25 +245,18 @@ class PhyEnvironment:
             ser_table = phy_sim.SerTable.default()
         self.policy = phy_sim.PhyPolicy(temperature=temperature, ser_table=ser_table)
         self.arq = arq or phy_sim.ArqConfig()
-        self._cell_posteriors = {app: self._cell_posterior(app) for app in phy_sim.PHY_APPS}
-        # per SNR bin: the normal CDF at both of its edges
-        lows, mu, sd = phy_sim.SNR_BIN_LOWS, phy_sim.SNR_DB_MEAN, phy_sim.SNR_DB_SIGMA
-        self._bin_cdf = (ndtr((lows - mu) / sd), ndtr((lows + 1.0 - mu) / sd))
-
-    def _cell_posterior(self, app) -> np.ndarray:
-        """Flattened p(cell | app) over the table's (SNR bin, m) cells,
-        normalised in log space with ``_normal.logsumexp`` (scipy's
-        ``logsumexp``, bit for bit)."""
-        table = self.policy.ser_table
-        a = phy_sim.PHY_APPS.index(app)
-        u = 1.0 / (table.values * self.policy.temperature)  # (4, bins, m)
-        log_p_app = u[a] - logsumexp(u, axis=0)              # (bins, m)
-        bin_mass = phy_sim.snr_bin_masses()
-        log_post = np.log(bin_mass)[:, None] - math.log(phy_sim.PATHS_MAX) + log_p_app
-        flat = log_post.ravel()
-        flat = flat - logsumexp(flat)
-        post = np.exp(flat)
-        return post / post.sum()
+        # p(cell | app) over the flattened (SNR bin, m) cells, m fastest: bin
+        # mass times the policy's p(app | cell centre) (m is uniform), taken
+        # in log space and shifted by each app's likeliest cell, so an app
+        # the policy all but never selects keeps the cells it is likeliest in
+        m_max = phy_sim.PATHS_MAX
+        centres = phy_sim.PhyContexts(snr_db=np.repeat(phy_sim.SNR_BIN_LOWS + 0.5, m_max),
+                                      paths=np.tile(np.arange(1, m_max + 1), phy_sim.N_SNR_BINS))
+        log_post = (np.log(np.repeat(phy_sim.snr_bin_masses(), m_max))[:, None]
+                    + self.policy.log_app_probabilities(centres))
+        post = np.exp(log_post - log_post.max(axis=0))
+        post /= post.sum(axis=0)
+        self._cell_posteriors = dict(zip(phy_sim.PHY_APPS, np.ascontiguousarray(post.T)))
 
     def parse_app(self, label: str):
         return phy_sim.TransmissionApp.from_key(label)
@@ -285,19 +279,18 @@ class PhyEnvironment:
         stays usable at sharp temperatures where the selected app is so
         rare that rejection sampling would never terminate.
 
-        Within the cell, the SNR is the inverse normal CDF
-        (``_normal.ndtri``, scipy's ``ndtri`` bit for bit) of a uniform
-        between the CDFs of the bin's edges, which ``__init__`` computes
-        once per bin (``_normal.ndtr``).  ``n = 0`` gives an empty batch
-        and draws nothing.
+        Within the cell, the SNR is ``SNR_LAW.inv_cdf`` of a uniform
+        between ``SNR_EDGE_CDF`` at the bin's edges, one row at a time,
+        clipped into the bin against rounding.  ``n = 0`` gives an empty
+        batch and draws nothing.
         """
         _row_count(n)
         post = self._cell_posteriors[app]
         cells = rng.choice(post.size, size=n, p=post)
         bins, m_idx = np.unravel_index(cells, (phy_sim.N_SNR_BINS, phy_sim.PATHS_MAX))
         lo_edges = phy_sim.SNR_BIN_LOWS[bins]
-        mu, sd = phy_sim.SNR_DB_MEAN, phy_sim.SNR_DB_SIGMA
-        snrs = mu + sd * ndtri(rng.uniform(self._bin_cdf[0][bins], self._bin_cdf[1][bins]))
+        u = rng.uniform(phy_sim.SNR_EDGE_CDF[bins], phy_sim.SNR_EDGE_CDF[bins + 1])
+        snrs = np.array([phy_sim.SNR_LAW.inv_cdf(p) for p in u.tolist()], dtype=float)
         snrs = np.clip(snrs, lo_edges, np.nextafter(lo_edges + 1.0, -np.inf))
         return phy_sim.PhyContexts(snr_db=snrs, paths=m_idx + 1)
 

@@ -31,10 +31,10 @@ import csv
 import functools
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
-from ._normal import ndtr
 from .conformal import ContractViolationError, clipped_exp, require_integers, rng_segments
 
 __all__ = [
@@ -72,6 +72,9 @@ SNR_DB_CEILING = 1000.0  # channel power about 1e100, far from float64 overflow
 PATHS_MAX = 10
 N_SNR_BINS = 20
 SNR_BIN_LOWS = SNR_DB_MIN + np.arange(float(N_SNR_BINS))  # the SER table's 1-dB bins
+SNR_LAW = NormalDist(SNR_DB_MEAN, SNR_DB_SIGMA)  # the context SNR's law before truncation
+# SNR_LAW's CDF at the N_SNR_BINS + 1 bin edges, SNR_DB_MIN to SNR_DB_MAX
+SNR_EDGE_CDF = np.array([SNR_LAW.cdf(x) for x in np.append(SNR_BIN_LOWS, SNR_DB_MAX).tolist()])
 ANTENNA_SEPARATION = 0.5
 SER_CLAMP = 1e-6
 DEFAULT_SER_TABLE = "ser_table_default.csv"  # package data, see SerTable.default
@@ -159,10 +162,9 @@ class ArqConfig:
 
 
 def snr_bin_masses() -> np.ndarray:
-    """Context-law probability of each SNR bin under the truncated Gaussian."""
-    edges = SNR_DB_MIN + np.arange(N_SNR_BINS + 1)
-    cdf = ndtr((edges - SNR_DB_MEAN) / SNR_DB_SIGMA)
-    masses = np.diff(cdf)
+    """Context-law probability of each SNR bin: ``SNR_LAW`` truncated to
+    [``SNR_DB_MIN``, ``SNR_DB_MAX``), from ``SNR_EDGE_CDF``."""
+    masses = np.diff(SNR_EDGE_CDF)
     return masses / masses.sum()
 
 
@@ -601,12 +603,13 @@ class PhyPolicy:
         ser = np.stack([self.ser_table.lookup(app, ctx) for app in PHY_APPS], axis=1)
         return 1.0 / (ser * self.temperature)
 
-    def app_probabilities(self, ctx: PhyContexts) -> np.ndarray:
-        """(n, apps) selection probabilities (normalized softmax; each row
-        sums to 1 to floating-point roundoff)."""
+    def log_app_probabilities(self, ctx: PhyContexts) -> np.ndarray:
+        """(n, apps) log selection probabilities: the log-softmax of the
+        utilities, each row shifted by its largest first, so the likeliest
+        app reads at most 0 and no row underflows whole at a sharp T."""
         u = self._utilities(ctx)
-        e = np.exp(u - u.max(axis=1, keepdims=True))
-        return e / e.sum(axis=1, keepdims=True)
+        u = u - u.max(axis=1, keepdims=True)
+        return u - np.log(np.exp(u).sum(axis=1, keepdims=True))
 
     def weight(self, ctx: PhyContexts, numer_app: TransmissionApp,
                denom_app: TransmissionApp) -> np.ndarray:

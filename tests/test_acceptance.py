@@ -348,7 +348,7 @@ def test_criterion_9d_probability_normalization(ser_table):
     worst = 0.0
     for _ in range(200):
         ctx = sample_phy_context(rng)
-        worst = max(worst, abs(float(pol.app_probabilities(ctx)[0].sum()) - 1.0))
+        worst = max(worst, abs(float(np.exp(pol.log_app_probabilities(ctx))[0].sum()) - 1.0))
     for _ in range(200):
         w = [float(rng.uniform(0, 5)) for _ in range(11)]
         w_cal, w_test, denom = _denominators(w[:10], [w[10]])

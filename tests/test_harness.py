@@ -272,6 +272,77 @@ def test_mac_sampler_no_overflow_at_sharp_temperature(app):
     assert len(contexts) == 50
 
 
+@pytest.mark.parametrize("temperature", [1e-3, 1e-6])
+def test_phy_sampler_draws_every_app_at_sharp_temperature(temperature):
+    # at these temperatures every cell of some app has p(app | cell) below
+    # the smallest float, so only a posterior taken in log space keeps a
+    # support for that app
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        env = PhyEnvironment(temperature=temperature)
+        for app in phy_sim.PHY_APPS:
+            ctx = env.sample_contexts_given_app(app, 50, rng_for(12, 2))
+            assert len(ctx) == 50, app
+            assert np.all((ctx.snr_db >= phy_sim.SNR_DB_MIN) & (ctx.snr_db < phy_sim.SNR_DB_MAX))
+
+
+def rejection_phy_contexts(env, app, n, rng, chunk=1_000_000):
+    """n contexts of p(x | app) by rejection, apart from the sampler's cell
+    posterior and SNR law: SNR from N(SNR_DB_MEAN, SNR_DB_SIGMA) truncated to
+    [SNR_DB_MIN, SNR_DB_MAX), m uniform on 1..PATHS_MAX, each candidate kept
+    with probability p(app | x) from the policy."""
+    a = phy_sim.PHY_APPS.index(app)
+    snrs, paths = [], []
+    while sum(map(len, snrs)) < n:
+        snr = rng.normal(phy_sim.SNR_DB_MEAN, phy_sim.SNR_DB_SIGMA, chunk)
+        m = rng.integers(1, phy_sim.PATHS_MAX + 1, chunk)
+        inside = (snr >= phy_sim.SNR_DB_MIN) & (snr < phy_sim.SNR_DB_MAX)
+        ctx = phy_sim.PhyContexts(snr_db=snr[inside], paths=m[inside])
+        p_app = np.exp(env.policy.log_app_probabilities(ctx)[:, a])
+        keep = rng.uniform(size=len(ctx)) < p_app
+        snrs.append(ctx.snr_db[keep])
+        paths.append(ctx.paths[keep])
+    return phy_sim.PhyContexts(snr_db=np.concatenate(snrs)[:n], paths=np.concatenate(paths)[:n])
+
+
+PHY_LAW_P_MIN = 1e-3  # per statistic: 6 in all, so under 0.6% false alarms
+
+
+@pytest.mark.parametrize("app", ["multiplexing_qpsk", "alamouti_qpsk"])
+def test_phy_exact_draw_follows_the_context_law_given_the_app(app):
+    # the workload's two apps at T=1, where each is selected in under 1% of
+    # contexts: the exact draw against rejection sampling of p(x | app), by
+    # its (SNR bin, m) cell counts, its SNRs, and each SNR's place in its
+    # bin, measured from the edge nearer the mean, where the normal law is
+    # denser (a uniform draw within the bin fails only the last)
+    env = PhyEnvironment(temperature=1.0)
+    app = env.parse_app(app)
+    n = 10_000
+    a = phy_sim.PHY_APPS.index(app)
+    got = env.sample_contexts_given_app(app, n, rng_for(31, a))
+    want = rejection_phy_contexts(env, app, n, np.random.default_rng([32, a]))
+
+    def cells(ctx):
+        b = np.floor(ctx.snr_db - phy_sim.SNR_DB_MIN).astype(np.int64)
+        return np.bincount(b * phy_sim.PATHS_MAX + ctx.paths - 1,
+                           minlength=phy_sim.N_SNR_BINS * phy_sim.PATHS_MAX)
+
+    table = np.stack([cells(got), cells(want)])
+    # cells with fewer than 10 draws in both samples pooled into one column
+    small = table.sum(axis=0) < 10
+    pooled = [table[:, small].sum(axis=1, keepdims=True)] if small.any() else []
+    table = np.hstack([table[:, ~small]] + pooled)
+    p_cells = stats.chi2_contingency(table, correction=False).pvalue
+    p_snr = stats.ks_2samp(got.snr_db, want.snr_db).pvalue
+
+    def from_inner_edge(ctx):
+        low = np.floor(ctx.snr_db)
+        return np.where(low + 0.5 < phy_sim.SNR_DB_MEAN, low + 1.0 - ctx.snr_db, ctx.snr_db - low)
+
+    p_in_bin = stats.ks_2samp(from_inner_edge(got), from_inner_edge(want)).pvalue
+    assert min(p_cells, p_snr, p_in_bin) >= PHY_LAW_P_MIN, (p_cells, p_snr, p_in_bin)
+
+
 SELECTION_BUILDERS = {
     "mac": lambda t: MacEnvironment(n_users=4, temperature=t),
     "phy": lambda t: PhyEnvironment(temperature=t),
@@ -360,8 +431,8 @@ print("scipy.stats" in sys.modules)
 
 
 def test_phy_draw_does_not_import_scipy_stats():
-    # scipy.stats costs most of a second to import; the phy path needs only
-    # scipy.special's normal cdf and its inverse
+    # scipy.stats costs most of a second to import; the phy path takes its
+    # normal law from the standard library (phy_sim.SNR_LAW)
     out = subprocess.run([sys.executable, "-c", PHY_DRAW], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["False"]
