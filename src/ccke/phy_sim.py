@@ -605,8 +605,8 @@ class PhyPolicy:
 
     def log_app_probabilities(self, ctx: PhyContexts) -> np.ndarray:
         """(n, apps) log selection probabilities: the log-softmax of the
-        utilities, each row shifted by its largest first, so the likeliest
-        app reads at most 0 and no row underflows whole at a sharp T."""
+        utilities, each row shifted by its largest first, so its likeliest
+        app reads at least -log 4 and no row underflows whole at a sharp T."""
         u = self._utilities(ctx)
         u = u - u.max(axis=1, keepdims=True)
         return u - np.log(np.exp(u).sum(axis=1, keepdims=True))
