@@ -15,7 +15,6 @@ import numpy as np
 
 from ccke.harness import (
     ExperimentConfig,
-    NoiseSpec,
     SyntheticEnvironment,
     rng_for,
     run_experiment,
@@ -49,4 +48,4 @@ run("weights with ~0.2 average error", 1 - ALPHA - 0.1,
     base_seed=2, weight_perturbation=delta)
 
 run("symmetric KPI observation noise", 1 - 2 * ALPHA,
-    base_seed=3, kpi_noise=NoiseSpec(sigma=1.0))
+    base_seed=3, kpi_noise=1.0)

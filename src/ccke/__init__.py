@@ -17,7 +17,6 @@ from .harness import (
     ExperimentConfig,
     ExperimentReport,
     MacEnvironment,
-    NoiseSpec,
     PhyEnvironment,
     SyntheticEnvironment,
     build_environment,
@@ -30,7 +29,6 @@ from .quantile_net import (
     QuantileModel,
     TrainConfig,
     TrainingDivergedError,
-    pinball_loss,
     train,
 )
 from .reporting import emit_report

@@ -22,7 +22,7 @@ import time
 import typing
 
 from . import harness, phy_sim, reporting
-from .harness import ExperimentConfig, NoiseSpec
+from .harness import ExperimentConfig
 
 
 def _parse_value(name: str, raw: str, kind):
@@ -35,8 +35,6 @@ def _parse_value(name: str, raw: str, kind):
         if raw.lower() in ("", "none"):
             return None
         (kind,) = (arg for arg in args if arg is not type(None))
-    if kind is NoiseSpec:
-        return NoiseSpec(sigma=float(raw))
     if kind in (int, float):
         return kind(raw)
     return raw

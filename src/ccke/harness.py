@@ -55,7 +55,6 @@ ccke_prediction_set = nccke_prediction_set = cke_prediction_set = None
 compute_score = evaluate_coverage = evaluate_inefficiency = None
 
 __all__ = [
-    "NoiseSpec",
     "ExperimentConfig",
     "TrialResult",
     "ExperimentReport",
@@ -85,20 +84,6 @@ def rng_for(base_seed: int, stream: int, index: int = 0) -> np.random.Generator:
     """Independent generator for (seed, stream, index); stable across runs."""
     return np.random.Generator(np.random.PCG64(
         np.random.SeedSequence([int(base_seed), int(stream), int(index)])))
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Additive zero-mean Gaussian KPI observation noise, standard deviation ``sigma``."""
-
-    sigma: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.sigma < math.inf:
-            raise ContractViolationError(f"0 <= sigma < inf required, got {self.sigma!r}")
-
-    def draw(self, rng: np.random.Generator, size) -> np.ndarray:
-        return rng.normal(0.0, self.sigma, size=size)
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +151,14 @@ def _rejection_sample(draw, accept_prob, n: int, rng: np.random.Generator, app):
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
+def _known_app(apps, label, name: str):
+    """``label`` if it is one of the labels ``apps``; otherwise raise,
+    naming ``name`` (the config field that gave it) and every label."""
+    if label not in apps:
+        raise ContractViolationError(f"unknown {name} {label!r}; choose one of {', '.join(apps)}")
+    return label
+
+
 class MacEnvironment:
     """Scheduling simulator bundle: K users, logistic policy, frame config."""
 
@@ -173,16 +166,13 @@ class MacEnvironment:
     arch = quantile_net.ATTENTION
 
     def __init__(self, n_users: int = 8, temperature: float = 1.0,
-                 policy: Optional[mac_sim.MacPolicy] = None,
-                 frame_cfg: Optional[mac_sim.FrameConfig] = None):
+                 policy: Optional[mac_sim.MacPolicy] = None):
         self.n_users = n_users
         self.policy = policy or mac_sim.MacPolicy.default(n_users, temperature)
-        self.frame_cfg = frame_cfg or mac_sim.FrameConfig()
+        self.frame_cfg = mac_sim.FrameConfig()
 
-    def parse_app(self, label: str) -> str:
-        if label not in mac_sim.MAC_APPS:
-            raise ContractViolationError(f"unknown MAC app {label!r}")
-        return label
+    def parse_app(self, label: str, name: str = "app") -> str:
+        return _known_app(mac_sim.MAC_APPS, label, name)
 
     def sample_contexts_given_app(self, app, n, rng) -> mac_sim.MacContexts:
         """Rejection sampling from p(x | app): backlogs, then CQIs, per
@@ -239,12 +229,11 @@ class PhyEnvironment:
     arch = quantile_net.FEEDFORWARD
 
     def __init__(self, temperature: float = 1.0,
-                 ser_table: Optional[phy_sim.SerTable] = None,
-                 arq: Optional[phy_sim.ArqConfig] = None):
+                 ser_table: Optional[phy_sim.SerTable] = None):
         if ser_table is None:
             ser_table = phy_sim.SerTable.default()
         self.policy = phy_sim.PhyPolicy(temperature=temperature, ser_table=ser_table)
-        self.arq = arq or phy_sim.ArqConfig()
+        self.arq = phy_sim.ArqConfig()
         # p(cell | app) over the flattened (SNR bin, m) cells, m fastest: bin
         # mass times the policy's p(app | cell centre) (m is uniform), taken
         # in log space and shifted by each app's likeliest cell, so an app
@@ -258,8 +247,9 @@ class PhyEnvironment:
         post /= post.sum(axis=0)
         self._cell_posteriors = dict(zip(phy_sim.PHY_APPS, np.ascontiguousarray(post.T)))
 
-    def parse_app(self, label: str):
-        return phy_sim.TransmissionApp.from_key(label)
+    def parse_app(self, label: str, name: str = "app"):
+        return phy_sim.TransmissionApp.from_key(
+            _known_app([app.key for app in phy_sim.PHY_APPS], label, name))
 
     def weight(self, ctx, numer_app, denom_app) -> np.ndarray:
         return self.policy.weight(ctx, numer_app, denom_app)
@@ -326,10 +316,8 @@ class SyntheticEnvironment:
                 f"temperature must be positive, got {selection_temperature!r}")
         self.selection_temperature = selection_temperature
 
-    def parse_app(self, label: str) -> str:
-        if label not in self.OFFSETS:
-            raise ContractViolationError(f"unknown synthetic app {label!r}")
-        return label
+    def parse_app(self, label: str, name: str = "app") -> str:
+        return _known_app(self.OFFSETS, label, name)
 
     def _p_alt(self, x):
         z = np.asarray(x, dtype=float) / self.selection_temperature
@@ -446,6 +434,35 @@ def _inefficiency(lo: np.ndarray, hi: np.ndarray, corrections: np.ndarray,
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment's settings; ``ccke run`` sets each by name.  A field
+    marked with environments is read by those alone; the rest by all.
+
+    - ``environment``: ``mac``, ``phy`` or ``synthetic``.
+    - ``alpha``: the miscoverage level, in [1 / (n_cal + 1), 1).
+    - ``temperature``: mac and phy; the selection policy's temperature.
+    - ``actual_app``: the app that ran; the test contexts are drawn under
+      it.  ``target_app``: the app asked about; the training and
+      calibration contexts are drawn under it.  Apps: mac ``RR``,
+      ``PFCA``; phy ``alamouti_bpsk``, ``alamouti_qpsk``,
+      ``multiplexing_bpsk``, ``multiplexing_qpsk``; synthetic ``base``,
+      ``alt``.
+    - ``n_train``: mac and phy; training contexts.
+    - ``n_cal``, ``n_test``, ``n_trials``: calibration and test points per
+      trial, and trials.
+    - ``base_seed``: the seed of every generator (``rng_for``).
+    - ``methods``: which of ``METHODS`` run, each once.
+    - ``weight_perturbation``: None, or the half-width delta in [0, 1] of
+      the uniform u in each weight's error factor ``1 + u``.
+    - ``kpi_noise``: None, or the standard deviation of the zero-mean
+      Gaussian noise added to each training and calibration KPI.
+    - ``n_users``: mac; the number of users K.
+    - ``ser_table_path``: phy; a table written by ``ccke ser-table``, or
+      None for the shipped default.
+    - ``train_epochs``, ``train_batch``: mac and phy; training epochs and
+      minibatch rows.
+    - ``selection_temperature``: synthetic; its policy's temperature.
+    """
+
     environment: str = "mac"
     alpha: float = 0.2
     temperature: float = 1.0
@@ -457,22 +474,19 @@ class ExperimentConfig:
     n_trials: int = 200
     base_seed: int = 0
     methods: tuple = METHODS
-    weight_perturbation: Optional[float] = None  # uniform half-width of (1+u) factor
-    kpi_noise: Optional[NoiseSpec] = None
+    weight_perturbation: Optional[float] = None
+    kpi_noise: Optional[float] = None
     n_users: int = 8
-    y_max: int = 10
-    symbols_per_packet: int = 8
     ser_table_path: Optional[str] = None
     train_epochs: int = 200
     train_batch: int = 64
-    train_step: float = 1e-2
-    selection_temperature: float = 1.0  # synthetic environment only
+    selection_temperature: float = 1.0
 
     def __post_init__(self):
         # counts and seeds are whole numbers, or a run fails after its
         # training rollouts (a count) or runs as another seed (a seed)
-        require_integers(self, "n_train", "n_cal", "n_test", "n_trials", "n_users", "y_max",
-                         "symbols_per_packet", "train_epochs", "train_batch", "base_seed")
+        require_integers(self, "n_train", "n_cal", "n_test", "n_trials", "n_users",
+                         "train_epochs", "train_batch", "base_seed")
         if self.base_seed < 0:  # numpy seeds no generator from it
             raise ContractViolationError(f"base_seed must be >= 0, got {self.base_seed}")
         if not 0.0 < self.alpha < 1.0:
@@ -492,9 +506,12 @@ class ExperimentConfig:
             raise ContractViolationError(f"methods {tuple(self.methods)} name a method twice")
         if self.weight_perturbation is not None and not 0.0 <= self.weight_perturbation <= 1.0:
             raise ContractViolationError("weight_perturbation must lie in [0, 1]")
+        # a bad sigma would fail only after the draws or the training rollouts
+        if self.kpi_noise is not None and not 0.0 <= self.kpi_noise < math.inf:
+            raise ContractViolationError(
+                f"kpi_noise: 0 <= sigma < inf required, got {self.kpi_noise!r}")
         # bad training fields fail here, not after the training rollouts
-        quantile_net.TrainConfig(epochs=self.train_epochs, batch_size=self.train_batch,
-                                 step_size=self.train_step)
+        quantile_net.TrainConfig(epochs=self.train_epochs, batch_size=self.train_batch)
 
 
 @dataclass(frozen=True)
@@ -540,9 +557,7 @@ def build_environment(cfg: ExperimentConfig):
         return MacEnvironment(n_users=cfg.n_users, temperature=cfg.temperature)
     if cfg.environment == "phy":
         table = phy_sim.SerTable.load(cfg.ser_table_path) if cfg.ser_table_path else None
-        arq = phy_sim.ArqConfig(max_retx=cfg.y_max,
-                                symbols_per_packet=cfg.symbols_per_packet)
-        return PhyEnvironment(temperature=cfg.temperature, ser_table=table, arq=arq)
+        return PhyEnvironment(temperature=cfg.temperature, ser_table=table)
     if cfg.environment == "synthetic":
         return SyntheticEnvironment(selection_temperature=cfg.selection_temperature)
     raise ContractViolationError(f"unknown environment {cfg.environment!r}")
@@ -551,8 +566,7 @@ def build_environment(cfg: ExperimentConfig):
 def _train_model(env, cfg: ExperimentConfig, contexts, kpis: np.ndarray, seed: int):
     y = kpis[:, 0] if kpis.shape[1] == 1 else kpis
     train_cfg = quantile_net.TrainConfig(epochs=cfg.train_epochs,
-                                         batch_size=cfg.train_batch,
-                                         step_size=cfg.train_step, seed=seed)
+                                         batch_size=cfg.train_batch, seed=seed)
     return quantile_net.train((env.features(contexts), y), env.arch, cfg.alpha, train_cfg)
 
 
@@ -612,7 +626,7 @@ def _draw_block(env, cfg: ExperimentConfig, target, actual, block: range):
     for i, (_, _, rng_noise) in enumerate(gens):
         if cfg.kpi_noise is not None:
             cal_kpis = kpis[i * cfg.n_cal:(i + 1) * cfg.n_cal]
-            cal_kpis += cfg.kpi_noise.draw(rng_noise, cal_kpis.shape)
+            cal_kpis += rng_noise.normal(0.0, cfg.kpi_noise, size=cal_kpis.shape)
         if cfg.weight_perturbation is not None:
             # one factor per point, calibration points first, then test points
             delta = cfg.weight_perturbation
@@ -694,8 +708,8 @@ def run_experiment(cfg: ExperimentConfig, environment=None,
     """
     clock = _StageClock()
     env = environment if environment is not None else build_environment(cfg)
-    target = env.parse_app(cfg.target_app)
-    actual = env.parse_app(cfg.actual_app)
+    target = env.parse_app(cfg.target_app, "target_app")
+    actual = env.parse_app(cfg.actual_app, "actual_app")
     if target == actual:
         raise ContractViolationError("target and actual app must differ")
 
@@ -723,7 +737,8 @@ def _run_blocks(env, cfg: ExperimentConfig, target, actual, blocks, child,
         contexts = env.sample_contexts_given_app(target, cfg.n_train, rng_tr)
         kpis = env.rollout(target, contexts, rng_tr)
         if cfg.kpi_noise is not None:
-            kpis += cfg.kpi_noise.draw(rng_for(cfg.base_seed, _STREAM_TRIAL_NOISE), kpis.shape)
+            rng_noise = rng_for(cfg.base_seed, _STREAM_TRIAL_NOISE)
+            kpis += rng_noise.normal(0.0, cfg.kpi_noise, size=kpis.shape)
         model = _train_model(env, cfg, contexts, kpis, seed=cfg.base_seed)
     clock.lap("train")
 

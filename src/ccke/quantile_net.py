@@ -86,11 +86,7 @@ __all__ = [
     "TrainConfig",
     "QuantileModel",
     "TrainingDivergedError",
-    "pinball_loss",
-    "pinball_output_grad",
-    "init_model",
     "train",
-    "PREDICT_ROWS",
 ]
 
 
@@ -169,9 +165,6 @@ class QuantileModel:
             raise ContractViolationError(
                 f"parameter vector of length {self.params.size}, arch wants {self.arch.size}")
 
-    def views(self) -> dict:
-        return _views(self.params, self.arch)
-
     def predict(self, x: np.ndarray):
         """Batched quantile heads; returns (lo, hi) arrays of shape (B, K).
 
@@ -194,24 +187,6 @@ def init_model(arch, alpha: float, seed: int) -> QuantileModel:
         bound = 1.0 / math.sqrt(shape[-1])  # fan-in: columns of a weight, length of a bias
         flat[a:b] = rng.uniform(-bound, bound, b - a)
     return QuantileModel(arch=arch, alpha=alpha, params=flat)
-
-
-# ---------------------------------------------------------------------------
-# losses
-
-
-def pinball_loss(y, q, tau: float):
-    """max(tau * (y - q), -(1 - tau) * (y - q)); elementwise on arrays."""
-    if not 0.0 < tau < 1.0:
-        raise ContractViolationError(f"tau must lie in (0, 1), got {tau}")
-    r = np.asarray(y, dtype=float) - np.asarray(q, dtype=float)
-    out = np.maximum(tau * r, -(1.0 - tau) * r)
-    return float(out) if out.ndim == 0 else out
-
-def pinball_output_grad(y, q, tau: float):
-    """d loss / d q.  At the kink y == q the tau-side slope (-tau) applies."""
-    r = np.asarray(y, dtype=float) - np.asarray(q, dtype=float)
-    return np.where(r >= 0.0, -tau, 1.0 - tau)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from ccke.conformal import _denominators, weighted_quantile
 from ccke.harness import (
     ExperimentConfig,
     MacEnvironment,
-    NoiseSpec,
     PhyEnvironment,
     SyntheticEnvironment,
     rng_for,
@@ -241,8 +240,7 @@ def test_criterion_7_weight_error_guarantee():
 
 
 def test_criterion_8_kpi_noise_guarantee():
-    rep = run_experiment(synthetic_config(base_seed=800,
-                                          kpi_noise=NoiseSpec(sigma=1.0)))
+    rep = run_experiment(synthetic_config(base_seed=800, kpi_noise=1.0))
     cov = rep.mean_coverage("CCKE")
     floor = 1.0 - 2.0 * ALPHA
     bound = floor - binom_3sigma(floor, LEMMA_TRIALS)

@@ -1,10 +1,16 @@
-"""The README's code runs, and demo 01 prints what it printed when written."""
+"""The README's code runs, demo 01 prints what it printed when written, and
+every public name the package lists resolves."""
 
+import importlib
+import inspect
 import os
+import pkgutil
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import ccke
 
@@ -40,3 +46,22 @@ def test_demo_01_prints_its_documented_output(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == DEMO_01_STDOUT
+
+
+MODULES = [m.name for m in pkgutil.iter_modules(ccke.__path__) if not m.name.startswith("_")]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_all_entry_resolves(name):
+    # a stale __all__ entry makes `from ccke.<module> import *` raise
+    namespace = {}
+    exec(f"from ccke.{name} import *", namespace)
+    assert set(getattr(importlib.import_module(f"ccke.{name}"), "__all__", ())) <= set(namespace)
+
+
+def test_every_package_export_is_listed_by_its_module():
+    listed = {entry for name in MODULES
+              for entry in getattr(importlib.import_module(f"ccke.{name}"), "__all__", ())}
+    exported = {name for name, value in vars(ccke).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    assert exported <= listed, exported - listed

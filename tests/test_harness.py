@@ -25,7 +25,6 @@ from ccke.harness import (
     ExperimentConfig,
     ExperimentReport,
     MacEnvironment,
-    NoiseSpec,
     PhyEnvironment,
     SyntheticEnvironment,
     TrialResult,
@@ -572,8 +571,8 @@ def test_report_rejects_a_method_it_did_not_run(accessor):
 @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
 def test_noise_spec_rejects_non_finite_sigma(sigma):
     # these failed only after the draws or the training rollouts
-    with pytest.raises(ContractViolationError, match="sigma"):
-        NoiseSpec(sigma=sigma)
+    with pytest.raises(ContractViolationError, match=r"^kpi_noise: 0 <= sigma < inf required"):
+        ExperimentConfig(kpi_noise=sigma)
 
 
 def test_config_validation():
@@ -586,18 +585,15 @@ def test_config_validation():
         ExperimentConfig(n_trials=0)
 
 
-@pytest.mark.parametrize("field,value", [("train_batch", 0), ("train_epochs", -1),
-                                         ("train_step", 0.0), ("train_step", math.nan),
-                                         ("train_step", math.inf)])
+@pytest.mark.parametrize("field,value", [("train_batch", 0), ("train_epochs", -1)])
 def test_config_rejects_bad_training_fields_when_built(field, value):
     # these failed only inside run_experiment, after the training rollouts
     with pytest.raises(ContractViolationError):
         ExperimentConfig(**{field: value})
 
 
-INTEGER_FIELDS = {ExperimentConfig: ("n_train", "n_cal", "n_test", "n_trials", "n_users", "y_max",
-                                     "symbols_per_packet", "train_epochs", "train_batch",
-                                     "base_seed"),
+INTEGER_FIELDS = {ExperimentConfig: ("n_train", "n_cal", "n_test", "n_trials", "n_users",
+                                     "train_epochs", "train_batch", "base_seed"),
                   quantile_net.TrainConfig: ("epochs", "batch_size", "seed")}
 
 
@@ -686,7 +682,7 @@ OVERLAP_CASES = {
     "phy": dict(environment="phy", actual_app="multiplexing_qpsk",
                 target_app="alamouti_qpsk", n_train=200),
     "mac": dict(environment="mac", n_users=3, n_train=60, weight_perturbation=0.1,
-                kpi_noise=NoiseSpec(sigma=0.5)),
+                kpi_noise=0.5),
 }
 
 
@@ -898,7 +894,7 @@ def test_noise_generators_made_only_when_drawn_from(monkeypatch):
                 train_epochs=1, base_seed=22)
     # no noise: none; KPI noise: training's and one per trial; weight
     # perturbation alone: one per trial
-    for extra, count in (({}, 0), ({"kpi_noise": NoiseSpec(sigma=0.5)}, 4),
+    for extra, count in (({}, 0), ({"kpi_noise": 0.5}, 4),
                          ({"weight_perturbation": 0.1}, 3)):
         made.clear()
         run_experiment(ExperimentConfig(**base, **extra))
@@ -934,7 +930,7 @@ def test_weight_perturbation_is_measured():
 def test_kpi_noise_lemma_bound_quick():
     cfg = ExperimentConfig(environment="synthetic", actual_app="alt", target_app="base",
                            alpha=0.2, n_cal=50, n_test=1, n_trials=300, base_seed=5,
-                           kpi_noise=NoiseSpec(sigma=1.0), methods=("CCKE",))
+                           kpi_noise=1.0, methods=("CCKE",))
     rep = run_experiment(cfg)
     bound = 1.0 - 2.0 * 0.2 - 3.0 * math.sqrt(0.24 / 300)
     assert rep.mean_coverage("CCKE") >= bound
@@ -1022,13 +1018,13 @@ def reference_rollouts(env, app, contexts, rng):
     return [env.rollout(app, row, rng)[0] for row in rows_of(contexts)]
 
 
-def reference_draw_labeled(env, app, n, rng, noise, noise_rng):
-    """One batch of contexts, then their rollouts, then one noise draw per
-    context."""
+def reference_draw_labeled(env, app, n, rng, sigma, noise_rng):
+    """One batch of contexts, then their rollouts, then one noise draw of
+    standard deviation ``sigma`` per context."""
     contexts = env.sample_contexts_given_app(app, n, rng)
     kpis = reference_rollouts(env, app, contexts, rng)
-    if noise is not None:
-        kpis = [k + noise.draw(noise_rng, k.shape) for k in kpis]
+    if sigma is not None:
+        kpis = [k + noise_rng.normal(0.0, sigma, size=k.shape) for k in kpis]
     return contexts, kpis
 
 
@@ -1104,17 +1100,17 @@ _SYNTHETIC = dict(environment="synthetic", actual_app="base", target_app="alt", 
 REFERENCE_CASES = {
     "synthetic": _SYNTHETIC,
     "perturbed-weights": dict(_SYNTHETIC, weight_perturbation=0.3),
-    "kpi-noise": dict(_SYNTHETIC, kpi_noise=NoiseSpec(1.0)),
+    "kpi-noise": dict(_SYNTHETIC, kpi_noise=1.0),
     # 1/8 masses hit the level (1 - 15/64) * 8 / 7 = 7/8 exactly: a threshold tie
     "unbounded": dict(_SYNTHETIC, n_cal=7, alpha=15 / 64, n_test=40),
     "mac-k3": dict(environment="mac", n_users=3, n_train=60, n_cal=20, n_test=10,
                    n_trials=4, train_epochs=0),
     "mac-pfca-noisy": dict(environment="mac", n_users=3, actual_app="RR", target_app="PFCA",
                            n_train=60, n_cal=20, n_test=10, n_trials=3, train_epochs=1,
-                           kpi_noise=NoiseSpec(2.0), weight_perturbation=0.2),
+                           kpi_noise=2.0, weight_perturbation=0.2),
     "phy": dict(environment="phy", actual_app="multiplexing_qpsk", target_app="alamouti_qpsk",
                 n_train=60, n_cal=20, n_test=10, n_trials=3, train_epochs=1,
-                kpi_noise=NoiseSpec(0.5)),
+                kpi_noise=0.5),
     "cke-only": dict(_SYNTHETIC, n_trials=4, methods=("CKE",)),
     "nccke-ccke": dict(_SYNTHETIC, n_trials=4, methods=("NCCKE", "CCKE")),
     # at K=1 a 1-row prediction takes BLAS gemv, which rounds differently
@@ -1381,7 +1377,34 @@ def test_cli_bad_config_fails_cleanly(tmp_path):
     assert "error:" in out.stderr
 
 
-OPTIONAL_FIELDS = {"kpi_noise": ("0.5", NoiseSpec(sigma=0.5)),
+ENVIRONMENT_APPS = {"mac": ("RR", "PFCA"),
+                    "phy": ("alamouti_bpsk", "alamouti_qpsk", "multiplexing_bpsk",
+                            "multiplexing_qpsk"),
+                    "synthetic": ("base", "alt")}
+
+
+@pytest.mark.parametrize("field", ["target_app", "actual_app"])
+@pytest.mark.parametrize("environment", sorted(ENVIRONMENT_APPS))
+def test_unknown_app_names_its_field_and_the_apps(environment, field):
+    # phy said only "unknown space-time code 'RR'", synthetic "unknown
+    # synthetic app 'RR'": neither named the field or the valid apps
+    apps = ENVIRONMENT_APPS[environment]
+    values = {"actual_app": apps[0], "target_app": apps[1], field: "RR_8psk"}
+    cfg = ExperimentConfig(environment=environment, n_trials=1, **values)
+    want = f"unknown {field} 'RR_8psk'; choose one of {', '.join(apps)}"
+    with pytest.raises(ContractViolationError, match=f"^{want}$"):
+        run_experiment(cfg)
+
+
+def test_cli_phy_run_without_apps_names_target_app(tmp_path, capsys):
+    # the default apps are mac apps
+    assert cli.main(["run", "--set", "environment=phy", "--out-dir", str(tmp_path / "rep")]) == 1
+    apps = ", ".join(ENVIRONMENT_APPS["phy"])
+    assert capsys.readouterr().err == f"error: unknown target_app 'RR'; choose one of {apps}\n"
+    assert not (tmp_path / "rep").exists()
+
+
+OPTIONAL_FIELDS = {"kpi_noise": ("0.5", 0.5),
                    "weight_perturbation": ("0.1", 0.1),
                    "ser_table_path": ("table.csv", "table.csv")}
 

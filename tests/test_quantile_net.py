@@ -20,16 +20,30 @@ from ccke.quantile_net import (
     TrainConfig,
     TrainingDivergedError,
     init_model,
-    pinball_loss,
-    pinball_output_grad,
     train,
 )
 from ccke import _fork, quantile_net
-from ccke.quantile_net import _loss_and_grad
+from ccke.quantile_net import _loss_and_grad, _views
 
 
 # ---------------------------------------------------------------------------
-# pinball loss
+# pinball loss: the elementwise oracles of reference_loss_and_grad (training
+# fuses its own loss and output gradient)
+
+
+def pinball_loss(y, q, tau: float):
+    """max(tau * (y - q), -(1 - tau) * (y - q)); elementwise on arrays."""
+    if not 0.0 < tau < 1.0:
+        raise ContractViolationError(f"tau must lie in (0, 1), got {tau}")
+    r = np.asarray(y, dtype=float) - np.asarray(q, dtype=float)
+    out = np.maximum(tau * r, -(1.0 - tau) * r)
+    return float(out) if out.ndim == 0 else out
+
+
+def pinball_output_grad(y, q, tau: float):
+    """d loss / d q.  At the kink y == q the tau-side slope (-tau) applies."""
+    r = np.asarray(y, dtype=float) - np.asarray(q, dtype=float)
+    return np.where(r >= 0.0, -tau, 1.0 - tau)
 
 
 def test_pinball_zero_residual():
@@ -138,7 +152,7 @@ def test_single_token_attention_is_mlp_composition():
                 v = np.maximum(v, 0.0)
         return v
 
-    views = model.views()
+    views = _views(model.params, model.arch)
     token = x[0, :, 0]
     v = views["Wv"] @ token
     v = mlp(v, "m1", 3, views)
@@ -391,7 +405,7 @@ def _reference_mlp_bwd(d_out, acts, weights):
 
 def reference_forward(model, x):
     """Heads (lo, hi) of the oracle's forward pass, plus its backward cache."""
-    q, p = quantile_net, model.views()
+    q, p = quantile_net, _views(model.params, model.arch)
     x = np.asarray(x, dtype=float)
     if model.arch.kind == "feedforward":
         ws = [p[f"W{i}"] for i in range(len(q.FEEDFORWARD_WIDTHS) - 1)]
